@@ -9,6 +9,14 @@ This module provides the grid, the per-mode coefficients and energies,
 gaps, the ground-state energy, and the transverse-field matrix element
 connecting the ground state to a single (k, -k) quasiparticle pair.
 
+Open and inhomogeneous chains, H = -sum_j h_j sigma^x_j - sum_b J_b
+sigma^z sigma^z with arbitrary real weights, have no momentum grid but
+stay quadratic in the fermions (Lieb, Schultz and Mattis, Ann. Phys.
+16, 407 (1961)).  Their single-particle energies are twice the singular
+values of the n x n matrix Z with h on the diagonal and J on the
+superdiagonal, which gives the even-sector gap of any such chain from
+an n x n problem instead of a 2^(n-1) one.
+
 Conventions (fixed here, documented rather than inferred): spin-down
 basis ordering with sigma^x_j = 1 - 2 c_j^dag c_j and Fourier transform
 c_j = sum_k c_k exp(-i k j a) / sqrt(n).  These fix the *phase* of the
@@ -36,6 +44,7 @@ __all__ = [
     "fundamental_gap",
     "ground_energy",
     "excitation_matrix_element",
+    "even_sector_gap",
 ]
 
 
@@ -186,3 +195,35 @@ def excitation_matrix_element(spec: ChainSpec, k: float, g: float) -> complex:
         raise ValueError(f"pair channels are labelled by positive k, got k={k}")
     ka = k * spec.a
     return 4.0j * g * np.sin(ka) / mode_epsilon(ka, g)
+
+
+def even_sector_gap(h, J, periodic: bool = False) -> float:
+    """Gap between the two lowest even-parity levels of an arbitrary chain.
+
+    H = -sum_j h_j sigma^x_j - sum_b J_b sigma^z_b sigma^z_{b+1} with n
+    real fields ``h`` and n-1 bonds (n with ``periodic``, the last one
+    closing the ring).  The quasiparticle energies are 2 sigma_i, the
+    singular values sigma_1 <= sigma_2 <= ... of Z (h on the diagonal,
+    J on the superdiagonal; a periodic chain adds (-1)^(n+1) J[-1] at
+    Z[n-1, 0], the antiperiodic boundary of the even sector).  The
+    quasiparticle vacuum has parity sign(det Z): when it is even the
+    lowest even excitation adds the two lowest quasiparticles, when it
+    is odd the even ground state holds sigma_1 and the next even level
+    holds sigma_2 instead.  Both cases are 2 (sigma_2 + sign(det Z)
+    sigma_1), continuous through a zero mode (sigma_1 = 0).
+    """
+    h = np.asarray(h, dtype=float)
+    J = np.asarray(J, dtype=float)
+    n = h.size
+    if h.shape != (n,) or n < 2:
+        raise ValueError(f"h must be a vector of n >= 2 fields, got shape {h.shape}")
+    nb = n if periodic else n - 1
+    if J.shape != (nb,):
+        raise ValueError(f"J must have shape ({nb},), got {J.shape}")
+    Z = np.diag(h)
+    Z[np.arange(n - 1), np.arange(1, n)] = J[: n - 1]
+    if periodic:
+        Z[n - 1, 0] = (-1) ** (n + 1) * J[-1]
+    sigma = np.linalg.svd(Z, compute_uv=False)  # descending
+    parity, _ = np.linalg.slogdet(Z)
+    return float(2.0 * (sigma[-2] + parity * sigma[-1]))

@@ -32,6 +32,7 @@ from scipy.special import roots_legendre
 from .chain import (
     ChainSpec,
     CouplingConstant,
+    _check_on_grid,
     mode_epsilon,
     mode_epsilon_dg,
     momentum_grid,
@@ -158,13 +159,10 @@ class SaddlePointAmplitude:
 
 
 def _channel_ka(spec: ChainSpec, k: float) -> float:
-    grid = momentum_grid(spec)
-    i = np.argmin(np.abs(grid - k))
-    if abs(grid[i] - k) > 1e-12 * (1.0 + abs(k)):
-        raise ValueError(f"k={k} is not on the momentum grid of n={spec.n}")
-    if grid[i] <= 0:
+    k = _check_on_grid(spec, k)
+    if k <= 0:
         raise ValueError(f"pair channels are labelled by positive k, got {k}")
-    return float(grid[i] * spec.a)
+    return k * spec.a
 
 
 def _element_over_velocity(spec, schedule, ka):

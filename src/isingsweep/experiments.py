@@ -198,7 +198,14 @@ def write_json(path, obj) -> str:
 
 def parallel_map(fn, items):
     """Ordered map honoring the ISINGSWEEP_WORKERS environment variable."""
-    workers = int(os.environ.get("ISINGSWEEP_WORKERS", "1"))
+    raw = os.environ.get("ISINGSWEEP_WORKERS", "1")
+    message = f"ISINGSWEEP_WORKERS must be an integer >= 1, got {raw!r}"
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ValueError(message) from None
+    if workers < 1:
+        raise ValueError(message)
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]

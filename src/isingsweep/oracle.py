@@ -6,6 +6,11 @@ Schroedinger evolution (uniform sweep, step-wise sweep, and the
 system + single-boson composite used to validate the response
 amplitudes), and the even-sector gap profiles of the two sweep styles.
 
+The gap profiles take their gaps from the free-fermion spectrum
+(:func:`isingsweep.chain.even_sector_gap`, an n x n singular-value
+problem); :func:`even_gap` diagonalizes the dense 2^(n-1) even sector
+and is the reference that fermionic gap is tested against.
+
 Basis conventions: computational sigma^z basis, site j <-> bit j,
 bit value 0 means sigma^z = +1.  The global bit-flip parity operator
 is the product of all sigma^x, i.e. index complement.  Hamiltonians
@@ -20,9 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
-from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .chain import ChainSpec
+from .chain import ChainSpec, even_sector_gap
 from .schedules import Schedule, StepWiseSweep, StepWisePath, stepwise_hamiltonian_weights
 
 __all__ = [
@@ -48,10 +52,6 @@ __all__ = [
 
 _DENSE_CAP = 14
 _EVOLVE_CAP = 12
-# Even-sector dimension above which the two lowest levels come from
-# matrix-free Lanczos instead of a dense solve (keeps the step-wise
-# profile within its runtime budget at n = 12).
-_LANCZOS_DIM = 1024
 
 
 class EvolutionError(RuntimeError):
@@ -338,41 +338,9 @@ def even_sector_matrix(n: int, h, J, periodic: bool = False) -> np.ndarray:
     return He
 
 
-def _even_lowest_two(n: int, h, J, periodic: bool = False) -> np.ndarray:
-    """Two lowest even-sector eigenvalues, dense or matrix-free Lanczos."""
-    half = 1 << (n - 1)
-    if half <= _LANCZOS_DIM:
-        He = even_sector_matrix(n, h, J, periodic)
-        return np.linalg.eigvalsh(He)[:2]
-    h = np.asarray(h, dtype=float)
-    J = np.asarray(J, dtype=float)
-    dim = 1 << n
-    idx = np.arange(dim)
-    xor = [idx ^ (1 << j) for j in range(n)]
-    diag = np.zeros(dim)
-    for b, (j, jp) in enumerate(_bond_list(n, periodic)):
-        diag -= J[b] * (1.0 - 2.0 * ((idx >> j) & 1)) * (1.0 - 2.0 * ((idx >> jp) & 1))
-    reps, creps = _sector_reps(dim)
-
-    def matvec(x):
-        psi = np.zeros(dim)
-        psi[reps] = x
-        psi[creps] = x
-        out = diag * psi
-        for j in range(n):
-            out -= h[j] * psi[xor[j]]
-        return out[reps]
-
-    op = LinearOperator((half, half), matvec=matvec, dtype=float)
-    v0 = np.full(half, 1.0 / np.sqrt(half))
-    w = eigsh(op, k=2, which="SA", v0=v0, maxiter=5000, tol=0.0,
-              return_eigenvectors=False)
-    return np.sort(w)
-
-
 def even_gap(n: int, h, J, periodic: bool = False) -> float:
-    """Gap between the two lowest even-parity levels."""
-    w = _even_lowest_two(n, h, J, periodic)
+    """Gap between the two lowest even-parity levels, by dense diagonalization."""
+    w = np.linalg.eigvalsh(even_sector_matrix(n, h, J, periodic))
     return float(w[1] - w[0])
 
 
@@ -398,7 +366,7 @@ def stepwise_gap_profile(n: int, s_points: int = 50) -> StepwiseGapProfile:
     for si, step in enumerate(steps):
         for sj, s in enumerate(svals):
             hw, Jw = stepwise_hamiltonian_weights(StepWisePath(n, int(step), float(s)))
-            gaps[si, sj] = even_gap(n, hw, Jw, periodic=False)
+            gaps[si, sj] = even_sector_gap(hw, Jw, periodic=False)
     return StepwiseGapProfile(n=n, steps=steps, s_values=svals, gaps=gaps)
 
 
@@ -407,7 +375,7 @@ def uniform_min_even_gap(n: int, periodic: bool = True) -> float:
 
     def gap_at(g: float) -> float:
         nb = n if periodic else n - 1
-        return even_gap(n, np.full(n, 1.0 - g), np.full(nb, g), periodic)
+        return even_sector_gap(np.full(n, 1.0 - g), np.full(nb, g), periodic)
 
     grid = np.linspace(0.0, 1.0, 41)
     vals = [gap_at(g) for g in grid]

@@ -149,6 +149,10 @@ def test_parallel_map_worker_pool(monkeypatch):
     serial = parallel_map(abs, [-1, 2, -3])
     monkeypatch.setenv("ISINGSWEEP_WORKERS", "2")
     assert parallel_map(abs, [-1, 2, -3]) == serial == [1, 2, 3]
+    for bad in ("two", "0", "-3", "1.5", ""):
+        monkeypatch.setenv("ISINGSWEEP_WORKERS", bad)
+        with pytest.raises(ValueError, match=f"ISINGSWEEP_WORKERS.*{bad!r}"):
+            parallel_map(abs, [-1, 2, -3])
 
 
 def test_worker_pool_bitwise_deterministic(monkeypatch):

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from isingsweep.chain import ChainSpec, ground_energy, mode_epsilon, momentum_grid
+from isingsweep.chain import (
+    ChainSpec,
+    even_sector_gap,
+    ground_energy,
+    mode_epsilon,
+    momentum_grid,
+)
 from isingsweep.dynamics import instantaneous_pair
 from isingsweep.oracle import (
     CompositeBosonPath,
     StepWiseEvolvePath,
     UniformSweepPath,
-    _even_lowest_two,
     build_hamiltonian,
+    even_gap,
     even_sector_matrix,
     embed_sector_vector,
     matrix_element_sigma_x,
@@ -21,7 +27,12 @@ from isingsweep.oracle import (
     uniform_hamiltonian,
     uniform_min_even_gap,
 )
-from isingsweep.schedules import LinearSchedule, StepWiseSweep
+from isingsweep.schedules import (
+    LinearSchedule,
+    StepWisePath,
+    StepWiseSweep,
+    stepwise_hamiltonian_weights,
+)
 
 
 def test_two_independent_spins():
@@ -68,8 +79,9 @@ def test_ground_energy_matches_fermionic():
         for g in (0.0, 0.3, 0.5, 0.9):
             w = spectrum(uniform_hamiltonian(n, g), "even")
             assert abs(w[0] - ground_energy(spec, g)) <= 1e-10
-    # n = 12 through the matrix-free path (dense build is wasteful there)
-    w12 = _even_lowest_two(12, np.full(12, 0.5), np.full(12, 0.5), periodic=True)
+    # n = 12 from the even block alone (the full 2^12 build is wasteful there)
+    w12 = np.linalg.eigvalsh(even_sector_matrix(12, np.full(12, 0.5), np.full(12, 0.5),
+                                                periodic=True))
     assert abs(w12[0] - ground_energy(ChainSpec(12), 0.5)) <= 1e-10
 
 
@@ -181,15 +193,29 @@ def test_even_sector_matrix_matches_slicing():
         np.testing.assert_allclose(direct, sliced, atol=1e-14)
 
 
-def test_lanczos_agrees_with_dense(monkeypatch):
-    import isingsweep.oracle as om
-
-    h = np.linspace(0.1, 0.9, 6)
-    J = np.linspace(0.4, 1.0, 5)
-    dense = _even_lowest_two(6, h, J, periodic=False)
-    monkeypatch.setattr(om, "_LANCZOS_DIM", 4)
-    lanczos = _even_lowest_two(6, h, J, periodic=False)
-    np.testing.assert_allclose(lanczos, dense, atol=1e-9)
+def test_even_sector_gap_matches_dense():
+    rng = np.random.default_rng(7)
+    for n in range(2, 11):
+        for periodic in (False, True):
+            nb = n if periodic else n - 1
+            for draw in range(6):
+                h = rng.uniform(-1.5, 1.5, n)
+                J = rng.uniform(-1.5, 1.5, nb)
+                if draw == 1:
+                    h *= 1e-7
+                elif draw == 2:
+                    h[rng.integers(n)] = 0.0
+                elif draw == 3:
+                    J[rng.integers(nb)] = 0.0
+                assert abs(even_sector_gap(h, J, periodic)
+                           - even_gap(n, h, J, periodic)) <= 1e-12, (n, periodic, draw)
+    for n in range(4, 11):
+        for step in range(1, n):
+            for s in np.linspace(0.0, 1.0, 50):
+                h, J = stepwise_hamiltonian_weights(StepWisePath(n, step, float(s)))
+                assert abs(even_sector_gap(h, J) - even_gap(n, h, J)) <= 1e-12, (n, step, s)
+    with pytest.raises(ValueError, match="shape"):
+        even_sector_gap(np.ones(4), np.ones(4), periodic=False)
 
 
 def test_stepwise_gap_profile_small_n():
