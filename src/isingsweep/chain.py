@@ -40,6 +40,7 @@ __all__ = [
     "mode_beta",
     "mode_epsilon",
     "mode_epsilon_dg",
+    "pair_matrix_element",
     "mode_coefficients",
     "fundamental_gap",
     "ground_energy",
@@ -145,6 +146,17 @@ def mode_epsilon_dg(ka, g):
     return 8.0 * np.cos(ka / 2.0) ** 2 * x / mode_epsilon(ka, g)
 
 
+def pair_matrix_element(ka, g):
+    """Pair matrix element 4i g sin(ka) / epsilon(ka, g), without a grid check.
+
+    Takes scalars or NumPy arrays, for callers that have validated the
+    momentum (:func:`excitation_matrix_element` is the checked form).
+    Inputs are not wrapped in ``np.asarray``: scalar quadrature
+    integrands call this hundreds of thousands of times per run.
+    """
+    return 4.0j * g * np.sin(ka) / mode_epsilon(ka, g)
+
+
 def _check_on_grid(spec: ChainSpec, k: float) -> float:
     grid = momentum_grid(spec)
     i = np.argmin(np.abs(grid - k))
@@ -193,8 +205,7 @@ def excitation_matrix_element(spec: ChainSpec, k: float, g: float) -> complex:
     k = _check_on_grid(spec, k)
     if k <= 0:
         raise ValueError(f"pair channels are labelled by positive k, got k={k}")
-    ka = k * spec.a
-    return 4.0j * g * np.sin(ka) / mode_epsilon(ka, g)
+    return pair_matrix_element(k * spec.a, g)
 
 
 def even_sector_gap(h, J, periodic: bool = False) -> float:

@@ -36,6 +36,7 @@ from .chain import (
     mode_epsilon,
     mode_epsilon_dg,
     momentum_grid,
+    pair_matrix_element,
 )
 from .quadrature import QuadratureError, oscillatory_integral
 from .schedules import LinearSchedule, Schedule
@@ -167,7 +168,7 @@ def _channel_ka(spec: ChainSpec, k: float) -> float:
 
 def _element_over_velocity(spec, schedule, ka):
     def f(g):
-        return 4.0j * g * np.sin(ka) / mode_epsilon(ka, g) / schedule.velocity_of_g(g)
+        return pair_matrix_element(ka, g) / schedule.velocity_of_g(g)
 
     return f
 
@@ -194,7 +195,7 @@ def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k: float, omega: floa
     if float(np.max(np.abs(schedule.velocity_of_g(np.linspace(0.0, g_upper, 257))))) == 0.0:
         # frozen sweep: constant matrix element and phase rate, closed form
         g0 = float(schedule.g_of_t(0.0))
-        m0 = 4.0j * g0 * np.sin(ka) / mode_epsilon(ka, g0)
+        m0 = pair_matrix_element(ka, g0)
         rate = -omega + 2.0 * float(mode_epsilon(ka, g0))
         T = schedule.total_time
         if rate == 0.0:
@@ -281,7 +282,7 @@ def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega:
             valid = False
             continue
         phi_star = accumulated_phase(spec, schedule, k, omega, g_star)
-        m_star = 4.0j * g_star * np.sin(ka) / mode_epsilon(ka, g_star)
+        m_star = pair_matrix_element(ka, g_star)
         total += m_star * np.sqrt(2.0 * np.pi / abs(ddphi_t)) * np.exp(
             1j * (phi_star + np.sign(ddphi_t) * np.pi / 4.0)
         )
@@ -309,7 +310,7 @@ def amplitude_bound(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
     del omega
 
     def integrand(g):
-        return 4.0 * g * abs(np.sin(ka)) / mode_epsilon(ka, g) / schedule.velocity_of_g(g)
+        return abs(pair_matrix_element(ka, g)) / schedule.velocity_of_g(g)
 
     val, _ = quad(integrand, 0.0, 1.0, points=[0.5], limit=400, epsrel=1e-11)
     return float(lam * val)

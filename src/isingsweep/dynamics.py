@@ -43,6 +43,8 @@ __all__ = [
     "adiabatic_overlap",
 ]
 
+MIN_RTOL = 1e-12  # smallest tolerance integrate_modes accepts
+
 
 @dataclass
 class BogoliubovState:
@@ -169,8 +171,8 @@ def integrate_modes(spec: ChainSpec, schedule: Schedule, t_grid, rtol: float = 1
     Norm drift beyond 10*rtol indicates integrator failure and is
     reported on the trajectory.
     """
-    if rtol < 1e-12:
-        raise ValueError(f"rtol must be >= 1e-12, got {rtol}")
+    if not rtol >= MIN_RTOL:
+        raise ValueError(f"rtol must be >= {MIN_RTOL}, got {rtol}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0:
         raise ValueError("t_grid must start at 0 (initial condition is the g=0 ground state)")

@@ -38,7 +38,7 @@ from .decoherence import (
     saddle_points,
     scaling_fit,
 )
-from .dynamics import integrate_modes
+from .dynamics import MIN_RTOL, integrate_modes
 from .oracle import (
     sigma_x_elements,
     stepwise_gap_profile,
@@ -119,6 +119,16 @@ class ExperimentConfig:
             raise ConfigError(f"config.epsilon_adiab: must be positive, got {d['epsilon_adiab']}")
         if not d.get("coupling", 0.01) > 0:
             raise ConfigError(f"config.coupling: lambda must be positive, got {d.get('coupling')}")
+        for key, least in (("g_grid_points", 2), ("time_points", 2), ("k_modes", 1),
+                           ("n_omega_nodes", 1)):
+            val = d.get(key, least)
+            if not isinstance(val, int) or val < least:
+                raise ConfigError(f"config.{key}: must be an integer >= {least}, got {val!r}")
+        for key in ("lattice_spacing", "amplitude_rtol"):
+            if not d.get(key, 1.0) > 0:
+                raise ConfigError(f"config.{key}: must be positive, got {d[key]!r}")
+        if not d.get("ode_rtol", MIN_RTOL) >= MIN_RTOL:
+            raise ConfigError(f"config.ode_rtol: must be >= {MIN_RTOL}, got {d['ode_rtol']!r}")
         if d.get("bath_kind", "ohmic") not in _BATH_KINDS:
             raise ConfigError(f"config.bath_kind: must be one of {_BATH_KINDS}, got {d['bath_kind']!r}")
         bp = d.get("bath_params")

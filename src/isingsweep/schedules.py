@@ -2,11 +2,17 @@
 
 Three homogeneous schedule kinds drive the uniform sweep: constant
 speed (g = t/T) and two gap-adapted kinds with dg/dt proportional to
-the fundamental gap or its square, normalized so g(T) = 1.  The
-adapted kinds are tabulated once at construction by integrating the
-autonomous rate equation and queried through a monotone interpolant;
-their velocity is always reported from the defining rate equation, not
-by differencing.
+the fundamental gap or its square, normalized so g(T) = 1.  With the
+fundamental gap DeltaE = 4 sqrt(s^2 + c^2 x^2), s = sin(pi/2n),
+c = cos(pi/2n) and x = 1 - 2g, the integral
+I_p(g) = int_0^g DeltaE^-p dg' = C t(g) of dg/dt = C DeltaE^p has the
+closed forms
+
+    p = 1:  (asinh(c/s) - asinh(c x/s)) / (8 c)
+    p = 2:  (atan(c/s) - atan(c x/s)) / (32 s c)
+
+so t(g), its inverse g(t) and the norm J_p = I_p(1) are exact; the
+velocity is reported from the defining rate equation.
 
 The step-wise path replaces transverse-field terms by ferromagnetic
 bonds one site at a time on an open chain: step 1 turns the fields on
@@ -21,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from .chain import ChainSpec, fundamental_gap, mode_epsilon
 
@@ -39,6 +43,22 @@ __all__ = [
 ]
 
 _POWERS = {"linear": 0, "gap-adapted-1": 1, "gap-adapted-2": 2}
+# phi and its inverse per power: I_p(g) is linear in phi(c x / s)
+_PHI = {1: (np.arcsinh, np.sinh), 2: (np.arctan, np.tan)}
+
+
+def _gap_sin_cos(spec: ChainSpec) -> tuple[float, float]:
+    """s = sin(ka/2) and c = cos(ka/2) of the lowest momentum, ka = pi/n."""
+    half = 0.5 * spec.smallest_momentum * spec.a
+    return float(np.sin(half)), float(np.cos(half))
+
+
+def _norm_integral(spec: ChainSpec, power: int) -> float:
+    """J_p = int_0^1 DeltaE^-p dg in closed form (I_p at x = -1)."""
+    s, c = _gap_sin_cos(spec)
+    if power == 1:
+        return float(np.arcsinh(c / s) / (4.0 * c))
+    return float(np.arctan(c / s) / (16.0 * s * c))
 
 
 class Schedule:
@@ -99,15 +119,17 @@ class LinearSchedule(Schedule):
 
 
 class GapAdaptedSchedule(Schedule):
-    """Schedule with dg/dt = c * DeltaE(g)^power, c fixed by g(T) = 1.
+    """Schedule with dg/dt = C * DeltaE(g)^power, C fixed by g(T) = 1.
 
     DeltaE is the fundamental gap of the lowest momentum pair, so the
-    sweep slows down near the critical point g = 1/2.  Construction
-    integrates the rate equation once (tolerance 1e-10) and tabulates
-    (t, g); queries interpolate the tabulation monotonically.
+    sweep slows down near the critical point g = 1/2.  With
+    phi(x) = asinh(c x/s) (power 1) or atan(c x/s) (power 2), the
+    integral I_p(g) is proportional to phi(1) - phi(1 - 2g); hence
+    t(g) = T (1 - phi(x)/phi(1)) / 2 and its inverse
+    x = (s/c) phi^-1(phi(1) (1 - 2t/T)), both exact.
     """
 
-    def __init__(self, spec: ChainSpec, total_time: float, power: int, resolution: int = 8193):
+    def __init__(self, spec: ChainSpec, total_time: float, power: int):
         if power not in (1, 2):
             raise ValueError(f"power must be 1 or 2, got {power}")
         if not total_time > 0:
@@ -116,31 +138,16 @@ class GapAdaptedSchedule(Schedule):
         self.spec = spec
         self.total_time = float(total_time)
         self.power = power
-        self.resolution = int(resolution)
-
-        inv_gap_p, _ = quad(
-            lambda g: fundamental_gap(spec, g) ** (-power),
-            0.0, 1.0, points=[0.5], limit=200, epsabs=0.0, epsrel=1e-13,
-        )
-        self._norm_integral = inv_gap_p
-        self.rate_constant = inv_gap_p / self.total_time  # c in dg/dt = c*DeltaE^p
-
-        sol = solve_ivp(
-            lambda t, y: self.rate_constant * fundamental_gap(spec, y[0]) ** power,
-            (0.0, self.total_time), [0.0],
-            method="DOP853", rtol=1e-11, atol=1e-13,
-            t_eval=np.linspace(0.0, self.total_time, self.resolution),
-        )
-        if not sol.success:
-            raise RuntimeError(f"schedule tabulation failed: {sol.message}")
-        g_tab = np.maximum.accumulate(np.clip(sol.y[0], 0.0, 1.0))
-        self._t_tab = sol.t
-        self._g_tab = g_tab
-        self._interp = PchipInterpolator(self._t_tab, self._g_tab)
+        self.rate_constant = _norm_integral(spec, power) / self.total_time
+        s, c = _gap_sin_cos(spec)
+        self._s_over_c = s / c
+        self._phi, self._phi_inverse = _PHI[power]
+        self._phi_edge = self._phi(c / s)
 
     def g_of_t(self, t):
-        t = self._check_time(t)
-        return np.clip(self._interp(t), 0.0, 1.0)
+        u = 1.0 - 2.0 * self._check_time(t) / self.total_time
+        x = self._s_over_c * self._phi_inverse(self._phi_edge * u)
+        return np.clip(0.5 * (1.0 - x), 0.0, 1.0)
 
     def g_dot(self, t):
         return self.velocity_of_g(self.g_of_t(t))
@@ -149,39 +156,35 @@ class GapAdaptedSchedule(Schedule):
         return self.rate_constant * fundamental_gap(self.spec, np.asarray(g)) ** self.power
 
     def time_of_g(self, g):
-        g = np.asarray(g, dtype=float)
-        gu, idx = np.unique(self._g_tab, return_index=True)
-        inv = PchipInterpolator(gu, self._t_tab[idx])
-        return np.clip(inv(np.clip(g, 0.0, 1.0)), 0.0, self.total_time)
-
-    def to_dict(self) -> dict:
-        d = super().to_dict()
-        d["resolution"] = self.resolution
-        return d
+        x = 1.0 - 2.0 * np.clip(np.asarray(g, dtype=float), 0.0, 1.0)
+        u = self._phi(x / self._s_over_c) / self._phi_edge
+        return np.clip(0.5 * self.total_time * (1.0 - u), 0.0, self.total_time)
 
 
-def make_schedule(kind: str, total_time: float, spec: ChainSpec | None = None,
-                  resolution: int = 8193) -> Schedule:
+def make_schedule(kind: str, total_time: float, spec: ChainSpec | None = None) -> Schedule:
     """Build a homogeneous schedule by kind name."""
     if kind == "linear":
         return LinearSchedule(total_time, spec)
     if kind in ("gap-adapted-1", "gap-adapted-2"):
         if spec is None:
             raise ValueError(f"{kind} needs a ChainSpec for the fundamental gap")
-        return GapAdaptedSchedule(spec, total_time, power=_POWERS[kind], resolution=resolution)
+        return GapAdaptedSchedule(spec, total_time, power=_POWERS[kind])
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 
 def schedule_from_dict(d: dict):
-    """Rebuild a schedule (or step-wise sweep) from its JSON description."""
+    """Rebuild a schedule (or step-wise sweep) from its JSON description.
+
+    Unknown keys, such as the ``resolution`` older versions wrote, are
+    ignored.
+    """
     kind = d["kind"]
     if kind == "step-wise":
         return StepWiseSweep(int(d["n"]), float(d["total_time"]))
     spec = None
     if d.get("n") is not None:
         spec = ChainSpec(int(d["n"]), float(d.get("a", 1.0)))
-    return make_schedule(kind, float(d["total_time"]), spec,
-                         resolution=int(d.get("resolution", 8193)))
+    return make_schedule(kind, float(d["total_time"]), spec)
 
 
 @dataclass(frozen=True)
@@ -270,12 +273,6 @@ def runtime_for_adiabaticity(kind: str, n: int, epsilon_adiab: float, a: float =
         raise ValueError(f"epsilon_adiab must be positive, got {epsilon_adiab}")
     spec = ChainSpec(n, a)
     p = _POWERS[kind]
-    if p == 0:
-        norm = 1.0
-    else:
-        norm, _ = quad(
-            lambda g: fundamental_gap(spec, g) ** (-p),
-            0.0, 1.0, points=[0.5], limit=200, epsabs=0.0, epsrel=1e-13,
-        )
+    norm = _norm_integral(spec, p) if p else 1.0
     eps_min = mode_epsilon(np.pi / n, 0.5)
     return float(2.0**p * norm * np.sin(np.pi / n) * eps_min ** (p - 3) / epsilon_adiab)

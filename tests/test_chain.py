@@ -13,6 +13,7 @@ from isingsweep.chain import (
     mode_coefficients,
     mode_epsilon,
     momentum_grid,
+    pair_matrix_element,
 )
 
 
@@ -101,6 +102,13 @@ def test_matrix_element_values():
     m = excitation_matrix_element(spec, np.pi / 4, 0.5)
     assert abs(m) == pytest.approx(1.8477590650225735, rel=1e-12)
     assert m.real == 0.0  # purely imaginary in this convention
+    # the array form agrees with the checked scalar one to rounding (scalar
+    # and array complex division may differ in the last bit)
+    g = np.linspace(0.0, 1.0, 9)
+    kpos = np.pi * np.array([1, 3]) / 4
+    expected = [[excitation_matrix_element(spec, k, x) for x in g] for k in kpos]
+    np.testing.assert_allclose(pair_matrix_element(kpos[:, None], g[None, :]), expected,
+                               rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def test_matrix_element_sign_under_k_flip():

@@ -181,6 +181,20 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "even integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("time_points", 1), ("g_grid_points", 1), ("ode_rtol", 1e-13), ("amplitude_rtol", 0.0),
+    ("lattice_spacing", 0.0), ("n_omega_nodes", 0), ("k_modes", 0), ("k_modes", 2.5),
+])
+def test_cli_rejects_bad_numeric_field(tmp_path, capsys, field, value):
+    with pytest.raises(ConfigError, match=f"config.{field}:"):
+        ExperimentConfig.from_dict({"kind": "dynamics", field: value})
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"chain_sizes": [4], field: value}))
+    rc = main(["spectrum", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"config.{field}:" in capsys.readouterr().err
+
+
 def test_cli_config_file_with_overrides(tmp_path):
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps({"chain_sizes": [4], "g_grid_points": 21}))

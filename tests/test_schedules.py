@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from isingsweep.chain import ChainSpec, fundamental_gap
@@ -51,6 +51,28 @@ def test_adapted_ode_vs_inverse_quadrature_oracle():
 
     g_oracle = brentq(lambda g: time_of(g) - T / 2, 1e-12, 1.0, xtol=1e-13)
     assert abs(float(sched.g_of_t(T / 2)) - g_oracle) < 1e-8
+
+
+@pytest.mark.parametrize("n", [8, 32, 64, 128])
+@pytest.mark.parametrize("kind", ["gap-adapted-1", "gap-adapted-2"])
+def test_closed_form_vs_independent_references(kind, n):
+    spec = ChainSpec(n)
+    p = int(kind[-1])
+    T = runtime_for_adiabaticity(kind, n, 0.25)
+    sched = make_schedule(kind, T, spec)
+    # norm: adaptive quadrature of DeltaE^-p over the whole sweep
+    norm = quad(lambda g: fundamental_gap(spec, g) ** -p, 0.0, 1.0, points=[0.5],
+                limit=200, epsabs=0.0, epsrel=1e-13)[0]
+    assert sched.rate_constant * T == pytest.approx(norm, rel=1e-12, abs=0.0)
+    # g(t): a tight ODE solve of the rate equation, sampled densely enough
+    # that an interpolated g(t) would show its error between nodes
+    t = np.linspace(0.0, T, 4 * 8192 + 1)
+    ode = solve_ivp(lambda _, y: sched.rate_constant * fundamental_gap(spec, y[0]) ** p,
+                    (0.0, T), [0.0], method="DOP853", rtol=1e-13, atol=1e-16, t_eval=t)
+    assert ode.success
+    g = sched.g_of_t(t)
+    assert np.max(np.abs(g - ode.y[0])) < 1e-9
+    assert np.max(np.abs(sched.time_of_g(g) - t)) < 1e-12 * T
 
 
 def test_g_dot_matches_finite_difference():
@@ -150,3 +172,7 @@ def test_schedule_serialization_round_trip():
         if not isinstance(sched, StepWiseSweep):
             t = np.linspace(0, 30.0, 7)
             np.testing.assert_array_equal(clone.g_of_t(t), sched.g_of_t(t))
+    # older descriptions carry a tabulation "resolution"; it is ignored
+    legacy = dict(GapAdaptedSchedule(spec, 30.0, 1).to_dict(), resolution=8193)
+    clone = schedule_from_dict(legacy)
+    assert clone.to_dict() == {"kind": "gap-adapted-1", "total_time": 30.0, "n": 8, "a": 1.0}
