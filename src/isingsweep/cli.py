@@ -48,16 +48,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
-        if "chain_sizes" in base:
-            base["chain_sizes"] = [int(n) for n in base["chain_sizes"]]
     base["kind"] = args.kind
     for key in ("chain_sizes", "total_time", "schedule_kind", "epsilon_adiab",
                 "omega_grid", "bath_kind", "coupling", "seed", "output_dir"):
         val = getattr(args, key, None)
         if val is not None:
             base[key] = tuple(val) if isinstance(val, list) else val
-    if isinstance(base.get("chain_sizes"), (list, tuple)):
-        base["chain_sizes"] = tuple(int(n) for n in base["chain_sizes"])
     return ExperimentConfig.from_dict(base)
 
 

@@ -68,6 +68,42 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite int or float; JSON booleans and strings are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_real(d: dict, key: str, least: float, strict: bool = True, path: str = "config") -> None:
+    """Reject ``d[key]`` unless it is a finite number above (or, not strict, at least) ``least``."""
+    if key not in d:
+        return
+    val = d[key]
+    if not (_is_real(val) and (val > least if strict else val >= least)):
+        bound = f"> {least}" if strict else f">= {least}"
+        raise ConfigError(f"{path}.{key}: must be a finite number {bound}, got {val!r}")
+
+
+def _check_bath_params(kind: str, params: dict) -> None:
+    """The parameters ``BathSpectrum`` needs for ``kind``, each a valid number."""
+    path = "config.bath_params"
+    needed = {"monochromatic": ("omega0",), "ohmic": ("omega_c",),
+              "flat": ("omega_min", "omega_max")}[kind]
+    for key in needed:
+        if key not in params:
+            raise ConfigError(f"{path}.{key}: required for a {kind} bath")
+        _check_real(params, key, 0.0 if key == "omega_c" else -math.inf, path=path)
+    if kind == "ohmic" and params.get("support_max") is not None:
+        _check_real(params, "support_max", 0.0, path=path)
+    if kind == "flat" and not params["omega_max"] > params["omega_min"]:
+        raise ConfigError(
+            f"{path}.omega_max: must exceed omega_min = {params['omega_min']!r}, "
+            f"got {params['omega_max']!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -101,10 +137,10 @@ class ExperimentConfig:
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"config.kind: must be one of {EXPERIMENT_KINDS}, got {kind!r}")
         sizes = d.get("chain_sizes", (8,))
-        if not sizes:
+        if not isinstance(sizes, (list, tuple)) or not sizes:
             raise ConfigError("config.chain_sizes: must be a non-empty list")
         for i, n in enumerate(sizes):
-            if not isinstance(n, int) or n < 2 or n % 2:
+            if not _is_int(n) or n < 2 or n % 2:
                 raise ConfigError(f"config.chain_sizes[{i}]: n must be an even integer >= 2, got {n!r}")
             if n > 14 and kind in ("oracle-check", "stepwise"):
                 raise ConfigError(f"config.chain_sizes[{i}]: n={n} exceeds the dense cap 14")
@@ -112,43 +148,36 @@ class ExperimentConfig:
         if d.get("schedule_kind", "linear") not in _SCHEDULE_KINDS:
             raise ConfigError(
                 f"config.schedule_kind: must be one of {_SCHEDULE_KINDS}, got {d['schedule_kind']!r}")
-        tt = d.get("total_time")
-        if tt is not None and not tt > 0:
-            raise ConfigError(f"config.total_time: must be positive, got {tt}")
-        if not d.get("epsilon_adiab", 0.25) > 0:
-            raise ConfigError(f"config.epsilon_adiab: must be positive, got {d['epsilon_adiab']}")
-        if not d.get("coupling", 0.01) > 0:
-            raise ConfigError(f"config.coupling: lambda must be positive, got {d.get('coupling')}")
+        if d.get("total_time") is not None:
+            _check_real(d, "total_time", 0.0)
+        for key in ("epsilon_adiab", "lattice_spacing", "amplitude_rtol"):
+            _check_real(d, key, 0.0)
+        if "coupling" in d and not (_is_real(d["coupling"]) and d["coupling"] > 0):
+            raise ConfigError(f"config.coupling: lambda must be a positive number, got {d['coupling']!r}")
+        _check_real(d, "ode_rtol", MIN_RTOL, strict=False)
         for key, least in (("g_grid_points", 2), ("time_points", 2), ("k_modes", 1),
-                           ("n_omega_nodes", 1)):
-            val = d.get(key, least)
-            if not isinstance(val, int) or val < least:
-                raise ConfigError(f"config.{key}: must be an integer >= {least}, got {val!r}")
-        for key in ("lattice_spacing", "amplitude_rtol"):
-            if not d.get(key, 1.0) > 0:
-                raise ConfigError(f"config.{key}: must be positive, got {d[key]!r}")
-        if not d.get("ode_rtol", MIN_RTOL) >= MIN_RTOL:
-            raise ConfigError(f"config.ode_rtol: must be >= {MIN_RTOL}, got {d['ode_rtol']!r}")
-        if d.get("bath_kind", "ohmic") not in _BATH_KINDS:
-            raise ConfigError(f"config.bath_kind: must be one of {_BATH_KINDS}, got {d['bath_kind']!r}")
-        bp = d.get("bath_params")
-        if isinstance(bp, dict):
-            d["bath_params"] = tuple(sorted(bp.items()))
-        needed = {"monochromatic": ("omega0",), "ohmic": ("omega_c",),
-                  "flat": ("omega_min", "omega_max")}[d.get("bath_kind", "ohmic")]
-        have = dict(d.get("bath_params", (("omega_c", 0.5),)))
-        for key in needed:
-            if key not in have:
-                raise ConfigError(
-                    f"config.bath_params.{key}: required for a "
-                    f"{d.get('bath_kind', 'ohmic')} bath")
-        if d.get("omega_grid") is not None:
-            d["omega_grid"] = tuple(float(w) for w in d["omega_grid"])
-        if d.get("t_scan") is not None:
-            ts = tuple(float(t) for t in d["t_scan"])
-            if any(t <= 0 for t in ts):
-                raise ConfigError("config.t_scan: run times must be positive")
-            d["t_scan"] = ts
+                           ("n_omega_nodes", 1), ("seed", 0)):
+            if key in d and not (_is_int(d[key]) and d[key] >= least):
+                raise ConfigError(f"config.{key}: must be an integer >= {least}, got {d[key]!r}")
+        bath_kind = d.get("bath_kind", "ohmic")
+        if bath_kind not in _BATH_KINDS:
+            raise ConfigError(f"config.bath_kind: must be one of {_BATH_KINDS}, got {bath_kind!r}")
+        bp = d.get("bath_params", cls.bath_params)
+        try:
+            params = dict(bp)
+        except (TypeError, ValueError):
+            raise ConfigError(f"config.bath_params: must map names to numbers, got {bp!r}") from None
+        _check_bath_params(bath_kind, params)
+        d["bath_params"] = tuple(sorted(params.items()))
+        for key, positive in (("omega_grid", False), ("t_scan", True)):
+            vals = d.get(key)
+            if vals is None:
+                continue
+            if not isinstance(vals, (list, tuple)) or not all(
+                    _is_real(v) and (v > 0 or not positive) for v in vals):
+                what = "positive" if positive else "finite"
+                raise ConfigError(f"config.{key}: must be a list of {what} numbers, got {vals!r}")
+            d[key] = tuple(float(v) for v in vals)
         return cls(**d)
 
     def to_dict(self) -> dict:

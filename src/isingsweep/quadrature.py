@@ -4,15 +4,21 @@ Evaluates ``I = int_a^b f(x) exp(i*Phi(x)) dx`` given only ``f`` and the
 phase derivative ``Phi'``; the phase itself is reconstructed per panel
 by spectral antidifferentiation, so huge absolute phases never enter.
 
-Each panel samples ``f`` and ``Phi'`` at Chebyshev-Lobatto nodes.
-Panels whose accumulated phase is small are integrated directly by
-Clenshaw-Curtis on the full oscillatory integrand (this is what happens
-automatically around stationary points, where ``Phi'`` passes through
-zero).  Rapidly oscillating panels use Levin collocation, whose cost is
-independent of the oscillation count: solve ``p' + i Phi' p = f`` and
-evaluate ``p exp(i Phi)`` at the panel ends.  Every panel estimate is
-paired with a half-order estimate on the nested node subset; panels are
-bisected depth-first, left to right, until the error budget is met.
+Each panel samples ``f`` and ``Phi'`` at Chebyshev-Lobatto nodes.  All
+panel rules are linear maps on these node values, fixed per order and
+built once: the cumulative-antiderivative matrix ``Q`` gives the phase
+relative to the panel's left edge as one matrix-vector product, and its
+last row is the Clenshaw-Curtis weight vector.  Panels whose
+accumulated phase is small are integrated directly by Clenshaw-Curtis
+on the full oscillatory integrand (this is what happens automatically
+around stationary points, where ``Phi'`` passes through zero).  Rapidly
+oscillating panels use Levin collocation, whose cost is independent of
+the oscillation count: solve the square collocation system
+``(D + i diag Phi') p = f`` with the differentiation matrix ``D`` and
+evaluate ``p exp(i Phi)`` at the panel ends; a singular system counts
+as a panel that missed its budget.  Every panel estimate is paired with
+a half-order estimate on the nested node subset; panels are bisected
+depth-first, left to right, until the error budget is met.
 
 Naive composite quadrature would cost O(total phase) evaluations and
 make long-sweep amplitude scans intractable; this scheme costs
@@ -50,50 +56,35 @@ class OscillatoryResult:
 
 @lru_cache(maxsize=None)
 def _panel_setup(order: int):
-    """Nodes and transform/differentiation matrices for one panel order.
+    """Nodes and fixed node-value matrices for one panel order.
 
     Returns ascending Chebyshev-Lobatto nodes on [-1, 1], the
-    values->Chebyshev-coefficient matrix, and the differentiation
-    matrix acting on values at those nodes.
+    cumulative-antiderivative matrix ``Q`` (values at the nodes ->
+    ``int_{-1}^{x_i}`` of their interpolant, at the nodes; its last row
+    is the Clenshaw-Curtis weight vector) and the differentiation
+    matrix ``D``, both acting on values at those nodes.
     """
     j = np.arange(order + 1)
     x = -np.cos(np.pi * j / order)  # ascending
-    vand = _cheb.chebvander(x, order)
-    to_coeffs = np.linalg.inv(vand)
-    # Differentiation matrix: D = V' * V^-1 with V'[i, j] = T_j'(x_i).
-    dvand = np.zeros_like(vand)
-    for deg in range(order + 1):
-        c = np.zeros(order + 1)
-        c[deg] = 1.0
-        dvand[:, deg] = _cheb.chebval(x, _cheb.chebder(c))
-    diff = dvand @ to_coeffs
-    return x, to_coeffs, diff
-
-
-def _rel_phase(dphi_vals: np.ndarray, half_width: float, to_coeffs: np.ndarray, x: np.ndarray):
-    """Phase relative to the panel's left edge from Phi' samples."""
-    coeffs = to_coeffs @ dphi_vals
-    anti = _cheb.chebint(coeffs) * half_width
-    return _cheb.chebval(x, anti) - _cheb.chebval(-1.0, anti)
-
-
-def _cc_integral(vals: np.ndarray, half_width: float, to_coeffs: np.ndarray) -> complex:
-    """Clenshaw-Curtis integral of sampled values over the panel."""
-    coeffs = to_coeffs @ vals
-    anti = _cheb.chebint(coeffs)
-    return half_width * (_cheb.chebval(1.0, anti) - _cheb.chebval(-1.0, anti))
+    to_coeffs = np.linalg.inv(_cheb.chebvander(x, order))
+    # M = V_op @ V^-1, where V_op[i, j] is op(T_j) at x_i.
+    basis = np.eye(order + 1)
+    q = _cheb.chebval(x, _cheb.chebint(basis, lbnd=-1.0)).T @ to_coeffs
+    diff = _cheb.chebval(x, _cheb.chebder(basis)).T @ to_coeffs
+    return x, q, diff
 
 
 def _panel_value(f_vals, dphi_vals, phi_rel, phase_left, half_width, order) -> complex:
-    """One panel estimate: Clenshaw-Curtis or Levin depending on phase."""
-    x, to_coeffs, diff = _panel_setup(order)
-    span = np.ptp(phi_rel)
-    if span <= _CC_PHASE_LIMIT:
+    """One panel estimate: Clenshaw-Curtis or Levin depending on phase.
+
+    Raises ``np.linalg.LinAlgError`` when the Levin system is singular.
+    """
+    _, q, diff = _panel_setup(order)
+    if np.ptp(phi_rel) <= _CC_PHASE_LIMIT:
         w = f_vals * np.exp(1j * (phase_left + phi_rel))
-        return _cc_integral(w, half_width, to_coeffs)
+        return half_width * (q[-1] @ w)
     # Levin collocation: (d/dx + i Phi') p = f on the panel.
-    A = diff / half_width + 1j * np.diag(dphi_vals)
-    p, *_ = np.linalg.lstsq(A, f_vals.astype(complex), rcond=None)
+    p = np.linalg.solve(diff / half_width + 1j * np.diag(dphi_vals), f_vals)
     ends = np.exp(1j * (phase_left + phi_rel[[0, -1]]))
     return p[-1] * ends[1] - p[0] * ends[0]
 
@@ -122,8 +113,8 @@ def oscillatory_integral(
     if order % 2 != 0:
         raise ValueError("order must be even (nested half-order error check)")
 
-    x_hi, tc_hi, _ = _panel_setup(order)
-    x_lo, tc_lo, _ = _panel_setup(order // 2)
+    x_hi, q_hi, _ = _panel_setup(order)
+    _, q_lo, _ = _panel_setup(order // 2)
     width_total = b - a
 
     total = 0.0 + 0.0j
@@ -143,7 +134,7 @@ def oscillatory_integral(
         f_hi = np.asarray(amplitude(pts), dtype=complex)
         d_hi = np.asarray(phase_derivative(pts), dtype=float)
         evals += pts.size
-        phi_hi = _rel_phase(d_hi, hw, tc_hi, x_hi)
+        phi_hi = hw * (q_hi @ d_hi)  # phase relative to the left edge
         span = np.ptp(phi_hi)
         # A stationary point inside a rapidly oscillating panel defeats
         # Levin collocation; keep bisecting until direct integration
@@ -153,12 +144,15 @@ def oscillatory_integral(
             stack.append((mid, right, depth - 1))
             stack.append((left, mid, depth - 1))
             continue
-        I_hi = _panel_value(f_hi, d_hi, phi_hi, phase_acc, hw, order)
         # Nested half-order estimate on every other node.
         sub = slice(None, None, 2)
-        phi_lo = _rel_phase(d_hi[sub], hw, tc_lo, x_lo)
-        I_lo = _panel_value(f_hi[sub], d_hi[sub], phi_lo, phase_acc, hw, order // 2)
-        err = abs(I_hi - I_lo)
+        phi_lo = hw * (q_lo @ d_hi[sub])
+        try:
+            I_hi = _panel_value(f_hi, d_hi, phi_hi, phase_acc, hw, order)
+            I_lo = _panel_value(f_hi[sub], d_hi[sub], phi_lo, phase_acc, hw, order // 2)
+            err = abs(I_hi - I_lo)
+        except np.linalg.LinAlgError:
+            err = np.inf  # singular Levin system: a panel that missed its budget
         budget = abs_tol * (right - left) / width_total
         if err <= budget:
             total += I_hi

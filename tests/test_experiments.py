@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,11 @@ def test_bath_params_validated():
     with pytest.raises(ConfigError, match="bath_params.omega_min"):
         ExperimentConfig.from_dict({"kind": "decoherence", "bath_kind": "flat",
                                     "bath_params": {"omega_max": 1.0}})
+    with pytest.raises(ConfigError, match="config.bath_params.omega_max:"):
+        ExperimentConfig.from_dict({"kind": "decoherence", "bath_kind": "flat",
+                                    "bath_params": {"omega_min": 1.0, "omega_max": 0.5}})
+    with pytest.raises(ConfigError, match="config.bath_params:"):
+        ExperimentConfig.from_dict({"kind": "decoherence", "bath_params": "omega_c"})
 
 
 def test_emit_figure_data_missing_upstream(tmp_path):
@@ -184,15 +193,32 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [
     ("time_points", 1), ("g_grid_points", 1), ("ode_rtol", 1e-13), ("amplitude_rtol", 0.0),
     ("lattice_spacing", 0.0), ("n_omega_nodes", 0), ("k_modes", 0), ("k_modes", 2.5),
+    ("epsilon_adiab", "0.25"), ("coupling", "0.01"), ("total_time", "40"),
+    ("lattice_spacing", "1.0"), ("amplitude_rtol", "1e-6"), ("ode_rtol", "1e-10"),
+    ("epsilon_adiab", True), ("k_modes", True), ("seed", True), ("omega_grid", ["x"]),
+    ("omega_grid", "0.5"), ("t_scan", ["x"]),
+    ("bath_params.omega_c", -1), ("bath_params.omega_c", "0.5"),
 ])
 def test_cli_rejects_bad_numeric_field(tmp_path, capsys, field, value):
+    # a dotted field names one bath parameter
+    name, _, param = field.partition(".")
+    entry = {name: {param: value}} if param else {field: value}
     with pytest.raises(ConfigError, match=f"config.{field}:"):
-        ExperimentConfig.from_dict({"kind": "dynamics", field: value})
+        ExperimentConfig.from_dict({"kind": "dynamics", **entry})
     cfg_file = tmp_path / "c.json"
-    cfg_file.write_text(json.dumps({"chain_sizes": [4], field: value}))
+    cfg_file.write_text(json.dumps({"chain_sizes": [4], **entry}))
     rc = main(["spectrum", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"config.{field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", [["8"], [8.0], "8"])
+def test_cli_rejects_non_integer_chain_sizes(tmp_path, capsys, sizes):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"chain_sizes": sizes}))
+    rc = main(["spectrum", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config.chain_sizes" in capsys.readouterr().err
 
 
 def test_cli_config_file_with_overrides(tmp_path):
@@ -204,3 +230,22 @@ def test_cli_config_file_with_overrides(tmp_path):
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["config"]["chain_sizes"] == [6]       # flag wins
     assert summary["config"]["g_grid_points"] == 21      # file field kept
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "isingsweep", *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    shown = run("--help")
+    assert shown.returncode == 0
+    assert shown.stdout.startswith("usage: isingsweep")
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"coupling": "0.01"}))
+    rejected = run("spectrum", "--config", str(cfg_file), "--out", str(tmp_path / "o"))
+    assert rejected.returncode == 2  # main's status, not the interpreter's
+    assert "config.coupling:" in rejected.stderr

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import chebyshev as cheb
 from scipy.integrate import quad
 from scipy.special import fresnel
 
-from isingsweep.quadrature import QuadratureError, oscillatory_integral
+from isingsweep.quadrature import QuadratureError, _panel_setup, oscillatory_integral
 
 
 def _brute(amp, phase, a, b):
@@ -88,3 +89,43 @@ def test_nonconvergence_reports_diagnostics():
     amp = lambda x: np.where(x > 0.5, 1.0, 0.0) + 0j
     with pytest.raises(QuadratureError, match="panel"):
         oscillatory_integral(amp, lambda x: 400 * np.ones_like(x), 0.0, 1.0, 1e-15)
+
+
+def _clenshaw_curtis_weights(order):
+    """Closed-form Clenshaw-Curtis weights for an even order (Trefethen, clencurt)."""
+    theta = np.pi * np.arange(order + 1) / order
+    w = np.empty(order + 1)
+    w[0] = w[-1] = 1.0 / (order**2 - 1)
+    v = np.ones(order - 1)
+    for k in range(1, order // 2):
+        v -= 2.0 * np.cos(2 * k * theta[1:-1]) / (4 * k**2 - 1)
+    v -= np.cos(order * theta[1:-1]) / (order**2 - 1)
+    w[1:-1] = 2.0 * v / order
+    return w
+
+
+@pytest.mark.parametrize("order", [16, 32])
+def test_antiderivative_matrix_and_weights(order):
+    x, q, _ = _panel_setup(order)
+    for j in range(order + 1):
+        t_j = np.zeros(order + 1)
+        t_j[j] = 1.0
+        exact = cheb.chebval(x, cheb.chebint(t_j, lbnd=-1.0))
+        assert np.abs(q @ cheb.chebval(x, t_j) - exact).max() < 1e-13
+    assert q[-1].sum() == pytest.approx(2.0, abs=1e-14)
+    # the weights are symmetric, so the ascending node order does not matter
+    assert np.abs(q[-1] - _clenshaw_curtis_weights(order)).max() < 1e-14
+
+
+def test_singular_levin_system_bisects_or_raises(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    # Moderate phase: bisection reaches panels short enough for Clenshaw-Curtis.
+    res = oscillatory_integral(np.ones_like, lambda x: 50 * np.ones_like(x), 0.0, 1.0, 1e-12)
+    assert res.value == pytest.approx((np.exp(50j) - 1) / 50j, abs=1e-12)
+    # Phase too fast for Clenshaw-Curtis even at the deepest bisection.
+    amp = lambda x: np.where(x > 0.5, 1.0, 0.0) + 0j
+    with pytest.raises(QuadratureError, match="panel"):
+        oscillatory_integral(amp, lambda x: 1e16 * np.ones_like(x), 0.0, 1.0, 1e-8)
