@@ -46,8 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     base: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            base = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                base = json.load(fh)
+            if not isinstance(base, dict):
+                raise ValueError(f"must hold a JSON object, got {type(base).__name__}")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"--config {args.config}: {exc}") from None
     base["kind"] = args.kind
     for key in ("chain_sizes", "total_time", "schedule_kind", "epsilon_adiab",
                 "omega_grid", "bath_kind", "coupling", "seed", "output_dir"):

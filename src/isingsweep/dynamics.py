@@ -2,8 +2,8 @@
 
 Each positive grid momentum k evolves independently as a two-component
 complex pair (u_k, v_k) with |u|^2 + |v|^2 = 1.  The module provides
-the closed-form adiabatic solution, full numerical integration of the
-mode equations of motion
+the closed-form adiabatic solution, numerical integration of the mode
+equations of motion, all pairs in one solve under the shared g(t),
 
     i du/dt = -alpha u + beta v,      i dv/dt = alpha v + beta u,
 
@@ -138,38 +138,38 @@ class ModeTrajectory:
                     ])
 
 
-def _integrate_single_mode(spec, schedule, ka, t_grid, rtol):
+def _integrate_pairs(schedule, ka, t_grid, rtol):
+    """u, v, Theta of shape (len(ka), len(t_grid)) from one solve over the stacked [u, v, Theta]."""
+
     def rhs(t, y):
         g = float(schedule.g_of_t(t))
         a = mode_alpha(ka, g)
         b = mode_beta(ka, g)
-        u, v, _ = y
-        return [
+        u, v, _ = y.reshape(3, -1)
+        return np.concatenate([
             1j * (a * u - b * v),        # i du/dt = -alpha u + beta v
             -1j * (a * v + b * u),       # i dv/dt =  alpha v + beta u
             mode_epsilon(ka, g) + 0.0j,  # Theta accumulates epsilon
-        ]
+        ])
 
     # The requested tolerance bounds the delivered norm drift (<= 10*rtol);
     # run the integrator tighter so accumulated error stays inside that.
     sol = solve_ivp(
         rhs, (float(t_grid[0]), float(t_grid[-1])),
-        [1.0 + 0.0j, 0.0j, 0.0j],
+        np.repeat([1.0 + 0.0j, 0.0j, 0.0j], len(ka)),
         method="DOP853", rtol=rtol / 20.0, atol=rtol / 200.0, t_eval=t_grid,
     )
     if not sol.success:
-        raise RuntimeError(
-            f"mode integration failed for ka={ka:.6g} near t={sol.t[-1]:.6g}: {sol.message}"
-        )
-    return sol.y
+        raise RuntimeError(f"mode integration failed near t={sol.t[-1]:.6g}: {sol.message}")
+    return sol.y.reshape(3, len(ka), -1)
 
 
 def integrate_modes(spec: ChainSpec, schedule: Schedule, t_grid, rtol: float = 1e-10) -> ModeTrajectory:
     """Numerically integrate every positive mode from the g=0 ground state.
 
-    Modes are independent; results do not depend on integration order.
-    Norm drift beyond 10*rtol indicates integrator failure and is
-    reported on the trajectory.
+    All modes advance in one solve and share its step sizes.  Norm drift
+    beyond 10*rtol indicates integrator failure and is reported on the
+    trajectory.
     """
     if not rtol >= MIN_RTOL:
         raise ValueError(f"rtol must be >= {MIN_RTOL}, got {rtol}")
@@ -179,13 +179,7 @@ def integrate_modes(spec: ChainSpec, schedule: Schedule, t_grid, rtol: float = 1
     kpos = momentum_grid(spec)
     kpos = kpos[kpos > 0]
     g_grid = np.asarray(schedule.g_of_t(t_grid), dtype=float)
-
-    u = np.empty((len(kpos), len(t_grid)), dtype=complex)
-    v = np.empty_like(u)
-    theta = np.empty_like(u)
-    for i, k in enumerate(kpos):
-        y = _integrate_single_mode(spec, schedule, k * spec.a, t_grid, rtol)
-        u[i], v[i], theta[i] = y[0], y[1], y[2]
+    u, v, theta = _integrate_pairs(schedule, kpos * spec.a, t_grid, rtol)
 
     ug, vg = instantaneous_pair(spec, kpos[:, None], g_grid[None, :])
     p = np.abs(ug * v - vg * u) ** 2
@@ -212,10 +206,8 @@ def adiabatic_overlap(spec: ChainSpec, schedule: Schedule, state: BogoliubovStat
     """Per-mode overlap |u* u_ad + v* v_ad| with the closed-form solution.
 
     Equals 1 exactly when the integrated pair matches the adiabatic
-    branch up to a global phase.
+    branch up to a global phase.  The closed-form phase exp(-i Theta) is
+    common to u_ad and v_ad and drops out of the modulus.
     """
-    out = np.empty(len(state.k))
-    for i, k in enumerate(state.k):
-        u_ad, v_ad = adiabatic_solution(spec, float(k), schedule, state.t)
-        out[i] = abs(np.conj(state.u[i]) * u_ad + np.conj(state.v[i]) * v_ad)
-    return out
+    u_ad, v_ad = instantaneous_pair(spec, state.k, float(schedule.g_of_t(state.t)))
+    return np.abs(np.conj(state.u) * u_ad + np.conj(state.v) * v_ad)

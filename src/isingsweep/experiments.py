@@ -40,6 +40,7 @@ from .decoherence import (
 )
 from .dynamics import MIN_RTOL, integrate_modes
 from .oracle import (
+    _DENSE_CAP,
     sigma_x_elements,
     stepwise_gap_profile,
     uniform_hamiltonian,
@@ -88,7 +89,7 @@ def _check_real(d: dict, key: str, least: float, strict: bool = True, path: str 
 
 
 def _check_bath_params(kind: str, params: dict) -> None:
-    """The parameters ``BathSpectrum`` needs for ``kind``, each a valid number."""
+    """The parameters ``BathSpectrum`` takes for ``kind``, each a valid number, and no others."""
     path = "config.bath_params"
     needed = {"monochromatic": ("omega0",), "ohmic": ("omega_c",),
               "flat": ("omega_min", "omega_max")}[kind]
@@ -96,6 +97,9 @@ def _check_bath_params(kind: str, params: dict) -> None:
         if key not in params:
             raise ConfigError(f"{path}.{key}: required for a {kind} bath")
         _check_real(params, key, 0.0 if key == "omega_c" else -math.inf, path=path)
+    for key in params:
+        if key not in needed + (("support_max",) if kind == "ohmic" else ()):
+            raise ConfigError(f"{path}.{key}: unknown parameter for a {kind} bath")
     if kind == "ohmic" and params.get("support_max") is not None:
         _check_real(params, "support_max", 0.0, path=path)
     if kind == "flat" and not params["omega_max"] > params["omega_min"]:
@@ -142,8 +146,8 @@ class ExperimentConfig:
         for i, n in enumerate(sizes):
             if not _is_int(n) or n < 2 or n % 2:
                 raise ConfigError(f"config.chain_sizes[{i}]: n must be an even integer >= 2, got {n!r}")
-            if n > 14 and kind in ("oracle-check", "stepwise"):
-                raise ConfigError(f"config.chain_sizes[{i}]: n={n} exceeds the dense cap 14")
+            if n > _DENSE_CAP and kind == "oracle-check":
+                raise ConfigError(f"config.chain_sizes[{i}]: n={n} exceeds the dense cap {_DENSE_CAP}")
         d["chain_sizes"] = tuple(sizes)
         if d.get("schedule_kind", "linear") not in _SCHEDULE_KINDS:
             raise ConfigError(

@@ -358,8 +358,6 @@ class StepwiseGapProfile:
 
 def stepwise_gap_profile(n: int, s_points: int = 50) -> StepwiseGapProfile:
     """Even-sector gap over every step of the step-wise path (open chain)."""
-    if n > _EVOLVE_CAP:
-        raise ValueError(f"n={n} exceeds the step-wise profile cap n<={_EVOLVE_CAP}")
     svals = np.linspace(0.0, 1.0, s_points)
     steps = np.arange(1, n)
     gaps = np.empty((len(steps), len(svals)))

@@ -32,6 +32,8 @@ def test_config_validation_messages():
         ExperimentConfig.from_dict({"kind": "spectrum", "bogus": 1})
     with pytest.raises(ConfigError, match="dense cap"):
         ExperimentConfig.from_dict({"kind": "oracle-check", "chain_sizes": [16]})
+    # the step-wise profile is free-fermion, so the dense cap does not apply
+    assert ExperimentConfig.from_dict({"kind": "stepwise", "chain_sizes": [16, 32]})
 
 
 def test_config_round_trip_lossless():
@@ -126,6 +128,14 @@ def test_bath_params_validated():
                                     "bath_params": {"omega_min": 1.0, "omega_max": 0.5}})
     with pytest.raises(ConfigError, match="config.bath_params:"):
         ExperimentConfig.from_dict({"kind": "decoherence", "bath_params": "omega_c"})
+    with pytest.raises(ConfigError, match="config.bath_params.suport_max: unknown parameter "
+                                          "for a ohmic bath"):
+        ExperimentConfig.from_dict({"kind": "decoherence",
+                                    "bath_params": {"omega_c": 0.5, "suport_max": 1.9}})
+    with pytest.raises(ConfigError, match="config.bath_params.omega_c: unknown parameter "
+                                          "for a flat bath"):
+        ExperimentConfig.from_dict({"kind": "decoherence", "bath_kind": "flat", "bath_params":
+                                    {"omega_min": 0.5, "omega_max": 1.0, "omega_c": 0.5}})
 
 
 def test_emit_figure_data_missing_upstream(tmp_path):
@@ -219,6 +229,17 @@ def test_cli_rejects_non_integer_chain_sizes(tmp_path, capsys, sizes):
     rc = main(["spectrum", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "config.chain_sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, '{"chain_sizes": [4]', "[4]"],
+                         ids=["missing", "malformed", "not-an-object"])
+def test_cli_rejects_bad_config_file(tmp_path, capsys, content):
+    cfg_file = tmp_path / "c.json"
+    if content is not None:
+        cfg_file.write_text(content)
+    rc = main(["spectrum", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"--config {cfg_file}:" in capsys.readouterr().err
 
 
 def test_cli_config_file_with_overrides(tmp_path):

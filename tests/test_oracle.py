@@ -223,8 +223,9 @@ def test_stepwise_gap_profile_small_n():
     assert prof.gaps.shape == (3, 50)
     # frozen from the dense scan; the front-localized minimum
     assert prof.min_gap == pytest.approx(1.414508, abs=1e-5)
-    with pytest.raises(ValueError, match="cap"):
-        stepwise_gap_profile(14)
+    # the free-fermion gap has no size cap; the minimum stays size-independent
+    for n in (16, 32):
+        assert stepwise_gap_profile(n).min_gap == pytest.approx(1.4145080368296699, abs=1e-12)
 
 
 def test_uniform_min_even_gap_matches_fundamental_gap():
