@@ -14,7 +14,10 @@ of the run time T and uniform across schedules.
 Provided evaluations: the numeric integral (panel-adaptive oscillatory
 quadrature), the two-saddle stationary-phase approximation with a
 validity flag, the rigorous phase-free upper bound lam * int |M| dt,
-and the sub-gap exponential suppression estimate.  On top of these sit
+and the sub-gap exponential suppression estimate.  The bound's
+omega-independent norm int |M_k / (dg/dt)| dg also sets the numeric
+integral's accuracy budget; it is computed once per (schedule, channel)
+and shared by every frequency.  On top of these sit
 the bath-averaged total excitation probability and the log-log scaling
 fit used for exponent checks.
 """
@@ -23,9 +26,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
@@ -38,7 +41,7 @@ from .chain import (
     momentum_grid,
     pair_matrix_element,
 )
-from .quadrature import QuadratureError, oscillatory_integral
+from .quadrature import QuadratureError, oscillatory_integral, smooth_integral
 from .schedules import LinearSchedule, Schedule
 
 __all__ = [
@@ -87,7 +90,8 @@ class BathSpectrum:
             raise ValueError(f"omega_c must be positive, got {omega_c}")
         hi = float(support_max) if support_max is not None else 8.0 * omega_c
         cls._warn_if_hot(hi)
-        z, _ = quad(lambda w: w * np.exp(-w / omega_c), 0.0, hi)
+        x = hi / omega_c
+        z = float(omega_c**2 * (-np.expm1(-x) - x * np.exp(-x)))  # int_0^hi w e^(-w/omega_c) dw
         return cls(kind="ohmic", params={"omega_c": float(omega_c), "support_max": hi},
                    coupling=coupling, normalization=1.0 / z)
 
@@ -166,18 +170,29 @@ def _channel_ka(spec: ChainSpec, k: float) -> float:
     return k * spec.a
 
 
-def _element_over_velocity(spec, schedule, ka):
+def _element_over_velocity(schedule, ka):
     def f(g):
         return pair_matrix_element(ka, g) / schedule.velocity_of_g(g)
 
     return f
 
 
-def _phase_derivative(spec, schedule, ka, omega):
+def _phase_derivative(schedule, ka, omega):
     def dphi(g):
         return (-omega + 2.0 * mode_epsilon(ka, g)) / schedule.velocity_of_g(g)
 
     return dphi
+
+
+@lru_cache(maxsize=64)
+def _channel_norm(schedule, ka, g_upper):
+    """int_0^g_upper |M_k / (dg/dt)| dg, the same for every frequency.
+
+    Cached per (schedule, ka, g_upper): schedules hash by identity and
+    are not mutated after construction.
+    """
+    f = _element_over_velocity(schedule, ka)
+    return smooth_integral(lambda g: np.abs(f(g)), 0.0, g_upper, rtol=1e-11, points=(0.5,))
 
 
 def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
@@ -201,10 +216,9 @@ def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k: float, omega: floa
         if rate == 0.0:
             return -1j * lam * m0 * T
         return -1j * lam * m0 * (np.exp(1j * rate * T) - 1.0) / (1j * rate)
-    f = _element_over_velocity(spec, schedule, ka)
-    dphi = _phase_derivative(spec, schedule, ka, omega)
-    ref, _ = quad(lambda g: abs(f(g)), 0.0, g_upper, points=[0.5] if g_upper > 0.5 else None,
-                  limit=200)
+    f = _element_over_velocity(schedule, ka)
+    dphi = _phase_derivative(schedule, ka, omega)
+    ref = _channel_norm(schedule, ka, g_upper)
     if ref == 0.0:
         return 0.0j
     floor = 1e-13 * ref
@@ -247,10 +261,8 @@ def accumulated_phase(spec: ChainSpec, schedule: Schedule, k: float, omega: floa
                       g: float) -> float:
     """Phase -omega t(g) + int_0^t 2 epsilon dt' evaluated at sweep value g."""
     ka = _channel_ka(spec, k)
-    dphi = _phase_derivative(spec, schedule, ka, omega)
-    val, _ = quad(dphi, 0.0, g, points=[0.5] if g > 0.5 else None,
-                  limit=400, epsabs=1e-9, epsrel=1e-13)
-    return float(val)
+    dphi = _phase_derivative(schedule, ka, omega)
+    return smooth_integral(dphi, 0.0, g, rtol=1e-13, atol=1e-9, points=(0.5,))
 
 
 def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
@@ -308,12 +320,7 @@ def amplitude_bound(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
     """
     ka = _channel_ka(spec, k)
     del omega
-
-    def integrand(g):
-        return abs(pair_matrix_element(ka, g)) / schedule.velocity_of_g(g)
-
-    val, _ = quad(integrand, 0.0, 1.0, points=[0.5], limit=400, epsrel=1e-11)
-    return float(lam * val)
+    return float(lam * _channel_norm(schedule, ka, 1.0))
 
 
 def amplitude_suppressed_estimate(spec: ChainSpec, schedule: Schedule, k: float,

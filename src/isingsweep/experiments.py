@@ -209,7 +209,10 @@ class ExperimentConfig:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    payload = json.dumps(config.to_dict(), sort_keys=True).encode()
+    """SHA-256 of the config's inputs; where the outputs go is not an input."""
+    inputs = config.to_dict()
+    del inputs["output_dir"]
+    payload = json.dumps(inputs, sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()
 
 

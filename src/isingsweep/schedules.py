@@ -109,10 +109,10 @@ class LinearSchedule(Schedule):
 
     def g_dot(self, t):
         self._check_time(t)
-        return np.broadcast_to(1.0 / self.total_time, np.shape(t)).copy() if np.ndim(t) else 1.0 / self.total_time
+        return np.full(np.shape(t), 1.0 / self.total_time) if np.ndim(t) else 1.0 / self.total_time
 
     def velocity_of_g(self, g):
-        return np.broadcast_to(1.0 / self.total_time, np.shape(g)).copy() if np.ndim(g) else 1.0 / self.total_time
+        return np.full(np.shape(g), 1.0 / self.total_time) if np.ndim(g) else 1.0 / self.total_time
 
     def time_of_g(self, g):
         return np.asarray(g) * self.total_time

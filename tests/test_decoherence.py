@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from isingsweep import decoherence
 from isingsweep.chain import ChainSpec, CouplingConstant, mode_epsilon, momentum_grid
 from isingsweep.decoherence import (
     BathSpectrum,
@@ -173,8 +175,6 @@ def test_accumulated_phase_consistency(chain8):
                 - accumulated_phase(chain8, sched, k, omega, 0.4)))
     assert full == pytest.approx(split, abs=1e-9)
     # linear schedule: phase at g=1 equals T*(-omega + 2*int eps dg)
-    from scipy.integrate import quad
-
     val = quad(lambda g: 2 * mode_epsilon(k, g), 0, 1, limit=200)[0]
     assert full == pytest.approx(37.0 * (-omega + val), rel=1e-9)
 
@@ -253,3 +253,67 @@ def test_scaling_fit_exact_power_law():
         scaling_fit([1, 2, 3], [1, 2, 3])
     with pytest.raises(ValueError, match="positive"):
         scaling_fit([1, 2, 3, 4], [1, -2, 3, 4])
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_accumulated_phase_linear_closed_form(n):
+    # Linear sweep: Phi(g) = T (-omega g + int_0^g 2 eps dg'), and with
+    # x = 1 - 2g, int_0^g 2 eps dg' = 2 (F(1) - F(x)) for the elementary
+    # antiderivative F of sqrt(s^2 + c^2 x^2).
+    spec = ChainSpec(n)
+    T, omega = 53.0 * n, 0.9
+    sched = LinearSchedule(T, spec)
+    for k in (np.pi / n, 5 * np.pi / n):
+        s, c = np.sin(k / 2), np.cos(k / 2)
+
+        def F(x):
+            return 0.5 * (x * np.sqrt(s * s + c * c * x * x) + s * s / c * np.arcsinh(c * x / s))
+
+        for g in (0.3, 0.5, 0.7, 1.0):
+            exact = T * (-omega * g + 2.0 * (F(1.0) - F(1.0 - 2.0 * g)))
+            assert accumulated_phase(spec, sched, k, omega, g) == pytest.approx(exact, rel=1e-12)
+
+
+def test_bound_norm_is_the_numeric_reference(chain8, monkeypatch):
+    sched = GapAdaptedSchedule(chain8, 80.0, 2)
+    k, lam, rtol = 3 * np.pi / 8, 1e-3, 1e-6
+    tols = []
+    inner = decoherence.oscillatory_integral
+
+    def spy(*args, abs_tol, **kwargs):
+        tols.append(abs_tol)
+        return inner(*args, abs_tol=abs_tol, **kwargs)
+
+    monkeypatch.setattr(decoherence, "oscillatory_integral", spy)
+    amplitude_numeric(chain8, sched, k, 0.7, lam, rtol=rtol)
+    norm = amplitude_bound(chain8, sched, k, 0.7, lam) / lam
+    assert tols[0] == pytest.approx(rtol * norm, rel=1e-15)
+    assert norm == pytest.approx(quad(
+        lambda g: 4 * g * np.sin(k) / mode_epsilon(k, g) / sched.velocity_of_g(g),
+        0.0, 1.0, points=[0.5], epsrel=1e-13, limit=400)[0], rel=1e-11)
+
+
+def test_channel_norm_computed_once_per_channel(monkeypatch):
+    spec = ChainSpec(8)
+    sched = LinearSchedule(30.0, spec)
+    calls = []
+    inner = decoherence.smooth_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(decoherence, "smooth_integral", counting)
+    bath = BathSpectrum.ohmic(0.5, CouplingConstant(0.01), support_max=1.9)
+    res = total_excitation_probability(spec, sched, bath)
+    assert sum(len(m) for m in res.methods.values()) == 33 * spec.n // 2
+    assert len(calls) == spec.n // 2
+
+
+@pytest.mark.parametrize("x", [0.5, 3.8, 8.0, 40.0])
+def test_ohmic_normalization_closed_form(x):
+    omega_c = 0.04
+    bath = BathSpectrum.ohmic(omega_c, CouplingConstant(0.01), support_max=x * omega_c)
+    z = quad(lambda w: w * np.exp(-w / omega_c), 0.0, x * omega_c, epsabs=0.0, epsrel=1e-13,
+             limit=200)[0]
+    assert 1.0 / bath.normalization == pytest.approx(z, rel=1e-14, abs=0.0)

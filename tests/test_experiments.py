@@ -71,6 +71,8 @@ def test_byte_identical_reruns(tmp_path):
     assert (out1 / "spectrum_n8.csv").read_bytes() == (out2 / "spectrum_n8.csv").read_bytes()
     assert (out1 / "fig1_excitation_spectrum.csv").read_bytes() == \
         (out2 / "fig1_excitation_spectrum.csv").read_bytes()
+    hashes = [json.loads((out / "summary.json").read_text())["inputs_hash"] for out in (out1, out2)]
+    assert hashes[0] == hashes[1]
 
 
 def test_oracle_check_experiment(tmp_path):

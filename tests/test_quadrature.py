@@ -5,7 +5,15 @@ from numpy.polynomial import chebyshev as cheb
 from scipy.integrate import quad
 from scipy.special import fresnel
 
-from isingsweep.quadrature import QuadratureError, _panel_setup, oscillatory_integral
+from isingsweep import quadrature
+from isingsweep.chain import ChainSpec, fundamental_gap
+from isingsweep.quadrature import (
+    QuadratureError,
+    _panel_setup,
+    oscillatory_integral,
+    smooth_integral,
+)
+from isingsweep.schedules import _norm_integral
 
 
 def _brute(amp, phase, a, b):
@@ -129,3 +137,46 @@ def test_singular_levin_system_bisects_or_raises(monkeypatch):
     amp = lambda x: np.where(x > 0.5, 1.0, 0.0) + 0j
     with pytest.raises(QuadratureError, match="panel"):
         oscillatory_integral(amp, lambda x: 1e16 * np.ones_like(x), 0.0, 1.0, 1e-8)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_smooth_integral_gap_norm_closed_form(power, n):
+    # int_0^1 DeltaE^-p dg peaks sharply at g = 1/2 for large n
+    spec = ChainSpec(n)
+    val = smooth_integral(lambda g: fundamental_gap(spec, g) ** -power, 0.0, 1.0,
+                          rtol=1e-12, points=(0.5,))
+    assert val == pytest.approx(_norm_integral(spec, power), rel=1e-11, abs=0.0)
+
+
+def test_smooth_integral_one_call_per_level():
+    spec = ChainSpec(128)
+    shapes = []
+
+    def f(g):
+        shapes.append(g.shape)
+        return fundamental_gap(spec, g) ** -2
+
+    smooth_integral(f, 0.0, 1.0, rtol=1e-11, points=(0.5,))
+    assert 1 < len(shapes) <= quadrature._SMOOTH_LEVELS
+    assert all(len(shape) == 2 and shape[1] == 33 for shape in shapes)
+    assert shapes[0] == (2, 33)  # the break point splits the first level
+    assert smooth_integral(np.cos, 0.0, 1.0, rtol=1e-13) == pytest.approx(np.sin(1.0), abs=1e-15)
+    assert smooth_integral(np.cos, 0.3, 0.3, rtol=1e-13) == 0.0
+
+
+def test_smooth_integral_rejects_non_integrable():
+    with pytest.raises(QuadratureError, match="did not converge"):
+        smooth_integral(lambda g: 1.0 / np.abs(g - 0.3), 0.0, 1.0, rtol=1e-10)
+    # a jump keeps one panel per level open until the level cap
+    calls = []
+
+    def step(g):
+        calls.append(g.shape[0])
+        return np.where(g > 1.0 / 3.0, 1.0, 0.0)
+
+    with pytest.raises(QuadratureError, match="2 panels open"):
+        smooth_integral(step, 0.0, 1.0, rtol=1e-10)
+    assert len(calls) == quadrature._SMOOTH_LEVELS and max(calls) <= 2
+    with pytest.raises(ValueError, match="reversed"):
+        smooth_integral(np.cos, 1.0, 0.0, rtol=1e-10)
