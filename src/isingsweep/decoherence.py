@@ -11,15 +11,17 @@ sweep variable g, where the phase derivative has the closed form
 (-omega + 2 epsilon_k(g)) / (dg/dt)(g); this makes the cost independent
 of the run time T and uniform across schedules.
 
-Provided evaluations: the numeric integral (panel-adaptive oscillatory
-quadrature), the two-saddle stationary-phase approximation with a
-validity flag, the rigorous phase-free upper bound lam * int |M| dt,
-and the sub-gap exponential suppression estimate.  The bound's
-omega-independent norm int |M_k / (dg/dt)| dg also sets the numeric
-integral's accuracy budget; it is computed once per (schedule, channel)
-and shared by every frequency.  On top of these sit
-the bath-averaged total excitation probability and the log-log scaling
-fit used for exponent checks.
+Provided evaluations: the numeric integral (one call of the
+level-wise oscillatory quadrature per amplitude, to a relative budget),
+the two-saddle stationary-phase approximation with a validity flag, the
+rigorous phase-free upper bound lam * int |M| dt, and the sub-gap
+exponential suppression estimate.  The bound's omega-independent norm
+int |M_k / (dg/dt)| dg is computed once per (schedule, channel) and
+shared by every frequency; 1e-13 of it is the numeric integral's
+absolute floor, which keeps amplitudes that cancel to nearly nothing
+from chasing an unreachable relative budget.  On top of these sit the
+bath-averaged total excitation probability and the log-log scaling fit
+used for exponent checks.
 """
 
 from __future__ import annotations
@@ -170,18 +172,21 @@ def _channel_ka(spec: ChainSpec, k: float) -> float:
     return k * spec.a
 
 
-def _element_over_velocity(schedule, ka):
-    def f(g):
-        return pair_matrix_element(ka, g) / schedule.velocity_of_g(g)
+def _integrand(schedule, ka, omega):
+    """Node array g -> (M_k / (dg/dt), (-omega + 2 eps_k) / (dg/dt)).
 
-    return f
+    The pair of the amplitude integral in the sweep variable, in the form
+    :func:`~isingsweep.quadrature.oscillatory_integral` takes.  The
+    velocity and ``eps_k`` are evaluated once per node array, so the
+    matrix element ``4i g sin(ka) / eps_k`` of
+    :func:`~isingsweep.chain.pair_matrix_element` is formed from them here.
+    """
+    def pair(g):
+        vel = schedule.velocity_of_g(g)
+        eps = mode_epsilon(ka, g)
+        return 4.0j * g * np.sin(ka) / eps / vel, (-omega + 2.0 * eps) / vel
 
-
-def _phase_derivative(schedule, ka, omega):
-    def dphi(g):
-        return (-omega + 2.0 * mode_epsilon(ka, g)) / schedule.velocity_of_g(g)
-
-    return dphi
+    return pair
 
 
 @lru_cache(maxsize=64)
@@ -191,8 +196,9 @@ def _channel_norm(schedule, ka, g_upper):
     Cached per (schedule, ka, g_upper): schedules hash by identity and
     are not mutated after construction.
     """
-    f = _element_over_velocity(schedule, ka)
-    return smooth_integral(lambda g: np.abs(f(g)), 0.0, g_upper, rtol=1e-11, points=(0.5,))
+    pair = _integrand(schedule, ka, 0.0)
+    return smooth_integral(lambda g: np.abs(pair(g)[0]), 0.0, g_upper, rtol=1e-11,
+                           points=(0.5,))
 
 
 def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
@@ -202,7 +208,8 @@ def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k: float, omega: floa
     Exactly linear in lam.  ``g_upper`` < 1 evaluates the partial sweep
     up to g(t) = g_upper, which is what the composite-bath oracle
     compares against (the full sweep ends in a degenerate manifold
-    where per-channel projections are ill-defined).
+    where per-channel projections are ill-defined).  The integral is
+    good to ``rtol`` relative, floored at 1e-13 of the channel norm.
     """
     ka = _channel_ka(spec, k)
     if not 0.0 < g_upper <= 1.0:
@@ -216,22 +223,12 @@ def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k: float, omega: floa
         if rate == 0.0:
             return -1j * lam * m0 * T
         return -1j * lam * m0 * (np.exp(1j * rate * T) - 1.0) / (1j * rate)
-    f = _element_over_velocity(schedule, ka)
-    dphi = _phase_derivative(schedule, ka, omega)
     ref = _channel_norm(schedule, ka, g_upper)
     if ref == 0.0:
         return 0.0j
-    floor = 1e-13 * ref
-    tol = rtol * ref
-    value = None
-    for _ in range(4):
-        res = oscillatory_integral(f, dphi, 0.0, g_upper, abs_tol=tol)
-        value = res.value
-        converged = tol <= max(rtol * abs(value), floor) * 1.000001
-        tol = max(rtol * abs(value), floor)
-        if converged:
-            break
-    return -1j * lam * value
+    res = oscillatory_integral(_integrand(schedule, ka, omega), 0.0, g_upper,
+                               rtol=rtol, atol=1e-13 * ref)
+    return -1j * lam * res.value
 
 
 def saddle_points(spec: ChainSpec, k: float, omega: float) -> tuple[float, float]:
@@ -260,9 +257,8 @@ def saddle_points(spec: ChainSpec, k: float, omega: float) -> tuple[float, float
 def accumulated_phase(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
                       g: float) -> float:
     """Phase -omega t(g) + int_0^t 2 epsilon dt' evaluated at sweep value g."""
-    ka = _channel_ka(spec, k)
-    dphi = _phase_derivative(schedule, ka, omega)
-    return smooth_integral(dphi, 0.0, g, rtol=1e-13, atol=1e-9, points=(0.5,))
+    pair = _integrand(schedule, _channel_ka(spec, k), omega)
+    return smooth_integral(lambda gs: pair(gs)[1], 0.0, g, rtol=1e-13, atol=1e-9, points=(0.5,))
 
 
 def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega: float,

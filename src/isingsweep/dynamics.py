@@ -27,9 +27,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .chain import ChainSpec, mode_alpha, mode_beta, mode_epsilon, momentum_grid
+from .quadrature import smooth_integral
 from .schedules import Schedule
 
 __all__ = [
@@ -78,15 +79,11 @@ def instantaneous_pair(spec: ChainSpec, k, g, theta=0.0):
 
 
 def adiabatic_phase(spec: ChainSpec, k: float, schedule: Schedule, t: float) -> float:
-    """Theta = int_0^t epsilon_k(g(t')) dt' by adaptive quadrature."""
-    if t == 0.0:
-        return 0.0
+    """Theta = int_0^t epsilon_k dt' = int_0^g(t) epsilon_k / (dg/dt) dg."""
     ka = k * spec.a
-    val, _ = quad(
-        lambda tt: mode_epsilon(ka, schedule.g_of_t(tt)),
-        0.0, t, epsabs=1e-11, epsrel=1e-11, limit=400,
-    )
-    return float(val)
+    return smooth_integral(lambda g: mode_epsilon(ka, g) / schedule.velocity_of_g(g),
+                           0.0, float(schedule.g_of_t(t)), rtol=1e-11, atol=1e-11,
+                           points=(0.5,))
 
 
 def adiabatic_solution(spec: ChainSpec, k: float, schedule: Schedule, t: float):

@@ -149,6 +149,8 @@ class ExperimentConfig:
             if n > _DENSE_CAP and kind == "oracle-check":
                 raise ConfigError(f"config.chain_sizes[{i}]: n={n} exceeds the dense cap {_DENSE_CAP}")
         d["chain_sizes"] = tuple(sizes)
+        if "output_dir" in d and not (isinstance(d["output_dir"], str) and d["output_dir"]):
+            raise ConfigError(f"config.output_dir: must be a non-empty string, got {d['output_dir']!r}")
         if d.get("schedule_kind", "linear") not in _SCHEDULE_KINDS:
             raise ConfigError(
                 f"config.schedule_kind: must be one of {_SCHEDULE_KINDS}, got {d['schedule_kind']!r}")

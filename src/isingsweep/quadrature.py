@@ -15,21 +15,24 @@ around stationary points, where ``Phi'`` passes through zero).  Rapidly
 oscillating panels use Levin collocation, whose cost is independent of
 the oscillation count: solve the square collocation system
 ``(D + i diag Phi') p = f`` with the differentiation matrix ``D`` and
-evaluate ``p exp(i Phi)`` at the panel ends; a singular system counts
-as a panel that missed its budget.  Every panel estimate is paired with
-a half-order estimate on the nested node subset; panels are bisected
-depth-first, left to right, until the error budget is met.
+evaluate ``p exp(i Phi)`` at the panel ends.  Every panel estimate is
+paired with a half-order estimate on the nested node subset.
+
+Panels are bisected level by level: the integrand is called once per
+level on a 2-D node array holding every open panel, and the Levin
+systems of a level are solved as one stack.  Each leaf of the panel
+tree keeps its value relative to the phase at its own left edge and its
+phase increment; the total is ``sum_j v_j exp(i Phi_j)`` with ``Phi_j``
+the cumulative increment of the leaves left of it, so no value depends
+on the order in which panels were evaluated.  On every level all leaves
+are tested against their width share of ``max(atol, rtol * |I|)`` with
+the current estimate ``I``, and the ones that miss are bisected.
 
 Naive composite quadrature would cost O(total phase) evaluations and
 make long-sweep amplitude scans intractable; this scheme costs
 O(panels * order) with the panel count set by the smoothness of ``f``
-and ``Phi'`` alone.
-
-Smooth real integrands without a phase use :func:`smooth_integral`, the
-same order-32 Clenshaw-Curtis row and nested order-16 check, bisected
-level by level: all open panels of a level are evaluated in one call of
-the integrand on a 2-D node array, so a vectorized integrand costs a
-handful of array calls instead of thousands of scalar ones.
+and ``Phi'`` alone.  Smooth real integrands without a phase use
+:func:`smooth_integral`, the same engine with ``Phi' = 0``.
 """
 
 from __future__ import annotations
@@ -46,11 +49,11 @@ __all__ = ["OscillatoryResult", "QuadratureError", "oscillatory_integral", "smoo
 # Clenshaw-Curtis; above it Levin collocation takes over.  Order 32
 # resolves ~3 oscillations per panel with ample margin.
 _CC_PHASE_LIMIT = 6.0 * np.pi
-# Bisection levels and open panels of smooth_integral before it gives
-# up; 2**-48 of the interval is near the spacing of doubles, and the
-# panel cap bounds the node array of a level to about 1 MB.
-_SMOOTH_LEVELS = 48
-_SMOOTH_MAX_OPEN = 4096
+# Bisection levels and open panels before the engine gives up; 2**-48
+# of the interval is near the spacing of doubles, and the panel cap
+# bounds the node array of a level to about 1 MB.
+_LEVELS = 48
+_MAX_OPEN = 4096
 
 
 class QuadratureError(RuntimeError):
@@ -85,151 +88,112 @@ def _panel_setup(order: int):
     return x, q, diff
 
 
-def _panel_value(f_vals, dphi_vals, phi_rel, phase_left, half_width, order) -> complex:
-    """One panel estimate: Clenshaw-Curtis or Levin depending on phase.
+def _rule(f, dphi, phi, hw, levin, order):
+    """Panel values of one order, relative to each row's left-edge phase.
 
-    Raises ``np.linalg.LinAlgError`` when the Levin system is singular.
+    Rows flagged in ``levin`` are solved as one stack of collocation
+    systems, the others by Clenshaw-Curtis.  Raises
+    ``np.linalg.LinAlgError`` when a Levin system is singular.
     """
     _, q, diff = _panel_setup(order)
-    if np.ptp(phi_rel) <= _CC_PHASE_LIMIT:
-        w = f_vals * np.exp(1j * (phase_left + phi_rel))
-        return half_width * (q[-1] @ w)
-    # Levin collocation: (d/dx + i Phi') p = f on the panel.
-    p = np.linalg.solve(diff / half_width + 1j * np.diag(dphi_vals), f_vals)
-    ends = np.exp(1j * (phase_left + phi_rel[[0, -1]]))
-    return p[-1] * ends[1] - p[0] * ends[0]
+    out = hw * ((f * np.exp(1j * phi)) @ q[-1])
+    if levin.any():
+        # Levin collocation: (d/dx + i Phi') p = f on each panel.
+        mats = diff / hw[levin, None, None] + 0j
+        i = np.arange(order + 1)
+        mats[:, i, i] += 1j * dphi[levin]
+        p = np.linalg.solve(mats, f[levin, :, None])[..., 0]
+        out[levin] = p[:, -1] * np.exp(1j * phi[levin, -1]) - p[:, 0]
+    return out
 
 
-def oscillatory_integral(
-    amplitude,
-    phase_derivative,
-    a: float,
-    b: float,
-    abs_tol: float,
-    *,
-    order: int = 32,
-    max_panels: int = 20000,
-    phase_left: float = 0.0,
-) -> OscillatoryResult:
-    """Integrate amplitude(x) * exp(i * Phi(x)) over [a, b].
+def _estimates(f, dphi, phi, hw, levin):
+    """Order-32 panel values and their distance from the nested order-16 ones."""
+    phi_lo = hw[:, None] * (dphi[:, ::2] @ _panel_setup(16)[1].T)
+    hi = _rule(f, dphi, phi, hw, levin, 32)
+    return hi, np.abs(hi - _rule(f[:, ::2], dphi[:, ::2], phi_lo, hw, levin, 16))
 
-    ``amplitude`` and ``phase_derivative`` must accept arrays.  The
-    phase is taken as ``phase_left + int_a^x Phi'``.  ``abs_tol`` is an
-    absolute accuracy budget distributed over panels.
+
+def oscillatory_integral(integrand, a: float, b: float, rtol: float, atol: float = 0.0,
+                         points=()) -> OscillatoryResult:
+    """Integrate f(x) * exp(i * Phi(x)) over [a, b], with Phi(a) = 0.
+
+    ``integrand`` maps a 2-D array of nodes, one row per open panel, to
+    the pair ``(f, Phi')`` of arrays of the same shape; it is called
+    once per bisection level.  The returned error, the sum of the leaf
+    errors, is at most ``max(atol, rtol * |value|)``.  ``points`` inside
+    (a, b) start as panel edges (use them where the integrand has a
+    kink).  Raises :class:`QuadratureError` when panels remain open
+    after the level cap or too many are open at once.
     """
     if not b > a:
         raise ValueError(f"empty or reversed interval [{a}, {b}]")
-    if not abs_tol > 0:
-        raise ValueError("abs_tol must be positive")
-    if order % 2 != 0:
-        raise ValueError("order must be even (nested half-order error check)")
-
-    x_hi, q_hi, _ = _panel_setup(order)
-    _, q_lo, _ = _panel_setup(order // 2)
-    width_total = b - a
-
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    panels = 0
-    evals = 0
-    worst = (0.0, a, b)  # (error, left, right) of the worst accepted panel
-
-    # Depth-first, left to right so the accumulated phase stays exact.
-    stack = [(a, b, 42)]  # (left, right, remaining depth)
-    phase_acc = phase_left
-    while stack:
-        left, right, depth = stack.pop()
-        hw = 0.5 * (right - left)
-        mid = 0.5 * (right + left)
-        pts = mid + hw * x_hi
-        f_hi = np.asarray(amplitude(pts), dtype=complex)
-        d_hi = np.asarray(phase_derivative(pts), dtype=float)
-        evals += pts.size
-        phi_hi = hw * (q_hi @ d_hi)  # phase relative to the left edge
-        span = np.ptp(phi_hi)
+    if not (rtol >= 0.0 and atol >= 0.0 and rtol + atol > 0.0):
+        raise ValueError(f"need rtol, atol >= 0 and one of them positive, got {rtol}, {atol}")
+    x, q, _ = _panel_setup(32)
+    edges = np.array([a, *sorted(p for p in points if a < p < b), b], dtype=float)
+    left, right = edges[:-1], edges[1:]
+    # The leaves in order of position: value relative to the phase at the
+    # left edge, error estimate, phase increment; ``fresh`` ones are unevaluated.
+    value = np.zeros(left.size, dtype=complex)
+    error = np.zeros(left.size)
+    increment = np.zeros(left.size)
+    fresh = np.ones(left.size, dtype=bool)
+    evaluations = 0
+    for _ in range(_LEVELS):
+        lo, hi = left[fresh], right[fresh]
+        hw = 0.5 * (hi - lo)
+        nodes = 0.5 * (hi + lo)[:, None] + hw[:, None] * x
+        f, dphi = integrand(nodes)
+        f = np.asarray(f, dtype=complex)
+        dphi = np.asarray(dphi, dtype=float)
+        evaluations += nodes.size
+        phi = hw[:, None] * (dphi @ q.T)  # phase relative to the left edge
+        levin = np.ptp(phi, axis=1) > _CC_PHASE_LIMIT
         # A stationary point inside a rapidly oscillating panel defeats
-        # Levin collocation; keep bisecting until direct integration
-        # takes over around it.
-        saddle_inside = d_hi.min() < 0.0 < d_hi.max() and span > _CC_PHASE_LIMIT
-        if saddle_inside and depth > 0:
-            stack.append((mid, right, depth - 1))
-            stack.append((left, mid, depth - 1))
-            continue
-        # Nested half-order estimate on every other node.
-        sub = slice(None, None, 2)
-        phi_lo = hw * (q_lo @ d_hi[sub])
+        # Levin collocation; such a panel has no estimate and misses
+        # until direct integration takes over around it.
+        unresolved = levin & (dphi.min(axis=1) < 0.0) & (dphi.max(axis=1) > 0.0)
+        levin &= ~unresolved
         try:
-            I_hi = _panel_value(f_hi, d_hi, phi_hi, phase_acc, hw, order)
-            I_lo = _panel_value(f_hi[sub], d_hi[sub], phi_lo, phase_acc, hw, order // 2)
-            err = abs(I_hi - I_lo)
+            est, err = _estimates(f, dphi, phi, hw, levin)
         except np.linalg.LinAlgError:
-            err = np.inf  # singular Levin system: a panel that missed its budget
-        budget = abs_tol * (right - left) / width_total
-        if err <= budget:
-            total += I_hi
-            err_total += err
-            phase_acc += phi_hi[-1]
-            panels += 1
-            if err > worst[0]:
-                worst = (err, left, right)
-            if panels > max_panels:
-                raise QuadratureError(
-                    f"oscillatory quadrature used more than {max_panels} panels on "
-                    f"[{a}, {b}]; worst panel [{worst[1]:.6g}, {worst[2]:.6g}] "
-                    f"error {worst[0]:.3e}, phase span {span:.3e} rad"
-                )
-        elif depth == 0:
-            raise QuadratureError(
-                f"oscillatory quadrature did not converge on panel "
-                f"[{left:.9g}, {right:.9g}] (width {right - left:.3e}): "
-                f"error {err:.3e} vs budget {budget:.3e}, "
-                f"phase span {span:.3e} rad over the panel"
-            )
-        else:
-            stack.append((mid, right, depth - 1))
-            stack.append((left, mid, depth - 1))
-
-    return OscillatoryResult(value=total, error=err_total, panels=panels, evaluations=evals)
+            unresolved |= levin  # a singular Levin stack: all its rows miss
+            est, err = _estimates(f, dphi, phi, hw, np.zeros_like(levin))
+        est[unresolved], err[unresolved] = 0.0, np.inf
+        value[fresh], error[fresh], increment[fresh] = est, err, phi[:, -1]
+        phase = np.concatenate(([0.0], np.cumsum(increment[:-1])))
+        total = complex(value @ np.exp(1j * phase))
+        budget = max(atol, rtol * abs(total)) * (right - left) / (b - a)
+        miss = ~(error <= budget)
+        if not miss.any():
+            return OscillatoryResult(value=total, error=float(error.sum()),
+                                     panels=int(left.size), evaluations=evaluations)
+        # Replace every missing leaf by its two halves, keeping the order.
+        leaf = np.repeat(np.arange(left.size), np.where(miss, 2, 1))
+        twin = leaf[1:] == leaf[:-1]
+        mid = 0.5 * (left + right)[leaf]
+        left = np.where(np.concatenate(([False], twin)), mid, left[leaf])
+        right = np.where(np.concatenate((twin, [False])), mid, right[leaf])
+        value, error, increment, fresh = value[leaf], error[leaf], increment[leaf], miss[leaf]
+        if fresh.sum() > _MAX_OPEN:
+            break
+    i = np.argmin(np.where(fresh, right - left, np.inf))
+    raise QuadratureError(
+        f"quadrature did not converge on [{a}, {b}]: {fresh.sum()} panels open, "
+        f"narrowest at {left[i]:.9g}, width {right[i] - left[i]:.3e}"
+    )
 
 
 def smooth_integral(f, a: float, b: float, rtol: float, atol: float = 0.0,
                     points=()) -> float:
-    """Integrate a smooth real ``f`` over [a, b] by level-wise bisection.
+    """Integrate a smooth real ``f`` over [a, b]: the engine with no phase.
 
     ``f`` is called once per level with a 2-D array of nodes, one row per
-    open panel, and must return values of the same shape.  Each panel
-    pairs the order-32 Clenshaw-Curtis estimate with the nested order-16
-    one; a panel is accepted when their difference fits its width share
-    of ``max(atol, rtol * |I|)``, with ``I`` the running estimate.
-    ``points`` inside (a, b) start as panel edges (use them where ``f``
-    has a kink).  Raises :class:`QuadratureError` when panels remain
-    open after the level cap or too many are open at once.
+    open panel, and must return values of the same shape.  Budget,
+    ``points`` and failure are those of :func:`oscillatory_integral`.
     """
-    if b < a:
-        raise ValueError(f"reversed interval [{a}, {b}]")
     if b == a:
         return 0.0
-    x, q_hi, _ = _panel_setup(32)
-    w_hi, w_lo = q_hi[-1], _panel_setup(16)[1][-1]
-    edges = np.array([a, *sorted(p for p in points if a < p < b), b], dtype=float)
-    left, right = edges[:-1], edges[1:]
-    total = 0.0
-    for _ in range(_SMOOTH_LEVELS):
-        hw, mid = 0.5 * (right - left), 0.5 * (right + left)
-        vals = f(mid[:, None] + hw[:, None] * x)
-        est = hw * (vals @ w_hi)
-        err = np.abs(est - hw * (vals[:, ::2] @ w_lo))
-        budget = max(atol, rtol * abs(total + est.sum())) * (right - left) / (b - a)
-        done = err <= budget
-        total += est[done].sum()
-        if done.all():
-            return float(total)
-        left, mid, right = left[~done], mid[~done], right[~done]
-        if 2 * left.size > _SMOOTH_MAX_OPEN:
-            break
-        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
-    i = np.argmin(right - left)
-    raise QuadratureError(
-        f"smooth quadrature did not converge on [{a}, {b}]: {left.size} panels open, "
-        f"narrowest at {left[i]:.9g}, width {right[i] - left[i]:.3e}"
-    )
+    res = oscillatory_integral(lambda x: (f(x), np.zeros_like(x)), a, b, rtol, atol, points)
+    return float(res.value.real)

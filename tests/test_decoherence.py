@@ -277,20 +277,52 @@ def test_accumulated_phase_linear_closed_form(n):
 def test_bound_norm_is_the_numeric_reference(chain8, monkeypatch):
     sched = GapAdaptedSchedule(chain8, 80.0, 2)
     k, lam, rtol = 3 * np.pi / 8, 1e-3, 1e-6
-    tols = []
+    budgets = []
     inner = decoherence.oscillatory_integral
 
-    def spy(*args, abs_tol, **kwargs):
-        tols.append(abs_tol)
-        return inner(*args, abs_tol=abs_tol, **kwargs)
+    def spy(*args, **kwargs):
+        budgets.append((kwargs["rtol"], kwargs["atol"]))
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(decoherence, "oscillatory_integral", spy)
     amplitude_numeric(chain8, sched, k, 0.7, lam, rtol=rtol)
     norm = amplitude_bound(chain8, sched, k, 0.7, lam) / lam
-    assert tols[0] == pytest.approx(rtol * norm, rel=1e-15)
+    assert budgets[0][0] == rtol
+    assert budgets[0][1] == pytest.approx(1e-13 * norm, rel=1e-15)
     assert norm == pytest.approx(quad(
         lambda g: 4 * g * np.sin(k) / mode_epsilon(k, g) / sched.velocity_of_g(g),
         0.0, 1.0, points=[0.5], epsrel=1e-13, limit=400)[0], rel=1e-11)
+
+
+@pytest.mark.parametrize("omega", [0.3, 0.8, 1.5])
+def test_amplitude_numeric_is_one_integral(chain8, monkeypatch, omega):
+    sched = GapAdaptedSchedule(chain8, 80.0, 2)
+    calls = []
+    inner = decoherence.oscillatory_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(decoherence, "oscillatory_integral", counting)
+    amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3)
+    amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3, g_upper=0.9)
+    assert calls == [(0.0, 1.0), (0.0, 0.9)]
+
+
+def test_subgap_amplitude_meets_relative_budget(chain8):
+    # omega = 0.3 lies below the channel's minimum gap 4 sin(k/2) = 0.78,
+    # where the integral cancels to about 2e-3 of the phase-free bound
+    sched = GapAdaptedSchedule(chain8, 80.0, 2)
+    k, omega, rtol = np.pi / 8, 0.3, 1e-6
+    pair = decoherence._integrand(sched, k, omega)
+    res = decoherence.oscillatory_integral(pair, 0.0, 1.0, rtol=rtol)
+    tight = decoherence.oscillatory_integral(pair, 0.0, 1.0, rtol=1e-12).value
+    assert abs(tight) < 3e-3 * amplitude_bound(chain8, sched, k, omega, 1.0)
+    assert res.error <= rtol * abs(res.value)
+    assert abs(res.value - tight) <= rtol * abs(tight)
+    value = amplitude_numeric(chain8, sched, k, omega, 1.0, rtol=rtol)
+    assert abs(value + 1j * tight) <= rtol * abs(tight)
 
 
 def test_channel_norm_computed_once_per_channel(monkeypatch):

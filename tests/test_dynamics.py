@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from isingsweep.chain import ChainSpec, mode_alpha, momentum_grid
+from isingsweep.chain import ChainSpec, mode_alpha, mode_epsilon, momentum_grid
 from isingsweep.dynamics import (
     BogoliubovState,
     _integrate_pairs,
     adiabatic_overlap,
+    adiabatic_phase,
     adiabatic_solution,
     excitation_probability,
     instantaneous_pair,
@@ -18,7 +20,7 @@ from isingsweep.oracle import (
     spectrum,
     uniform_hamiltonian,
 )
-from isingsweep.schedules import LinearSchedule, Schedule
+from isingsweep.schedules import GapAdaptedSchedule, LinearSchedule, Schedule
 
 
 class FrozenSchedule(Schedule):
@@ -48,6 +50,34 @@ def test_initial_condition_is_polarized_ground_state():
         u, v = adiabatic_solution(spec, float(k), sched, 0.0)
         assert u == pytest.approx(1.0, abs=1e-14)
         assert v == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_adiabatic_phase_linear_closed_form(n):
+    # Linear sweep: Theta(t) = T int_0^g eps dg' = T (F(1) - F(1 - 2g)) with
+    # F the antiderivative of sqrt(s^2 + c^2 x^2), x = 1 - 2g
+    spec = ChainSpec(n)
+    T = 53.0 * n
+    sched = LinearSchedule(T, spec)
+    for k in (np.pi / n, 5 * np.pi / n):
+        s, c = np.sin(k / 2), np.cos(k / 2)
+
+        def F(x):
+            return 0.5 * (x * np.sqrt(s * s + c * c * x * x) + s * s / c * np.arcsinh(c * x / s))
+
+        for frac in (0.3, 0.5, 0.7, 1.0):
+            g = float(sched.g_of_t(frac * T))
+            exact = T * (F(1.0) - F(1.0 - 2.0 * g))
+            assert adiabatic_phase(spec, k, sched, frac * T) == pytest.approx(exact, rel=1e-12)
+
+
+def test_adiabatic_phase_gap_adapted_vs_time_quadrature():
+    spec = ChainSpec(32)
+    sched = GapAdaptedSchedule(spec, 1280.0, 2)
+    k, t = np.pi / 32, 0.8 * sched.total_time
+    exact = quad(lambda tt: mode_epsilon(k, sched.g_of_t(tt)), 0.0, t, epsabs=0.0,
+                 epsrel=1e-13, limit=1000)[0]
+    assert adiabatic_phase(spec, k, sched, t) == pytest.approx(exact, rel=1e-12)
 
 
 def test_closed_form_normalized_everywhere():

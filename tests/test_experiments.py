@@ -210,6 +210,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("epsilon_adiab", True), ("k_modes", True), ("seed", True), ("omega_grid", ["x"]),
     ("omega_grid", "0.5"), ("t_scan", ["x"]),
     ("bath_params.omega_c", -1), ("bath_params.omega_c", "0.5"),
+    ("output_dir", 5), ("output_dir", ["a"]), ("output_dir", ""),
 ])
 def test_cli_rejects_bad_numeric_field(tmp_path, capsys, field, value):
     # a dotted field names one bath parameter
@@ -218,8 +219,10 @@ def test_cli_rejects_bad_numeric_field(tmp_path, capsys, field, value):
     with pytest.raises(ConfigError, match=f"config.{field}:"):
         ExperimentConfig.from_dict({"kind": "dynamics", **entry})
     cfg_file = tmp_path / "c.json"
-    cfg_file.write_text(json.dumps({"chain_sizes": [4], **entry}))
-    rc = main(["spectrum", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    # the output directory comes from the file, so that a bad one is not overridden
+    cfg_file.write_text(json.dumps({"chain_sizes": [4], "output_dir": str(tmp_path / "o"),
+                                    **entry}))
+    rc = main(["spectrum", "--config", str(cfg_file)])
     assert rc == 2
     assert f"config.{field}:" in capsys.readouterr().err
 

@@ -16,6 +16,10 @@ from isingsweep.quadrature import (
 from isingsweep.schedules import _norm_integral
 
 
+def _pair(amp, dphase):
+    return lambda x: (amp(x), dphase(x))
+
+
 def _brute(amp, phase, a, b):
     re = quad(lambda x: (amp(x) * np.cos(phase(x))).real, a, b, limit=2000,
               epsabs=1e-13, epsrel=1e-12)[0]
@@ -27,10 +31,21 @@ def _brute(amp, phase, a, b):
 def test_fresnel_closed_form():
     # int_0^1 exp(i lam x^2) dx against the Fresnel integrals
     for lam in (30.0, 500.0, 20000.0):
-        res = oscillatory_integral(np.ones_like, lambda x: 2 * lam * x, 0.0, 1.0, 1e-11)
+        res = oscillatory_integral(_pair(np.ones_like, lambda x: 2 * lam * x), 0.0, 1.0,
+                                   rtol=0.0, atol=1e-11)
         s, c = fresnel(np.sqrt(2 * lam / np.pi))
         exact = np.sqrt(np.pi / (2 * lam)) * (c + 1j * s)
         assert abs(res.value - exact) < 1e-9
+
+
+@pytest.mark.parametrize("rtol", [1e-6, 1e-10])
+@pytest.mark.parametrize("lam", [30.0, 500.0, 20000.0])
+def test_relative_budget_fresnel(lam, rtol):
+    res = oscillatory_integral(_pair(np.ones_like, lambda x: 2 * lam * x), 0.0, 1.0, rtol=rtol)
+    s, c = fresnel(np.sqrt(2 * lam / np.pi))
+    exact = np.sqrt(np.pi / (2 * lam)) * (c + 1j * s)
+    assert res.error <= rtol * abs(res.value)
+    assert abs(res.value - exact) <= rtol * abs(exact)
 
 
 def test_amplitude_modulated_chirp_vs_quad():
@@ -38,7 +53,7 @@ def test_amplitude_modulated_chirp_vs_quad():
     lam = 300.0
     phase = lambda x: lam * (x**2 - 0.7 * x)
     dphase = lambda x: lam * (2 * x - 0.7)
-    res = oscillatory_integral(amp, dphase, 0.0, 1.0, 1e-10)
+    res = oscillatory_integral(_pair(amp, dphase), 0.0, 1.0, rtol=0.0, atol=1e-10)
     exact = _brute(amp, phase, 0.0, 1.0)
     assert abs(res.value - exact) < 5e-10
     assert res.error < 1e-9
@@ -48,25 +63,36 @@ def test_interior_stationary_point():
     # stationary point at x = 0.35 inside the domain; the reference
     # phase must vanish at x = 0 to match the integrator's convention
     lam = 2000.0
-    res = oscillatory_integral(
-        lambda x: np.cos(x) + 0j, lambda x: lam * (x - 0.35), 0.0, 1.0, 1e-10)
+    res = oscillatory_integral(_pair(lambda x: np.cos(x) + 0j, lambda x: lam * (x - 0.35)),
+                               0.0, 1.0, rtol=0.0, atol=1e-10)
     exact = _brute(lambda x: np.cos(x),
                    lambda x: 0.5 * lam * ((x - 0.35) ** 2 - 0.35**2), 0.0, 1.0)
     assert abs(res.value - exact) < 1e-9
 
 
+def test_one_integrand_call_per_level():
+    lam = 2000.0
+    shapes = []
+
+    def pair(x):
+        shapes.append(x.shape)
+        return np.cos(x) + 0j, lam * (x - 0.35)
+
+    res = oscillatory_integral(pair, 0.0, 1.0, rtol=1e-10, points=(0.35,))
+    assert shapes[0] == (2, 33)  # the break point splits the first level
+    assert 1 < len(shapes) <= quadrature._LEVELS
+    assert all(len(shape) == 2 and shape[1] == 33 for shape in shapes)
+    assert res.evaluations == sum(rows * cols for rows, cols in shapes)
+    exact = _brute(lambda x: np.cos(x),
+                   lambda x: 0.5 * lam * ((x - 0.35) ** 2 - 0.35**2), 0.0, 1.0)
+    assert abs(res.value - exact) <= 1e-10 * abs(exact)
+
+
 def test_no_oscillation_reduces_to_plain_quadrature():
-    res = oscillatory_integral(lambda x: x**3 + 0j, lambda x: np.zeros_like(x), 0.0, 2.0, 1e-12)
+    res = oscillatory_integral(_pair(lambda x: x**3 + 0j, np.zeros_like), 0.0, 2.0,
+                               rtol=0.0, atol=1e-12)
     assert res.value == pytest.approx(4.0, abs=1e-12)
     assert res.panels == 1
-
-
-def test_phase_continuity_with_phase_left():
-    # shifting the global phase rotates the result exactly
-    r0 = oscillatory_integral(np.ones_like, lambda x: 50 * np.ones_like(x), 0.0, 1.0, 1e-12)
-    r1 = oscillatory_integral(np.ones_like, lambda x: 50 * np.ones_like(x), 0.0, 1.0, 1e-12,
-                              phase_left=np.pi / 3)
-    assert r1.value == pytest.approx(r0.value * np.exp(1j * np.pi / 3), abs=1e-12)
 
 
 @settings(max_examples=12, deadline=None)
@@ -80,23 +106,25 @@ def test_random_polynomial_amplitude_vs_quad(coeffs, rate, curve):
     amp = lambda x: c0 + c1 * x + c2 * x**2 + 0j
     dphase = lambda x: rate * (1.0 + curve * x)
     phase = lambda x: rate * (x + 0.5 * curve * x**2)
-    res = oscillatory_integral(amp, dphase, 0.0, 1.0, 1e-9)
+    res = oscillatory_integral(_pair(amp, dphase), 0.0, 1.0, rtol=0.0, atol=1e-9)
     exact = _brute(lambda x: amp(x).real, phase, 0.0, 1.0)
     assert abs(res.value - exact) <= 2e-9
 
 
 def test_invalid_inputs():
+    flat = _pair(np.ones_like, np.ones_like)
     with pytest.raises(ValueError, match="interval"):
-        oscillatory_integral(np.ones_like, np.ones_like, 1.0, 0.0, 1e-8)
-    with pytest.raises(ValueError, match="abs_tol"):
-        oscillatory_integral(np.ones_like, np.ones_like, 0.0, 1.0, 0.0)
+        oscillatory_integral(flat, 1.0, 0.0, rtol=0.0, atol=1e-8)
+    with pytest.raises(ValueError, match="one of them positive"):
+        oscillatory_integral(flat, 0.0, 1.0, rtol=0.0, atol=0.0)
 
 
 def test_nonconvergence_reports_diagnostics():
     # discontinuous amplitude cannot be resolved to an absurd budget
     amp = lambda x: np.where(x > 0.5, 1.0, 0.0) + 0j
     with pytest.raises(QuadratureError, match="panel"):
-        oscillatory_integral(amp, lambda x: 400 * np.ones_like(x), 0.0, 1.0, 1e-15)
+        oscillatory_integral(_pair(amp, lambda x: 400 * np.ones_like(x)), 0.0, 1.0,
+                             rtol=0.0, atol=1e-15)
 
 
 def _clenshaw_curtis_weights(order):
@@ -131,12 +159,14 @@ def test_singular_levin_system_bisects_or_raises(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     # Moderate phase: bisection reaches panels short enough for Clenshaw-Curtis.
-    res = oscillatory_integral(np.ones_like, lambda x: 50 * np.ones_like(x), 0.0, 1.0, 1e-12)
+    res = oscillatory_integral(_pair(np.ones_like, lambda x: 50 * np.ones_like(x)), 0.0, 1.0,
+                               rtol=0.0, atol=1e-12)
     assert res.value == pytest.approx((np.exp(50j) - 1) / 50j, abs=1e-12)
     # Phase too fast for Clenshaw-Curtis even at the deepest bisection.
     amp = lambda x: np.where(x > 0.5, 1.0, 0.0) + 0j
     with pytest.raises(QuadratureError, match="panel"):
-        oscillatory_integral(amp, lambda x: 1e16 * np.ones_like(x), 0.0, 1.0, 1e-8)
+        oscillatory_integral(_pair(amp, lambda x: 1e16 * np.ones_like(x)), 0.0, 1.0,
+                             rtol=0.0, atol=1e-8)
 
 
 @pytest.mark.parametrize("power", [1, 2])
@@ -158,7 +188,7 @@ def test_smooth_integral_one_call_per_level():
         return fundamental_gap(spec, g) ** -2
 
     smooth_integral(f, 0.0, 1.0, rtol=1e-11, points=(0.5,))
-    assert 1 < len(shapes) <= quadrature._SMOOTH_LEVELS
+    assert 1 < len(shapes) <= quadrature._LEVELS
     assert all(len(shape) == 2 and shape[1] == 33 for shape in shapes)
     assert shapes[0] == (2, 33)  # the break point splits the first level
     assert smooth_integral(np.cos, 0.0, 1.0, rtol=1e-13) == pytest.approx(np.sin(1.0), abs=1e-15)
@@ -177,6 +207,6 @@ def test_smooth_integral_rejects_non_integrable():
 
     with pytest.raises(QuadratureError, match="2 panels open"):
         smooth_integral(step, 0.0, 1.0, rtol=1e-10)
-    assert len(calls) == quadrature._SMOOTH_LEVELS and max(calls) <= 2
+    assert len(calls) == quadrature._LEVELS and max(calls) <= 2
     with pytest.raises(ValueError, match="reversed"):
         smooth_integral(np.cos, 1.0, 0.0, rtol=1e-10)
