@@ -11,21 +11,26 @@ import argparse
 import json
 import sys
 
-from .experiments import EXPERIMENT_KINDS, ConfigError, ExperimentConfig, run_experiment
+from .experiments import (
+    _BATH_KINDS,
+    _SCHEDULE_KINDS,
+    EXPERIMENT_KINDS,
+    ConfigError,
+    ExperimentConfig,
+    run_experiment,
+)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--n", type=int, nargs="+", dest="chain_sizes", help="chain sizes")
     p.add_argument("--T", type=float, dest="total_time", help="explicit run time")
-    p.add_argument("--schedule", dest="schedule_kind",
-                   choices=["linear", "gap-adapted-1", "gap-adapted-2"])
+    p.add_argument("--schedule", dest="schedule_kind", choices=_SCHEDULE_KINDS)
     p.add_argument("--epsilon-adiab", type=float, dest="epsilon_adiab",
                    help="adiabaticity target fixing T when --T is absent")
     p.add_argument("--omega", type=float, nargs="+", dest="omega_grid", help="frequency grid")
-    p.add_argument("--bath", dest="bath_kind", choices=["monochromatic", "ohmic", "flat"])
+    p.add_argument("--bath", dest="bath_kind", choices=_BATH_KINDS)
     p.add_argument("--coupling", type=float, help="bath coupling lambda")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", dest="output_dir", help="output directory")
 
 
@@ -55,7 +60,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"--config {args.config}: {exc}") from None
     base["kind"] = args.kind
     for key in ("chain_sizes", "total_time", "schedule_kind", "epsilon_adiab",
-                "omega_grid", "bath_kind", "coupling", "seed", "output_dir"):
+                "omega_grid", "bath_kind", "coupling", "output_dir"):
         val = getattr(args, key, None)
         if val is not None:
             base[key] = tuple(val) if isinstance(val, list) else val

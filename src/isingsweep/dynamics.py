@@ -23,7 +23,6 @@ continuation is required.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,22 +116,6 @@ class ModeTrajectory:
 
     def final_state(self) -> BogoliubovState:
         return self.state_at(len(self.t) - 1)
-
-    def to_csv(self, path) -> None:
-        """Long-format export: one row per (time, mode)."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "g", "k", "re_u", "im_u", "re_v", "im_v", "p_k"])
-            for ti in range(len(self.t)):
-                for ki in range(len(self.k)):
-                    u, v = self.u[ki, ti], self.v[ki, ti]
-                    w.writerow([
-                        format(self.t[ti], ".17g"), format(self.g[ti], ".17g"),
-                        format(self.k[ki], ".17g"),
-                        format(u.real, ".17g"), format(u.imag, ".17g"),
-                        format(v.real, ".17g"), format(v.imag, ".17g"),
-                        format(self.p[ki, ti], ".17g"),
-                    ])
 
 
 def _integrate_pairs(schedule, ka, t_grid, rtol):

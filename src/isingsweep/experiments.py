@@ -3,9 +3,9 @@
 Each experiment kind maps a validated :class:`ExperimentConfig` to a set
 of CSV/JSON files plus a machine-readable summary with built-in checks.
 Numbers are printed with 17 significant digits and orderings are fixed,
-so identical configurations produce byte-identical output.  The worker
-pool size is taken from the ``ISINGSWEEP_WORKERS`` environment variable
-(default 1, serial).
+so identical configurations produce byte-identical output.  Every
+runner is serial and writes each file it owns once, from the rows it
+holds in memory.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -53,11 +51,9 @@ __all__ = [
     "ExperimentConfig",
     "config_hash",
     "run_experiment",
-    "emit_figure_data",
     "table1_cells",
     "write_csv",
     "write_json",
-    "parallel_map",
 ]
 
 EXPERIMENT_KINDS = ("spectrum", "dynamics", "decoherence", "scaling", "stepwise", "oracle-check")
@@ -128,7 +124,6 @@ class ExperimentConfig:
     ode_rtol: float = 1e-10
     n_omega_nodes: int = 33
     output_dir: str = "out"
-    seed: int = 0
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -162,7 +157,7 @@ class ExperimentConfig:
             raise ConfigError(f"config.coupling: lambda must be a positive number, got {d['coupling']!r}")
         _check_real(d, "ode_rtol", MIN_RTOL, strict=False)
         for key, least in (("g_grid_points", 2), ("time_points", 2), ("k_modes", 1),
-                           ("n_omega_nodes", 1), ("seed", 0)):
+                           ("n_omega_nodes", 1)):
             if key in d and not (_is_int(d[key]) and d[key] >= least):
                 raise ConfigError(f"config.{key}: must be an integer >= {least}, got {d[key]!r}")
         bath_kind = d.get("bath_kind", "ohmic")
@@ -244,23 +239,6 @@ def write_json(path, obj) -> str:
     return str(path)
 
 
-def parallel_map(fn, items):
-    """Ordered map honoring the ISINGSWEEP_WORKERS environment variable."""
-    raw = os.environ.get("ISINGSWEEP_WORKERS", "1")
-    message = f"ISINGSWEEP_WORKERS must be an integer >= 1, got {raw!r}"
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(message) from None
-    if workers < 1:
-        raise ValueError(message)
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ----------------------------------------------------------------------
 # Scaling-table preset ("table1" artifacts): six cells spanning the
 # three schedules and the two frequency regimes, each fitted over an
@@ -327,9 +305,8 @@ def _saddle_envelope(spec, kind, n, k, omega, lam, eps_adiab, rtol):
     return math.sqrt(0.5 * (abs(a1) ** 2 + abs(a2) ** 2))
 
 
-def _t1_point(task):
-    """One Table-1 measurement (module-level for process pools)."""
-    cell, sweep, value, lam, eps_adiab, rtol, a = task
+def _t1_point(cell, sweep, value, lam, eps_adiab, rtol, a):
+    """One Table-1 measurement: (value, raw, normalized)."""
     kind = cell["schedule"]
     if sweep == "n":
         n = int(value)
@@ -367,8 +344,7 @@ def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float, a: floa
                 values = _T1_SIZES
             else:
                 values = _T1_OMEGA_SADDLE if cell["column"] == "saddle" else _T1_OMEGA_BOUND
-            tasks = [(cell, sweep, v, lam, eps_adiab, rtol, a) for v in values]
-            pts = parallel_map(_t1_point, tasks)
+            pts = [_t1_point(cell, sweep, v, lam, eps_adiab, rtol, a) for v in values]
             xs = np.array([p[0] for p in pts], dtype=float)
             ys = np.array([p[2] for p in pts], dtype=float)
             fit = scaling_fit(xs, ys)
@@ -384,6 +360,11 @@ def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float, a: floa
         files.append(write_csv(out_dir / f"table1_{cell['name']}.csv",
                                ["sweep", "value", "raw", "normalized"], rows))
     files.append(write_json(out_dir / "table1_fits.json", fits))
+    files.append(write_csv(
+        out_dir / "table1_summary.csv",
+        ["cell", "expected_exponent", "fitted_exponent", "stderr", "points", "pass"],
+        [(key, f["expected"], f["exponent"], f["stderr"], f["points"], f["pass"])
+         for key, f in sorted(fits.items())]))
     return files, fits, checks
 
 
@@ -411,6 +392,11 @@ def _run_spectrum(config: ExperimentConfig, out: Path):
         half_step = 0.5 / (config.g_grid_points - 1)
         dips = [abs(g_values[np.argmin(gaps[j])] - 0.5) <= half_step + 1e-9 for j in range(m)]
         checks[f"n{n}_gap_min_at_critical_point"] = bool(all(dips))
+        if n == max(config.chain_sizes):
+            # figure 1: the largest chain's gap curves with a constant frequency line
+            omega_line = (config.omega_grid or (0.5,))[0]
+            fig1 = (header + ["omega"], [row + (omega_line,) for row in rows])
+    files.append(write_csv(out / "fig1_excitation_spectrum.csv", *fig1))
     return files, checks, {}
 
 
@@ -421,11 +407,19 @@ def _run_dynamics(config: ExperimentConfig, out: Path):
         sched = config.schedule_for(n)
         t_grid = np.linspace(0.0, sched.total_time, config.time_points)
         traj = integrate_modes(spec, sched, t_grid, rtol=config.ode_rtol)
-        path = out / f"dynamics_n{n}.csv"
-        traj.to_csv(path)
-        files.append(str(path))
+        files.append(write_csv(out / f"dynamics_n{n}.csv",
+                               ["t", "g", "k", "re_u", "im_u", "re_v", "im_v", "p_k"],
+                               _trajectory_rows(traj)))
         checks[f"n{n}_norm_drift_ok"] = bool(traj.max_norm_drift <= 10.0 * config.ode_rtol)
     return files, checks, {}
+
+
+def _trajectory_rows(traj):
+    """Long format, one row per (time, mode), generated as written."""
+    for ti, (t, g) in enumerate(zip(traj.t, traj.g)):
+        for ki, k in enumerate(traj.k):
+            u, v = traj.u[ki, ti], traj.v[ki, ti]
+            yield t, g, k, u.real, u.imag, v.real, v.imag, traj.p[ki, ti]
 
 
 def _run_decoherence(config: ExperimentConfig, out: Path):
@@ -494,7 +488,7 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
             sched = config.schedule_for(n, total_time=T)
             a_num = amplitude_numeric(spec, sched, k, w, lam, rtol=config.amplitude_rtol)
             scan_rows.append((float(T), math.log(abs(a_num)), -(ka * ka) / 2.0))
-        files.append(write_csv(out / "suppression_scan.csv",
+        files.append(write_csv(out / "suppression.csv",
                                ["T", "ln_abs_amplitude", "predicted_slope"], scan_rows))
     return files, checks, {}
 
@@ -574,38 +568,37 @@ def _run_oracle_check(config: ExperimentConfig, out: Path):
             ok_energy &= err <= 1e-10
             report.append({"quantity": "ground_energy", "n": n, "g": g,
                            "fermionic": e0_f, "dense": float(w[0]), "abs_error": float(err)})
+            gaps = 2.0 * mode_epsilon(kpos * spec.a, g)
             channel_levels = np.zeros(len(w), dtype=bool)
-            for k in kpos:
-                gap_f = 2.0 * mode_epsilon(k * spec.a, g)
-                target = w[0] + gap_f
-                sel = np.abs(w - target) <= 1e-8
-                gap_err = float(np.min(np.abs(w - target)))
+            for k, gap_f in zip(kpos, gaps):
+                dist = np.abs(w - (w[0] + gap_f))
+                channel_levels |= dist <= 1e-8
+                gap_err = float(np.min(dist))
                 ok_gaps &= gap_err <= 1e-10
-                channel_levels |= sel
-                m_f = abs(excitation_matrix_element(spec, float(k), g)) if g > 0 else 0.0
-                m_d = float(np.sqrt(np.sum(np.abs(elems[sel]) ** 2))) if sel.any() else 0.0
-                # clustered channels (e.g. every pair gap is 4 at g = 1)
-                # are compared collectively below
-                if sel.any() and not _shares_cluster(w, target, kpos, spec, g):
-                    err_m = abs(m_f - m_d)
-                    ok_elements &= err_m <= 1e-8
-                    report.append({"quantity": "matrix_element", "n": n, "g": g, "k": float(k),
-                                   "fermionic": float(m_f), "dense": m_d,
-                                   "abs_error": float(err_m)})
                 report.append({"quantity": "pair_gap", "n": n, "g": g, "k": float(k),
                                "fermionic": float(gap_f),
-                               "dense": float(w[np.argmin(np.abs(w - target))] - w[0]),
+                               "dense": float(w[np.argmin(dist)] - w[0]),
                                "abs_error": gap_err})
-            if g in (0.0, 1.0):
-                # degenerate cluster: compare the collective projection norm
-                target = w[0] + 4.0
-                sel = np.abs(w - target) <= 1e-8
+            # Channels whose gaps agree (every pair gap is 4 at g = 0 and 1)
+            # share their levels, so each group is compared by its
+            # projection norm sqrt(sum |M_k|^2).
+            m_f = np.abs([excitation_matrix_element(spec, float(k), g) for k in kpos])
+            grouped = np.zeros(len(kpos), dtype=bool)
+            for i, gap_f in enumerate(gaps):
+                if grouped[i]:
+                    continue
+                group = ~grouped & (np.abs(gaps - gap_f) <= 1e-8)
+                grouped |= group
+                sel = np.abs(w - (w[0] + gap_f)) <= 1e-8
                 m_d = float(np.sqrt(np.sum(np.abs(elems[sel]) ** 2)))
-                m_f = math.sqrt(sum(abs(excitation_matrix_element(spec, float(k), g)) ** 2
-                                    for k in kpos)) if g > 0 else 0.0
-                ok_elements &= abs(m_f - m_d) <= 1e-8
-                report.append({"quantity": "matrix_element_cluster", "n": n, "g": g,
-                               "fermionic": m_f, "dense": m_d, "abs_error": abs(m_f - m_d)})
+                m_g = float(np.sqrt(np.sum(m_f[group] ** 2)))
+                ok_elements &= abs(m_g - m_d) <= 1e-8
+                if group.sum() == 1:
+                    entry = {"quantity": "matrix_element", "n": n, "g": g, "k": float(kpos[i])}
+                else:
+                    entry = {"quantity": "matrix_element_cluster", "n": n, "g": g}
+                report.append({**entry, "fermionic": m_g, "dense": m_d,
+                               "abs_error": abs(m_g - m_d)})
             off = ~channel_levels
             off[0] = False
             max_off = float(np.max(np.abs(elems[off]))) if off.any() else 0.0
@@ -618,13 +611,6 @@ def _run_oracle_check(config: ExperimentConfig, out: Path):
     checks["non_channel_elements_zero_1e-10"] = bool(ok_zero)
     files.append(write_json(out / "oracle_report.json", report))
     return files, checks, {}
-
-
-def _shares_cluster(w, target, kpos, spec, g) -> bool:
-    """True when another pair channel is degenerate with this one."""
-    gaps = np.sort(2.0 * mode_epsilon(kpos * spec.a, g))
-    diffs = np.abs(gaps - (target - w[0]))
-    return int(np.sum(diffs <= 1e-8)) > 1
 
 
 def _dump_spectrum(path: Path, n: int, g: float) -> str:
@@ -655,12 +641,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     runner = _RUNNERS[config.kind]
     files, checks, extra = runner(config, out)
-    if config.kind == "spectrum":
-        files += emit_figure_data("fig1", out, omega_line=(config.omega_grid or (0.5,))[0])
-    elif config.kind == "scaling":
-        files += emit_figure_data("table1", out)
-    elif config.kind == "decoherence" and config.t_scan and config.omega_grid:
-        files += emit_figure_data("suppression", out)
     summary = {
         "kind": config.kind,
         "inputs_hash": config_hash(config),
@@ -668,51 +648,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "outputs": sorted(str(f) for f in files),
         "checks": checks,
         "all_checks_pass": bool(all(checks.values())) if checks else True,
-        "seed": config.seed,
     }
     summary.update(extra)
     write_json(out / "summary.json", summary)
     return summary
-
-
-def emit_figure_data(kind: str, results_dir, omega_line: float = 0.5) -> list:
-    """Plot-ready files distilled from existing experiment outputs."""
-    out = Path(results_dir)
-    if kind == "fig1":
-        candidates = sorted(out.glob("spectrum_n*.csv"),
-                            key=lambda p: int(p.stem.split("n")[-1]))
-        if not candidates:
-            raise FileNotFoundError(f"no spectrum_n*.csv under {out}; run the spectrum experiment first")
-        src = candidates[-1]
-        import csv as _csv
-
-        with open(src) as fh:
-            reader = _csv.reader(fh)
-            header = next(reader)
-            rows = [[float(x) for x in row] for row in reader]
-        new_rows = [tuple(r) + (omega_line,) for r in rows]
-        return [write_csv(out / "fig1_excitation_spectrum.csv",
-                          header + ["omega"], new_rows)]
-    if kind == "table1":
-        fits_file = out / "table1_fits.json"
-        if not fits_file.exists():
-            raise FileNotFoundError(f"{fits_file} missing; run the scaling experiment first")
-        fits = json.loads(fits_file.read_text())
-        rows = [(key, f["expected"], f["exponent"], f["stderr"], f["points"], f["pass"])
-                for key, f in sorted(fits.items())]
-        return [write_csv(out / "table1_summary.csv",
-                          ["cell", "expected_exponent", "fitted_exponent", "stderr",
-                           "points", "pass"], rows)]
-    if kind == "suppression":
-        src = out / "suppression_scan.csv"
-        if not src.exists():
-            raise FileNotFoundError(f"{src} missing; run the decoherence experiment with t_scan first")
-        import csv as _csv
-
-        with open(src) as fh:
-            reader = _csv.reader(fh)
-            next(reader)
-            rows = [tuple(float(x) for x in row) for row in reader]
-        return [write_csv(out / "suppression.csv",
-                          ["T", "ln_abs_amplitude", "predicted_slope"], rows)]
-    raise ValueError(f"unknown figure kind {kind!r}; expected fig1/table1/suppression")

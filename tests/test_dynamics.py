@@ -206,14 +206,3 @@ def test_adiabatic_overlap_near_unity():
     traj = integrate_modes(spec, sched, np.linspace(0.0, T, 5), rtol=1e-11)
     ov = adiabatic_overlap(spec, sched, traj.final_state())
     assert np.all(ov >= 1 - 1e-3)
-
-
-def test_trajectory_csv_round_trip(tmp_path):
-    spec = ChainSpec(4)
-    sched = LinearSchedule(5.0, spec)
-    traj = integrate_modes(spec, sched, np.linspace(0.0, 5.0, 3), rtol=1e-10)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "t,g,k,re_u,im_u,re_v,im_v,p_k"
-    assert len(rows) == 1 + 3 * 2  # header + times * positive modes

@@ -12,7 +12,6 @@ from isingsweep.experiments import (
     ConfigError,
     ExperimentConfig,
     config_hash,
-    emit_figure_data,
     run_experiment,
     table1_cells,
     write_csv,
@@ -39,7 +38,7 @@ def test_config_validation_messages():
 def test_config_round_trip_lossless():
     cfg = ExperimentConfig.from_dict({
         "kind": "decoherence", "chain_sizes": [8], "omega_grid": [0.5, 1.0],
-        "bath_params": {"omega_c": 0.4}, "seed": 3,
+        "bath_params": {"omega_c": 0.4},
     })
     clone = ExperimentConfig.from_dict(cfg.to_dict())
     assert clone == cfg
@@ -73,6 +72,32 @@ def test_byte_identical_reruns(tmp_path):
         (out2 / "fig1_excitation_spectrum.csv").read_bytes()
     hashes = [json.loads((out / "summary.json").read_text())["inputs_hash"] for out in (out1, out2)]
     assert hashes[0] == hashes[1]
+
+
+def test_fig1_comes_from_this_run(tmp_path):
+    # a larger chain's spectrum left in the directory by an earlier run
+    # must not end up in this run's figure
+    for n in (64, 8):
+        summary = run_experiment(ExperimentConfig.from_dict({
+            "kind": "spectrum", "chain_sizes": [n], "g_grid_points": 21,
+            "omega_grid": [0.7], "output_dir": str(tmp_path),
+        }))
+    fig1 = (tmp_path / "fig1_excitation_spectrum.csv").read_text().splitlines()
+    spectrum = (tmp_path / "spectrum_n8.csv").read_text().splitlines()
+    assert fig1[0] == "g,dE_1,dE_2,dE_3,dE_4,omega"
+    assert fig1 == [spectrum[0] + ",omega"] + [row + ",0.69999999999999996" for row in spectrum[1:]]
+    assert not any("spectrum_n64" in f for f in summary["outputs"])
+
+
+def test_dynamics_experiment_csv(tmp_path):
+    summary = run_experiment(ExperimentConfig.from_dict({
+        "kind": "dynamics", "chain_sizes": [4], "total_time": 5.0, "time_points": 3,
+        "output_dir": str(tmp_path),
+    }))
+    assert summary["all_checks_pass"]
+    rows = (tmp_path / "dynamics_n4.csv").read_text().strip().splitlines()
+    assert rows[0] == "t,g,k,re_u,im_u,re_v,im_v,p_k"
+    assert len(rows) == 1 + 3 * 2  # header + times * positive modes
 
 
 def test_oracle_check_experiment(tmp_path):
@@ -140,15 +165,6 @@ def test_bath_params_validated():
                                     {"omega_min": 0.5, "omega_max": 1.0, "omega_c": 0.5}})
 
 
-def test_emit_figure_data_missing_upstream(tmp_path):
-    with pytest.raises(FileNotFoundError, match="spectrum"):
-        emit_figure_data("fig1", tmp_path)
-    with pytest.raises(FileNotFoundError, match="scaling"):
-        emit_figure_data("table1", tmp_path)
-    with pytest.raises(ValueError, match="figure kind"):
-        emit_figure_data("fig7", tmp_path)
-
-
 def test_table1_preset_shape():
     cells = table1_cells()
     assert len(cells) == 6
@@ -162,31 +178,6 @@ def test_table1_preset_shape():
 def test_csv_writer_17_digits(tmp_path):
     path = write_csv(tmp_path / "x.csv", ["a"], [(1 / 3,)])
     assert "0.33333333333333331" in open(path).read()
-
-
-def test_parallel_map_worker_pool(monkeypatch):
-    from isingsweep.experiments import parallel_map
-
-    serial = parallel_map(abs, [-1, 2, -3])
-    monkeypatch.setenv("ISINGSWEEP_WORKERS", "2")
-    assert parallel_map(abs, [-1, 2, -3]) == serial == [1, 2, 3]
-    for bad in ("two", "0", "-3", "1.5", ""):
-        monkeypatch.setenv("ISINGSWEEP_WORKERS", bad)
-        with pytest.raises(ValueError, match=f"ISINGSWEEP_WORKERS.*{bad!r}"):
-            parallel_map(abs, [-1, 2, -3])
-
-
-def test_worker_pool_bitwise_deterministic(monkeypatch):
-    # real scaling-cell workload: pooled execution must reproduce the
-    # serial results exactly, in order
-    from isingsweep.experiments import _t1_point, parallel_map, table1_cells
-
-    cell = next(c for c in table1_cells() if c["name"] == "adapted2-bound")
-    tasks = [(cell, "n", v, 1e-3, 0.25, 1e-6, 1.0) for v in (8, 16, 32)]
-    serial = parallel_map(_t1_point, tasks)
-    monkeypatch.setenv("ISINGSWEEP_WORKERS", "2")
-    pooled = parallel_map(_t1_point, tasks)
-    assert pooled == serial
 
 
 def test_cli_runs_and_reports(tmp_path, capsys):
@@ -207,6 +198,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("lattice_spacing", 0.0), ("n_omega_nodes", 0), ("k_modes", 0), ("k_modes", 2.5),
     ("epsilon_adiab", "0.25"), ("coupling", "0.01"), ("total_time", "40"),
     ("lattice_spacing", "1.0"), ("amplitude_rtol", "1e-6"), ("ode_rtol", "1e-10"),
+    # seed is no longer a field, so it is rejected as unknown
     ("epsilon_adiab", True), ("k_modes", True), ("seed", True), ("omega_grid", ["x"]),
     ("omega_grid", "0.5"), ("t_scan", ["x"]),
     ("bath_params.omega_c", -1), ("bath_params.omega_c", "0.5"),
