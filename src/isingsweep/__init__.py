@@ -46,7 +46,6 @@ from .schedules import (
     StepWiseSweep,
     make_schedule,
     runtime_for_adiabaticity,
-    schedule_from_dict,
     stepwise_hamiltonian_weights,
 )
 

@@ -4,10 +4,13 @@ The chain of n spins with periodic boundary conditions interpolates
 between a pure transverse field (sweep parameter g = 0) and a pure
 ferromagnetic coupling (g = 1).  After the Jordan-Wigner mapping the
 even fermion-parity sector decouples into independent momentum pairs
-(k, -k) on the antiperiodic grid k in pi*(1+2Z)/(a*n), |k*a| < pi.
-This module provides the grid, the per-mode coefficients and energies,
-gaps, the ground-state energy, and the transverse-field matrix element
-connecting the ground state to a single (k, -k) quasiparticle pair.
+(k, -k) on the antiperiodic grid k in pi*(1+2Z)/n, |k| < pi.  Every
+quantity depends on momentum only through ka, so momenta are
+dimensionless: k stands for ka, the lattice spacing a being the unit
+of length.  This module provides the grid, the per-mode coefficients
+and energies, gaps, the ground-state energy, and the transverse-field
+matrix element connecting the ground state to a single (k, -k)
+quasiparticle pair.
 
 Open and inhomogeneous chains, H = -sum_j h_j sigma^x_j - sum_b J_b
 sigma^z sigma^z with arbitrary real weights, have no momentum grid but
@@ -19,7 +22,7 @@ an n x n problem instead of a 2^(n-1) one.
 
 Conventions (fixed here, documented rather than inferred): spin-down
 basis ordering with sigma^x_j = 1 - 2 c_j^dag c_j and Fourier transform
-c_j = sum_k c_k exp(-i k j a) / sqrt(n).  These fix the *phase* of the
+c_j = sum_k c_k exp(-i k j) / sqrt(n).  These fix the *phase* of the
 pair matrix element; only its magnitude is convention independent and
 only the magnitude is cross-checked against dense diagonalization.
 """
@@ -36,10 +39,12 @@ __all__ = [
     "ModeCoefficients",
     "CouplingConstant",
     "momentum_grid",
+    "channel_momenta",
     "mode_alpha",
     "mode_beta",
     "mode_epsilon",
     "mode_epsilon_dg",
+    "pair_element",
     "pair_matrix_element",
     "mode_coefficients",
     "fundamental_gap",
@@ -51,7 +56,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Chain of ``n`` spins with lattice spacing ``a``.
+    """Chain of ``n`` spins.
 
     ``n`` must be even so that every grid momentum +k is paired with -k;
     odd n would leave unpaired momenta and break the (k, -k) channel
@@ -59,20 +64,17 @@ class ChainSpec:
     """
 
     n: int
-    a: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         if self.n % 2 != 0:
             raise ValueError(f"n must be even, got n={self.n}")
-        if not self.a > 0:
-            raise ValueError(f"lattice spacing a must be positive, got {self.a}")
 
     @property
     def smallest_momentum(self) -> float:
-        """The lowest positive grid momentum pi/(a*n)."""
-        return np.pi / (self.a * self.n)
+        """The lowest positive grid momentum pi/n."""
+        return np.pi / self.n
 
 
 @dataclass(frozen=True)
@@ -108,11 +110,16 @@ class CouplingConstant:
 def momentum_grid(spec: ChainSpec) -> np.ndarray:
     """Antiperiodic momentum grid, sorted ascending.
 
-    Returns the n momenta k = pi*(2m+1)/(a*n) with |k*a| < pi.  The grid
-    is symmetric under k -> -k and contains no k = 0 or |k*a| = pi.
+    Returns the n dimensionless momenta k = pi*(2m+1)/n with |k| < pi.
+    The grid is symmetric under k -> -k and contains no k = 0 or |k| = pi.
     """
     odd = 2 * np.arange(spec.n) + 1 - spec.n
-    return np.pi * odd / (spec.a * spec.n)
+    return np.pi * odd / spec.n
+
+
+def channel_momenta(spec: ChainSpec) -> np.ndarray:
+    """The n/2 positive grid momenta, ascending: one per (k, -k) pair channel."""
+    return momentum_grid(spec)[spec.n // 2:]
 
 
 def mode_alpha(ka, g):
@@ -146,48 +153,57 @@ def mode_epsilon_dg(ka, g):
     return 8.0 * np.cos(ka / 2.0) ** 2 * x / mode_epsilon(ka, g)
 
 
+def pair_element(ka, g, eps):
+    """Pair matrix element 4i g sin(ka) / eps for a caller that holds eps = epsilon(ka, g)."""
+    return 4.0j * g * np.sin(ka) / eps
+
+
 def pair_matrix_element(ka, g):
     """Pair matrix element 4i g sin(ka) / epsilon(ka, g), without a grid check.
 
     Takes scalars or NumPy arrays, for callers that have validated the
     momentum (:func:`excitation_matrix_element` is the checked form).
-    Inputs are not wrapped in ``np.asarray``: scalar quadrature
-    integrands call this hundreds of thousands of times per run.
     """
-    return 4.0j * g * np.sin(ka) / mode_epsilon(ka, g)
+    return pair_element(ka, g, mode_epsilon(ka, g))
 
 
 def _check_on_grid(spec: ChainSpec, k: float) -> float:
     grid = momentum_grid(spec)
     i = np.argmin(np.abs(grid - k))
     if abs(grid[i] - k) > 1e-12 * (1.0 + abs(k)):
-        raise ValueError(f"k={k} is not on the momentum grid of n={spec.n}, a={spec.a}")
+        raise ValueError(f"k={k} is not on the momentum grid of n={spec.n}")
     return float(grid[i])
+
+
+def _check_channel(spec: ChainSpec, k: float) -> float:
+    """The grid momentum k > 0 that labels a (k, -k) pair channel."""
+    k = _check_on_grid(spec, k)
+    if k <= 0:
+        raise ValueError(f"pair channels are labelled by positive k, got k={k}")
+    return k
 
 
 def mode_coefficients(spec: ChainSpec, k: float, g: float) -> ModeCoefficients:
     """Coefficients (alpha, beta) and energy epsilon of grid mode k at sweep value g."""
     k = _check_on_grid(spec, k)
-    ka = k * spec.a
     return ModeCoefficients(
-        alpha=float(mode_alpha(ka, g)),
-        beta=float(mode_beta(ka, g)),
-        epsilon=float(mode_epsilon(ka, g)),
+        alpha=float(mode_alpha(k, g)),
+        beta=float(mode_beta(k, g)),
+        epsilon=float(mode_epsilon(k, g)),
     )
 
 
 def fundamental_gap(spec: ChainSpec, g: float):
-    """Gap 2*epsilon_k of the lowest-momentum pair channel, k = pi/(a*n).
+    """Gap 2*epsilon_k of the lowest-momentum pair channel, k = pi/n.
 
     Minimal at g = 1/2 with value 4*sin(pi/(2n)) = O(1/n).
     """
-    return 2.0 * mode_epsilon(spec.smallest_momentum * spec.a, g)
+    return 2.0 * mode_epsilon(spec.smallest_momentum, g)
 
 
 def ground_energy(spec: ChainSpec, g: float) -> float:
     """Energy -(1/2) sum_k epsilon_k of the quasiparticle vacuum."""
-    ka = momentum_grid(spec) * spec.a
-    return float(-0.5 * np.sum(mode_epsilon(ka, g)))
+    return float(-0.5 * np.sum(mode_epsilon(momentum_grid(spec), g)))
 
 
 def excitation_matrix_element(spec: ChainSpec, k: float, g: float) -> complex:
@@ -202,10 +218,7 @@ def excitation_matrix_element(spec: ChainSpec, k: float, g: float) -> complex:
     diagonalization (tests); the phase is fixed by the Jordan-Wigner
     ordering convention in the module docstring and is not observable.
     """
-    k = _check_on_grid(spec, k)
-    if k <= 0:
-        raise ValueError(f"pair channels are labelled by positive k, got k={k}")
-    return pair_matrix_element(k * spec.a, g)
+    return pair_matrix_element(_check_channel(spec, k), g)
 
 
 def even_sector_gap(h, J, periodic: bool = False) -> float:

@@ -37,10 +37,11 @@ from scipy.special import roots_legendre
 from .chain import (
     ChainSpec,
     CouplingConstant,
-    _check_on_grid,
+    _check_channel,
+    channel_momenta,
     mode_epsilon,
     mode_epsilon_dg,
-    momentum_grid,
+    pair_element,
     pair_matrix_element,
 )
 from .quadrature import QuadratureError, oscillatory_integral, smooth_integral
@@ -165,26 +166,18 @@ class SaddlePointAmplitude:
     next_order_ratio: float
 
 
-def _channel_ka(spec: ChainSpec, k: float) -> float:
-    k = _check_on_grid(spec, k)
-    if k <= 0:
-        raise ValueError(f"pair channels are labelled by positive k, got {k}")
-    return k * spec.a
-
-
 def _integrand(schedule, ka, omega):
     """Node array g -> (M_k / (dg/dt), (-omega + 2 eps_k) / (dg/dt)).
 
     The pair of the amplitude integral in the sweep variable, in the form
     :func:`~isingsweep.quadrature.oscillatory_integral` takes.  The
-    velocity and ``eps_k`` are evaluated once per node array, so the
-    matrix element ``4i g sin(ka) / eps_k`` of
-    :func:`~isingsweep.chain.pair_matrix_element` is formed from them here.
+    velocity and ``eps_k`` are evaluated once per node array and shared
+    by the matrix element and the phase rate.
     """
     def pair(g):
         vel = schedule.velocity_of_g(g)
         eps = mode_epsilon(ka, g)
-        return 4.0j * g * np.sin(ka) / eps / vel, (-omega + 2.0 * eps) / vel
+        return pair_element(ka, g, eps) / vel, (-omega + 2.0 * eps) / vel
 
     return pair
 
@@ -211,7 +204,7 @@ def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k: float, omega: floa
     where per-channel projections are ill-defined).  The integral is
     good to ``rtol`` relative, floored at 1e-13 of the channel norm.
     """
-    ka = _channel_ka(spec, k)
+    ka = _check_channel(spec, k)
     if not 0.0 < g_upper <= 1.0:
         raise ValueError(f"g_upper must be in (0, 1], got {g_upper}")
     if float(np.max(np.abs(schedule.velocity_of_g(np.linspace(0.0, g_upper, 257))))) == 0.0:
@@ -237,7 +230,7 @@ def saddle_points(spec: ChainSpec, k: float, omega: float) -> tuple[float, float
     Solved by bracketed root finding on the exact dispersion, not the
     small-frequency expansion.  Requires 2 epsilon_min < omega <= 4.
     """
-    ka = _channel_ka(spec, k)
+    ka = _check_channel(spec, k)
 
     def fgap(g):
         return 2.0 * mode_epsilon(ka, g) - omega
@@ -257,7 +250,7 @@ def saddle_points(spec: ChainSpec, k: float, omega: float) -> tuple[float, float
 def accumulated_phase(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
                       g: float) -> float:
     """Phase -omega t(g) + int_0^t 2 epsilon dt' evaluated at sweep value g."""
-    pair = _integrand(schedule, _channel_ka(spec, k), omega)
+    pair = _integrand(schedule, _check_channel(spec, k), omega)
     return smooth_integral(lambda gs: pair(gs)[1], 0.0, g, rtol=1e-13, atol=1e-9, points=(0.5,))
 
 
@@ -266,10 +259,10 @@ def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega:
     """Two-saddle stationary-phase amplitude with a validity flag.
 
     The flag is false when the next-order expansion parameter
-    g_dot(t_*) / (omega sqrt(omega^2 - 4 k^2 a^2)) exceeds 0.1 or when a
+    (dg/dt)(t_*) / (omega sqrt(omega^2 - 4 k^2)) exceeds 0.1 or when a
     saddle sits within a few Fresnel widths of the sweep boundaries.
     """
-    ka = _channel_ka(spec, k)
+    ka = _check_channel(spec, k)
     if not omega > 2.0 * abs(ka):
         raise ValueError(
             f"saddle-point approximation needs omega > 2|ka| = {2 * abs(ka):.6g}, "
@@ -314,7 +307,7 @@ def amplitude_bound(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
     Independent of omega; ``omega`` is accepted so that the regime
     tables can treat all four evaluations uniformly.
     """
-    ka = _channel_ka(spec, k)
+    ka = _check_channel(spec, k)
     del omega
     return float(lam * _channel_norm(schedule, ka, 1.0))
 
@@ -329,7 +322,7 @@ def amplitude_suppressed_estimate(spec: ChainSpec, schedule: Schedule, k: float,
     decay rate of the integral is smaller (see the suppression tests).
     Only derived for the linear schedule; other kinds raise.
     """
-    ka = _channel_ka(spec, k)
+    ka = _check_channel(spec, k)
     if not omega < 2.0 * abs(ka):
         raise ValueError(
             f"sub-gap estimate needs omega < 2|ka| = {2 * abs(ka):.6g}, got {omega}"
@@ -377,11 +370,9 @@ def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: Bath
     """
     lam = bath.coupling.lam
     nodes, weights = bath.quadrature(n_omega)
-    kpos = momentum_grid(spec)
-    kpos = kpos[kpos > 0]
     result = TotalExcitationResult(p_total=0.0)
     total = 0.0
-    for k in kpos:
+    for k in channel_momenta(spec):
         acc = 0.0j
         methods = []
         for omega_i, weight in zip(nodes, weights):

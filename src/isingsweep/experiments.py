@@ -21,10 +21,10 @@ import numpy as np
 from .chain import (
     ChainSpec,
     CouplingConstant,
+    channel_momenta,
     excitation_matrix_element,
     ground_energy,
     mode_epsilon,
-    momentum_grid,
 )
 from .decoherence import (
     BathSpectrum,
@@ -108,13 +108,12 @@ def _check_bath_params(kind: str, params: dict) -> None:
 class ExperimentConfig:
     kind: str
     chain_sizes: tuple = (8,)
-    lattice_spacing: float = 1.0
     schedule_kind: str = "linear"
     total_time: float | None = None       # explicit T; otherwise from epsilon_adiab
     epsilon_adiab: float = 0.25
     coupling: float = 0.01
     bath_kind: str = "ohmic"
-    bath_params: tuple = (("omega_c", 0.5),)
+    bath_params: tuple = (("omega_c", 0.5), ("support_max", 1.9))
     omega_grid: tuple | None = None
     k_modes: int = 4
     t_scan: tuple | None = None
@@ -151,7 +150,7 @@ class ExperimentConfig:
                 f"config.schedule_kind: must be one of {_SCHEDULE_KINDS}, got {d['schedule_kind']!r}")
         if d.get("total_time") is not None:
             _check_real(d, "total_time", 0.0)
-        for key in ("epsilon_adiab", "lattice_spacing", "amplitude_rtol"):
+        for key in ("epsilon_adiab", "amplitude_rtol"):
             _check_real(d, key, 0.0)
         if "coupling" in d and not (_is_real(d["coupling"]) and d["coupling"] > 0):
             raise ConfigError(f"config.coupling: lambda must be a positive number, got {d['coupling']!r}")
@@ -190,10 +189,9 @@ class ExperimentConfig:
         return d
 
     def schedule_for(self, n: int, total_time: float | None = None) -> Schedule:
-        spec = ChainSpec(n, self.lattice_spacing)
         T = total_time or self.total_time or runtime_for_adiabaticity(
-            self.schedule_kind, n, self.epsilon_adiab, self.lattice_spacing)
-        return make_schedule(self.schedule_kind, T, spec)
+            self.schedule_kind, n, self.epsilon_adiab)
+        return make_schedule(self.schedule_kind, T, ChainSpec(n))
 
     def bath(self) -> BathSpectrum:
         coupling = CouplingConstant(self.coupling)
@@ -283,9 +281,8 @@ def table1_cells() -> list[dict]:
 
 
 def _resonant_mode(spec: ChainSpec, omega: float) -> float:
-    grid = momentum_grid(spec)
-    kpos = grid[grid > 0]
-    return float(kpos[np.argmin(np.abs(2.0 * kpos * spec.a - omega))])
+    kpos = channel_momenta(spec)
+    return float(kpos[np.argmin(np.abs(2.0 * kpos - omega))])
 
 
 def _saddle_envelope(spec, kind, n, k, omega, lam, eps_adiab, rtol):
@@ -295,7 +292,7 @@ def _saddle_envelope(spec, kind, n, k, omega, lam, eps_adiab, rtol):
     of T; sampling T and T(1 + pi/|dPhi|) and averaging the squared
     magnitudes removes the cross term exactly.
     """
-    T1 = runtime_for_adiabaticity(kind, n, eps_adiab, spec.a)
+    T1 = runtime_for_adiabaticity(kind, n, eps_adiab)
     s1 = make_schedule(kind, T1, spec)
     gm, gp = saddle_points(spec, k, omega)
     dphi = accumulated_phase(spec, s1, k, omega, gp) - accumulated_phase(spec, s1, k, omega, gm)
@@ -305,7 +302,7 @@ def _saddle_envelope(spec, kind, n, k, omega, lam, eps_adiab, rtol):
     return math.sqrt(0.5 * (abs(a1) ** 2 + abs(a2) ** 2))
 
 
-def _t1_point(cell, sweep, value, lam, eps_adiab, rtol, a):
+def _t1_point(cell, sweep, value, lam, eps_adiab, rtol):
     """One Table-1 measurement: (value, raw, normalized)."""
     kind = cell["schedule"]
     if sweep == "n":
@@ -314,16 +311,16 @@ def _t1_point(cell, sweep, value, lam, eps_adiab, rtol, a):
     else:
         n = _T1_N_FIXED
         omega = float(value)
-    spec = ChainSpec(n, a)
+    spec = ChainSpec(n)
     if cell["column"] == "saddle":
         k = spec.smallest_momentum
         raw = _saddle_envelope(spec, kind, n, k, omega, lam, eps_adiab, rtol)
-        return value, raw, raw / (lam * k * spec.a)
+        return value, raw, raw / (lam * k)
     k = _resonant_mode(spec, omega)
-    T = runtime_for_adiabaticity(kind, n, eps_adiab, spec.a)
+    T = runtime_for_adiabaticity(kind, n, eps_adiab)
     sched = make_schedule(kind, T, spec)
     raw = amplitude_bound(spec, sched, k, omega, lam)
-    om_eff = 2.0 * k * spec.a
+    om_eff = 2.0 * k
     if cell["name"] == "linear-bound":
         div = (om_eff if sweep == "n" else 1.0) * math.log(8.0 / om_eff)
     elif cell["name"] == "adapted1-bound":
@@ -333,7 +330,7 @@ def _t1_point(cell, sweep, value, lam, eps_adiab, rtol, a):
     return value, raw, raw / (lam * div)
 
 
-def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float, a: float = 1.0):
+def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float):
     files = []
     fits = {}
     checks = {}
@@ -344,7 +341,7 @@ def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float, a: floa
                 values = _T1_SIZES
             else:
                 values = _T1_OMEGA_SADDLE if cell["column"] == "saddle" else _T1_OMEGA_BOUND
-            pts = [_t1_point(cell, sweep, v, lam, eps_adiab, rtol, a) for v in values]
+            pts = [_t1_point(cell, sweep, v, lam, eps_adiab, rtol) for v in values]
             xs = np.array([p[0] for p in pts], dtype=float)
             ys = np.array([p[2] for p in pts], dtype=float)
             fit = scaling_fit(xs, ys)
@@ -374,16 +371,15 @@ def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float, a: floa
 
 
 def _channel_gaps(spec: ChainSpec, g_values: np.ndarray, n_channels: int) -> np.ndarray:
-    grid = momentum_grid(spec)
-    kpos = np.sort(grid[grid > 0])[:n_channels]
-    return 2.0 * mode_epsilon(kpos[:, None] * spec.a, g_values[None, :])
+    kpos = channel_momenta(spec)[:n_channels]
+    return 2.0 * mode_epsilon(kpos[:, None], g_values[None, :])
 
 
 def _run_spectrum(config: ExperimentConfig, out: Path):
     files, checks = [], {}
     g_values = np.linspace(0.0, 1.0, config.g_grid_points)
     for n in config.chain_sizes:
-        spec = ChainSpec(n, config.lattice_spacing)
+        spec = ChainSpec(n)
         m = min(6, n // 2)
         gaps = _channel_gaps(spec, g_values, m)
         header = ["g"] + [f"dE_{i + 1}" for i in range(m)]
@@ -403,7 +399,7 @@ def _run_spectrum(config: ExperimentConfig, out: Path):
 def _run_dynamics(config: ExperimentConfig, out: Path):
     files, checks = [], {}
     for n in config.chain_sizes:
-        spec = ChainSpec(n, config.lattice_spacing)
+        spec = ChainSpec(n)
         sched = config.schedule_for(n)
         t_grid = np.linspace(0.0, sched.total_time, config.time_points)
         traj = integrate_modes(spec, sched, t_grid, rtol=config.ode_rtol)
@@ -432,13 +428,10 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
     bound_ok = True
     saddle_ok = True
     for n in config.chain_sizes:
-        spec = ChainSpec(n, config.lattice_spacing)
+        spec = ChainSpec(n)
         sched = config.schedule_for(n)
         T = sched.total_time
-        grid = momentum_grid(spec)
-        kpos = np.sort(grid[grid > 0])[: config.k_modes]
-        for k in kpos:
-            ka = k * spec.a
+        for k in channel_momenta(spec)[: config.k_modes]:
             for omega in config.omega_grid:
                 a_num = amplitude_numeric(spec, sched, float(k), float(omega), lam,
                                           rtol=config.amplitude_rtol)
@@ -448,13 +441,13 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
                              a_num.real, a_num.imag, abs(a_num), ""))
                 rows.append((n, sched.kind, T, float(k), float(omega), "bound",
                              b, 0.0, b, ""))
-                if omega > 2.0 * abs(ka):
+                if omega > 2.0 * k:
                     sp = amplitude_saddle_point(spec, sched, float(k), float(omega), lam)
                     rows.append((n, sched.kind, T, float(k), float(omega), "saddle-point",
                                  sp.value.real, sp.value.imag, abs(sp.value), str(sp.valid)))
                     if sp.valid and abs(a_num) > 0:
                         saddle_ok &= 0.8 <= abs(sp.value) / abs(a_num) <= 1.25
-                elif omega < 2.0 * abs(ka) and sched.kind == "linear":
+                elif omega < 2.0 * k and sched.kind == "linear":
                     est = amplitude_suppressed_estimate(spec, sched, float(k), float(omega), lam)
                     rows.append((n, sched.kind, T, float(k), float(omega), "suppressed",
                                  est, 0.0, est, ""))
@@ -468,13 +461,12 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
 
     if config.t_scan:
         n = config.chain_sizes[0]
-        spec = ChainSpec(n, config.lattice_spacing)
+        spec = ChainSpec(n)
         # first sub-gap (k, omega) pair from the configured grid
         pair = None
-        grid = momentum_grid(spec)
-        for k in np.sort(grid[grid > 0]):
+        for k in channel_momenta(spec):
             for w in config.omega_grid:
-                if w < 2.0 * abs(k * spec.a):
+                if w < 2.0 * k:
                     pair = (float(k), float(w))
                     break
             if pair:
@@ -482,12 +474,11 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
         if pair is None:
             raise ConfigError("config.t_scan: no sub-gap (k, omega) pair in the grid")
         k, w = pair
-        ka = k * spec.a
         scan_rows = []
         for T in config.t_scan:
             sched = config.schedule_for(n, total_time=T)
             a_num = amplitude_numeric(spec, sched, k, w, lam, rtol=config.amplitude_rtol)
-            scan_rows.append((float(T), math.log(abs(a_num)), -(ka * ka) / 2.0))
+            scan_rows.append((float(T), math.log(abs(a_num)), -(k * k) / 2.0))
         files.append(write_csv(out / "suppression.csv",
                                ["T", "ln_abs_amplitude", "predicted_slope"], scan_rows))
     return files, checks, {}
@@ -501,7 +492,7 @@ def _run_total_probability(config: ExperimentConfig, out: Path):
     rows = []
     warnings_seen = []
     for n in config.chain_sizes:
-        spec = ChainSpec(n, config.lattice_spacing)
+        spec = ChainSpec(n)
         sched = config.schedule_for(n)
         res = total_excitation_probability(spec, sched, bath,
                                            n_omega=config.n_omega_nodes,
@@ -522,7 +513,7 @@ def _run_total_probability(config: ExperimentConfig, out: Path):
 
 def _run_scaling(config: ExperimentConfig, out: Path):
     files, fits, checks = run_table1(out, config.coupling, config.epsilon_adiab,
-                                     config.amplitude_rtol, config.lattice_spacing)
+                                     config.amplitude_rtol)
     return files, checks, {"fits": fits}
 
 
@@ -556,9 +547,8 @@ def _run_oracle_check(config: ExperimentConfig, out: Path):
     g_values = (0.0, 0.25, 0.5, 0.75, 1.0)
     ok_energy = ok_gaps = ok_elements = ok_zero = True
     for n in config.chain_sizes:
-        spec = ChainSpec(n, config.lattice_spacing)
-        grid = momentum_grid(spec)
-        kpos = np.sort(grid[grid > 0])
+        spec = ChainSpec(n)
+        kpos = channel_momenta(spec)
         files.append(_dump_spectrum(out / f"dense_spectrum_n{n}.csv", n, g=0.5))
         for g in g_values:
             H = uniform_hamiltonian(n, g)
@@ -568,7 +558,7 @@ def _run_oracle_check(config: ExperimentConfig, out: Path):
             ok_energy &= err <= 1e-10
             report.append({"quantity": "ground_energy", "n": n, "g": g,
                            "fermionic": e0_f, "dense": float(w[0]), "abs_error": float(err)})
-            gaps = 2.0 * mode_epsilon(kpos * spec.a, g)
+            gaps = 2.0 * mode_epsilon(kpos, g)
             channel_levels = np.zeros(len(w), dtype=bool)
             for k, gap_f in zip(kpos, gaps):
                 dist = np.abs(w - (w[0] + gap_f))

@@ -11,8 +11,8 @@ closed forms
     p = 1:  (asinh(c/s) - asinh(c x/s)) / (8 c)
     p = 2:  (atan(c/s) - atan(c x/s)) / (32 s c)
 
-so t(g), its inverse g(t) and the norm J_p = I_p(1) are exact; the
-velocity is reported from the defining rate equation.
+so g(t) (the inverse of t(g) = I_p(g) / C) and the norm J_p = I_p(1)
+are exact; the velocity is reported from the defining rate equation.
 
 The step-wise path replaces transverse-field terms by ferromagnetic
 bonds one site at a time on an open chain: step 1 turns the fields on
@@ -37,7 +37,6 @@ __all__ = [
     "StepWisePath",
     "StepWiseSweep",
     "make_schedule",
-    "schedule_from_dict",
     "stepwise_hamiltonian_weights",
     "runtime_for_adiabaticity",
 ]
@@ -49,7 +48,7 @@ _PHI = {1: (np.arcsinh, np.sinh), 2: (np.arctan, np.tan)}
 
 def _gap_sin_cos(spec: ChainSpec) -> tuple[float, float]:
     """s = sin(ka/2) and c = cos(ka/2) of the lowest momentum, ka = pi/n."""
-    half = 0.5 * spec.smallest_momentum * spec.a
+    half = 0.5 * spec.smallest_momentum
     return float(np.sin(half)), float(np.cos(half))
 
 
@@ -71,9 +70,6 @@ class Schedule:
     def g_of_t(self, t):
         raise NotImplementedError
 
-    def g_dot(self, t):
-        raise NotImplementedError
-
     def velocity_of_g(self, g):
         """dg/dt as a function of g (closed form, exact)."""
         raise NotImplementedError
@@ -84,13 +80,6 @@ class Schedule:
         if np.any(t < -slop) or np.any(t > self.total_time + slop):
             raise ValueError(f"t outside [0, {self.total_time}]")
         return np.clip(t, 0.0, self.total_time)
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "total_time": self.total_time}
-        if self.spec is not None:
-            d["n"] = self.spec.n
-            d["a"] = self.spec.a
-        return d
 
 
 class LinearSchedule(Schedule):
@@ -107,15 +96,8 @@ class LinearSchedule(Schedule):
     def g_of_t(self, t):
         return self._check_time(t) / self.total_time
 
-    def g_dot(self, t):
-        self._check_time(t)
-        return np.full(np.shape(t), 1.0 / self.total_time) if np.ndim(t) else 1.0 / self.total_time
-
     def velocity_of_g(self, g):
         return np.full(np.shape(g), 1.0 / self.total_time) if np.ndim(g) else 1.0 / self.total_time
-
-    def time_of_g(self, g):
-        return np.asarray(g) * self.total_time
 
 
 class GapAdaptedSchedule(Schedule):
@@ -141,24 +123,16 @@ class GapAdaptedSchedule(Schedule):
         self.rate_constant = _norm_integral(spec, power) / self.total_time
         s, c = _gap_sin_cos(spec)
         self._s_over_c = s / c
-        self._phi, self._phi_inverse = _PHI[power]
-        self._phi_edge = self._phi(c / s)
+        phi, self._phi_inverse = _PHI[power]
+        self._phi_edge = phi(c / s)
 
     def g_of_t(self, t):
         u = 1.0 - 2.0 * self._check_time(t) / self.total_time
         x = self._s_over_c * self._phi_inverse(self._phi_edge * u)
         return np.clip(0.5 * (1.0 - x), 0.0, 1.0)
 
-    def g_dot(self, t):
-        return self.velocity_of_g(self.g_of_t(t))
-
     def velocity_of_g(self, g):
         return self.rate_constant * fundamental_gap(self.spec, np.asarray(g)) ** self.power
-
-    def time_of_g(self, g):
-        x = 1.0 - 2.0 * np.clip(np.asarray(g, dtype=float), 0.0, 1.0)
-        u = self._phi(x / self._s_over_c) / self._phi_edge
-        return np.clip(0.5 * self.total_time * (1.0 - u), 0.0, self.total_time)
 
 
 def make_schedule(kind: str, total_time: float, spec: ChainSpec | None = None) -> Schedule:
@@ -170,21 +144,6 @@ def make_schedule(kind: str, total_time: float, spec: ChainSpec | None = None) -
             raise ValueError(f"{kind} needs a ChainSpec for the fundamental gap")
         return GapAdaptedSchedule(spec, total_time, power=_POWERS[kind])
     raise ValueError(f"unknown schedule kind {kind!r}")
-
-
-def schedule_from_dict(d: dict):
-    """Rebuild a schedule (or step-wise sweep) from its JSON description.
-
-    Unknown keys, such as the ``resolution`` older versions wrote, are
-    ignored.
-    """
-    kind = d["kind"]
-    if kind == "step-wise":
-        return StepWiseSweep(int(d["n"]), float(d["total_time"]))
-    spec = None
-    if d.get("n") is not None:
-        spec = ChainSpec(int(d["n"]), float(d.get("a", 1.0)))
-    return make_schedule(kind, float(d["total_time"]), spec)
 
 
 @dataclass(frozen=True)
@@ -229,8 +188,6 @@ def stepwise_hamiltonian_weights(path: StepWisePath) -> tuple[np.ndarray, np.nda
 class StepWiseSweep:
     """Step-wise path traversed in time: equal duration per step, linear in s."""
 
-    kind = "step-wise"
-
     def __init__(self, n: int, total_time: float):
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
@@ -250,15 +207,12 @@ class StepWiseSweep:
     def weights_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         return stepwise_hamiltonian_weights(self.path_at(t))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "total_time": self.total_time, "n": self.n}
 
-
-def runtime_for_adiabaticity(kind: str, n: int, epsilon_adiab: float, a: float = 1.0) -> float:
+def runtime_for_adiabaticity(kind: str, n: int, epsilon_adiab: float) -> float:
     """Run time T keeping the lowest channel's adiabaticity ratio below a target.
 
     The per-mode ratio |<s|dH/dt|0>| / DeltaE_s0^2 equals
-    g_dot * |sin(k a)| / epsilon_k^3; for all three kinds it peaks at
+    (dg/dt) |sin(k)| / epsilon_k^3; for all three kinds it peaks at
     the critical point, giving the closed forms
 
         T = 2^p * J_p * sin(pi/n) / (epsilon_min^(3-p) * epsilon_adiab)
@@ -271,7 +225,7 @@ def runtime_for_adiabaticity(kind: str, n: int, epsilon_adiab: float, a: float =
         raise ValueError(f"unknown schedule kind {kind!r}")
     if not epsilon_adiab > 0:
         raise ValueError(f"epsilon_adiab must be positive, got {epsilon_adiab}")
-    spec = ChainSpec(n, a)
+    spec = ChainSpec(n)
     p = _POWERS[kind]
     norm = _norm_integral(spec, p) if p else 1.0
     eps_min = mode_epsilon(np.pi / n, 0.5)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from isingsweep.chain import (
     ChainSpec,
     CouplingConstant,
+    channel_momenta,
     excitation_matrix_element,
     fundamental_gap,
     ground_energy,
@@ -32,13 +33,14 @@ def test_momentum_grid_n8():
     assert min(k[k > 0]) == pytest.approx(np.pi / 8, abs=1e-15)
 
 
-@given(st.integers(min_value=1, max_value=64), st.floats(0.1, 4.0))
-def test_grid_symmetric_and_bounded(half_n, a):
-    spec = ChainSpec(2 * half_n, a)
+@given(st.integers(min_value=1, max_value=64))
+def test_grid_symmetric_and_bounded(half_n):
+    spec = ChainSpec(2 * half_n)
     k = momentum_grid(spec)
     assert len(k) == spec.n
     np.testing.assert_allclose(np.sort(-k), k, atol=1e-14)
-    assert np.all(np.abs(k * a) < np.pi)
+    assert np.all(np.abs(k) < np.pi)
+    np.testing.assert_array_equal(channel_momenta(spec), np.sort(k[k > 0]))
 
 
 def test_spec_validation():
@@ -46,8 +48,6 @@ def test_spec_validation():
         ChainSpec(5)
     with pytest.raises(ValueError, match=">= 2"):
         ChainSpec(0)
-    with pytest.raises(ValueError, match="positive"):
-        ChainSpec(4, a=-1.0)
 
 
 def test_coupling_validation():

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from isingsweep import decoherence
-from isingsweep.chain import ChainSpec, CouplingConstant, mode_epsilon, momentum_grid
+from isingsweep.chain import ChainSpec, CouplingConstant, channel_momenta, mode_epsilon
 from isingsweep.decoherence import (
     BathSpectrum,
     amplitude_bound,
@@ -44,9 +44,6 @@ class FrozenSchedule(Schedule):
     def g_of_t(self, t):
         return self.g0 * np.ones_like(np.asarray(t, float)) if np.ndim(t) else self.g0
 
-    def g_dot(self, t):
-        return 0.0
-
     def velocity_of_g(self, g):
         return np.zeros_like(np.asarray(g, float)) if np.ndim(g) else 0.0
 
@@ -74,7 +71,7 @@ def test_amplitude_requires_positive_grid_momentum(chain8):
 
 def test_bound_dominates_numeric_random_tuples(chain8):
     rng = np.random.default_rng(11)
-    kpos = momentum_grid(chain8)[momentum_grid(chain8) > 0]
+    kpos = channel_momenta(chain8)
     for _ in range(40):
         k = float(rng.choice(kpos))
         omega = float(rng.uniform(-0.5, 3.0))

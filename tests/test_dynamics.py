@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from isingsweep.chain import ChainSpec, mode_alpha, mode_epsilon, momentum_grid
+from isingsweep.chain import ChainSpec, channel_momenta, mode_alpha, mode_epsilon, momentum_grid
 from isingsweep.dynamics import (
     BogoliubovState,
     _integrate_pairs,
@@ -36,9 +36,6 @@ class FrozenSchedule(Schedule):
     def g_of_t(self, t):
         return self.g0 * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else self.g0
 
-    def g_dot(self, t):
-        return 0.0
-
     def velocity_of_g(self, g):
         return 0.0
 
@@ -46,8 +43,8 @@ class FrozenSchedule(Schedule):
 def test_initial_condition_is_polarized_ground_state():
     spec = ChainSpec(8)
     sched = LinearSchedule(50.0, spec)
-    for k in momentum_grid(spec)[momentum_grid(spec) > 0]:
-        u, v = adiabatic_solution(spec, float(k), sched, 0.0)
+    for k in channel_momenta(spec):
+        u, v = adiabatic_solution(float(k), sched, 0.0)
         assert u == pytest.approx(1.0, abs=1e-14)
         assert v == pytest.approx(0.0, abs=1e-14)
 
@@ -68,7 +65,7 @@ def test_adiabatic_phase_linear_closed_form(n):
         for frac in (0.3, 0.5, 0.7, 1.0):
             g = float(sched.g_of_t(frac * T))
             exact = T * (F(1.0) - F(1.0 - 2.0 * g))
-            assert adiabatic_phase(spec, k, sched, frac * T) == pytest.approx(exact, rel=1e-12)
+            assert adiabatic_phase(k, sched, frac * T) == pytest.approx(exact, rel=1e-12)
 
 
 def test_adiabatic_phase_gap_adapted_vs_time_quadrature():
@@ -77,7 +74,7 @@ def test_adiabatic_phase_gap_adapted_vs_time_quadrature():
     k, t = np.pi / 32, 0.8 * sched.total_time
     exact = quad(lambda tt: mode_epsilon(k, sched.g_of_t(tt)), 0.0, t, epsabs=0.0,
                  epsrel=1e-13, limit=1000)[0]
-    assert adiabatic_phase(spec, k, sched, t) == pytest.approx(exact, rel=1e-12)
+    assert adiabatic_phase(k, sched, t) == pytest.approx(exact, rel=1e-12)
 
 
 def test_closed_form_normalized_everywhere():
@@ -86,26 +83,24 @@ def test_closed_form_normalized_everywhere():
     for _ in range(50):
         k = rng.choice(momentum_grid(spec))
         g = rng.uniform(0, 1)
-        u, v = instantaneous_pair(spec, k, g, theta=rng.uniform(0, 7))
+        u, v = instantaneous_pair(k, g, theta=rng.uniform(0, 7))
         assert abs(u) ** 2 + abs(v) ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_pair_amplitude_at_critical_point_n2():
     # ka = pi/2 at the critical point: alpha=1, beta=1, eps=sqrt(2),
     # giving |v|^2 = 1/(4 + 2 sqrt(2))
-    spec = ChainSpec(2)
-    u, v = instantaneous_pair(spec, np.pi / 2, 0.5)
+    u, v = instantaneous_pair(np.pi / 2, 0.5)
     assert abs(v) ** 2 == pytest.approx(1.0 / (4.0 + 2.0 * np.sqrt(2.0)), rel=1e-14)
     assert abs(u) ** 2 + abs(v) ** 2 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_frozen_field_mode_decouples():
     # at g = 0 the pairing term vanishes: u picks up exp(i alpha t) only
-    spec = ChainSpec(4)
     sched = FrozenSchedule(0.0, 5.0)
     ka = np.pi / 4
     t_grid = np.linspace(0.0, 5.0, 11)
-    u, v, _ = _integrate_pairs(sched, [ka], t_grid, rtol=1e-11)
+    u, v = _integrate_pairs(sched, [ka], t_grid, rtol=1e-11)
     expected = np.exp(1j * mode_alpha(ka, 0.0) * t_grid)
     np.testing.assert_allclose(u[0], expected, atol=1e-9)
     np.testing.assert_allclose(v[0], 0.0, atol=1e-12)
@@ -113,16 +108,15 @@ def test_frozen_field_mode_decouples():
 
 def test_excitation_probability_limits():
     spec = ChainSpec(8)
-    kpos = momentum_grid(spec)[momentum_grid(spec) > 0]
+    kpos = channel_momenta(spec)
     g = 0.37
-    ug, vg = instantaneous_pair(spec, kpos, g)
-    gs = BogoliubovState(t=0.0, g=g, k=kpos, u=ug, v=vg, theta=np.zeros_like(kpos))
-    p = excitation_probability(gs, spec, g)
+    ug, vg = instantaneous_pair(kpos, g)
+    gs = BogoliubovState(t=0.0, g=g, k=kpos, u=ug, v=vg)
+    p = excitation_probability(gs, g)
     assert max(p.values()) < 1e-28
     # orthogonal (excited) pair has probability one
-    exc = BogoliubovState(t=0.0, g=g, k=kpos, u=-np.conj(vg), v=np.conj(ug),
-                          theta=np.zeros_like(kpos))
-    p = excitation_probability(exc, spec, g)
+    exc = BogoliubovState(t=0.0, g=g, k=kpos, u=-np.conj(vg), v=np.conj(ug))
+    p = excitation_probability(exc, g)
     assert min(p.values()) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -155,11 +149,11 @@ def test_negative_momentum_gives_same_probability():
     spec = ChainSpec(6)
     sched = LinearSchedule(15.0, spec)
     t_grid = np.linspace(0.0, 15.0, 4)
-    k = momentum_grid(spec)[momentum_grid(spec) > 0][0]
-    u, v, _ = _integrate_pairs(sched, [k * spec.a, -k * spec.a], t_grid, rtol=1e-11)
-    ug, vg = instantaneous_pair(spec, k, 1.0)
+    k = channel_momenta(spec)[0]
+    u, v = _integrate_pairs(sched, [k, -k], t_grid, rtol=1e-11)
+    ug, vg = instantaneous_pair(k, 1.0)
     p_pos = abs(ug * v[0, -1] - vg * u[0, -1]) ** 2
-    ugm, vgm = instantaneous_pair(spec, -k, 1.0)
+    ugm, vgm = instantaneous_pair(-k, 1.0)
     p_neg = abs(ugm * v[1, -1] - vgm * u[1, -1]) ** 2
     assert p_pos == pytest.approx(p_neg, rel=1e-9)
 
@@ -181,7 +175,7 @@ def test_total_excitation_matches_dense_evolution_n4():
         wg, Vg = spectrum(uniform_hamiltonian(n, g), sector="even", eigenvectors=True)
         gs = embed_sector_vector(Vg[:, 0], n, "even")
         p_dense = 1.0 - abs(np.vdot(gs, states[:, i])) ** 2
-        p_modes = sum(excitation_probability(traj.state_at(i), spec, g).values())
+        p_modes = sum(excitation_probability(traj.state_at(i), g).values())
         assert abs(p_dense - p_modes) < 1e-6
 
 
@@ -194,7 +188,7 @@ def test_landau_zener_decay_of_lowest_mode():
     ps = []
     for T in Ts:
         traj = integrate_modes(spec, LinearSchedule(T, spec), np.linspace(0, T, 3), rtol=1e-11)
-        ps.append(excitation_probability(traj.final_state(), spec, 1.0)[k1])
+        ps.append(excitation_probability(traj.final_state(), 1.0)[k1])
     slope, _ = np.polyfit(Ts * k1**2, np.log(ps), 1)
     assert slope == pytest.approx(-np.pi * s**2 / (c * k1**2), rel=0.15)
 
@@ -204,5 +198,5 @@ def test_adiabatic_overlap_near_unity():
     T = 600.0
     sched = LinearSchedule(T, spec)
     traj = integrate_modes(spec, sched, np.linspace(0.0, T, 5), rtol=1e-11)
-    ov = adiabatic_overlap(spec, sched, traj.final_state())
+    ov = adiabatic_overlap(sched, traj.final_state())
     assert np.all(ov >= 1 - 1e-3)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,16 @@ def test_decoherence_bath_averaged_mode(tmp_path):
     assert "p_total_increases_with_n" in summary["checks"]
 
 
+def test_default_bath_is_cold():
+    # the default ohmic support stays below the initial gap 2, so the
+    # bath-averaged command without bath_params runs without the cold-bath warning
+    cfg = ExperimentConfig.from_dict({"kind": "decoherence"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bath = cfg.bath()
+    assert bath.params == {"omega_c": 0.5, "support_max": 1.9}
+
+
 def test_bath_params_validated():
     with pytest.raises(ConfigError, match="bath_params.omega0"):
         ExperimentConfig.from_dict({"kind": "decoherence", "bath_kind": "monochromatic"})
@@ -193,12 +204,12 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "even integer" in capsys.readouterr().err
 
 
+# lattice_spacing and seed are no longer fields, so they are rejected as unknown
 @pytest.mark.parametrize("field, value", [
     ("time_points", 1), ("g_grid_points", 1), ("ode_rtol", 1e-13), ("amplitude_rtol", 0.0),
     ("lattice_spacing", 0.0), ("n_omega_nodes", 0), ("k_modes", 0), ("k_modes", 2.5),
     ("epsilon_adiab", "0.25"), ("coupling", "0.01"), ("total_time", "40"),
     ("lattice_spacing", "1.0"), ("amplitude_rtol", "1e-6"), ("ode_rtol", "1e-10"),
-    # seed is no longer a field, so it is rejected as unknown
     ("epsilon_adiab", True), ("k_modes", True), ("seed", True), ("omega_grid", ["x"]),
     ("omega_grid", "0.5"), ("t_scan", ["x"]),
     ("bath_params.omega_c", -1), ("bath_params.omega_c", "0.5"),

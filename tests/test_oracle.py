@@ -3,6 +3,7 @@ import pytest
 
 from isingsweep.chain import (
     ChainSpec,
+    channel_momenta,
     even_sector_gap,
     ground_energy,
     mode_epsilon,
@@ -90,7 +91,7 @@ def test_full_spectrum_contains_pair_and_composite_levels():
     spec = ChainSpec(n)
     w = spectrum(uniform_hamiltonian(n, g))
     e0 = ground_energy(spec, g)
-    kpos = momentum_grid(spec)[momentum_grid(spec) > 0]
+    kpos = channel_momenta(spec)
     eps = mode_epsilon(kpos, g)
     # two-quasiparticle pairs (k, -k)
     for e in eps:
@@ -112,7 +113,7 @@ def test_matrix_elements_match_pair_formula():
     spec = ChainSpec(n)
     H = uniform_hamiltonian(n, g)
     w, elems = sigma_x_elements(H, "even")
-    kpos = momentum_grid(spec)[momentum_grid(spec) > 0]
+    kpos = channel_momenta(spec)
     matched = np.zeros(len(w), dtype=bool)
     for k in kpos:
         e = mode_epsilon(k, g)
@@ -255,6 +256,6 @@ def test_pair_occupations_match_dense_ground_state():
         w, V = spectrum(uniform_hamiltonian(n, g), "even", eigenvectors=True)
         gs = embed_sector_vector(V[:, 0], n, "even")
         x_dense = gs @ sigma_x_apply(n, gs)
-        _, v = instantaneous_pair(spec, momentum_grid(spec), g)
+        _, v = instantaneous_pair(momentum_grid(spec), g)
         assert x_dense == pytest.approx(n - 2 * np.sum(np.abs(v) ** 2), abs=1e-10)
     assert 2 - 4 / (4 + 2 * np.sqrt(2)) == pytest.approx(np.sqrt(2), rel=1e-15)
