@@ -19,13 +19,11 @@ from .decoherence import (
     BathSpectrum,
     SaddlePointAmplitude,
     ScalingFit,
-    SpectralAmplitude,
     TotalExcitationResult,
     amplitude_bound,
     amplitude_numeric,
     amplitude_saddle_point,
     amplitude_suppressed_estimate,
-    evaluate_channel,
     scaling_fit,
     total_excitation_probability,
 )

@@ -12,7 +12,9 @@ sweep variable g, where the phase derivative has the closed form
 of the run time T and uniform across schedules.
 
 Provided evaluations: the numeric integral (one call of the
-level-wise oscillatory quadrature per amplitude, to a relative budget),
+level-wise oscillatory quadrature per amplitude, to a relative budget;
+the bath-averaged total makes one batched call per chain size over
+every (channel, frequency) amplitude),
 the two-saddle stationary-phase approximation with a validity flag, the
 rigorous phase-free upper bound lam * int |M| dt, and the sub-gap
 exponential suppression estimate.  The bound's omega-independent norm
@@ -44,12 +46,11 @@ from .chain import (
     pair_element,
     pair_matrix_element,
 )
-from .quadrature import QuadratureError, oscillatory_integral, smooth_integral
+from .quadrature import QuadratureError, oscillatory_batch, oscillatory_integral, smooth_integral
 from .schedules import LinearSchedule, Schedule
 
 __all__ = [
     "BathSpectrum",
-    "SpectralAmplitude",
     "SaddlePointAmplitude",
     "TotalExcitationResult",
     "ScalingFit",
@@ -57,7 +58,6 @@ __all__ = [
     "amplitude_saddle_point",
     "amplitude_bound",
     "amplitude_suppressed_estimate",
-    "evaluate_channel",
     "saddle_points",
     "accumulated_phase",
     "total_excitation_probability",
@@ -143,21 +143,6 @@ class BathSpectrum:
 
 
 @dataclass(frozen=True)
-class SpectralAmplitude:
-    """One channel/frequency amplitude with the method that produced it.
-
-    The bath-averaged amplitude of a channel is the frequency integral
-    of these values against the spectral function; that decomposition
-    is what :func:`total_excitation_probability` assembles.
-    """
-
-    k: float
-    omega: float
-    value: complex
-    method: str  # numeric | saddle-point | bound | suppressed
-
-
-@dataclass(frozen=True)
 class SaddlePointAmplitude:
     value: complex
     valid: bool
@@ -166,20 +151,41 @@ class SaddlePointAmplitude:
     next_order_ratio: float
 
 
-def _integrand(schedule, ka, omega):
-    """Node array g -> (M_k / (dg/dt), (-omega + 2 eps_k) / (dg/dt)).
+def _pair(schedule, ka, omega, g):
+    """(M_k / (dg/dt), (-omega + 2 eps_k) / (dg/dt)) on the node array g.
 
-    The pair of the amplitude integral in the sweep variable, in the form
-    :func:`~isingsweep.quadrature.oscillatory_integral` takes.  The
+    The pair of the amplitude integral in the sweep variable.  The
     velocity and ``eps_k`` are evaluated once per node array and shared
     by the matrix element and the phase rate.
     """
-    def pair(g):
-        vel = schedule.velocity_of_g(g)
-        eps = mode_epsilon(ka, g)
-        return pair_element(ka, g, eps) / vel, (-omega + 2.0 * eps) / vel
+    vel = schedule.velocity_of_g(g)
+    eps = mode_epsilon(ka, g)
+    return pair_element(ka, g, eps) / vel, (-omega + 2.0 * eps) / vel
 
-    return pair
+
+def _integrand(schedule, ka, omega):
+    """The pair of one amplitude as a function of the node array alone."""
+    return lambda g: _pair(schedule, ka, omega, g)
+
+
+def _frozen(schedule, g_upper) -> bool:
+    """Whether the sweep never moves on [0, g_upper]."""
+    return float(np.max(np.abs(schedule.velocity_of_g(np.linspace(0.0, g_upper, 257))))) == 0.0
+
+
+def _frozen_amplitude(schedule, ka, omega, lam):
+    """Amplitude of a frozen sweep: constant matrix element and phase rate.
+
+    Takes scalars or arrays of equal shape for ``ka`` and ``omega``.
+    """
+    g0 = float(schedule.g_of_t(0.0))
+    m0 = pair_matrix_element(ka, g0)
+    rate = -omega + 2.0 * mode_epsilon(ka, g0)
+    T = schedule.total_time
+    resonant = rate == 0.0
+    # (exp(i rate T) - 1) / (i rate), whose limit at rate = 0 is T
+    ramp = np.where(resonant, T, np.exp(1j * rate * T) - 1.0)
+    return -1j * lam * m0 * ramp / np.where(resonant, 1.0, 1j * rate)
 
 
 @lru_cache(maxsize=64)
@@ -207,15 +213,8 @@ def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k: float, omega: floa
     ka = _check_channel(spec, k)
     if not 0.0 < g_upper <= 1.0:
         raise ValueError(f"g_upper must be in (0, 1], got {g_upper}")
-    if float(np.max(np.abs(schedule.velocity_of_g(np.linspace(0.0, g_upper, 257))))) == 0.0:
-        # frozen sweep: constant matrix element and phase rate, closed form
-        g0 = float(schedule.g_of_t(0.0))
-        m0 = pair_matrix_element(ka, g0)
-        rate = -omega + 2.0 * float(mode_epsilon(ka, g0))
-        T = schedule.total_time
-        if rate == 0.0:
-            return -1j * lam * m0 * T
-        return -1j * lam * m0 * (np.exp(1j * rate * T) - 1.0) / (1j * rate)
+    if _frozen(schedule, g_upper):
+        return complex(_frozen_amplitude(schedule, ka, omega, lam))
     ref = _channel_norm(schedule, ka, g_upper)
     if ref == 0.0:
         return 0.0j
@@ -335,60 +334,65 @@ def amplitude_suppressed_estimate(spec: ChainSpec, schedule: Schedule, k: float,
     return float(lam * np.exp(-schedule.total_time * ka * ka / 2.0))
 
 
-def evaluate_channel(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
-                     lam: float, rtol: float = 1e-6) -> SpectralAmplitude:
-    """Per-channel amplitude with the producing method recorded.
-
-    Numeric quadrature wherever it converges; the phase-free bound as a
-    magnitude-only fallback otherwise.
-    """
-    try:
-        value = amplitude_numeric(spec, schedule, k, omega, lam, rtol=rtol)
-        method = "numeric"
-    except QuadratureError:
-        value = complex(amplitude_bound(spec, schedule, k, omega, lam))
-        method = "bound"
-    return SpectralAmplitude(k=float(k), omega=float(omega), value=value, method=method)
-
-
 @dataclass
 class TotalExcitationResult:
     p_total: float
     channel_amplitudes: dict = field(default_factory=dict)  # k -> complex
     methods: dict = field(default_factory=dict)             # k -> tuple of method names
     warnings: list = field(default_factory=list)
+    panels: int = 0        # summed over the numeric terms
+    evaluations: int = 0   # summed over the numeric terms
+    levels: int = 0        # bisection levels of the deepest numeric term
 
 
 def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: BathSpectrum,
                                  n_omega: int = 33, rtol: float = 1e-5) -> TotalExcitationResult:
     """P = sum_{k>0} |int f(omega) A_k^omega domega|^2 over all channels.
 
-    Per-frequency amplitudes are numeric wherever the quadrature
-    converges, falling back to the phase-free bound (recorded per term).
+    Every (channel, frequency) amplitude with nonzero weight is one
+    integral of a single batched quadrature call, each with the budget
+    of :func:`amplitude_numeric`.  A term whose integral fails falls
+    back to the phase-free bound, recorded per term as ``"bound"``.
     P > 1 signals breakdown of first-order response and is reported,
     not clipped.
     """
     lam = bath.coupling.lam
     nodes, weights = bath.quadrature(n_omega)
+    ks = channel_momenta(spec)
+    live = weights != 0.0
+    n_live = int(live.sum())
+    ka = np.repeat(ks, n_live)
+    omega = np.tile(nodes[live], ks.size)
     result = TotalExcitationResult(p_total=0.0)
-    total = 0.0
-    for k in channel_momenta(spec):
-        acc = 0.0j
-        methods = []
-        for omega_i, weight in zip(nodes, weights):
-            if weight == 0.0:
-                methods.append("skipped")
+    if _frozen(schedule, 1.0):
+        values = _frozen_amplitude(schedule, ka, omega, lam)
+        terms = ["numeric"] * ka.size
+    else:
+        norms = np.repeat([_channel_norm(schedule, float(k), 1.0) for k in ks], n_live)
+        outcomes = oscillatory_batch(
+            lambda g, owner: _pair(schedule, ka[owner, None], omega[owner, None], g),
+            0.0, np.ones(ka.size), rtol=rtol, atol=1e-13 * norms)
+        values = np.empty(ka.size, dtype=complex)
+        terms = []
+        for i, res in enumerate(outcomes):
+            if isinstance(res, QuadratureError):
+                values[i] = amplitude_bound(spec, schedule, ka[i], omega[i], lam)
+                terms.append("bound")
                 continue
-            term = evaluate_channel(spec, schedule, float(k), float(omega_i), lam, rtol=rtol)
-            methods.append(term.method)
-            acc += weight * term.value
-        result.channel_amplitudes[float(k)] = acc
-        result.methods[float(k)] = tuple(methods)
-        total += abs(acc) ** 2
-    result.p_total = total
-    if total > 1.0:
+            values[i] = -1j * lam * res.value
+            terms.append("numeric")
+            result.panels += res.panels
+            result.evaluations += res.evaluations
+            result.levels = max(result.levels, res.levels)
+    amplitudes = values.reshape(ks.size, n_live) @ weights[live]
+    terms = iter(terms)
+    for k, acc in zip(ks.tolist(), amplitudes):
+        result.channel_amplitudes[k] = complex(acc)
+        result.methods[k] = tuple(next(terms) if w else "skipped" for w in live)
+    result.p_total = float(np.sum(np.abs(amplitudes) ** 2))
+    if result.p_total > 1.0:
         result.warnings.append(
-            f"P_total={total:.3g} exceeds 1: first-order response theory has broken down"
+            f"P_total={result.p_total:.3g} exceeds 1: first-order response theory has broken down"
         )
     return result
 

@@ -491,6 +491,7 @@ def _run_total_probability(config: ExperimentConfig, out: Path):
     bath = config.bath()
     rows = []
     warnings_seen = []
+    diagnostics = {}
     for n in config.chain_sizes:
         spec = ChainSpec(n)
         sched = config.schedule_for(n)
@@ -501,6 +502,11 @@ def _run_total_probability(config: ExperimentConfig, out: Path):
         rows.append((n, sched.kind, sched.total_time, res.p_total,
                      methods.count("numeric"), methods.count("bound")))
         warnings_seen += res.warnings
+        diagnostics[str(n)] = {"quadrature_panels": res.panels,
+                               "quadrature_evaluations": res.evaluations,
+                               "quadrature_levels": res.levels,
+                               "numeric_terms": methods.count("numeric"),
+                               "bound_terms": methods.count("bound")}
     files = [write_csv(out / "total_probability.csv",
                        ["n", "schedule", "T", "p_total", "numeric_terms", "bound_terms"],
                        rows)]
@@ -508,7 +514,7 @@ def _run_total_probability(config: ExperimentConfig, out: Path):
     if len(rows) >= 2:
         p = [r[3] for r in rows]
         checks["p_total_increases_with_n"] = bool(all(b > a for a, b in zip(p, p[1:])))
-    return files, checks, {"response_warnings": warnings_seen}
+    return files, checks, {"response_warnings": warnings_seen, "diagnostics": diagnostics}
 
 
 def _run_scaling(config: ExperimentConfig, out: Path):

@@ -15,6 +15,7 @@ from isingsweep.decoherence import (
     scaling_fit,
     total_excitation_probability,
 )
+from isingsweep.quadrature import QuadratureError
 from isingsweep.schedules import GapAdaptedSchedule, LinearSchedule, Schedule
 
 
@@ -231,14 +232,43 @@ def test_total_probability_breakdown_reported():
     assert any("broken down" in w for w in res.warnings)
 
 
-def test_evaluate_channel_records_method(chain8):
-    from isingsweep.decoherence import evaluate_channel
+def test_total_probability_bound_fallback_per_term(monkeypatch):
+    # exactly one (k, omega) term fails its integral: it alone takes the
+    # phase-free bound, and every other term stays numeric
+    spec = ChainSpec(8)
+    sched = LinearSchedule(30.0, spec)
+    bath = BathSpectrum.ohmic(0.5, CouplingConstant(0.01), support_max=1.9)
+    nodes, weights = bath.quadrature()
+    clean = total_excitation_probability(spec, sched, bath)
+    inner = decoherence.oscillatory_batch
 
-    sched = LinearSchedule(30.0, chain8)
-    sa = evaluate_channel(chain8, sched, np.pi / 8, 0.8, 1e-3)
-    assert sa.method == "numeric"
-    assert sa.value == amplitude_numeric(chain8, sched, np.pi / 8, 0.8, 1e-3)
-    assert (sa.k, sa.omega) == (np.pi / 8, 0.8)
+    def one_fails(*args, **kwargs):
+        outcomes = inner(*args, **kwargs)
+        outcomes[5] = QuadratureError("forced")
+        return outcomes
+
+    monkeypatch.setattr(decoherence, "oscillatory_batch", one_fails)
+    res = total_excitation_probability(spec, sched, bath)
+    k0, *others = channel_momenta(spec)
+    assert res.methods[k0] == ("numeric",) * 5 + ("bound",) + ("numeric",) * 27
+    assert all(res.methods[k] == ("numeric",) * 33 for k in others)
+    assert all(res.channel_amplitudes[k] == clean.channel_amplitudes[k] for k in others)
+    numeric = amplitude_numeric(spec, sched, k0, nodes[5], 0.01, rtol=1e-5)
+    bound = amplitude_bound(spec, sched, k0, nodes[5], 0.01)
+    shift = res.channel_amplitudes[k0] - clean.channel_amplitudes[k0]
+    assert shift == pytest.approx(weights[5] * (bound - numeric), rel=1e-9)
+    assert np.isfinite(res.p_total) and res.p_total > clean.p_total
+    assert res.panels < clean.panels and res.evaluations < clean.evaluations
+
+
+def test_total_probability_skips_zero_weight_nodes():
+    # an ohmic density that underflows on every node leaves no term to integrate
+    spec = ChainSpec(8)
+    bath = BathSpectrum.ohmic(1e-6, CouplingConstant(0.01), support_max=1.9)
+    assert not bath.quadrature()[1].any()
+    res = total_excitation_probability(spec, LinearSchedule(30.0, spec), bath)
+    assert res.p_total == 0.0 and res.panels == 0
+    assert all(m == ("skipped",) * 33 for m in res.methods.values())
 
 
 def test_scaling_fit_exact_power_law():

@@ -145,6 +145,29 @@ def test_decoherence_bath_averaged_mode(tmp_path):
     assert "p_total_increases_with_n" in summary["checks"]
 
 
+def test_bath_mode_diagnostics_are_deterministic(tmp_path):
+    # per size: quadrature panels, evaluations and levels and the term
+    # counts, identical across reruns and free of wall times
+    summaries = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        summaries.append(run_experiment(ExperimentConfig.from_dict({
+            "kind": "decoherence", "chain_sizes": [4, 8], "coupling": 1e-2,
+            "total_time": 40.0, "output_dir": str(out),
+        })))
+    diagnostics = summaries[0]["diagnostics"]
+    assert diagnostics == summaries[1]["diagnostics"]
+    assert sorted(diagnostics) == ["4", "8"]
+    for n, d in diagnostics.items():
+        terms = 33 * int(n) // 2
+        assert (d["numeric_terms"], d["bound_terms"]) == (terms, 0)
+        # each amplitude starts as one panel; every split adds one panel
+        # and evaluates two new ones of 33 nodes
+        assert d["quadrature_evaluations"] == 33 * (2 * d["quadrature_panels"] - terms)
+        assert 1 <= d["quadrature_levels"] <= 48
+    saved = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert saved["diagnostics"] == diagnostics
+
+
 def test_default_bath_is_cold():
     # the default ohmic support stays below the initial gap 2, so the
     # bath-averaged command without bath_params runs without the cold-bath warning

@@ -5,15 +5,16 @@ from numpy.polynomial import chebyshev as cheb
 from scipy.integrate import quad
 from scipy.special import fresnel
 
-from isingsweep import quadrature
-from isingsweep.chain import ChainSpec, fundamental_gap
+from isingsweep import decoherence, quadrature
+from isingsweep.chain import ChainSpec, channel_momenta, fundamental_gap
 from isingsweep.quadrature import (
     QuadratureError,
     _panel_setup,
+    oscillatory_batch,
     oscillatory_integral,
     smooth_integral,
 )
-from isingsweep.schedules import _norm_integral
+from isingsweep.schedules import GapAdaptedSchedule, _norm_integral
 
 
 def _pair(amp, dphase):
@@ -125,6 +126,70 @@ def test_nonconvergence_reports_diagnostics():
     with pytest.raises(QuadratureError, match="panel"):
         oscillatory_integral(_pair(amp, lambda x: 400 * np.ones_like(x)), 0.0, 1.0,
                              rtol=0.0, atol=1e-15)
+
+
+def test_batch_matches_solo_calls():
+    # 4 channels x 3 frequencies at n = 8 with upper limits 1.0 and 0.9;
+    # omega = 0.3 lies below the gap of k = pi/8, where the integral
+    # cancels to about 2e-3 of the phase-free bound
+    spec = ChainSpec(8)
+    sched = GapAdaptedSchedule(spec, 80.0, 2)
+    ka = np.repeat(channel_momenta(spec), 3)
+    omega = np.tile([0.3, 0.8, 1.5], 4)
+    upper = np.where(np.arange(ka.size) % 2, 0.9, 1.0)
+    norm = np.array([decoherence._channel_norm(sched, k, u) for k, u in zip(ka, upper)])
+    calls = []
+
+    def pair(g, owner):
+        calls.append((g.copy(), owner.copy()))
+        return decoherence._pair(sched, ka[owner, None], omega[owner, None], g)
+
+    batch = oscillatory_batch(pair, 0.0, upper, rtol=1e-6, atol=1e-13 * norm)
+    solo = [oscillatory_integral(decoherence._integrand(sched, ka[j], omega[j]), 0.0, upper[j],
+                                 rtol=1e-6, atol=1e-13 * norm[j]) for j in range(ka.size)]
+    assert abs(solo[0].value) < 3e-3 * norm[0]
+    for got, ref in zip(batch, solo):
+        assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
+        assert (got.panels, got.evaluations) == (ref.panels, ref.evaluations)
+        assert got.levels == ref.levels
+    assert len(calls) == max(res.levels for res in batch)
+    for g, owner in calls:
+        assert owner.shape == (g.shape[0],) and np.all(np.diff(owner) >= 0)
+        assert np.all(g >= 0.0) and np.all(g <= upper[owner, None] + 1e-15)  # rows stay in range
+    assert sum(g.size for g, _ in calls) == sum(res.evaluations for res in batch)
+
+
+def test_batch_sums_phase_within_each_integral():
+    # a neighbour with a phase of order 1e5 must not cost the other
+    # integral digits: each cumulative phase is summed over its own leaves
+    def pair(x, owner):
+        big = owner[:, None] == 0
+        f = np.where(big, np.cos(50 * x), np.exp(x)) + 0j
+        return f, np.where(big, 1e5 * (1 + x), 300.0 * (x - 0.35))
+
+    batch = oscillatory_batch(pair, 0.0, [1.0, 1.0], rtol=1e-9, atol=[0.0, 0.0])
+    for j, got in enumerate(batch):
+        ref = oscillatory_integral(lambda x: pair(x, np.full(len(x), j)), 0.0, 1.0, rtol=1e-9)
+        assert got.levels > 1 and got.panels == ref.panels
+        assert abs(got.value - ref.value) <= 1e-13 * abs(ref.value)
+
+
+def test_batch_reports_failure_per_integral():
+    # the jump cannot meet atol = 1e-15; its neighbours converge and are returned
+    def pair(x, owner):
+        f = np.where(owner[:, None] == 1, np.where(x > 0.5, 1.0, 0.0), np.cos(x)) + 0j
+        return f, 400.0 * np.ones_like(x)
+
+    out = oscillatory_batch(pair, 0.0, [1.0] * 3, rtol=0.0, atol=[1e-10, 1e-15, 1e-10])
+    with pytest.raises(QuadratureError) as solo:
+        oscillatory_integral(lambda x: pair(x, np.ones(len(x), dtype=int)), 0.0, 1.0,
+                             rtol=0.0, atol=1e-15)
+    assert isinstance(out[1], QuadratureError) and str(out[1]) == str(solo.value)
+    ref = oscillatory_integral(lambda x: pair(x, np.zeros(len(x), dtype=int)), 0.0, 1.0,
+                               rtol=0.0, atol=1e-10)
+    for res in (out[0], out[2]):
+        assert abs(res.value - ref.value) <= 1e-12 * abs(ref.value)
+        assert (res.panels, res.evaluations) == (ref.panels, ref.evaluations)
 
 
 def _clenshaw_curtis_weights(order):
