@@ -8,11 +8,9 @@ path, and dense-diagonalization ground truth for all of it.
 from .chain import (
     ChainSpec,
     CouplingConstant,
-    ModeCoefficients,
     excitation_matrix_element,
     fundamental_gap,
     ground_energy,
-    mode_coefficients,
     momentum_grid,
 )
 from .decoherence import (

@@ -36,7 +36,6 @@ import numpy as np
 
 __all__ = [
     "ChainSpec",
-    "ModeCoefficients",
     "CouplingConstant",
     "momentum_grid",
     "channel_momenta",
@@ -46,7 +45,6 @@ __all__ = [
     "mode_epsilon_dg",
     "pair_element",
     "pair_matrix_element",
-    "mode_coefficients",
     "fundamental_gap",
     "ground_energy",
     "excitation_matrix_element",
@@ -75,15 +73,6 @@ class ChainSpec:
     def smallest_momentum(self) -> float:
         """The lowest positive grid momentum pi/n."""
         return np.pi / self.n
-
-
-@dataclass(frozen=True)
-class ModeCoefficients:
-    """Per-mode coefficients (alpha_k, beta_k) and energy epsilon_k."""
-
-    alpha: float
-    beta: float
-    epsilon: float
 
 
 @dataclass(frozen=True)
@@ -181,16 +170,6 @@ def _check_channel(spec: ChainSpec, k: float) -> float:
     if k <= 0:
         raise ValueError(f"pair channels are labelled by positive k, got k={k}")
     return k
-
-
-def mode_coefficients(spec: ChainSpec, k: float, g: float) -> ModeCoefficients:
-    """Coefficients (alpha, beta) and energy epsilon of grid mode k at sweep value g."""
-    k = _check_on_grid(spec, k)
-    return ModeCoefficients(
-        alpha=float(mode_alpha(k, g)),
-        beta=float(mode_beta(k, g)),
-        epsilon=float(mode_epsilon(k, g)),
-    )
 
 
 def fundamental_gap(spec: ChainSpec, g: float):

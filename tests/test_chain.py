@@ -11,7 +11,6 @@ from isingsweep.chain import (
     ground_energy,
     mode_alpha,
     mode_beta,
-    mode_coefficients,
     mode_epsilon,
     momentum_grid,
     pair_matrix_element,
@@ -61,11 +60,10 @@ def test_coupling_validation():
 def test_mode_coefficients_endpoints():
     spec = ChainSpec(8)
     for k in momentum_grid(spec):
-        assert mode_coefficients(spec, k, 0.0).epsilon == pytest.approx(2.0, abs=1e-15)
-        mc1 = mode_coefficients(spec, k, 1.0)
-        assert mc1.epsilon == pytest.approx(2.0, abs=1e-14)
-        assert mc1.alpha == pytest.approx(2 - 4 * np.cos(k / 2) ** 2)
-        assert mc1.beta == pytest.approx(2 * np.sin(k))
+        assert mode_epsilon(k, 0.0) == pytest.approx(2.0, abs=1e-15)
+        assert mode_epsilon(k, 1.0) == pytest.approx(2.0, abs=1e-14)
+        assert mode_alpha(k, 1.0) == pytest.approx(2 - 4 * np.cos(k / 2) ** 2)
+        assert mode_beta(k, 1.0) == pytest.approx(2 * np.sin(k))
 
 
 def test_epsilon_minimum_value():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
+from isingsweep import dynamics
 from isingsweep.chain import ChainSpec, channel_momenta, mode_alpha, mode_epsilon, momentum_grid
 from isingsweep.dynamics import (
     BogoliubovState,
     _integrate_pairs,
+    _solve,
     adiabatic_overlap,
     adiabatic_phase,
     adiabatic_solution,
@@ -20,7 +22,13 @@ from isingsweep.oracle import (
     spectrum,
     uniform_hamiltonian,
 )
-from isingsweep.schedules import GapAdaptedSchedule, LinearSchedule, Schedule
+from isingsweep.schedules import (
+    GapAdaptedSchedule,
+    LinearSchedule,
+    Schedule,
+    make_schedule,
+    runtime_for_adiabaticity,
+)
 
 
 class FrozenSchedule(Schedule):
@@ -38,6 +46,18 @@ class FrozenSchedule(Schedule):
 
     def velocity_of_g(self, g):
         return 0.0
+
+
+class NaNAfterSchedule(LinearSchedule):
+    """Linear sweep whose g(t) turns NaN past t_bad, as a broken schedule would."""
+
+    def __init__(self, total_time, t_bad):
+        super().__init__(total_time)
+        self.t_bad = t_bad
+
+    def g_of_t(self, t):
+        g = np.asarray(super().g_of_t(t), dtype=float)
+        return np.where(np.asarray(t) > self.t_bad, np.nan, g)
 
 
 def test_initial_condition_is_polarized_ground_state():
@@ -100,7 +120,7 @@ def test_frozen_field_mode_decouples():
     sched = FrozenSchedule(0.0, 5.0)
     ka = np.pi / 4
     t_grid = np.linspace(0.0, 5.0, 11)
-    u, v = _integrate_pairs(sched, [ka], t_grid, rtol=1e-11)
+    u, v, _, _ = _integrate_pairs(sched, [ka], t_grid, rtol=1e-11)
     expected = np.exp(1j * mode_alpha(ka, 0.0) * t_grid)
     np.testing.assert_allclose(u[0], expected, atol=1e-9)
     np.testing.assert_allclose(v[0], 0.0, atol=1e-12)
@@ -150,7 +170,7 @@ def test_negative_momentum_gives_same_probability():
     sched = LinearSchedule(15.0, spec)
     t_grid = np.linspace(0.0, 15.0, 4)
     k = channel_momenta(spec)[0]
-    u, v = _integrate_pairs(sched, [k, -k], t_grid, rtol=1e-11)
+    u, v, _, _ = _integrate_pairs(sched, [k, -k], t_grid, rtol=1e-11)
     ug, vg = instantaneous_pair(k, 1.0)
     p_pos = abs(ug * v[0, -1] - vg * u[0, -1]) ** 2
     ugm, vgm = instantaneous_pair(-k, 1.0)
@@ -200,3 +220,82 @@ def test_adiabatic_overlap_near_unity():
     traj = integrate_modes(spec, sched, np.linspace(0.0, T, 5), rtol=1e-11)
     ov = adiabatic_overlap(sched, traj.final_state())
     assert np.all(ov >= 1 - 1e-3)
+
+
+def test_magnus_step_is_sixth_order():
+    # halving the step cuts the error 64-fold; a wrong commutator
+    # coefficient leaves a second-order method (4-fold)
+    spec = ChainSpec(6)
+    sched = LinearSchedule(20.0, spec)
+    ka = channel_momenta(spec)
+    t_grid = np.linspace(0.0, 20.0, 5)
+    u_ref, v_ref = _solve(sched, ka, t_grid, 1024)
+    err = [max(np.abs(u - u_ref).max(), np.abs(v - v_ref).max())
+           for u, v in (_solve(sched, ka, t_grid, m) for m in (16, 32))]
+    assert 50.0 < err[0] / err[1] < 80.0, err
+
+
+def _dop853_reference(g_of_t, ka, t_grid):
+    """The same mode equations by DOP853 at rtol 1e-12, coefficients written out here."""
+    c2, s1 = np.cos(ka / 2.0) ** 2, np.sin(ka)
+
+    def rhs(t, y):
+        g = float(g_of_t(t))
+        a, b = 2.0 - 4.0 * g * c2, 2.0 * g * s1
+        u, v = y[:len(ka)], y[len(ka):]
+        return np.concatenate([1j * (a * u - b * v), -1j * (a * v + b * u)])
+
+    sol = solve_ivp(rhs, (0.0, float(t_grid[-1])), np.repeat([1.0 + 0.0j, 0.0j], len(ka)),
+                    method="DOP853", rtol=1e-12, atol=1e-14, t_eval=t_grid)
+    assert sol.success
+    return sol.y[:len(ka)], sol.y[len(ka):]
+
+
+@pytest.mark.parametrize("n, kind, eps_adiab, points, coarser", [
+    (16, "gap-adapted-2", 0.25, 401, None),  # the dynamics benchmark's n = 16 solve
+    (4, "linear", 1e-3, 5, 8),               # criterion 8's long linear sweep
+])
+def test_magnus_matches_independent_dop853(n, kind, eps_adiab, points, coarser):
+    rtol = 1e-10
+    spec = ChainSpec(n)
+    sched = make_schedule(kind, runtime_for_adiabaticity(kind, n, eps_adiab), spec)
+    t_grid = np.linspace(0.0, sched.total_time, points)
+    traj = integrate_modes(spec, sched, t_grid, rtol=rtol)
+    T = sched.total_time
+    u_ref, v_ref = _dop853_reference((lambda t: t / T) if kind == "linear" else sched.g_of_t,
+                                     traj.k, t_grid)
+    err = max(np.abs(traj.u - u_ref).max(), np.abs(traj.v - v_ref).max())
+    assert err <= 10 * rtol
+    assert traj.max_norm_drift <= 1e-13
+    assert traj.doubling_delta <= rtol
+    if coarser:
+        # the comparison tells a too-coarse discretization apart
+        u, v = _solve(sched, traj.k, t_grid, traj.magnus_steps // coarser)
+        assert max(np.abs(u - u_ref).max(), np.abs(v - v_ref).max()) > 10 * rtol
+
+
+@pytest.mark.parametrize("t_grid, match", [
+    ([0.0], "at least 2"),
+    ([0.0, 2.0, 1.0, 3.0], "strictly increasing"),
+    ([0.0, 1.0, 1.0, 3.0], "strictly increasing"),
+    ([0.0, 5.0, 10.5], "past"),
+])
+def test_t_grid_rejected(t_grid, match):
+    spec = ChainSpec(4)
+    with pytest.raises(ValueError, match=f"t_grid.*{match}"):
+        integrate_modes(spec, LinearSchedule(10.0, spec), t_grid)
+
+
+def test_nan_schedule_fails_at_once():
+    # doubling cannot mend a NaN: the first doubling fails, naming the interval
+    spec = ChainSpec(4)
+    t_grid = np.linspace(0.0, 10.0, 11)
+    with pytest.raises(RuntimeError, match=r"\[6, 7\]: a non-finite value.* at 2 steps"):
+        integrate_modes(spec, NaNAfterSchedule(10.0, t_bad=6.5), t_grid)
+
+
+def test_step_cap_fails_with_last_delta(monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 8)
+    spec = ChainSpec(4)
+    with pytest.raises(RuntimeError, match=r"no agreement within 8 Magnus steps.* = [0-9.e-]+ at 4 steps"):
+        integrate_modes(spec, LinearSchedule(20.0, spec), np.linspace(0.0, 20.0, 3), rtol=1e-12)

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isingsweep.chain import ChainSpec
 from isingsweep.cli import main
+from isingsweep.dynamics import integrate_modes
 from isingsweep.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -73,6 +75,16 @@ def test_byte_identical_reruns(tmp_path):
         (out2 / "fig1_excitation_spectrum.csv").read_bytes()
     hashes = [json.loads((out / "summary.json").read_text())["inputs_hash"] for out in (out1, out2)]
     assert hashes[0] == hashes[1]
+    diagnostics = []
+    for out in (out1, out2):
+        summary = run_experiment(ExperimentConfig.from_dict({
+            "kind": "dynamics", "chain_sizes": [4], "total_time": 5.0, "time_points": 3,
+            "output_dir": str(out / "dyn"),
+        }))
+        diagnostics.append(json.dumps(summary["diagnostics"]))
+    assert diagnostics[0] == diagnostics[1]
+    assert (out1 / "dyn" / "dynamics_n4.csv").read_bytes() == \
+        (out2 / "dyn" / "dynamics_n4.csv").read_bytes()
 
 
 def test_fig1_comes_from_this_run(tmp_path):
@@ -91,14 +103,38 @@ def test_fig1_comes_from_this_run(tmp_path):
 
 
 def test_dynamics_experiment_csv(tmp_path):
-    summary = run_experiment(ExperimentConfig.from_dict({
+    config = ExperimentConfig.from_dict({
         "kind": "dynamics", "chain_sizes": [4], "total_time": 5.0, "time_points": 3,
         "output_dir": str(tmp_path),
-    }))
+    })
+    summary = run_experiment(config)
     assert summary["all_checks_pass"]
-    rows = (tmp_path / "dynamics_n4.csv").read_text().strip().splitlines()
+    path = tmp_path / "dynamics_n4.csv"
+    rows = path.read_text().strip().splitlines()
     assert rows[0] == "t,g,k,re_u,im_u,re_v,im_v,p_k"
     assert len(rows) == 1 + 3 * 2  # header + times * positive modes
+
+    # the values are the trajectory's, time-major, and read back exactly
+    spec = ChainSpec(4)
+    sched = config.schedule_for(4)
+    traj = integrate_modes(spec, sched, np.linspace(0.0, 5.0, 3), rtol=config.ode_rtol)
+    got = np.array([[float(x) for x in r.split(",")] for r in rows[1:]]).reshape(3, 2, 8)
+    for ti in range(3):
+        for ki in range(2):
+            u, v = traj.u[ki, ti], traj.v[ki, ti]
+            assert got[ti, ki].tolist() == [traj.t[ti], traj.g[ti], traj.k[ki], u.real, u.imag,
+                                            v.real, v.imag, traj.p[ki, ti]]
+    # the array path writes the bytes the per-value path writes
+    written = path.read_bytes()
+    write_csv(path, rows[0].split(","), [tuple(row) for row in got.reshape(-1, 8).tolist()])
+    assert path.read_bytes() == written
+
+    diag = summary["diagnostics"]["4"]
+    assert diag == {"magnus_steps": traj.magnus_steps, "doublings": diag["doublings"],
+                    "doubling_delta": traj.doubling_delta,
+                    "max_norm_drift": traj.max_norm_drift}
+    assert traj.magnus_steps == 2 ** diag["doublings"]
+    assert traj.doubling_delta <= config.ode_rtol
 
 
 def test_oracle_check_experiment(tmp_path):
