@@ -11,26 +11,25 @@ sweep variable g, where the phase derivative has the closed form
 (-omega + 2 epsilon_k(g)) / (dg/dt)(g); this makes the cost independent
 of the run time T and uniform across schedules.
 
-Provided evaluations: the numeric integral (one call of the
-level-wise oscillatory quadrature per amplitude, to a relative budget;
-the bath-averaged total makes one batched call per chain size over
-every (channel, frequency) amplitude),
-the two-saddle stationary-phase approximation with a validity flag, the
-rigorous phase-free upper bound lam * int |M| dt, and the sub-gap
-exponential suppression estimate.  The bound's omega-independent norm
-int |M_k / (dg/dt)| dg is computed once per (schedule, channel) and
-shared by every frequency; 1e-13 of it is the numeric integral's
-absolute floor, which keeps amplitudes that cancel to nearly nothing
-from chasing an unreachable relative budget.  On top of these sit the
-bath-averaged total excitation probability and the log-log scaling fit
-used for exponent checks.
+Provided evaluations: the numeric integral, the two-saddle
+stationary-phase approximation with a validity flag, the rigorous
+phase-free upper bound lam * int |M| dt, and the sub-gap exponential
+suppression estimate.  Every numeric amplitude, a solo call as much as
+the (channel, frequency) grid of the bath-averaged total, goes through
+one routine: it computes the omega-independent norm
+int |M_k / (dg/dt)| dg once per channel of the call and integrates all
+amplitudes of the call in one batched quadrature call, each to a
+relative budget floored at 1e-13 of its channel norm, which keeps
+amplitudes that cancel to nearly nothing from chasing an unreachable
+relative budget.  On top of these sit the bath-averaged total
+excitation probability and the log-log scaling fit used for exponent
+checks.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -46,7 +45,7 @@ from .chain import (
     pair_element,
     pair_matrix_element,
 )
-from .quadrature import QuadratureError, oscillatory_batch, oscillatory_integral, smooth_integral
+from .quadrature import QuadratureError, oscillatory_batch, smooth_integral
 from .schedules import LinearSchedule, Schedule
 
 __all__ = [
@@ -163,64 +162,54 @@ def _pair(schedule, ka, omega, g):
     return pair_element(ka, g, eps) / vel, (-omega + 2.0 * eps) / vel
 
 
-def _integrand(schedule, ka, omega):
-    """The pair of one amplitude as a function of the node array alone."""
-    return lambda g: _pair(schedule, ka, omega, g)
-
-
-def _frozen(schedule, g_upper) -> bool:
-    """Whether the sweep never moves on [0, g_upper]."""
-    return float(np.max(np.abs(schedule.velocity_of_g(np.linspace(0.0, g_upper, 257))))) == 0.0
-
-
-def _frozen_amplitude(schedule, ka, omega, lam):
-    """Amplitude of a frozen sweep: constant matrix element and phase rate.
-
-    Takes scalars or arrays of equal shape for ``ka`` and ``omega``.
-    """
-    g0 = float(schedule.g_of_t(0.0))
-    m0 = pair_matrix_element(ka, g0)
-    rate = -omega + 2.0 * mode_epsilon(ka, g0)
-    T = schedule.total_time
-    resonant = rate == 0.0
-    # (exp(i rate T) - 1) / (i rate), whose limit at rate = 0 is T
-    ramp = np.where(resonant, T, np.exp(1j * rate * T) - 1.0)
-    return -1j * lam * m0 * ramp / np.where(resonant, 1.0, 1j * rate)
-
-
-@lru_cache(maxsize=64)
 def _channel_norm(schedule, ka, g_upper):
-    """int_0^g_upper |M_k / (dg/dt)| dg, the same for every frequency.
+    """int_0^g_upper |M_k / (dg/dt)| dg, the same for every frequency."""
+    return smooth_integral(lambda g: np.abs(_pair(schedule, ka, 0.0, g)[0]), 0.0, g_upper,
+                           rtol=1e-11, points=(0.5,))
 
-    Cached per (schedule, ka, g_upper): schedules hash by identity and
-    are not mutated after construction.
+
+def _integrals(schedule, ka, omega, rtol, g_upper=1.0):
+    """Channel norms and quadrature outcomes of the amplitude integrals (ka[i], omega[i]).
+
+    ``ka`` and ``omega`` are flat arrays of equal size.  The norm of each
+    distinct channel is computed once; all integrals run in one
+    :func:`oscillatory_batch` call, each good to ``rtol`` relative,
+    floored at 1e-13 of its channel norm.  The outcomes are those of
+    the batch: a result, or the :class:`QuadratureError` of that
+    integral.
     """
-    pair = _integrand(schedule, ka, 0.0)
-    return smooth_integral(lambda g: np.abs(pair(g)[0]), 0.0, g_upper, rtol=1e-11,
-                           points=(0.5,))
+    norm = {k: _channel_norm(schedule, k, g_upper) for k in set(ka.tolist())}
+    norms = np.array([norm[k] for k in ka.tolist()], dtype=float)
+    outcomes = oscillatory_batch(
+        lambda g, owner: _pair(schedule, ka[owner, None], omega[owner, None], g),
+        0.0, np.full(ka.size, g_upper), rtol=rtol, atol=1e-13 * norms)
+    return norms, outcomes
 
 
-def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
-                      lam: float, rtol: float = 1e-6, g_upper: float = 1.0) -> complex:
+def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k, omega,
+                      lam: float, rtol: float = 1e-6, g_upper: float = 1.0):
     """Numeric excitation amplitude of channel (k, -k) at frequency omega.
 
-    Exactly linear in lam.  ``g_upper`` < 1 evaluates the partial sweep
-    up to g(t) = g_upper, which is what the composite-bath oracle
-    compares against (the full sweep ends in a degenerate manifold
-    where per-channel projections are ill-defined).  The integral is
-    good to ``rtol`` relative, floored at 1e-13 of the channel norm.
+    Exactly linear in lam.  ``k`` and ``omega`` broadcast against each
+    other; scalars give a complex number, arrays a complex array of
+    their broadcast shape, all amplitudes integrated together.
+    ``g_upper`` < 1 evaluates the partial sweep up to g(t) = g_upper,
+    which is what the composite-bath oracle compares against (the full
+    sweep ends in a degenerate manifold where per-channel projections
+    are ill-defined).  Each integral is good to ``rtol`` relative,
+    floored at 1e-13 of the channel norm; the first one that fails
+    raises its :class:`QuadratureError`.
     """
-    ka = _check_channel(spec, k)
     if not 0.0 < g_upper <= 1.0:
         raise ValueError(f"g_upper must be in (0, 1], got {g_upper}")
-    if _frozen(schedule, g_upper):
-        return complex(_frozen_amplitude(schedule, ka, omega, lam))
-    ref = _channel_norm(schedule, ka, g_upper)
-    if ref == 0.0:
-        return 0.0j
-    res = oscillatory_integral(_integrand(schedule, ka, omega), 0.0, g_upper,
-                               rtol=rtol, atol=1e-13 * ref)
-    return -1j * lam * res.value
+    k, omega = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(omega, dtype=float))
+    ka = np.array([_check_channel(spec, x) for x in k.ravel().tolist()])
+    _, outcomes = _integrals(schedule, ka, omega.ravel(), rtol, g_upper)
+    for res in outcomes:
+        if isinstance(res, QuadratureError):
+            raise res
+    values = np.array([-1j * lam * res.value for res in outcomes], dtype=complex)
+    return values.reshape(k.shape) if k.ndim else complex(values[0])
 
 
 def saddle_points(spec: ChainSpec, k: float, omega: float) -> tuple[float, float]:
@@ -249,8 +238,9 @@ def saddle_points(spec: ChainSpec, k: float, omega: float) -> tuple[float, float
 def accumulated_phase(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
                       g: float) -> float:
     """Phase -omega t(g) + int_0^t 2 epsilon dt' evaluated at sweep value g."""
-    pair = _integrand(schedule, _check_channel(spec, k), omega)
-    return smooth_integral(lambda gs: pair(gs)[1], 0.0, g, rtol=1e-13, atol=1e-9, points=(0.5,))
+    ka = _check_channel(spec, k)
+    return smooth_integral(lambda gs: _pair(schedule, ka, omega, gs)[1], 0.0, g,
+                           rtol=1e-13, atol=1e-9, points=(0.5,))
 
 
 def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
@@ -299,16 +289,9 @@ def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega:
     )
 
 
-def amplitude_bound(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
-                    lam: float) -> float:
-    """Rigorous bound lam * int_0^T |M_k(t)| dt (all phases dropped).
-
-    Independent of omega; ``omega`` is accepted so that the regime
-    tables can treat all four evaluations uniformly.
-    """
-    ka = _check_channel(spec, k)
-    del omega
-    return float(lam * _channel_norm(schedule, ka, 1.0))
+def amplitude_bound(spec: ChainSpec, schedule: Schedule, k: float, lam: float) -> float:
+    """Rigorous bound lam * int_0^T |M_k(t)| dt, for every frequency (all phases dropped)."""
+    return float(lam * _channel_norm(schedule, _check_channel(spec, k), 1.0))
 
 
 def amplitude_suppressed_estimate(spec: ChainSpec, schedule: Schedule, k: float,
@@ -364,26 +347,19 @@ def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: Bath
     ka = np.repeat(ks, n_live)
     omega = np.tile(nodes[live], ks.size)
     result = TotalExcitationResult(p_total=0.0)
-    if _frozen(schedule, 1.0):
-        values = _frozen_amplitude(schedule, ka, omega, lam)
-        terms = ["numeric"] * ka.size
-    else:
-        norms = np.repeat([_channel_norm(schedule, float(k), 1.0) for k in ks], n_live)
-        outcomes = oscillatory_batch(
-            lambda g, owner: _pair(schedule, ka[owner, None], omega[owner, None], g),
-            0.0, np.ones(ka.size), rtol=rtol, atol=1e-13 * norms)
-        values = np.empty(ka.size, dtype=complex)
-        terms = []
-        for i, res in enumerate(outcomes):
-            if isinstance(res, QuadratureError):
-                values[i] = amplitude_bound(spec, schedule, ka[i], omega[i], lam)
-                terms.append("bound")
-                continue
-            values[i] = -1j * lam * res.value
-            terms.append("numeric")
-            result.panels += res.panels
-            result.evaluations += res.evaluations
-            result.levels = max(result.levels, res.levels)
+    norms, outcomes = _integrals(schedule, ka, omega, rtol)
+    values = np.empty(ka.size, dtype=complex)
+    terms = []
+    for i, res in enumerate(outcomes):
+        if isinstance(res, QuadratureError):
+            values[i] = lam * norms[i]
+            terms.append("bound")
+            continue
+        values[i] = -1j * lam * res.value
+        terms.append("numeric")
+        result.panels += res.panels
+        result.evaluations += res.evaluations
+        result.levels = max(result.levels, res.levels)
     amplitudes = values.reshape(ks.size, n_live) @ weights[live]
     terms = iter(terms)
     for k, acc in zip(ks.tolist(), amplitudes):

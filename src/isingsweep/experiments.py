@@ -329,7 +329,7 @@ def _t1_point(cell, sweep, value, lam, eps_adiab, rtol):
     k = _resonant_mode(spec, omega)
     T = runtime_for_adiabaticity(kind, n, eps_adiab)
     sched = make_schedule(kind, T, spec)
-    raw = amplitude_bound(spec, sched, k, omega, lam)
+    raw = amplitude_bound(spec, sched, k, lam)
     om_eff = 2.0 * k
     if cell["name"] == "linear-bound":
         div = (om_eff if sweep == "n" else 1.0) * math.log(8.0 / om_eff)
@@ -443,29 +443,30 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
     lam = config.coupling
     bound_ok = True
     saddle_ok = True
+    omegas = np.array(config.omega_grid, dtype=float)
     for n in config.chain_sizes:
         spec = ChainSpec(n)
         sched = config.schedule_for(n)
         T = sched.total_time
-        for k in channel_momenta(spec)[: config.k_modes]:
-            for omega in config.omega_grid:
-                a_num = amplitude_numeric(spec, sched, float(k), float(omega), lam,
-                                          rtol=config.amplitude_rtol)
-                b = amplitude_bound(spec, sched, float(k), float(omega), lam)
+        ks = channel_momenta(spec)[: config.k_modes]
+        a_grid = amplitude_numeric(spec, sched, ks[:, None], omegas, lam,
+                                   rtol=config.amplitude_rtol)
+        for k, a_row in zip(ks.tolist(), a_grid.tolist()):
+            b = amplitude_bound(spec, sched, k, lam)
+            for omega, a_num in zip(omegas.tolist(), a_row):
                 bound_ok &= abs(a_num) <= b * (1.0 + 1e-9)
-                rows.append((n, sched.kind, T, float(k), float(omega), "numeric",
+                rows.append((n, sched.kind, T, k, omega, "numeric",
                              a_num.real, a_num.imag, abs(a_num), ""))
-                rows.append((n, sched.kind, T, float(k), float(omega), "bound",
-                             b, 0.0, b, ""))
+                rows.append((n, sched.kind, T, k, omega, "bound", b, 0.0, b, ""))
                 if omega > 2.0 * k:
-                    sp = amplitude_saddle_point(spec, sched, float(k), float(omega), lam)
-                    rows.append((n, sched.kind, T, float(k), float(omega), "saddle-point",
+                    sp = amplitude_saddle_point(spec, sched, k, omega, lam)
+                    rows.append((n, sched.kind, T, k, omega, "saddle-point",
                                  sp.value.real, sp.value.imag, abs(sp.value), str(sp.valid)))
                     if sp.valid and abs(a_num) > 0:
                         saddle_ok &= 0.8 <= abs(sp.value) / abs(a_num) <= 1.25
                 elif omega < 2.0 * k and sched.kind == "linear":
-                    est = amplitude_suppressed_estimate(spec, sched, float(k), float(omega), lam)
-                    rows.append((n, sched.kind, T, float(k), float(omega), "suppressed",
+                    est = amplitude_suppressed_estimate(spec, sched, k, omega, lam)
+                    rows.append((n, sched.kind, T, k, omega, "suppressed",
                                  est, 0.0, est, ""))
     files.append(write_csv(
         out / "amplitudes.csv",

@@ -52,6 +52,13 @@ def _gap_sin_cos(spec: ChainSpec) -> tuple[float, float]:
     return float(np.sin(half)), float(np.cos(half))
 
 
+def _check_total_time(total_time) -> float:
+    """``total_time`` as a float, if it is positive and finite."""
+    if not 0.0 < total_time < np.inf:
+        raise ValueError(f"total_time must be positive and finite, got {total_time}")
+    return float(total_time)
+
+
 def _norm_integral(spec: ChainSpec, power: int) -> float:
     """J_p = int_0^1 DeltaE^-p dg in closed form (I_p at x = -1)."""
     s, c = _gap_sin_cos(spec)
@@ -65,7 +72,6 @@ class Schedule:
 
     kind: str
     total_time: float
-    spec: ChainSpec | None
 
     def g_of_t(self, t):
         raise NotImplementedError
@@ -87,11 +93,8 @@ class LinearSchedule(Schedule):
 
     kind = "linear"
 
-    def __init__(self, total_time: float, spec: ChainSpec | None = None):
-        if not total_time > 0:
-            raise ValueError(f"total_time must be positive, got {total_time}")
-        self.total_time = float(total_time)
-        self.spec = spec
+    def __init__(self, total_time: float):
+        self.total_time = _check_total_time(total_time)
 
     def g_of_t(self, t):
         return self._check_time(t) / self.total_time
@@ -114,11 +117,9 @@ class GapAdaptedSchedule(Schedule):
     def __init__(self, spec: ChainSpec, total_time: float, power: int):
         if power not in (1, 2):
             raise ValueError(f"power must be 1 or 2, got {power}")
-        if not total_time > 0:
-            raise ValueError(f"total_time must be positive, got {total_time}")
         self.kind = f"gap-adapted-{power}"
         self.spec = spec
-        self.total_time = float(total_time)
+        self.total_time = _check_total_time(total_time)
         self.power = power
         self.rate_constant = _norm_integral(spec, power) / self.total_time
         s, c = _gap_sin_cos(spec)
@@ -138,7 +139,7 @@ class GapAdaptedSchedule(Schedule):
 def make_schedule(kind: str, total_time: float, spec: ChainSpec | None = None) -> Schedule:
     """Build a homogeneous schedule by kind name."""
     if kind == "linear":
-        return LinearSchedule(total_time, spec)
+        return LinearSchedule(total_time)
     if kind in ("gap-adapted-1", "gap-adapted-2"):
         if spec is None:
             raise ValueError(f"{kind} needs a ChainSpec for the fundamental gap")
@@ -191,10 +192,8 @@ class StepWiseSweep:
     def __init__(self, n: int, total_time: float):
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
-        if not total_time > 0:
-            raise ValueError(f"total_time must be positive, got {total_time}")
         self.n = int(n)
-        self.total_time = float(total_time)
+        self.total_time = _check_total_time(total_time)
         self.n_steps = self.n - 1
 
     def path_at(self, t: float) -> StepWisePath:

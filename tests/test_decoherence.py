@@ -15,7 +15,7 @@ from isingsweep.decoherence import (
     scaling_fit,
     total_excitation_probability,
 )
-from isingsweep.quadrature import QuadratureError
+from isingsweep.quadrature import QuadratureError, oscillatory_integral
 from isingsweep.schedules import GapAdaptedSchedule, LinearSchedule, Schedule
 
 
@@ -25,7 +25,7 @@ def chain8():
 
 
 def test_linearity_in_coupling(chain8):
-    sched = LinearSchedule(60.0, chain8)
+    sched = LinearSchedule(60.0)
     a1 = amplitude_numeric(chain8, sched, np.pi / 8, 0.8, 1e-3)
     a2 = amplitude_numeric(chain8, sched, np.pi / 8, 0.8, 2e-3)
     assert a2 == 2 * a1  # exactly linear
@@ -33,14 +33,13 @@ def test_linearity_in_coupling(chain8):
 
 
 class FrozenSchedule(Schedule):
-    """g pinned at a constant; exercises the degenerate-sweep path."""
+    """g pinned at a constant: a sweep that never moves."""
 
     kind = "frozen"
 
     def __init__(self, g0, total_time):
         self.g0 = g0
         self.total_time = total_time
-        self.spec = None
 
     def g_of_t(self, t):
         return self.g0 * np.ones_like(np.asarray(t, float)) if np.ndim(t) else self.g0
@@ -49,21 +48,37 @@ class FrozenSchedule(Schedule):
         return np.zeros_like(np.asarray(g, float)) if np.ndim(g) else 0.0
 
 
-def test_frozen_sweep_closed_forms(chain8):
-    k = np.pi / 8
-    # frozen at g = 0: matrix element vanishes identically
-    assert amplitude_numeric(chain8, FrozenSchedule(0.0, 25.0), k, 0.8, 1e-3) == 0
-    # frozen mid-sweep: constant-integrand closed form
-    g0, omega, T = 0.4, 0.8, 25.0
-    a = amplitude_numeric(chain8, FrozenSchedule(g0, T), k, omega, 1e-3)
-    m0 = 4j * g0 * np.sin(k) / mode_epsilon(k, g0)
-    rate = -omega + 2 * mode_epsilon(k, g0)
-    exact = -1j * 1e-3 * m0 * (np.exp(1j * rate * T) - 1) / (1j * rate)
-    assert a == pytest.approx(exact, abs=1e-15)
+def test_zero_velocity_schedule_fails_quadrature(chain8):
+    # dg/dt = 0 puts every node of the integral in the sweep variable at
+    # infinity; the quadrature gives up instead of returning a number
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(QuadratureError):
+        amplitude_numeric(chain8, FrozenSchedule(0.4, 25.0), np.pi / 8, 0.8, 1e-3)
+
+
+def test_array_amplitudes_match_scalar_calls(chain8, monkeypatch):
+    # 4 channels x 3 frequencies, including the sub-gap omega = 0.3 of
+    # k = pi/8: one batched call, every value that of its scalar call
+    sched = GapAdaptedSchedule(chain8, 80.0, 2)
+    ks = channel_momenta(chain8)
+    omegas = np.array([0.3, 0.8, 1.5])
+    scalar = [[amplitude_numeric(chain8, sched, k, w, 1e-3) for w in omegas] for k in ks]
+    calls = []
+    inner = decoherence.oscillatory_batch
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
+    grid = amplitude_numeric(chain8, sched, ks[:, None], omegas, 1e-3)
+    assert calls == [12]
+    assert grid.shape == (4, 3) and grid.dtype == complex
+    assert all(isinstance(a, complex) for row in scalar for a in row)
+    assert np.all(np.abs(grid - scalar) <= 1e-12 * np.abs(scalar))
 
 
 def test_amplitude_requires_positive_grid_momentum(chain8):
-    sched = LinearSchedule(10.0, chain8)
+    sched = LinearSchedule(10.0)
     with pytest.raises(ValueError, match="positive"):
         amplitude_numeric(chain8, sched, -np.pi / 8, 0.5, 1e-3)
     with pytest.raises(ValueError, match="grid"):
@@ -77,9 +92,9 @@ def test_bound_dominates_numeric_random_tuples(chain8):
         k = float(rng.choice(kpos))
         omega = float(rng.uniform(-0.5, 3.0))
         T = float(rng.uniform(5.0, 150.0))
-        sched = LinearSchedule(T, chain8)
+        sched = LinearSchedule(T)
         a = abs(amplitude_numeric(chain8, sched, k, omega, 1e-3))
-        b = amplitude_bound(chain8, sched, k, omega, 1e-3)
+        b = amplitude_bound(chain8, sched, k, 1e-3)
         assert a <= b * (1 + 1e-9)
 
 
@@ -96,7 +111,7 @@ def test_saddle_points_exact_root_vs_small_frequency_expansion(chain8):
 
 
 def test_saddle_point_requires_supercritical_frequency(chain8):
-    sched = LinearSchedule(50.0, chain8)
+    sched = LinearSchedule(50.0)
     with pytest.raises(ValueError, match="omega"):
         amplitude_saddle_point(chain8, sched, np.pi / 8, 0.5, 1e-3)  # < 2|ka|
     with pytest.raises(ValueError, match="gap"):
@@ -104,7 +119,7 @@ def test_saddle_point_requires_supercritical_frequency(chain8):
 
 
 def test_saddle_boundary_flagged_invalid(chain8):
-    sched = LinearSchedule(50.0, chain8)
+    sched = LinearSchedule(50.0)
     sp = amplitude_saddle_point(chain8, sched, np.pi / 8, 4.0, 1e-3)
     assert not sp.valid
     assert sp.g_minus == 0.0 and sp.g_plus == 1.0
@@ -113,7 +128,7 @@ def test_saddle_boundary_flagged_invalid(chain8):
 def test_saddle_matches_numeric_when_valid():
     spec = ChainSpec(32)
     T = 900.0
-    sched = LinearSchedule(T, spec)
+    sched = LinearSchedule(T)
     k = np.pi / 32
     for omega in (0.6, 1.0, 1.5):
         sp = amplitude_saddle_point(spec, sched, k, omega, 1e-3)
@@ -132,7 +147,7 @@ def test_saddle_self_consistency_over_sizes():
         spec = ChainSpec(n)
         k = np.pi / n
         T = 0.4 * n**2
-        sched = LinearSchedule(T, spec)
+        sched = LinearSchedule(T)
         sp = amplitude_saddle_point(spec, sched, k, omega, lam)
         if not sp.valid:
             continue
@@ -144,28 +159,28 @@ def test_saddle_self_consistency_over_sizes():
 
 def test_suppressed_estimate_properties(chain8):
     k = np.pi / 8
-    e1 = amplitude_suppressed_estimate(chain8, LinearSchedule(40.0, chain8), k, 0.1, 1e-3)
-    e2 = amplitude_suppressed_estimate(chain8, LinearSchedule(80.0, chain8), k, 0.1, 1e-3)
+    e1 = amplitude_suppressed_estimate(chain8, LinearSchedule(40.0), k, 0.1, 1e-3)
+    e2 = amplitude_suppressed_estimate(chain8, LinearSchedule(80.0), k, 0.1, 1e-3)
     assert np.log(e1) - np.log(e2) == pytest.approx(40.0 * k**2 / 2, rel=1e-12)
     with pytest.raises(ValueError, match="sub-gap"):
-        amplitude_suppressed_estimate(chain8, LinearSchedule(40.0, chain8), k, 2.0, 1e-3)
+        amplitude_suppressed_estimate(chain8, LinearSchedule(40.0), k, 2.0, 1e-3)
     with pytest.raises(NotImplementedError, match="not derived"):
         amplitude_suppressed_estimate(
             chain8, GapAdaptedSchedule(chain8, 40.0, 1), k, 0.1, 1e-3)
 
 
 def test_negative_frequency_strongly_suppressed(chain8):
-    sched = LinearSchedule(120.0, chain8)
+    sched = LinearSchedule(120.0)
     k = np.pi / 8
     a_neg = abs(amplitude_numeric(chain8, sched, k, -0.3, 1e-3))
-    bound = amplitude_bound(chain8, sched, k, 0.3, 1e-3)
+    bound = amplitude_bound(chain8, sched, k, 1e-3)
     assert a_neg * 10 <= bound
 
 
 def test_accumulated_phase_consistency(chain8):
     # d(phase)/dg integrates the closed form: cross-check against a
     # two-piece split of the interval
-    sched = LinearSchedule(37.0, chain8)
+    sched = LinearSchedule(37.0)
     k, omega = np.pi / 8, 0.9
     full = accumulated_phase(chain8, sched, k, omega, 1.0)
     split = (accumulated_phase(chain8, sched, k, omega, 0.4)
@@ -197,7 +212,7 @@ def test_bath_spectrum_families():
 
 def test_total_probability_quadratic_in_coupling():
     spec = ChainSpec(8)
-    sched = LinearSchedule(30.0, spec)
+    sched = LinearSchedule(30.0)
     r1 = total_excitation_probability(
         spec, sched, BathSpectrum.monochromatic(0.8, CouplingConstant(1e-3)))
     r2 = total_excitation_probability(
@@ -211,7 +226,7 @@ def test_total_probability_subgap_bath_negligible():
     # survives (no energy-conserving transitions): tiny in absolute
     # terms and far below a resonant bath at the same coupling
     spec = ChainSpec(8)
-    sched = LinearSchedule(250.0, spec)  # adiabatic
+    sched = LinearSchedule(250.0)  # adiabatic
     sub = total_excitation_probability(
         spec, sched, BathSpectrum.monochromatic(0.05, CouplingConstant(1e-3)))
     res = total_excitation_probability(
@@ -223,7 +238,7 @@ def test_total_probability_subgap_bath_negligible():
 def test_total_probability_breakdown_reported():
     spec = ChainSpec(16)
     T = 600.0
-    sched = LinearSchedule(T, spec)
+    sched = LinearSchedule(T)
     with pytest.warns(UserWarning, match="large"):
         coupling = CouplingConstant(0.9)
     bath = BathSpectrum.monochromatic(0.9, coupling)
@@ -236,10 +251,13 @@ def test_total_probability_bound_fallback_per_term(monkeypatch):
     # exactly one (k, omega) term fails its integral: it alone takes the
     # phase-free bound, and every other term stays numeric
     spec = ChainSpec(8)
-    sched = LinearSchedule(30.0, spec)
+    sched = LinearSchedule(30.0)
     bath = BathSpectrum.ohmic(0.5, CouplingConstant(0.01), support_max=1.9)
     nodes, weights = bath.quadrature()
     clean = total_excitation_probability(spec, sched, bath)
+    k0, *others = channel_momenta(spec)
+    numeric = amplitude_numeric(spec, sched, k0, nodes[5], 0.01, rtol=1e-5)
+    bound = amplitude_bound(spec, sched, k0, 0.01)
     inner = decoherence.oscillatory_batch
 
     def one_fails(*args, **kwargs):
@@ -249,12 +267,9 @@ def test_total_probability_bound_fallback_per_term(monkeypatch):
 
     monkeypatch.setattr(decoherence, "oscillatory_batch", one_fails)
     res = total_excitation_probability(spec, sched, bath)
-    k0, *others = channel_momenta(spec)
     assert res.methods[k0] == ("numeric",) * 5 + ("bound",) + ("numeric",) * 27
     assert all(res.methods[k] == ("numeric",) * 33 for k in others)
     assert all(res.channel_amplitudes[k] == clean.channel_amplitudes[k] for k in others)
-    numeric = amplitude_numeric(spec, sched, k0, nodes[5], 0.01, rtol=1e-5)
-    bound = amplitude_bound(spec, sched, k0, nodes[5], 0.01)
     shift = res.channel_amplitudes[k0] - clean.channel_amplitudes[k0]
     assert shift == pytest.approx(weights[5] * (bound - numeric), rel=1e-9)
     assert np.isfinite(res.p_total) and res.p_total > clean.p_total
@@ -266,7 +281,7 @@ def test_total_probability_skips_zero_weight_nodes():
     spec = ChainSpec(8)
     bath = BathSpectrum.ohmic(1e-6, CouplingConstant(0.01), support_max=1.9)
     assert not bath.quadrature()[1].any()
-    res = total_excitation_probability(spec, LinearSchedule(30.0, spec), bath)
+    res = total_excitation_probability(spec, LinearSchedule(30.0), bath)
     assert res.p_total == 0.0 and res.panels == 0
     assert all(m == ("skipped",) * 33 for m in res.methods.values())
 
@@ -289,7 +304,7 @@ def test_accumulated_phase_linear_closed_form(n):
     # antiderivative F of sqrt(s^2 + c^2 x^2).
     spec = ChainSpec(n)
     T, omega = 53.0 * n, 0.9
-    sched = LinearSchedule(T, spec)
+    sched = LinearSchedule(T)
     for k in (np.pi / n, 5 * np.pi / n):
         s, c = np.sin(k / 2), np.cos(k / 2)
 
@@ -305,17 +320,18 @@ def test_bound_norm_is_the_numeric_reference(chain8, monkeypatch):
     sched = GapAdaptedSchedule(chain8, 80.0, 2)
     k, lam, rtol = 3 * np.pi / 8, 1e-3, 1e-6
     budgets = []
-    inner = decoherence.oscillatory_integral
+    inner = decoherence.oscillatory_batch
 
     def spy(*args, **kwargs):
         budgets.append((kwargs["rtol"], kwargs["atol"]))
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(decoherence, "oscillatory_integral", spy)
+    monkeypatch.setattr(decoherence, "oscillatory_batch", spy)
     amplitude_numeric(chain8, sched, k, 0.7, lam, rtol=rtol)
-    norm = amplitude_bound(chain8, sched, k, 0.7, lam) / lam
+    norm = amplitude_bound(chain8, sched, k, lam) / lam
+    (atol,) = budgets[0][1]
     assert budgets[0][0] == rtol
-    assert budgets[0][1] == pytest.approx(1e-13 * norm, rel=1e-15)
+    assert atol == pytest.approx(1e-13 * norm, rel=1e-15)
     assert norm == pytest.approx(quad(
         lambda g: 4 * g * np.sin(k) / mode_epsilon(k, g) / sched.velocity_of_g(g),
         0.0, 1.0, points=[0.5], epsrel=1e-13, limit=400)[0], rel=1e-11)
@@ -325,16 +341,16 @@ def test_bound_norm_is_the_numeric_reference(chain8, monkeypatch):
 def test_amplitude_numeric_is_one_integral(chain8, monkeypatch, omega):
     sched = GapAdaptedSchedule(chain8, 80.0, 2)
     calls = []
-    inner = decoherence.oscillatory_integral
+    inner = decoherence.oscillatory_batch
 
     def counting(*args, **kwargs):
-        calls.append(args[1:3])
+        calls.append((args[1], args[2].tolist()))
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(decoherence, "oscillatory_integral", counting)
+    monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
     amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3)
     amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3, g_upper=0.9)
-    assert calls == [(0.0, 1.0), (0.0, 0.9)]
+    assert calls == [(0.0, [1.0]), (0.0, [0.9])]
 
 
 def test_subgap_amplitude_meets_relative_budget(chain8):
@@ -342,10 +358,10 @@ def test_subgap_amplitude_meets_relative_budget(chain8):
     # where the integral cancels to about 2e-3 of the phase-free bound
     sched = GapAdaptedSchedule(chain8, 80.0, 2)
     k, omega, rtol = np.pi / 8, 0.3, 1e-6
-    pair = decoherence._integrand(sched, k, omega)
-    res = decoherence.oscillatory_integral(pair, 0.0, 1.0, rtol=rtol)
-    tight = decoherence.oscillatory_integral(pair, 0.0, 1.0, rtol=1e-12).value
-    assert abs(tight) < 3e-3 * amplitude_bound(chain8, sched, k, omega, 1.0)
+    pair = lambda g: decoherence._pair(sched, k, omega, g)
+    res = oscillatory_integral(pair, 0.0, 1.0, rtol=rtol)
+    tight = oscillatory_integral(pair, 0.0, 1.0, rtol=1e-12).value
+    assert abs(tight) < 3e-3 * amplitude_bound(chain8, sched, k, 1.0)
     assert res.error <= rtol * abs(res.value)
     assert abs(res.value - tight) <= rtol * abs(tight)
     value = amplitude_numeric(chain8, sched, k, omega, 1.0, rtol=rtol)
@@ -354,7 +370,7 @@ def test_subgap_amplitude_meets_relative_budget(chain8):
 
 def test_channel_norm_computed_once_per_channel(monkeypatch):
     spec = ChainSpec(8)
-    sched = LinearSchedule(30.0, spec)
+    sched = LinearSchedule(30.0)
     calls = []
     inner = decoherence.smooth_integral
 

@@ -62,7 +62,7 @@ class NaNAfterSchedule(LinearSchedule):
 
 def test_initial_condition_is_polarized_ground_state():
     spec = ChainSpec(8)
-    sched = LinearSchedule(50.0, spec)
+    sched = LinearSchedule(50.0)
     for k in channel_momenta(spec):
         u, v = adiabatic_solution(float(k), sched, 0.0)
         assert u == pytest.approx(1.0, abs=1e-14)
@@ -73,9 +73,8 @@ def test_initial_condition_is_polarized_ground_state():
 def test_adiabatic_phase_linear_closed_form(n):
     # Linear sweep: Theta(t) = T int_0^g eps dg' = T (F(1) - F(1 - 2g)) with
     # F the antiderivative of sqrt(s^2 + c^2 x^2), x = 1 - 2g
-    spec = ChainSpec(n)
     T = 53.0 * n
-    sched = LinearSchedule(T, spec)
+    sched = LinearSchedule(T)
     for k in (np.pi / n, 5 * np.pi / n):
         s, c = np.sin(k / 2), np.cos(k / 2)
 
@@ -142,7 +141,7 @@ def test_excitation_probability_limits():
 
 def test_norm_conservation_and_adiabatic_limit():
     spec = ChainSpec(6)
-    sched = LinearSchedule(400.0, spec)
+    sched = LinearSchedule(400.0)
     t_grid = np.linspace(0.0, 400.0, 9)
     traj = integrate_modes(spec, sched, t_grid, rtol=1e-10)
     assert traj.max_norm_drift <= 10 * 1e-10
@@ -156,7 +155,7 @@ def test_shared_step_control_meets_rtol_per_mode(n, rtol):
     # every mode, not just the stacked state as a whole, is within 10*rtol
     # of a tight solve
     spec = ChainSpec(n)
-    sched = LinearSchedule(20.0, spec)
+    sched = LinearSchedule(20.0)
     t_grid = np.linspace(0.0, 20.0, 9)
     traj = integrate_modes(spec, sched, t_grid, rtol=rtol)
     ref = integrate_modes(spec, sched, t_grid, rtol=1e-12)
@@ -167,7 +166,7 @@ def test_shared_step_control_meets_rtol_per_mode(n, rtol):
 
 def test_negative_momentum_gives_same_probability():
     spec = ChainSpec(6)
-    sched = LinearSchedule(15.0, spec)
+    sched = LinearSchedule(15.0)
     t_grid = np.linspace(0.0, 15.0, 4)
     k = channel_momenta(spec)[0]
     u, v, _, _ = _integrate_pairs(sched, [k, -k], t_grid, rtol=1e-11)
@@ -182,7 +181,7 @@ def test_total_excitation_matches_dense_evolution_n4():
     # sum over channels against the full many-body excited population
     n, T = 4, 30.0
     spec = ChainSpec(n)
-    sched = LinearSchedule(T, spec)
+    sched = LinearSchedule(T)
     t_grid = np.linspace(0.0, T, 7)
     traj = integrate_modes(spec, sched, t_grid, rtol=1e-12)
 
@@ -207,7 +206,7 @@ def test_landau_zener_decay_of_lowest_mode():
     Ts = np.array([20.0, 30.0, 40.0, 55.0, 70.0])
     ps = []
     for T in Ts:
-        traj = integrate_modes(spec, LinearSchedule(T, spec), np.linspace(0, T, 3), rtol=1e-11)
+        traj = integrate_modes(spec, LinearSchedule(T), np.linspace(0, T, 3), rtol=1e-11)
         ps.append(excitation_probability(traj.final_state(), 1.0)[k1])
     slope, _ = np.polyfit(Ts * k1**2, np.log(ps), 1)
     assert slope == pytest.approx(-np.pi * s**2 / (c * k1**2), rel=0.15)
@@ -216,7 +215,7 @@ def test_landau_zener_decay_of_lowest_mode():
 def test_adiabatic_overlap_near_unity():
     spec = ChainSpec(4)
     T = 600.0
-    sched = LinearSchedule(T, spec)
+    sched = LinearSchedule(T)
     traj = integrate_modes(spec, sched, np.linspace(0.0, T, 5), rtol=1e-11)
     ov = adiabatic_overlap(sched, traj.final_state())
     assert np.all(ov >= 1 - 1e-3)
@@ -226,7 +225,7 @@ def test_magnus_step_is_sixth_order():
     # halving the step cuts the error 64-fold; a wrong commutator
     # coefficient leaves a second-order method (4-fold)
     spec = ChainSpec(6)
-    sched = LinearSchedule(20.0, spec)
+    sched = LinearSchedule(20.0)
     ka = channel_momenta(spec)
     t_grid = np.linspace(0.0, 20.0, 5)
     u_ref, v_ref = _solve(sched, ka, t_grid, 1024)
@@ -283,7 +282,7 @@ def test_magnus_matches_independent_dop853(n, kind, eps_adiab, points, coarser):
 def test_t_grid_rejected(t_grid, match):
     spec = ChainSpec(4)
     with pytest.raises(ValueError, match=f"t_grid.*{match}"):
-        integrate_modes(spec, LinearSchedule(10.0, spec), t_grid)
+        integrate_modes(spec, LinearSchedule(10.0), t_grid)
 
 
 def test_nan_schedule_fails_at_once():
@@ -298,4 +297,4 @@ def test_step_cap_fails_with_last_delta(monkeypatch):
     monkeypatch.setattr(dynamics, "MAX_STEPS", 8)
     spec = ChainSpec(4)
     with pytest.raises(RuntimeError, match=r"no agreement within 8 Magnus steps.* = [0-9.e-]+ at 4 steps"):
-        integrate_modes(spec, LinearSchedule(20.0, spec), np.linspace(0.0, 20.0, 3), rtol=1e-12)
+        integrate_modes(spec, LinearSchedule(20.0), np.linspace(0.0, 20.0, 3), rtol=1e-12)

@@ -158,7 +158,7 @@ def test_constant_hamiltonian_evolution_is_a_phase():
 def test_uniform_sweep_adiabatic_limit():
     n, T = 4, 400.0
     spec = ChainSpec(n)
-    sched = LinearSchedule(T, spec)
+    sched = LinearSchedule(T)
     w0, V0 = spectrum(uniform_hamiltonian(n, 0.0), "even", eigenvectors=True)
     psi0 = embed_sector_vector(V0[:, 0], n, "even").astype(complex)
     psi = schrodinger_evolve(UniformSweepPath(spec, sched), psi0, T, rtol=1e-10)
@@ -236,7 +236,7 @@ def test_uniform_min_even_gap_matches_fundamental_gap():
 
 def test_composite_boson_path_dimensions_and_projection():
     spec = ChainSpec(4)
-    sched = LinearSchedule(10.0, spec)
+    sched = LinearSchedule(10.0)
     path = CompositeBosonPath(spec, sched, omega0=1.0, lam=1e-3, n_quanta=2)
     assert path.dim == 16 * 3
     sys_state = np.zeros(16, dtype=complex)

@@ -145,8 +145,9 @@ def test_batch_matches_solo_calls():
         return decoherence._pair(sched, ka[owner, None], omega[owner, None], g)
 
     batch = oscillatory_batch(pair, 0.0, upper, rtol=1e-6, atol=1e-13 * norm)
-    solo = [oscillatory_integral(decoherence._integrand(sched, ka[j], omega[j]), 0.0, upper[j],
-                                 rtol=1e-6, atol=1e-13 * norm[j]) for j in range(ka.size)]
+    solo = [oscillatory_integral(lambda g: decoherence._pair(sched, ka[j], omega[j], g), 0.0,
+                                 upper[j], rtol=1e-6, atol=1e-13 * norm[j])
+            for j in range(ka.size)]
     assert abs(solo[0].value) < 3e-3 * norm[0]
     for got, ref in zip(batch, solo):
         assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)

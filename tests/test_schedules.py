@@ -26,6 +26,18 @@ def test_linear_basics():
         sched.g_of_t(-1.0)
 
 
+@pytest.mark.parametrize("total_time", [float("inf"), float("nan"), 0.0, -5.0])
+def test_total_time_must_be_positive_and_finite(total_time):
+    spec = ChainSpec(8)
+    for build in (lambda: LinearSchedule(total_time),
+                  lambda: make_schedule("linear", total_time),
+                  lambda: make_schedule("gap-adapted-2", total_time, spec),
+                  lambda: GapAdaptedSchedule(spec, total_time, power=1),
+                  lambda: StepWiseSweep(5, total_time)):
+        with pytest.raises(ValueError, match="total_time"):
+            build()
+
+
 @pytest.mark.parametrize("kind", ["gap-adapted-1", "gap-adapted-2"])
 def test_adapted_endpoints_and_monotonicity(kind):
     spec = ChainSpec(8)
