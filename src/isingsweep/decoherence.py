@@ -32,8 +32,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import roots_legendre
 
 from .chain import (
     ChainSpec,
@@ -135,7 +133,7 @@ class BathSpectrum:
             lo, hi = 0.0, self.params["support_max"]
         else:
             lo, hi = self.params["omega_min"], self.params["omega_max"]
-        x, w = roots_legendre(n_nodes)
+        x, w = np.polynomial.legendre.leggauss(n_nodes)
         nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
         weights = 0.5 * (hi - lo) * w * self.density(nodes)
         return nodes, weights
@@ -215,24 +213,27 @@ def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k, omega,
 def saddle_points(spec: ChainSpec, k: float, omega: float) -> tuple[float, float]:
     """Roots g_-, g_+ of the energy conservation 2 epsilon_k(g) = omega.
 
-    Solved by bracketed root finding on the exact dispersion, not the
-    small-frequency expansion.  Requires 2 epsilon_min < omega <= 4.
+    Closed form of the exact dispersion, not the small-frequency
+    expansion.  With s = |sin(ka/2)|, c = cos(ka/2) and q = omega/4 the
+    condition reads (1 - 2g)^2 = x^2 = (q^2 - s^2)/c^2, so
+    g_-+ = (1 -+ x)/2.  q^2 - s^2 is (q - s)(q + s) when s < c and
+    c^2 - (1 - q^2) otherwise, and g_- = (1 - q^2) / (2 c^2 (1 + x)):
+    no step cancels, and omega = 4 gives the sweep ends (0, 1) exactly.
+    Requires 2 epsilon_min < omega <= 4.
     """
     ka = _check_channel(spec, k)
-
-    def fgap(g):
-        return 2.0 * mode_epsilon(ka, g) - omega
-
+    s, c, q = abs(np.sin(ka / 2.0)), np.cos(ka / 2.0), omega / 4.0
     if omega > 4.0:
         raise ValueError(f"omega={omega} exceeds the maximum channel gap 4")
-    if fgap(0.5) >= 0.0:
+    if not q > s:
         raise ValueError(
             f"omega={omega} is at or below the minimum channel gap "
             f"{2.0 * mode_epsilon(ka, 0.5):.6g}; no real saddle points"
         )
-    g_minus = 0.0 if fgap(0.0) <= 0.0 else brentq(fgap, 0.0, 0.5, xtol=1e-14)
-    g_plus = 1.0 if fgap(1.0) <= 0.0 else brentq(fgap, 0.5, 1.0, xtol=1e-14)
-    return float(g_minus), float(g_plus)
+    p = (1.0 - q) * (1.0 + q)
+    x = np.sqrt(max((q - s) * (q + s) if s < c else c * c - p, 0.0)) / c
+    g_minus = float(min(0.5, p / (2.0 * c * c * (1.0 + x))))
+    return g_minus, 1.0 - g_minus
 
 
 def accumulated_phase(spec: ChainSpec, schedule: Schedule, k: float, omega: float,

@@ -10,6 +10,7 @@ holds in memory.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -40,6 +41,7 @@ from .dynamics import MIN_RTOL, integrate_modes
 from .oracle import (
     _DENSE_CAP,
     sigma_x_elements,
+    spectrum as dense_spectrum,
     stepwise_gap_profile,
     uniform_hamiltonian,
     uniform_min_even_gap,
@@ -223,8 +225,6 @@ def write_csv(path, header, rows) -> str:
     ``rows`` is an iterable of tuples, or a 2-D float array whose rows are
     each formatted by one template: the same bytes, about three times faster.
     """
-    import csv
-
     path = Path(path)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -503,6 +503,8 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
 
 def _run_total_probability(config: ExperimentConfig, out: Path):
     """Bath-averaged total excitation probability over the size list."""
+    # Bound at call time, not at import: bench/sample.py records each
+    # size's total by replacing decoherence.total_excitation_probability.
     from .decoherence import total_excitation_probability
 
     bath = config.bath()
@@ -628,8 +630,6 @@ def _run_oracle_check(config: ExperimentConfig, out: Path):
 
 def _dump_spectrum(path: Path, n: int, g: float) -> str:
     """Parity-resolved dense spectrum as (index, energy, parity) rows."""
-    from .oracle import spectrum as dense_spectrum
-
     H = uniform_hamiltonian(n, g)
     levels = [(float(e), "even") for e in dense_spectrum(H, "even")]
     levels += [(float(e), "odd") for e in dense_spectrum(H, "odd")]

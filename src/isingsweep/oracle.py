@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import minimize_scalar
 
 from .chain import ChainSpec, even_sector_gap
 from .schedules import Schedule, StepWiseSweep, StepWisePath, stepwise_hamiltonian_weights
@@ -300,6 +298,8 @@ def schrodinger_evolve(path, psi0: np.ndarray, T: float, rtol: float = 1e-10,
         raise ValueError(f"rtol must be >= 1e-12, got {rtol}")
     if psi0.shape != (path.dim,):
         raise ValueError(f"psi0 must have shape ({path.dim},), got {psi0.shape}")
+    from scipy.integrate import solve_ivp  # only this dense reference needs scipy
+
     # run tighter than requested: the contract is norm preservation
     # within 10*rtol over the whole evolution, not per step
     sol = solve_ivp(
@@ -368,18 +368,12 @@ def stepwise_gap_profile(n: int, s_points: int = 50) -> StepwiseGapProfile:
     return StepwiseGapProfile(n=n, steps=steps, s_values=svals, gaps=gaps)
 
 
-def uniform_min_even_gap(n: int, periodic: bool = True) -> float:
-    """Minimum over g of the uniform sweep's even-sector gap."""
+def uniform_min_even_gap(n: int) -> float:
+    """Minimum over g of the uniform ring's even-sector gap.
 
-    def gap_at(g: float) -> float:
-        nb = n if periodic else n - 1
-        return even_sector_gap(np.full(n, 1.0 - g), np.full(nb, g), periodic)
-
-    grid = np.linspace(0.0, 1.0, 41)
-    vals = [gap_at(g) for g in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(gap_at, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-6})
-    return float(min(res.fun, min(vals)))
+    Read off a 41-point g grid, which is exact: the gap is the
+    (pi/n, -pi/n) pair gap 2 epsilon(pi/n, g), smallest at g = 1/2,
+    and g = 1/2 is a grid node.
+    """
+    return min(even_sector_gap(np.full(n, 1.0 - g), np.full(n, g), periodic=True)
+               for g in np.linspace(0.0, 1.0, 41))

@@ -110,6 +110,21 @@ def test_saddle_points_exact_root_vs_small_frequency_expansion(chain8):
     assert 2 * mode_epsilon(k, g_hi) == pytest.approx(omega, abs=1e-12)
 
 
+# every channel of n = 8 and 64, and the n = 1024 channel where, one
+# float above the minimum gap, g_- rounds to just above 1/2 unless clipped
+@pytest.mark.parametrize("n,k", [(n, float(k)) for n in (8, 64)
+                                 for k in channel_momenta(ChainSpec(n))]
+                         + [(1024, 569 * np.pi / 1024)])
+def test_saddle_points_solve_energy_conservation(n, k):
+    low = 4.0 * np.sin(k / 2.0)
+    for omega in (np.nextafter(low, 5.0), low + 1e-6, 0.5 * (low + 4.0), 4.0 - 1e-9, 4.0):
+        g_lo, g_hi = saddle_points(ChainSpec(n), k, omega)
+        assert 0.0 <= g_lo <= 0.5 <= g_hi <= 1.0, omega
+        for g in (g_lo, g_hi):
+            assert abs(2.0 * mode_epsilon(k, g) - omega) <= 1e-13, (omega, g)
+    assert (g_lo, g_hi) == (0.0, 1.0)  # omega = 4 is the gap at the sweep ends only
+
+
 def test_saddle_point_requires_supercritical_frequency(chain8):
     sched = LinearSchedule(50.0)
     with pytest.raises(ValueError, match="omega"):
@@ -206,6 +221,11 @@ def test_bath_spectrum_families():
     flat = BathSpectrum.flat(0.2, 0.8, lam)
     assert flat.density(0.5) == pytest.approx(1.0 / 0.6)
     assert flat.density(1.0) == 0.0
+    # an m-node Gauss-Legendre rule is exact through degree 2m - 1
+    for m in (5, 33):
+        nodes, weights = flat.quadrature(m)
+        exact = (0.8 ** (2 * m) - 0.2 ** (2 * m)) / (2 * m) / 0.6
+        assert np.sum(weights * nodes ** (2 * m - 1)) == pytest.approx(exact, rel=1e-12)
     with pytest.raises(ValueError, match="omega_max"):
         BathSpectrum.flat(0.8, 0.2, lam)
 

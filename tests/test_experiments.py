@@ -320,10 +320,24 @@ def test_cli_config_file_with_overrides(tmp_path):
     assert summary["config"]["g_grid_points"] == 21      # file field kept
 
 
-def test_python_dash_m_entry_point(tmp_path):
+def _src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the dense Schroedinger reference and the tests
+    probe = ("import sys, isingsweep, isingsweep.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    env = _src_env()
 
     def run(*args):
         return subprocess.run([sys.executable, "-m", "isingsweep", *args],

@@ -230,8 +230,10 @@ def test_stepwise_gap_profile_small_n():
 
 
 def test_uniform_min_even_gap_matches_fundamental_gap():
-    # even-sector dense minimum equals the fermionic minimum gap
-    assert uniform_min_even_gap(6) == pytest.approx(4 * np.sin(np.pi / 12), rel=1e-6)
+    # the free-fermion even-sector gap read off the g grid is the
+    # (pi/n, -pi/n) pair gap at g = 1/2, 4 sin(pi/2n)
+    for n in (4, 6, 8, 10, 12, 16, 32, 64):
+        assert uniform_min_even_gap(n) == pytest.approx(4 * np.sin(np.pi / (2 * n)), rel=1e-12), n
 
 
 def test_composite_boson_path_dimensions_and_projection():
