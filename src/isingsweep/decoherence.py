@@ -299,16 +299,19 @@ def amplitude_suppressed_estimate(spec: ChainSpec, schedule: Schedule, k: float,
                                   omega: float, lam: float) -> float:
     """Order-of-magnitude sub-gap estimate lam * exp(-T (ka)^2 / 2).
 
-    Valid reading: for omega below the channel's minimum gap the
-    amplitude decays exponentially in T.  The exponent constant here is
-    the coarse analytic one for the constant-speed sweep; the sharp
-    decay rate of the integral is smaller (see the suppression tests).
-    Only derived for the linear schedule; other kinds raise.
+    Valid reading: for omega below the channel's minimum gap
+    2 epsilon_k(1/2) = 4 |sin(ka/2)| the amplitude decays exponentially
+    in T.  The exponent constant here is the coarse analytic one for the
+    constant-speed sweep; the sharp decay rate of the integral is
+    smaller (see the suppression tests).  Only derived for the linear
+    schedule; other kinds raise.
     """
     ka = _check_channel(spec, k)
-    if not omega < 2.0 * abs(ka):
+    min_gap = 2.0 * mode_epsilon(ka, 0.5)
+    if not omega < min_gap:
         raise ValueError(
-            f"sub-gap estimate needs omega < 2|ka| = {2 * abs(ka):.6g}, got {omega}"
+            f"sub-gap estimate needs omega below the minimum channel gap {min_gap:.6g}, "
+            f"got {omega}"
         )
     if not isinstance(schedule, LinearSchedule):
         raise NotImplementedError(

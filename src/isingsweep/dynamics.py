@@ -90,6 +90,12 @@ def instantaneous_pair(k, g, theta=0.0):
     return (a + e) * phase / norm, -b * phase / norm
 
 
+def _excited_fraction(k, g, u, v):
+    """|u_gs v - v_gs u|^2 against the zero-phase instantaneous pair at g."""
+    ug, vg = instantaneous_pair(k, g)
+    return np.abs(ug * v - vg * u) ** 2
+
+
 def adiabatic_phase(k: float, schedule: Schedule, t: float) -> float:
     """Theta = int_0^t epsilon_k dt' = int_0^g(t) epsilon_k / (dg/dt) dg."""
     return smooth_integral(lambda g: mode_epsilon(k, g) / schedule.velocity_of_g(g),
@@ -277,8 +283,7 @@ def integrate_modes(spec: ChainSpec, schedule: Schedule, t_grid, rtol: float = 1
     g_grid = np.asarray(schedule.g_of_t(t_grid), dtype=float)
     u, v, steps, delta = _integrate_pairs(schedule, kpos, t_grid, rtol)
 
-    ug, vg = instantaneous_pair(kpos[:, None], g_grid[None, :])
-    p = np.abs(ug * v - vg * u) ** 2
+    p = _excited_fraction(kpos[:, None], g_grid[None, :], u, v)
     drift = float(np.max(np.abs(1.0 - np.abs(u) ** 2 - np.abs(v) ** 2)))
     return ModeTrajectory(
         k=kpos, t=t_grid, g=g_grid, u=u, v=v,
@@ -294,8 +299,7 @@ def excitation_probability(state: BogoliubovState, g: float) -> dict:
     phase; p_k is 0 for the instantaneous ground state and 1 for the
     excited pair, and is invariant under the global phase of (u, v).
     """
-    ug, vg = instantaneous_pair(state.k, g)
-    p = np.abs(ug * state.v - vg * state.u) ** 2
+    p = _excited_fraction(state.k, g, state.u, state.v)
     return {float(k): float(pk) for k, pk in zip(state.k, p)}
 
 

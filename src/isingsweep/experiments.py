@@ -453,6 +453,7 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
                                    rtol=config.amplitude_rtol)
         for k, a_row in zip(ks.tolist(), a_grid.tolist()):
             b = amplitude_bound(spec, sched, k, lam)
+            min_gap = 2.0 * mode_epsilon(k, 0.5)
             for omega, a_num in zip(omegas.tolist(), a_row):
                 bound_ok &= abs(a_num) <= b * (1.0 + 1e-9)
                 rows.append((n, sched.kind, T, k, omega, "numeric",
@@ -464,7 +465,9 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
                                  sp.value.real, sp.value.imag, abs(sp.value), str(sp.valid)))
                     if sp.valid and abs(a_num) > 0:
                         saddle_ok &= 0.8 <= abs(sp.value) / abs(a_num) <= 1.25
-                elif omega < 2.0 * k and sched.kind == "linear":
+                # between the minimum gap 4|sin(k/2)| and 2k neither
+                # approximation applies: numeric and bound rows only
+                elif omega < min_gap and sched.kind == "linear":
                     est = amplitude_suppressed_estimate(spec, sched, k, omega, lam)
                     rows.append((n, sched.kind, T, k, omega, "suppressed",
                                  est, 0.0, est, ""))
@@ -483,7 +486,7 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
         pair = None
         for k in channel_momenta(spec):
             for w in config.omega_grid:
-                if w < 2.0 * k:
+                if w < 2.0 * mode_epsilon(k, 0.5):
                     pair = (float(k), float(w))
                     break
             if pair:

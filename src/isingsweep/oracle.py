@@ -2,9 +2,16 @@
 
 Ground truth for every fermionic formula: dense spectra with bit-flip
 parity resolution, transverse-field matrix elements, time-dependent
-Schroedinger evolution (uniform sweep, step-wise sweep, and the
-system + single-boson composite used to validate the response
-amplitudes), and the even-sector gap profiles of the two sweep styles.
+Schroedinger evolution, and the even-sector gap profiles of the two
+sweep styles.
+
+Every spin Hamiltonian here (the dense matrix, the even-sector block
+and the matrix-free time-dependent :class:`SweepPath`) comes from one
+shape check on the fields ``h`` and bond weights ``J`` and one table of
+the sigma^z sigma^z diagonal of every bond.  A path is the uniform
+sweep (:func:`uniform_path`) or the step-wise one (:func:`stepwise_path`);
+:class:`CompositeBosonPath` couples either to one boson mode, the dense
+check of the response amplitudes.
 
 The gap profiles take their gaps from the free-fermion spectrum
 (:func:`isingsweep.chain.even_sector_gap`, an n x n singular-value
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, even_sector_gap
+from .chain import even_sector_gap
 from .schedules import Schedule, StepWiseSweep, StepWisePath, stepwise_hamiltonian_weights
 
 __all__ = [
@@ -37,9 +44,9 @@ __all__ = [
     "embed_sector_vector",
     "sigma_x_apply",
     "sigma_x_elements",
-    "matrix_element_sigma_x",
-    "UniformSweepPath",
-    "StepWiseEvolvePath",
+    "SweepPath",
+    "uniform_path",
+    "stepwise_path",
     "CompositeBosonPath",
     "schrodinger_evolve",
     "even_sector_matrix",
@@ -58,12 +65,9 @@ class EvolutionError(RuntimeError):
 
 @dataclass
 class DenseHamiltonian:
-    """Dense spin Hamiltonian with its term weights."""
+    """Dense spin Hamiltonian of an n-site chain."""
 
     n: int
-    h: np.ndarray
-    J: np.ndarray
-    periodic: bool
     matrix: np.ndarray = field(repr=False)
 
     @property
@@ -71,8 +75,28 @@ class DenseHamiltonian:
         return 1 << self.n
 
 
-def _bond_list(n: int, periodic: bool):
-    return [(j, (j + 1) % n) for j in range(n if periodic else n - 1)]
+def _check_weights(n: int, h, J, periodic: bool):
+    """``(h, J)`` as float vectors: one field per site, one weight per bond."""
+    h = np.asarray(h, dtype=float)
+    J = np.asarray(J, dtype=float)
+    nb = n if periodic else n - 1
+    if h.shape != (n,):
+        raise ValueError(f"h must have shape ({n},), got {h.shape}")
+    if J.shape != (nb,):
+        raise ValueError(f"J must have shape ({nb},), got {J.shape}")
+    return h, J
+
+
+def _bond_table(n: int, periodic: bool) -> np.ndarray:
+    """sigma^z_j sigma^z_j' diagonal of every bond (j, j+1 mod n), shape (bonds, 2^n)."""
+    z = 1.0 - 2.0 * ((np.arange(1 << n) >> np.arange(n)[:, None]) & 1)
+    j = np.arange(n if periodic else n - 1)
+    return z[j] * z[(j + 1) % n]
+
+
+def _flips(n: int) -> np.ndarray:
+    """Index of sigma^x_j |i>, shape (n, 2^n): row j is i ^ 2^j."""
+    return np.arange(1 << n) ^ (1 << np.arange(n))[:, None]
 
 
 def build_hamiltonian(n: int, h, J, periodic: bool = True) -> DenseHamiltonian:
@@ -82,31 +106,22 @@ def build_hamiltonian(n: int, h, J, periodic: bool = True) -> DenseHamiltonian:
             f"n={n} exceeds the dense diagonalization cap n<={_DENSE_CAP} "
             f"(a 2^{n} x 2^{n} matrix would need {(1 << (2 * n)) * 8 / 2**30:.1f} GiB)"
         )
-    h = np.asarray(h, dtype=float)
-    J = np.asarray(J, dtype=float)
-    bonds = _bond_list(n, periodic)
-    if h.shape != (n,):
-        raise ValueError(f"h must have shape ({n},), got {h.shape}")
-    if J.shape != (len(bonds),):
-        raise ValueError(f"J must have shape ({len(bonds)},), got {J.shape}")
-    dim = 1 << n
-    idx = np.arange(dim)
-    diag = np.zeros(dim)
-    for b, (j, jp) in enumerate(bonds):
-        zj = 1.0 - 2.0 * ((idx >> j) & 1)
-        zjp = 1.0 - 2.0 * ((idx >> jp) & 1)
-        diag -= J[b] * zj * zjp
-    H = np.zeros((dim, dim))
-    H[idx, idx] = diag
-    for j in range(n):
-        H[idx, idx ^ (1 << j)] -= h[j]
-    return DenseHamiltonian(n=n, h=h, J=J, periodic=periodic, matrix=H)
+    h, J = _check_weights(n, h, J, periodic)
+    idx = np.arange(1 << n)
+    H = np.zeros((idx.size, idx.size))
+    H[idx, idx] -= J @ _bond_table(n, periodic)
+    H[idx, _flips(n)] -= h[:, None]
+    return DenseHamiltonian(n=n, matrix=H)
+
+
+def _uniform_weights(n: int, g: float, periodic: bool):
+    """Uniform sweep weights h_j = 1-g and J_b = g."""
+    return np.full(n, 1.0 - g), np.full(n if periodic else n - 1, g)
 
 
 def uniform_hamiltonian(n: int, g: float, periodic: bool = True) -> DenseHamiltonian:
     """Uniform sweep Hamiltonian with h_j = 1-g and J_b = g."""
-    nb = n if periodic else n - 1
-    return build_hamiltonian(n, np.full(n, 1.0 - g), np.full(nb, g), periodic)
+    return build_hamiltonian(n, *_uniform_weights(n, g, periodic), periodic)
 
 
 def parity_commutator_max(H: DenseHamiltonian) -> float:
@@ -115,23 +130,22 @@ def parity_commutator_max(H: DenseHamiltonian) -> float:
     return float(np.max(np.abs(H.matrix[:, comp] - H.matrix[comp, :])))
 
 
-def _sector_reps(dim: int):
+def _sector_reps(dim: int, sector: str):
+    """Representatives i < dim/2, their complements and the sector's sign."""
     reps = np.arange(dim // 2)
-    return reps, reps ^ (dim - 1)
+    return reps, reps ^ (dim - 1), (+1.0 if sector == "even" else -1.0)
 
 
 def _sector_matrix(H: DenseHamiltonian, sector: str) -> np.ndarray:
-    reps, creps = _sector_reps(H.dim)
-    sign = +1.0 if sector == "even" else -1.0
+    reps, creps, sign = _sector_reps(H.dim, sector)
     return H.matrix[np.ix_(reps, reps)] + sign * H.matrix[np.ix_(reps, creps)]
 
 
 def embed_sector_vector(x: np.ndarray, n: int, sector: str) -> np.ndarray:
-    """Lift a parity-sector vector to the full 2^n space."""
+    """Lift a parity-sector vector (or stacked columns) to the full 2^n space."""
     dim = 1 << n
-    reps, creps = _sector_reps(dim)
-    sign = +1.0 if sector == "even" else -1.0
-    psi = np.zeros(dim, dtype=x.dtype)
+    reps, creps, sign = _sector_reps(dim, sector)
+    psi = np.zeros((dim,) + x.shape[1:], dtype=x.dtype)
     psi[reps] = x / np.sqrt(2.0)
     psi[creps] = sign * x / np.sqrt(2.0)
     return psi
@@ -153,11 +167,7 @@ def spectrum(H: DenseHamiltonian, sector: str = "full", eigenvectors: bool = Fal
 
 def sigma_x_apply(n: int, psi: np.ndarray) -> np.ndarray:
     """Apply sum_j sigma^x_j to full-space vectors (or stacked columns)."""
-    idx = np.arange(1 << n)
-    out = np.zeros_like(psi)
-    for j in range(n):
-        out += psi[idx ^ (1 << j)]
-    return out
+    return psi[_flips(n)].sum(axis=0)
 
 
 def sigma_x_elements(H: DenseHamiltonian, sector: str = "even"):
@@ -168,85 +178,48 @@ def sigma_x_elements(H: DenseHamiltonian, sector: str = "even"):
     is a parity doublet.
     """
     w, V = spectrum(H, sector=sector, eigenvectors=True)
-    if sector == "full":
-        full = V
-    else:
-        full = np.zeros((H.dim, V.shape[1]))
-        reps, creps = _sector_reps(H.dim)
-        sign = +1.0 if sector == "even" else -1.0
-        full[reps] = V / np.sqrt(2.0)
-        full[creps] = sign * V / np.sqrt(2.0)
+    full = V if sector == "full" else embed_sector_vector(V, H.n, sector)
     x0 = sigma_x_apply(H.n, full[:, 0])
     return w, full.T @ x0
 
 
-def matrix_element_sigma_x(H: DenseHamiltonian, s: int, sector: str = "even",
-                           degeneracy_tol: float = 1e-8):
-    """Element <s| sum sigma^x |0> for one level.
+class SweepPath:
+    """Matrix-free H(t) = -sum h_j(t) sigma^x_j - sum J_b(t) sigma^z sigma^z.
 
-    Returns ``(value, False)`` for an isolated level; for a level inside
-    a degenerate cluster returns ``(projection norm onto the cluster,
-    True)`` since individual elements are basis dependent there.
+    ``weights(t)`` returns the fields and bond weights ``(h, J)`` at
+    time t; ``apply`` acts on a full-space vector or on stacked columns.
     """
-    w, elems = sigma_x_elements(H, sector=sector)
-    cluster = np.where(np.abs(w - w[s]) <= degeneracy_tol)[0]
-    if cluster.size > 1:
-        return complex(np.sqrt(np.sum(np.abs(elems[cluster]) ** 2))), True
-    return complex(elems[s]), False
+
+    def __init__(self, n: int, weights, periodic: bool):
+        self.n = int(n)
+        self.dim = 1 << self.n
+        self.weights = weights
+        _check_weights(self.n, *weights(0.0), periodic)
+        self._minus_zz = -_bond_table(self.n, periodic)
+        self._flips = _flips(self.n)
+
+    def apply(self, t: float, psi: np.ndarray) -> np.ndarray:
+        h, J = self.weights(t)
+        diag = J @ self._minus_zz
+        out = (diag if psi.ndim == 1 else diag[:, None]) * psi
+        out -= (h @ psi[self._flips].reshape(self.n, -1)).reshape(psi.shape)
+        return out
 
 
-class UniformSweepPath:
+def uniform_path(n: int, schedule: Schedule, periodic: bool = True) -> SweepPath:
     """H(t) of the uniform sweep driven by a schedule."""
-
-    def __init__(self, spec: ChainSpec | int, schedule: Schedule, periodic: bool = True):
-        self.n = spec.n if isinstance(spec, ChainSpec) else int(spec)
-        self.schedule = schedule
-        self.periodic = periodic
-        self.dim = 1 << self.n
-        idx = np.arange(self.dim)
-        self._xor = [idx ^ (1 << j) for j in range(self.n)]
-        zz = np.zeros(self.dim)
-        for j, jp in _bond_list(self.n, periodic):
-            zz += (1.0 - 2.0 * ((idx >> j) & 1)) * (1.0 - 2.0 * ((idx >> jp) & 1))
-        self._zz = zz
-
-    def apply(self, t: float, psi: np.ndarray) -> np.ndarray:
-        g = float(self.schedule.g_of_t(t))
-        zz = self._zz if psi.ndim == 1 else self._zz[:, None]
-        out = -g * zz * psi
-        w = g - 1.0  # -(1-g)
-        for xo in self._xor:
-            out += w * psi[xo]
-        return out
+    return SweepPath(n, lambda t: _uniform_weights(n, float(schedule.g_of_t(t)), periodic),
+                     periodic)
 
 
-class StepWiseEvolvePath:
+def stepwise_path(sweep: StepWiseSweep) -> SweepPath:
     """H(t) along the step-wise spatial sweep (open chain)."""
-
-    def __init__(self, sweep: StepWiseSweep):
-        self.sweep = sweep
-        self.n = sweep.n
-        self.dim = 1 << self.n
-        idx = np.arange(self.dim)
-        self._xor = [idx ^ (1 << j) for j in range(self.n)]
-        self._zz = []
-        for j, jp in _bond_list(self.n, periodic=False):
-            self._zz.append((1.0 - 2.0 * ((idx >> j) & 1)) * (1.0 - 2.0 * ((idx >> jp) & 1)))
-
-    def apply(self, t: float, psi: np.ndarray) -> np.ndarray:
-        h, J = self.sweep.weights_at(min(t, self.sweep.total_time))
-        out = np.zeros_like(psi)
-        for j in range(self.n):
-            if h[j] != 0.0:
-                out -= h[j] * psi[self._xor[j]]
-        for b, Jb in enumerate(J):
-            if Jb != 0.0:
-                out -= Jb * self._zz[b] * psi
-        return out
+    return SweepPath(sweep.n, lambda t: sweep.weights_at(min(t, sweep.total_time)),
+                     periodic=False)
 
 
 class CompositeBosonPath:
-    """Uniform sweep coupled to one boson mode through the transverse field.
+    """A system path coupled to one boson mode through the transverse field.
 
     H(t) = H_sys(t) x 1 + omega0 * b^dag b + lam * (sum sigma^x) x (b + b^dag),
     boson truncated at ``n_quanta`` quanta.  Realizes a monochromatic
@@ -254,12 +227,11 @@ class CompositeBosonPath:
     (positive frequency), starting from zero probes emission.
     """
 
-    def __init__(self, spec: ChainSpec | int, schedule: Schedule, omega0: float,
-                 lam: float, n_quanta: int = 2, periodic: bool = True):
-        self.sys = UniformSweepPath(spec, schedule, periodic)
-        self.n = self.sys.n
+    def __init__(self, system: SweepPath, omega0: float, lam: float, n_quanta: int = 2):
+        self.sys = system
+        self.n = system.n
         self.levels = n_quanta + 1
-        self.dim = self.sys.dim * self.levels
+        self.dim = system.dim * self.levels
         self.omega0 = float(omega0)
         self.lam = float(lam)
         m = np.arange(self.levels)
@@ -318,23 +290,16 @@ def schrodinger_evolve(path, psi0: np.ndarray, T: float, rtol: float = 1e-10,
 
 def even_sector_matrix(n: int, h, J, periodic: bool = False) -> np.ndarray:
     """Even-parity block built directly in the sector basis (2^(n-1) dim)."""
-    h = np.asarray(h, dtype=float)
-    J = np.asarray(J, dtype=float)
+    h, J = _check_weights(n, h, J, periodic)
     dim = 1 << n
     half = dim // 2
     i = np.arange(half)
-    diag = np.zeros(half)
-    for b, (j, jp) in enumerate(_bond_list(n, periodic)):
-        zj = 1.0 - 2.0 * ((i >> j) & 1)
-        zjp = 1.0 - 2.0 * ((i >> jp) & 1)
-        diag -= J[b] * zj * zjp
     He = np.zeros((half, half))
-    He[i, i] = diag
-    for j in range(n - 1):
-        He[i, i ^ (1 << j)] -= h[j]
-    # sigma^x on the top bit crosses sectors: it couples representative
-    # i to the complement of i ^ MSB, which is half-1-i.
-    He[i, half - 1 - i] -= h[n - 1]
+    He[i, i] -= J @ _bond_table(n, periodic)[:, :half]
+    # the even sector identifies f with its complement dim-1-f, so a flip
+    # that leaves the representatives i < half lands on dim-1-f
+    for j, f in enumerate(_flips(n)[:, :half]):
+        He[i, np.minimum(f, dim - 1 - f)] -= h[j]
     return He
 
 
@@ -375,5 +340,5 @@ def uniform_min_even_gap(n: int) -> float:
     (pi/n, -pi/n) pair gap 2 epsilon(pi/n, g), smallest at g = 1/2,
     and g = 1/2 is a grid node.
     """
-    return min(even_sector_gap(np.full(n, 1.0 - g), np.full(n, g), periodic=True)
+    return min(even_sector_gap(*_uniform_weights(n, g, True), periodic=True)
                for g in np.linspace(0.0, 1.0, 41))

@@ -31,6 +31,7 @@ from isingsweep.oracle import (
     stepwise_gap_profile,
     uniform_hamiltonian,
     uniform_min_even_gap,
+    uniform_path,
 )
 from isingsweep.schedules import LinearSchedule, make_schedule, runtime_for_adiabaticity
 
@@ -101,7 +102,7 @@ def test_criterion_3_decoherence_oracle():
         sched = LinearSchedule(T)
         w0, V0 = spectrum(uniform_hamiltonian(n, 0.0), "even", eigenvectors=True)
         gs0 = embed_sector_vector(V0[:, 0], n, "even")
-        path = CompositeBosonPath(spec, sched, omega0, lam, n_quanta=2)
+        path = CompositeBosonPath(uniform_path(n, sched), omega0, lam, n_quanta=2)
         psi0 = path.boson_state(gs0.astype(complex), occupancy=1)
         psi = schrodinger_evolve(path, psi0, g_f * T, rtol=1e-11)
         wf, Vf = spectrum(uniform_hamiltonian(n, g_f), "even", eigenvectors=True)

@@ -182,6 +182,18 @@ def test_suppressed_estimate_properties(chain8):
     with pytest.raises(NotImplementedError, match="not derived"):
         amplitude_suppressed_estimate(
             chain8, GapAdaptedSchedule(chain8, 40.0, 1), k, 0.1, 1e-3)
+    # omega = 2.3 lies between the minimum gap 4 sin(3pi/16) = 2.2223 of
+    # k = 3pi/8 and 2k = 2.356: the channel resonates at two real saddles,
+    # so it is not sub-gap, and the saddle formula (omega > 2|ka|) is out
+    # of its domain too
+    k, sched = 3 * np.pi / 8, LinearSchedule(100.0)
+    g_lo, g_hi = saddle_points(chain8, k, 2.3)
+    assert 0.0 < g_lo < 0.5 < g_hi < 1.0
+    assert abs(amplitude_numeric(chain8, sched, k, 2.3, 1e-3)) > 1e-2
+    with pytest.raises(ValueError, match=r"minimum channel gap 2\.2222"):
+        amplitude_suppressed_estimate(chain8, sched, k, 2.3, 1e-3)
+    with pytest.raises(ValueError, match="saddle-point approximation needs"):
+        amplitude_saddle_point(chain8, sched, k, 2.3, 1e-3)
 
 
 def test_negative_frequency_strongly_suppressed(chain8):

@@ -16,11 +16,11 @@ from isingsweep.dynamics import (
     integrate_modes,
 )
 from isingsweep.oracle import (
-    UniformSweepPath,
     embed_sector_vector,
     schrodinger_evolve,
     spectrum,
     uniform_hamiltonian,
+    uniform_path,
 )
 from isingsweep.schedules import (
     GapAdaptedSchedule,
@@ -187,7 +187,7 @@ def test_total_excitation_matches_dense_evolution_n4():
 
     w0, V0 = spectrum(uniform_hamiltonian(n, 0.0), sector="even", eigenvectors=True)
     psi0 = embed_sector_vector(V0[:, 0], n, "even").astype(complex)
-    tt, states = schrodinger_evolve(UniformSweepPath(spec, sched), psi0, T,
+    tt, states = schrodinger_evolve(uniform_path(n, sched), psi0, T,
                                     rtol=1e-12, t_eval=t_grid)
     for i in (3, 5, 6):
         g = float(sched.g_of_t(t_grid[i]))

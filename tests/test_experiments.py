@@ -166,6 +166,27 @@ def test_decoherence_experiment_with_suppression_scan(tmp_path):
         assert float(row.split(",")[-1]) == pytest.approx(-(ka**2) / 2)
 
 
+def test_decoherence_subgap_rows_use_the_exact_minimum_gap(tmp_path):
+    # at n = 8, omega = 2.3 is sub-gap for 5pi/8 (minimum gap 3.326) but
+    # not for 3pi/8 (minimum gap 2.222 < omega < 2k = 2.356): that channel
+    # gets numeric and bound rows only, and the scan tracks 5pi/8
+    cfg = ExperimentConfig.from_dict({
+        "kind": "decoherence", "chain_sizes": [8], "omega_grid": [2.3],
+        "coupling": 1e-3, "total_time": 100.0, "t_scan": [40.0, 80.0],
+        "output_dir": str(tmp_path), "k_modes": 3,
+    })
+    run_experiment(cfg)
+    rows = [r.split(",") for r in (tmp_path / "amplitudes.csv").read_text().splitlines()[1:]]
+    methods = {}
+    for r in rows:
+        methods.setdefault(round(float(r[3]) * 8 / np.pi), []).append(r[5])
+    assert methods == {1: ["numeric", "bound", "saddle-point"], 3: ["numeric", "bound"],
+                       5: ["numeric", "bound", "suppressed"]}
+    scan = (tmp_path / "suppression.csv").read_text().splitlines()[1:]
+    for row in scan:
+        assert float(row.split(",")[-1]) == pytest.approx(-((5 * np.pi / 8) ** 2) / 2)
+
+
 def test_decoherence_bath_averaged_mode(tmp_path):
     # without an omega grid the experiment integrates over the bath and
     # reports the total excitation probability per size

@@ -12,21 +12,21 @@ from isingsweep.chain import (
 from isingsweep.dynamics import instantaneous_pair
 from isingsweep.oracle import (
     CompositeBosonPath,
-    StepWiseEvolvePath,
-    UniformSweepPath,
+    SweepPath,
     build_hamiltonian,
     even_gap,
     even_sector_matrix,
     embed_sector_vector,
-    matrix_element_sigma_x,
     parity_commutator_max,
     schrodinger_evolve,
     sigma_x_apply,
     sigma_x_elements,
     spectrum,
     stepwise_gap_profile,
+    stepwise_path,
     uniform_hamiltonian,
     uniform_min_even_gap,
+    uniform_path,
 )
 from isingsweep.schedules import (
     LinearSchedule,
@@ -72,6 +72,19 @@ def test_weight_shape_validation():
         build_hamiltonian(4, np.ones(3), np.ones(4))
     with pytest.raises(ValueError, match="shape"):
         build_hamiltonian(4, np.ones(4), np.ones(2), periodic=False)
+    # an open chain has n - 1 bonds: a fourth bond is rejected, not dropped
+    with pytest.raises(ValueError, match=r"^J must have shape \(3,\)"):
+        build_hamiltonian(4, np.ones(4), np.ones(4), periodic=False)
+    with pytest.raises(ValueError, match=r"^J must have shape \(3,\)"):
+        even_gap(4, np.ones(4), np.ones(4))
+    with pytest.raises(ValueError, match=r"^h must have shape \(4,\)"):
+        even_gap(4, np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match=r"^J must have shape \(4,\)"):
+        even_sector_matrix(4, np.ones(4), np.ones(3), periodic=True)
+    with pytest.raises(ValueError, match=r"^h must have shape \(4,\)"):
+        SweepPath(4, lambda t: (np.ones(5), np.ones(4)), periodic=True)
+    with pytest.raises(ValueError, match=r"^J must have shape \(3,\)"):
+        SweepPath(4, lambda t: (np.ones(4), np.ones(4)), periodic=False)
 
 
 def test_ground_energy_matches_fermionic():
@@ -126,16 +139,6 @@ def test_matrix_elements_match_pair_formula():
     assert np.max(np.abs(elems[~matched])) <= 1e-10
 
 
-def test_matrix_element_degenerate_cluster_flagged():
-    H = uniform_hamiltonian(4, 1.0)  # all pair gaps equal 4
-    w, _ = sigma_x_elements(H, "even")
-    target = np.argmin(np.abs(w - (w[0] + 4.0)))
-    val, clustered = matrix_element_sigma_x(H, int(target), "even")
-    assert clustered
-    val2, clustered2 = matrix_element_sigma_x(uniform_hamiltonian(4, 0.5), 1, "even")
-    assert not clustered2
-
-
 def test_constant_hamiltonian_evolution_is_a_phase():
     n = 3
     H = build_hamiltonian(n, np.ones(n), 0.5 * np.ones(n))
@@ -157,11 +160,10 @@ def test_constant_hamiltonian_evolution_is_a_phase():
 
 def test_uniform_sweep_adiabatic_limit():
     n, T = 4, 400.0
-    spec = ChainSpec(n)
     sched = LinearSchedule(T)
     w0, V0 = spectrum(uniform_hamiltonian(n, 0.0), "even", eigenvectors=True)
     psi0 = embed_sector_vector(V0[:, 0], n, "even").astype(complex)
-    psi = schrodinger_evolve(UniformSweepPath(spec, sched), psi0, T, rtol=1e-10)
+    psi = schrodinger_evolve(uniform_path(n, sched), psi0, T, rtol=1e-10)
     assert abs(np.linalg.norm(psi) - 1.0) <= 10 * 1e-10  # unitarity
     wf, Vf = spectrum(uniform_hamiltonian(n, 1.0), "even", eigenvectors=True)
     gs = embed_sector_vector(Vf[:, 0], n, "even")
@@ -171,7 +173,7 @@ def test_uniform_sweep_adiabatic_limit():
 def test_stepwise_evolution_stays_even_and_adiabatic():
     n = 4
     sweep = StepWiseSweep(n, 120.0)
-    path = StepWiseEvolvePath(sweep)
+    path = stepwise_path(sweep)
     w0, V0 = spectrum(build_hamiltonian(n, np.ones(n), np.zeros(n - 1), periodic=False),
                       "even", eigenvectors=True)
     psi0 = embed_sector_vector(V0[:, 0], n, "even").astype(complex)
@@ -180,6 +182,24 @@ def test_stepwise_evolution_stays_even_and_adiabatic():
     wf, Vf = spectrum(Hf, "even", eigenvectors=True)
     gs = embed_sector_vector(Vf[:, 0], n, "even")
     assert abs(np.vdot(gs, psi)) ** 2 >= 1 - 1e-3
+
+
+def test_matrix_free_paths_match_dense_hamiltonian():
+    # the uniform ring and the step-wise open chain, each applied to a
+    # vector and to a 3-column boson block
+    rng = np.random.default_rng(3)
+    sched = LinearSchedule(10.0)
+    cases = [(uniform_path(n, sched), True,
+              lambda t, n=n: (np.full(n, 1.0 - t / 10.0), np.full(n, t / 10.0)))
+             for n in (4, 5)]
+    cases += [(stepwise_path(StepWiseSweep(n, 10.0)), False, StepWiseSweep(n, 10.0).weights_at)
+              for n in (4, 6)]
+    for path, periodic, weights in cases:
+        for t in (0.0, 1.3, 4.9, 7.5, 10.0):
+            H = build_hamiltonian(path.n, *weights(t), periodic).matrix
+            for shape in ((path.dim,), (path.dim, 3)):
+                psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                np.testing.assert_allclose(path.apply(t, psi), H @ psi, rtol=0, atol=1e-13)
 
 
 def test_even_sector_matrix_matches_slicing():
@@ -237,9 +257,8 @@ def test_uniform_min_even_gap_matches_fundamental_gap():
 
 
 def test_composite_boson_path_dimensions_and_projection():
-    spec = ChainSpec(4)
-    sched = LinearSchedule(10.0)
-    path = CompositeBosonPath(spec, sched, omega0=1.0, lam=1e-3, n_quanta=2)
+    path = CompositeBosonPath(uniform_path(4, LinearSchedule(10.0)), omega0=1.0, lam=1e-3,
+                              n_quanta=2)
     assert path.dim == 16 * 3
     sys_state = np.zeros(16, dtype=complex)
     sys_state[3] = 1.0
