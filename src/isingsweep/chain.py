@@ -200,7 +200,7 @@ def excitation_matrix_element(spec: ChainSpec, k: float, g: float) -> complex:
     return pair_matrix_element(_check_channel(spec, k), g)
 
 
-def even_sector_gap(h, J, periodic: bool = False) -> float:
+def even_sector_gap(h, J, periodic: bool = False):
     """Gap between the two lowest even-parity levels of an arbitrary chain.
 
     H = -sum_j h_j sigma^x_j - sum_b J_b sigma^z_b sigma^z_{b+1} with n
@@ -213,20 +213,24 @@ def even_sector_gap(h, J, periodic: bool = False) -> float:
     lowest even excitation adds the two lowest quasiparticles, when it
     is odd the even ground state holds sigma_1 and the next even level
     holds sigma_2 instead.  Both cases are 2 (sigma_2 + sign(det Z)
-    sigma_1), continuous through a zero mode (sigma_1 = 0).
+    sigma_1), continuous through a zero mode (sigma_1 = 0).  Stacked
+    chains, ``h`` (m, n) and ``J`` (m, bonds), give an array of m gaps.
     """
     h = np.asarray(h, dtype=float)
     J = np.asarray(J, dtype=float)
-    n = h.size
-    if h.shape != (n,) or n < 2:
-        raise ValueError(f"h must be a vector of n >= 2 fields, got shape {h.shape}")
+    n = h.shape[-1] if h.ndim else 0
+    if h.ndim not in (1, 2) or n < 2:
+        raise ValueError(f"h must hold n >= 2 fields per chain, got shape {h.shape}")
     nb = n if periodic else n - 1
-    if J.shape != (nb,):
-        raise ValueError(f"J must have shape ({nb},), got {J.shape}")
-    Z = np.diag(h)
-    Z[np.arange(n - 1), np.arange(1, n)] = J[: n - 1]
+    if J.shape != h.shape[:-1] + (nb,):
+        raise ValueError(f"J must have shape {h.shape[:-1] + (nb,)}, got {J.shape}")
+    i = np.arange(n)
+    Z = np.zeros(h.shape + (n,))
+    Z[..., i, i] = h
+    Z[..., i[:-1], i[1:]] = J[..., : n - 1]
     if periodic:
-        Z[n - 1, 0] = (-1) ** (n + 1) * J[-1]
+        Z[..., n - 1, 0] = (-1) ** (n + 1) * J[..., -1]
     sigma = np.linalg.svd(Z, compute_uv=False)  # descending
     parity, _ = np.linalg.slogdet(Z)
-    return float(2.0 * (sigma[-2] + parity * sigma[-1]))
+    gap = 2.0 * (sigma[..., -2] + parity * sigma[..., -1])
+    return gap if h.ndim == 2 else float(gap)

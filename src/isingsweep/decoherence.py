@@ -14,16 +14,15 @@ of the run time T and uniform across schedules.
 Provided evaluations: the numeric integral, the two-saddle
 stationary-phase approximation with a validity flag, the rigorous
 phase-free upper bound lam * int |M| dt, and the sub-gap exponential
-suppression estimate.  Every numeric amplitude, a solo call as much as
-the (channel, frequency) grid of the bath-averaged total, goes through
-one routine: it computes the omega-independent norm
-int |M_k / (dg/dt)| dg once per channel of the call and integrates all
-amplitudes of the call in one batched quadrature call, each to a
-relative budget floored at 1e-13 of its channel norm, which keeps
-amplitudes that cancel to nearly nothing from chasing an unreachable
-relative budget.  On top of these sit the bath-averaged total
-excitation probability and the log-log scaling fit used for exponent
-checks.
+suppression estimate.  Every integral, numeric amplitude, channel norm
+int |M_k / (dg/dt)| dg or accumulated phase, goes through one routine
+that integrates a list of them, on any mix of schedules, in one batched
+quadrature call.  The omega-independent norm is integrated once per
+channel, before the amplitudes: each amplitude's relative budget is
+floored at 1e-13 of it, which keeps amplitudes that cancel to nearly
+nothing from chasing an unreachable relative budget.  On top of these
+sit the bath-averaged total excitation probability and the log-log
+scaling fit used for exponent checks.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ from .chain import (
     pair_element,
     pair_matrix_element,
 )
-from .quadrature import QuadratureError, oscillatory_batch, smooth_integral
-from .schedules import LinearSchedule, Schedule
+from .quadrature import QuadratureError, oscillatory_batch
+from .schedules import LinearSchedule, Schedule, _velocity
 
 __all__ = [
     "BathSpectrum",
@@ -148,40 +147,58 @@ class SaddlePointAmplitude:
     next_order_ratio: float
 
 
-def _pair(schedule, ka, omega, g):
-    """(M_k / (dg/dt), (-omega + 2 eps_k) / (dg/dt)) on the node array g.
-
-    The pair of the amplitude integral in the sweep variable.  The
-    velocity and ``eps_k`` are evaluated once per node array and shared
-    by the matrix element and the phase rate.
-    """
-    vel = schedule.velocity_of_g(g)
-    eps = mode_epsilon(ka, g)
-    return pair_element(ka, g, eps) / vel, (-omega + 2.0 * eps) / vel
+# Batched integrals, v = dg/dt: the amplitude int M_k/v e^{i Phi} dg, the channel
+# norm int |M_k/v| dg and the phase int Phi' dg, Phi' = (-omega + 2 eps_k)/v; the
+# (rtol, atol, breaks) of norms and phases (amplitudes: rtol, 1e-13 of the norm).
+AMPLITUDE, NORM, PHASE = "amplitude", "norm", "phase"
+_BUDGETS = {NORM: (1e-11, 0.0, (0.5,)), PHASE: (1e-13, 1e-9, (0.5,))}
 
 
-def _channel_norm(schedule, ka, g_upper):
-    """int_0^g_upper |M_k / (dg/dt)| dg, the same for every frequency."""
-    return smooth_integral(lambda g: np.abs(_pair(schedule, ka, 0.0, g)[0]), 0.0, g_upper,
-                           rtol=1e-11, points=(0.5,))
+def _integrand(terms):
+    """The map (g, owner) -> (f, Phi') of ``terms``, each (schedule, ka, omega, kind, g_upper)."""
+    rate, s, c, power = np.array([t[0].velocity_terms for t in terms], dtype=float).T
+    ka, omega = np.array([t[1:3] for t in terms], dtype=float).T
+    kind = np.array([t[3] for t in terms])
+
+    def pair(g, owner):
+        row = owner[:, None]
+        vel = _velocity(rate[row], s[row], c[row], power[row], g)
+        eps = mode_epsilon(ka[row], g)
+        f = pair_element(ka[row], g, eps)
+        f /= vel
+        dphi = (-omega[row] + 2.0 * eps) / vel
+        norm, phase = kind[owner] == NORM, kind[owner] == PHASE  # their rows change in place
+        f[norm] = np.abs(f[norm])
+        f[phase] = dphi[phase]
+        dphi[norm | phase] = 0.0
+        return f, dphi
+
+    return pair
 
 
-def _integrals(schedule, ka, omega, rtol, g_upper=1.0):
-    """Channel norms and quadrature outcomes of the amplitude integrals (ka[i], omega[i]).
+def _batch(terms, rtol=0.0, norms=None):
+    """Per term a result or its :class:`QuadratureError`, from one quadrature batch;
+    an amplitude's channel norm is ``norms[schedule, ka, g_upper]``."""
+    if not terms:
+        return []
+    rel, floor, points = zip(*[_BUDGETS.get(t[3]) or (rtol, 1e-13 * norms[t[0], t[1], t[4]], ())
+                               for t in terms])
+    return oscillatory_batch(_integrand(terms), 0.0, [t[4] for t in terms], rtol=rel, atol=floor,
+                             points=points)
 
-    ``ka`` and ``omega`` are flat arrays of equal size.  The norm of each
-    distinct channel is computed once; all integrals run in one
-    :func:`oscillatory_batch` call, each good to ``rtol`` relative,
-    floored at 1e-13 of its channel norm.  The outcomes are those of
-    the batch: a result, or the :class:`QuadratureError` of that
-    integral.
-    """
-    norm = {k: _channel_norm(schedule, k, g_upper) for k in set(ka.tolist())}
-    norms = np.array([norm[k] for k in ka.tolist()], dtype=float)
-    outcomes = oscillatory_batch(
-        lambda g, owner: _pair(schedule, ka[owner, None], omega[owner, None], g),
-        0.0, np.full(ka.size, g_upper), rtol=rtol, atol=1e-13 * norms)
-    return norms, outcomes
+
+def _values(outcomes):
+    """The values of ``outcomes``; the first failure raises its :class:`QuadratureError`."""
+    for res in outcomes:
+        if isinstance(res, QuadratureError):
+            raise res
+    return np.array([res.value for res in outcomes], dtype=complex)
+
+
+def _channel_norms(schedule, channels, g_upper=1.0):
+    """{(schedule, ka, g_upper): int_0^g_upper |M_k / (dg/dt)| dg} of the distinct ``channels``."""
+    keys = [(schedule, ka, g_upper) for ka in dict.fromkeys(channels)]
+    return dict(zip(keys, _values(_batch([(sc, ka, 0.0, NORM, g) for sc, ka, g in keys])).real))
 
 
 def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k, omega,
@@ -201,12 +218,9 @@ def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k, omega,
     if not 0.0 < g_upper <= 1.0:
         raise ValueError(f"g_upper must be in (0, 1], got {g_upper}")
     k, omega = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(omega, dtype=float))
-    ka = np.array([_check_channel(spec, x) for x in k.ravel().tolist()])
-    _, outcomes = _integrals(schedule, ka, omega.ravel(), rtol, g_upper)
-    for res in outcomes:
-        if isinstance(res, QuadratureError):
-            raise res
-    values = np.array([-1j * lam * res.value for res in outcomes], dtype=complex)
+    ka = [_check_channel(spec, x) for x in k.ravel().tolist()]
+    terms = [(schedule, x, w, AMPLITUDE, g_upper) for x, w in zip(ka, omega.ravel().tolist())]
+    values = -1j * lam * _values(_batch(terms, rtol, _channel_norms(schedule, ka, g_upper)))
     return values.reshape(k.shape) if k.ndim else complex(values[0])
 
 
@@ -239,9 +253,8 @@ def saddle_points(spec: ChainSpec, k: float, omega: float) -> tuple[float, float
 def accumulated_phase(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
                       g: float) -> float:
     """Phase -omega t(g) + int_0^t 2 epsilon dt' evaluated at sweep value g."""
-    ka = _check_channel(spec, k)
-    return smooth_integral(lambda gs: _pair(schedule, ka, omega, gs)[1], 0.0, g,
-                           rtol=1e-13, atol=1e-9, points=(0.5,))
+    term = (schedule, _check_channel(spec, k), omega, PHASE, g)
+    return float(_values(_batch([term]))[0].real) if g else 0.0
 
 
 def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
@@ -292,7 +305,8 @@ def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega:
 
 def amplitude_bound(spec: ChainSpec, schedule: Schedule, k: float, lam: float) -> float:
     """Rigorous bound lam * int_0^T |M_k(t)| dt, for every frequency (all phases dropped)."""
-    return float(lam * _channel_norm(schedule, _check_channel(spec, k), 1.0))
+    (norm,) = _channel_norms(schedule, [_check_channel(spec, k)]).values()
+    return float(lam * norm)
 
 
 def amplitude_suppressed_estimate(spec: ChainSpec, schedule: Schedule, k: float,
@@ -345,30 +359,28 @@ def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: Bath
     """
     lam = bath.coupling.lam
     nodes, weights = bath.quadrature(n_omega)
-    ks = channel_momenta(spec)
+    ks = channel_momenta(spec).tolist()
     live = weights != 0.0
-    n_live = int(live.sum())
-    ka = np.repeat(ks, n_live)
-    omega = np.tile(nodes[live], ks.size)
+    terms = [(schedule, k, w, AMPLITUDE, 1.0) for k in ks for w in nodes[live].tolist()]
+    norms = _channel_norms(schedule, ks)
     result = TotalExcitationResult(p_total=0.0)
-    norms, outcomes = _integrals(schedule, ka, omega, rtol)
-    values = np.empty(ka.size, dtype=complex)
-    terms = []
-    for i, res in enumerate(outcomes):
+    values = np.empty(len(terms), dtype=complex)
+    methods = []
+    for i, (term, res) in enumerate(zip(terms, _batch(terms, rtol, norms))):
         if isinstance(res, QuadratureError):
-            values[i] = lam * norms[i]
-            terms.append("bound")
+            values[i] = lam * norms[schedule, term[1], 1.0]
+            methods.append("bound")
             continue
         values[i] = -1j * lam * res.value
-        terms.append("numeric")
+        methods.append("numeric")
         result.panels += res.panels
         result.evaluations += res.evaluations
         result.levels = max(result.levels, res.levels)
-    amplitudes = values.reshape(ks.size, n_live) @ weights[live]
-    terms = iter(terms)
-    for k, acc in zip(ks.tolist(), amplitudes):
+    amplitudes = values.reshape(len(ks), int(live.sum())) @ weights[live]
+    methods = iter(methods)
+    for k, acc in zip(ks, amplitudes):
         result.channel_amplitudes[k] = complex(acc)
-        result.methods[k] = tuple(next(terms) if w else "skipped" for w in live)
+        result.methods[k] = tuple(next(methods) if w else "skipped" for w in live)
     result.p_total = float(np.sum(np.abs(amplitudes) ** 2))
     if result.p_total > 1.0:
         result.warnings.append(

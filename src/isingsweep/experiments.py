@@ -28,8 +28,12 @@ from .chain import (
     mode_epsilon,
 )
 from .decoherence import (
+    AMPLITUDE,
+    NORM,
+    PHASE,
     BathSpectrum,
-    accumulated_phase,
+    _batch,
+    _values,
     amplitude_bound,
     amplitude_numeric,
     amplitude_saddle_point,
@@ -46,6 +50,7 @@ from .oracle import (
     uniform_hamiltonian,
     uniform_min_even_gap,
 )
+from .quadrature import QuadratureError
 from .schedules import Schedule, make_schedule, runtime_for_adiabaticity
 
 __all__ = [
@@ -256,10 +261,9 @@ def write_json(path, obj) -> str:
 # ----------------------------------------------------------------------
 
 _T1_SIZES = (8, 16, 32, 64, 128)
-_T1_OMEGA_SADDLE = tuple(np.geomspace(0.35, 1.4, 7))
-_T1_OMEGA_BOUND = tuple(np.geomspace(0.3, 1.2, 7))
-_T1_OMEGA_FIXED_SADDLE = 1.3
-_T1_OMEGA_FIXED_BOUND = 0.5
+# per column: the omega of the n sweep, and the omega sweep
+_T1_OMEGAS = {"saddle": (1.3, tuple(np.geomspace(0.35, 1.4, 7))),
+              "bound": (0.5, tuple(np.geomspace(0.3, 1.2, 7)))}
 _T1_N_FIXED = 64
 
 
@@ -290,89 +294,88 @@ def table1_cells() -> list[dict]:
     ]
 
 
-def _resonant_mode(spec: ChainSpec, omega: float) -> float:
-    kpos = channel_momenta(spec)
-    return float(kpos[np.argmin(np.abs(2.0 * kpos - omega))])
-
-
-def _saddle_envelope(spec, kind, n, k, omega, lam, eps_adiab, rtol):
-    """|amplitude| envelope from two run times half an interference period apart.
-
-    The two saddle contributions beat against each other as a function
-    of T; sampling T and T(1 + pi/|dPhi|) and averaging the squared
-    magnitudes removes the cross term exactly.
-    """
-    T1 = runtime_for_adiabaticity(kind, n, eps_adiab)
-    s1 = make_schedule(kind, T1, spec)
-    gm, gp = saddle_points(spec, k, omega)
-    dphi = accumulated_phase(spec, s1, k, omega, gp) - accumulated_phase(spec, s1, k, omega, gm)
-    s2 = make_schedule(kind, T1 * (1.0 + np.pi / abs(dphi)), spec)
-    a1 = amplitude_numeric(spec, s1, k, omega, lam, rtol=rtol)
-    a2 = amplitude_numeric(spec, s2, k, omega, lam, rtol=rtol)
-    return math.sqrt(0.5 * (abs(a1) ** 2 + abs(a2) ** 2))
-
-
-def _t1_point(cell, sweep, value, lam, eps_adiab, rtol):
-    """One Table-1 measurement: (value, raw, normalized)."""
-    kind = cell["schedule"]
-    if sweep == "n":
-        n = int(value)
-        omega = _T1_OMEGA_FIXED_SADDLE if cell["column"] == "saddle" else _T1_OMEGA_FIXED_BOUND
-    else:
-        n = _T1_N_FIXED
-        omega = float(value)
-    spec = ChainSpec(n)
-    if cell["column"] == "saddle":
-        k = spec.smallest_momentum
-        raw = _saddle_envelope(spec, kind, n, k, omega, lam, eps_adiab, rtol)
-        return value, raw, raw / (lam * k)
-    k = _resonant_mode(spec, omega)
-    T = runtime_for_adiabaticity(kind, n, eps_adiab)
-    sched = make_schedule(kind, T, spec)
-    raw = amplitude_bound(spec, sched, k, lam)
-    om_eff = 2.0 * k
-    if cell["name"] == "linear-bound":
-        div = (om_eff if sweep == "n" else 1.0) * math.log(8.0 / om_eff)
-    elif cell["name"] == "adapted1-bound":
-        div = math.log(n * om_eff)
-    else:
-        div = 1.0
-    return value, raw, raw / (lam * div)
+def _t1_points(eps_adiab: float) -> list:
+    """Every Table-1 point in row order: (cell, sweep, value, spec, k, omega, schedule)."""
+    points = []
+    for cell in table1_cells():
+        saddle, kind = cell["column"] == "saddle", cell["schedule"]
+        fixed, omegas = _T1_OMEGAS[cell["column"]]
+        grid = [("n", n, n, fixed) for n in _T1_SIZES] + [
+            ("omega", w, _T1_N_FIXED, float(w)) for w in omegas]
+        for sweep, value, n, omega in grid:
+            spec = ChainSpec(n)
+            kpos = channel_momenta(spec)
+            # the fundamental mode, or in a bound cell the mode resonating with omega
+            k = float(kpos[0 if saddle else np.argmin(np.abs(2.0 * kpos - omega))])
+            sched = make_schedule(kind, runtime_for_adiabaticity(kind, n, eps_adiab), spec)
+            points.append((cell, sweep, value, spec, k, omega, sched))
+    return points
 
 
 def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float):
-    files = []
-    fits = {}
-    checks = {}
+    """The six scaling cells in three dependent quadrature passes.
+
+    A bound point's raw value is lam times its channel norm, a saddle
+    point's the envelope sqrt((|A(T)|^2 + |A(T')|^2) / 2), T' = T (1 + pi/|dPhi|)
+    with dPhi the phase between the two saddles, free of their cross term.
+    Pass 1 integrates the saddle phases and the first schedules' norms,
+    pass 2 the longer schedules' norms and the first amplitudes, pass 3
+    the rest.  Returns files, fits, checks and the counts of each pass.
+    """
+    points = _t1_points(eps_adiab)
+    saddle = [p for p in points if p[0]["column"] == "saddle"]
+    counts, norm = {}, {}
+
+    def integrate(terms):
+        outcomes = _batch(terms, rtol, norm)
+        done = [res for res in outcomes if not isinstance(res, QuadratureError)]
+        counts[f"pass_{len(counts) + 1}"] = {
+            "integrals": len(outcomes), "quadrature_panels": sum(r.panels for r in done),
+            "quadrature_evaluations": sum(r.evaluations for r in done),
+            "quadrature_levels": max((r.levels for r in done), default=0),
+            "failures": len(outcomes) - len(done)}
+        values = _values(outcomes)
+        norm.update(((t[0], t[1], 1.0), v.real) for t, v in zip(terms, values) if t[3] == NORM)
+        return values
+
+    phases = integrate([(sched, k, 0.0, NORM, 1.0) for *_, k, omega, sched in points] + [
+        (sched, k, omega, PHASE, g) for *_, spec, k, omega, sched in saddle
+        for g in saddle_points(spec, k, omega)])
+    lo, hi = phases[len(points):].real.reshape(-1, 2).T
+    longer = [make_schedule(cell["schedule"], sched.total_time * (1.0 + np.pi / abs(dphi)), spec)
+              for (cell, *_, spec, k, omega, sched), dphi in zip(saddle, (hi - lo).tolist())]
+    first = integrate([(s2, k, 0.0, NORM, 1.0) for (*_, k, omega, _), s2 in zip(saddle, longer)] + [
+        (sched, k, omega, AMPLITUDE, 1.0) for *_, k, omega, sched in saddle])[len(saddle):]
+    second = integrate([(s2, k, omega, AMPLITUDE, 1.0)
+                        for (*_, k, omega, _), s2 in zip(saddle, longer)])
+    envelopes = iter([math.sqrt(0.5 * (abs(-1j * lam * a1) ** 2 + abs(-1j * lam * a2) ** 2))
+                      for a1, a2 in zip(first.tolist(), second.tolist())])
+    rows = {}
+    for cell, sweep, value, spec, k, omega, sched in points:
+        om_eff = 2.0 * k  # a bound cell divides by its stated logarithmic factor
+        div = {"linear-bound": (om_eff if sweep == "n" else 1.0) * math.log(8.0 / om_eff),
+               "adapted1-bound": math.log(spec.n * om_eff),
+               "adapted2-bound": 1.0}.get(cell["name"], k)
+        raw = next(envelopes) if cell["column"] == "saddle" else lam * norm[sched, k, 1.0]
+        rows.setdefault(cell["name"], []).append((sweep, float(value), raw, raw / (lam * div)))
+    files, fits = [], {}
     for cell in table1_cells():
-        rows = []
         for sweep in ("n", "omega"):
-            if sweep == "n":
-                values = _T1_SIZES
-            else:
-                values = _T1_OMEGA_SADDLE if cell["column"] == "saddle" else _T1_OMEGA_BOUND
-            pts = [_t1_point(cell, sweep, v, lam, eps_adiab, rtol) for v in values]
-            xs = np.array([p[0] for p in pts], dtype=float)
-            ys = np.array([p[2] for p in pts], dtype=float)
-            fit = scaling_fit(xs, ys)
+            fit = scaling_fit(*zip(*[r[1::2] for r in rows[cell["name"]] if r[0] == sweep]))
             expected = cell["n_exponent"] if sweep == "n" else cell["omega_exponent"]
             key = f"{cell['name']}-{sweep}"
-            fits[key] = {
-                "target": key, "exponent": fit.exponent, "stderr": fit.stderr,
-                "points": fit.n_points, "expected": expected,
-                "pass": bool(abs(fit.exponent - expected) <= 0.2),
-            }
-            checks[key] = fits[key]["pass"]
-            rows += [(sweep, float(p[0]), float(p[1]), float(p[2])) for p in pts]
+            fits[key] = {"target": key, "exponent": fit.exponent, "stderr": fit.stderr,
+                         "points": fit.n_points, "expected": expected,
+                         "pass": bool(abs(fit.exponent - expected) <= 0.2)}
         files.append(write_csv(out_dir / f"table1_{cell['name']}.csv",
-                               ["sweep", "value", "raw", "normalized"], rows))
+                               ["sweep", "value", "raw", "normalized"], rows[cell["name"]]))
     files.append(write_json(out_dir / "table1_fits.json", fits))
     files.append(write_csv(
         out_dir / "table1_summary.csv",
         ["cell", "expected_exponent", "fitted_exponent", "stderr", "points", "pass"],
         [(key, f["expected"], f["exponent"], f["stderr"], f["points"], f["pass"])
          for key, f in sorted(fits.items())]))
-    return files, fits, checks
+    return files, fits, {key: f["pass"] for key, f in fits.items()}, counts
 
 
 # ----------------------------------------------------------------------
@@ -540,9 +543,9 @@ def _run_total_probability(config: ExperimentConfig, out: Path):
 
 
 def _run_scaling(config: ExperimentConfig, out: Path):
-    files, fits, checks = run_table1(out, config.coupling, config.epsilon_adiab,
-                                     config.amplitude_rtol)
-    return files, checks, {"fits": fits}
+    files, fits, checks, diagnostics = run_table1(out, config.coupling, config.epsilon_adiab,
+                                                  config.amplitude_rtol)
+    return files, checks, {"fits": fits, "diagnostics": diagnostics}
 
 
 def _run_stepwise(config: ExperimentConfig, out: Path):

@@ -14,8 +14,8 @@ sweep (:func:`uniform_path`) or the step-wise one (:func:`stepwise_path`);
 check of the response amplitudes.
 
 The gap profiles take their gaps from the free-fermion spectrum
-(:func:`isingsweep.chain.even_sector_gap`, an n x n singular-value
-problem); :func:`even_gap` diagonalizes the dense 2^(n-1) even sector
+(:func:`isingsweep.chain.even_sector_gap`, n x n singular-value problems
+stacked per call); :func:`even_gap` diagonalizes the dense 2^(n-1) even sector
 and is the reference that fermionic gap is tested against.
 
 Basis conventions: computational sigma^z basis, site j <-> bit j,
@@ -326,10 +326,10 @@ def stepwise_gap_profile(n: int, s_points: int = 50) -> StepwiseGapProfile:
     svals = np.linspace(0.0, 1.0, s_points)
     steps = np.arange(1, n)
     gaps = np.empty((len(steps), len(svals)))
-    for si, step in enumerate(steps):
-        for sj, s in enumerate(svals):
-            hw, Jw = stepwise_hamiltonian_weights(StepWisePath(n, int(step), float(s)))
-            gaps[si, sj] = even_sector_gap(hw, Jw, periodic=False)
+    for si, step in enumerate(steps):  # one stacked call per step
+        hw, Jw = zip(*(stepwise_hamiltonian_weights(StepWisePath(n, int(step), float(s)))
+                       for s in svals))
+        gaps[si] = even_sector_gap(np.array(hw), np.array(Jw), periodic=False)
     return StepwiseGapProfile(n=n, steps=steps, s_values=svals, gaps=gaps)
 
 
@@ -340,5 +340,5 @@ def uniform_min_even_gap(n: int) -> float:
     (pi/n, -pi/n) pair gap 2 epsilon(pi/n, g), smallest at g = 1/2,
     and g = 1/2 is a grid node.
     """
-    return min(even_sector_gap(*_uniform_weights(n, g, True), periodic=True)
-               for g in np.linspace(0.0, 1.0, 41))
+    hw, Jw = zip(*(_uniform_weights(n, g, True) for g in np.linspace(0.0, 1.0, 41)))
+    return float(even_sector_gap(np.array(hw), np.array(Jw), periodic=True).min())

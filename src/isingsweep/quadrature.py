@@ -29,8 +29,8 @@ integral's total is ``sum_j v_j exp(i Phi_j)`` with ``Phi_j`` the
 cumulative increment of its leaves left of leaf j, so no value depends
 on the order in which panels were evaluated.  On every level all
 leaves are tested against their width share of ``max(atol, rtol * |I|)``
-with the current estimate ``I`` of their own integral, the ones that
-miss are bisected, and an integral whose leaves all pass leaves the
+with the budget (``rtol``, ``atol``) and current estimate ``I`` of their
+own integral, the ones that miss are bisected, and an integral whose leaves all pass leaves the
 batch; its tree and counts are those it has on its own.
 :func:`oscillatory_integral` is a batch of one.
 
@@ -169,45 +169,46 @@ def _run_phases(owner, increment):
     return first, run, np.cumsum(padded, axis=1)[run, pos]
 
 
-def oscillatory_batch(integrand, a: float, b, rtol: float, atol, points=()) -> list:
+def oscillatory_batch(integrand, a: float, b, rtol, atol, points=None) -> list:
     """Integrate a batch of f_j(x) * exp(i * Phi_j(x)) over [a, b_j], with Phi_j(a) = 0.
 
-    ``b`` and ``atol`` hold one value per integral.  ``integrand(nodes,
+    ``b``, ``rtol`` (or one for all) and ``atol`` hold one value per
+    integral, ``points`` one sequence of break points per integral:
+    those inside (a, b_j) start as panel edges.  ``integrand(nodes,
     owner)`` maps a 2-D array of nodes, one row per open panel of the
     whole batch, and the index of the integral that owns each row to
     the pair ``(f, Phi')`` of arrays shaped like ``nodes``; it is called
     once per bisection level.  Each integral keeps its own ordered leaf
     tree, its own cumulative phase and its own budget
-    ``max(atol_j, rtol * |I_j|)``, and leaves the loop as soon as all
+    ``max(atol_j, rtol_j * |I_j|)``, and leaves the loop as soon as all
     its leaves meet their share of it, so its tree and counts are those
     of the integral on its own, and its value agrees to rounding.
-    ``points`` inside (a, b_j) start as panel edges.  Returns one entry
-    per integral: its :class:`OscillatoryResult`, or the
+    Returns one entry per integral: its :class:`OscillatoryResult`, or the
     :class:`QuadratureError` it failed with (panels open after the level
     cap, or more than ``_MAX_OPEN`` of its own open at once).
     """
     upper, floor = [float(v) for v in b], [float(v) for v in atol]
     if len(upper) != len(floor):
         raise ValueError(f"{len(upper)} upper limits but {len(floor)} absolute budgets")
-    for hi, least in zip(upper, floor):
+    rel = np.broadcast_to(np.asarray(rtol, dtype=float), len(upper))
+    for hi, eps, least in zip(upper, rel.tolist(), floor):
         if not hi > a:
             raise ValueError(f"empty or reversed interval [{a}, {hi}]")
-        if not (rtol >= 0.0 and least >= 0.0 and rtol + least > 0.0):
-            raise ValueError(f"need rtol, atol >= 0 and one of them positive, got {rtol}, {least}")
+        if not (eps >= 0.0 and least >= 0.0 and eps + least > 0.0):
+            raise ValueError(f"need rtol, atol >= 0 and one of them positive, got {eps}, {least}")
     if not upper:
         return []
     x, q, _ = _panel_setup(32)
-    breaks = sorted(p for p in points if p > a)
     left, right, owner, initial = [], [], [], []
-    for j, hi in enumerate(upper):
-        edges = [a, *(p for p in breaks if p < hi), hi]
+    for j, (hi, breaks) in enumerate(zip(upper, points or [()] * len(upper))):
+        edges = [a, *sorted(p for p in breaks if a < p < hi), hi]
         left += edges[:-1]
         right += edges[1:]
         owner += [j] * (len(edges) - 1)
         initial.append(len(edges) - 1)
     left, right, owner = np.array(left), np.array(right), np.array(owner)
-    # Per open integral, in the order of their runs: index, absolute
-    # budget and length.
+    # Per open integral, in the order of their runs: index, relative and
+    # absolute budget (``rel`` above), and length.
     ids, floor, span = np.arange(len(upper)), np.array(floor), np.array(upper) - a
     # The leaves of the open integrals, grouped by owner and in order of
     # position: value relative to the phase at the left edge, error
@@ -234,7 +235,7 @@ def oscillatory_batch(integrand, a: float, b, rtol: float, atol, points=()) -> l
         else:
             first, run, phase = _run_phases(owner, increment)
         total = np.add.reduceat(value * np.exp(1j * phase), first)
-        tol = np.maximum(floor, rtol * np.abs(total))
+        tol = np.maximum(floor, rel * np.abs(total))
         miss = ~(error <= tol[run] * (right - left) / span[run])
         missing = np.add.reduceat(miss, first)
         reps = np.where(miss, 2, 1)
@@ -252,7 +253,7 @@ def oscillatory_batch(integrand, a: float, b, rtol: float, atol, points=()) -> l
             if done.all():
                 return results
             reps[done[run]] = 0  # retire the finished integrals
-            ids, floor, span, missing = ids[~done], floor[~done], span[~done], missing[~done]
+            ids, rel, floor, span, missing = (v[~done] for v in (ids, rel, floor, span, missing))
         # Replace every missing leaf by its two halves, keeping the order.
         leaf = np.repeat(np.arange(owner.size), reps)
         left, right = left[leaf], right[leaf]
@@ -270,7 +271,7 @@ def oscillatory_batch(integrand, a: float, b, rtol: float, atol, points=()) -> l
             keep = ~np.isin(owner, ids[failed])
             left, right, owner = left[keep], right[keep], owner[keep]
             value, error, increment, fresh = value[keep], error[keep], increment[keep], fresh[keep]
-            ids, floor, span = ids[~failed], floor[~failed], span[~failed]
+            ids, rel, floor, span = ids[~failed], rel[~failed], floor[~failed], span[~failed]
     return results
 
 
@@ -296,7 +297,7 @@ def oscillatory_integral(integrand, a: float, b: float, rtol: float, atol: float
     after the level cap or too many are open at once.  This is
     :func:`oscillatory_batch` with a batch of one.
     """
-    (res,) = oscillatory_batch(lambda nodes, _: integrand(nodes), a, [b], rtol, [atol], points)
+    (res,) = oscillatory_batch(lambda nodes, _: integrand(nodes), a, [b], rtol, [atol], [points])
     if isinstance(res, QuadratureError):
         raise res
     return res

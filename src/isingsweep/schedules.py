@@ -12,7 +12,8 @@ closed forms
     p = 2:  (atan(c/s) - atan(c x/s)) / (32 s c)
 
 so g(t) (the inverse of t(g) = I_p(g) / C) and the norm J_p = I_p(1)
-are exact; the velocity is reported from the defining rate equation.
+are exact; the velocity is reported from the defining rate equation,
+one formula for every kind (p = 0 is the constant-speed sweep).
 
 The step-wise path replaces transverse-field terms by ferromagnetic
 bonds one site at a time on an open chain: step 1 turns the fields on
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, fundamental_gap, mode_epsilon
+from .chain import ChainSpec, mode_epsilon
 
 __all__ = [
     "Schedule",
@@ -67,25 +68,40 @@ def _norm_integral(spec: ChainSpec, power: int) -> float:
     return float(np.arctan(c / s) / (16.0 * s * c))
 
 
+def _velocity(rate, s, c, power, g):
+    """dg/dt = rate * (4 sqrt(s^2 + c^2 (1 - 2g)^2))^power, power 0, 1 or 2, as exact
+    products: arrays of the four numbers, one row per schedule, give each its own."""
+    one = np.ones_like(g)  # an array: np.where is twice as slow with a scalar
+    if not np.any(power):  # constant speed only: no gap to evaluate
+        return rate * one
+    gap = 4.0 * np.sqrt(s * s + ((1.0 - 2.0 * g) * c) ** 2)
+    return rate * (np.where(power > 0, gap, one) * np.where(power > 1, gap, one))
+
+
 class Schedule:
     """Common interface of the homogeneous g(t) schedules."""
 
     kind: str
     total_time: float
+    velocity_terms: tuple  # (rate, s, c, power) of _velocity
 
     def g_of_t(self, t):
         raise NotImplementedError
 
     def velocity_of_g(self, g):
         """dg/dt as a function of g (closed form, exact)."""
-        raise NotImplementedError
+        return _velocity(*self.velocity_terms, np.asarray(g))
 
     def _check_time(self, t):
+        T, slop = self.total_time, 1e-12 * self.total_time
+        if isinstance(t, float):  # one time: no array round trip; NaN passes as below
+            if t < -slop or t > T + slop:
+                raise ValueError(f"t outside [0, {T}]")
+            return min(max(t, 0.0), T)
         t = np.asarray(t, dtype=float)
-        slop = 1e-12 * self.total_time
-        if np.any(t < -slop) or np.any(t > self.total_time + slop):
-            raise ValueError(f"t outside [0, {self.total_time}]")
-        return np.clip(t, 0.0, self.total_time)
+        if np.any(t < -slop) or np.any(t > T + slop):
+            raise ValueError(f"t outside [0, {T}]")
+        return np.clip(t, 0.0, T)
 
 
 class LinearSchedule(Schedule):
@@ -95,12 +111,10 @@ class LinearSchedule(Schedule):
 
     def __init__(self, total_time: float):
         self.total_time = _check_total_time(total_time)
+        self.velocity_terms = (1.0 / self.total_time, 0.0, 1.0, 0)
 
     def g_of_t(self, t):
         return self._check_time(t) / self.total_time
-
-    def velocity_of_g(self, g):
-        return np.full(np.shape(g), 1.0 / self.total_time) if np.ndim(g) else 1.0 / self.total_time
 
 
 class GapAdaptedSchedule(Schedule):
@@ -118,11 +132,10 @@ class GapAdaptedSchedule(Schedule):
         if power not in (1, 2):
             raise ValueError(f"power must be 1 or 2, got {power}")
         self.kind = f"gap-adapted-{power}"
-        self.spec = spec
         self.total_time = _check_total_time(total_time)
-        self.power = power
         self.rate_constant = _norm_integral(spec, power) / self.total_time
         s, c = _gap_sin_cos(spec)
+        self.velocity_terms = (self.rate_constant, s, c, power)
         self._s_over_c = s / c
         phi, self._phi_inverse = _PHI[power]
         self._phi_edge = phi(c / s)
@@ -131,9 +144,6 @@ class GapAdaptedSchedule(Schedule):
         u = 1.0 - 2.0 * self._check_time(t) / self.total_time
         x = self._s_over_c * self._phi_inverse(self._phi_edge * u)
         return np.clip(0.5 * (1.0 - x), 0.0, 1.0)
-
-    def velocity_of_g(self, g):
-        return self.rate_constant * fundamental_gap(self.spec, np.asarray(g)) ** self.power
 
 
 def make_schedule(kind: str, total_time: float, spec: ChainSpec | None = None) -> Schedule:

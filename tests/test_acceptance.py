@@ -128,7 +128,7 @@ def test_criterion_3_decoherence_oracle():
 
 def test_criterion_4_table1_exponents(tmp_path):
     t0 = time.time()
-    files, fits, checks = run_table1(tmp_path, lam=1e-3, eps_adiab=0.25, rtol=1e-6)
+    files, fits, checks, _ = run_table1(tmp_path, lam=1e-3, eps_adiab=0.25, rtol=1e-6)
     elapsed = time.time() - t0
     ok = all(checks.values()) and elapsed < 1800.0
     lines = [f"{k}: {v['exponent']:+.3f} (expect {v['expected']:+.2f})"

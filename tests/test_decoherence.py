@@ -36,6 +36,7 @@ class FrozenSchedule(Schedule):
     """g pinned at a constant: a sweep that never moves."""
 
     kind = "frozen"
+    velocity_terms = (0.0, 0.0, 1.0, 0)  # dg/dt = 0
 
     def __init__(self, g0, total_time):
         self.g0 = g0
@@ -43,9 +44,6 @@ class FrozenSchedule(Schedule):
 
     def g_of_t(self, t):
         return self.g0 * np.ones_like(np.asarray(t, float)) if np.ndim(t) else self.g0
-
-    def velocity_of_g(self, g):
-        return np.zeros_like(np.asarray(g, float)) if np.ndim(g) else 0.0
 
 
 def test_zero_velocity_schedule_fails_quadrature(chain8):
@@ -57,7 +55,8 @@ def test_zero_velocity_schedule_fails_quadrature(chain8):
 
 def test_array_amplitudes_match_scalar_calls(chain8, monkeypatch):
     # 4 channels x 3 frequencies, including the sub-gap omega = 0.3 of
-    # k = pi/8: one batched call, every value that of its scalar call
+    # k = pi/8: one batch of the 4 channel norms, one of the 12
+    # amplitudes, every value that of its scalar call
     sched = GapAdaptedSchedule(chain8, 80.0, 2)
     ks = channel_momenta(chain8)
     omegas = np.array([0.3, 0.8, 1.5])
@@ -71,7 +70,7 @@ def test_array_amplitudes_match_scalar_calls(chain8, monkeypatch):
 
     monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
     grid = amplitude_numeric(chain8, sched, ks[:, None], omegas, 1e-3)
-    assert calls == [12]
+    assert calls == [4, 12]
     assert grid.shape == (4, 3) and grid.dtype == complex
     assert all(isinstance(a, complex) for row in scalar for a in row)
     assert np.all(np.abs(grid - scalar) <= 1e-12 * np.abs(scalar))
@@ -294,7 +293,8 @@ def test_total_probability_bound_fallback_per_term(monkeypatch):
 
     def one_fails(*args, **kwargs):
         outcomes = inner(*args, **kwargs)
-        outcomes[5] = QuadratureError("forced")
+        if len(outcomes) > spec.n // 2:  # the amplitudes, not the channel norms
+            outcomes[5] = QuadratureError("forced")
         return outcomes
 
     monkeypatch.setattr(decoherence, "oscillatory_batch", one_fails)
@@ -361,8 +361,9 @@ def test_bound_norm_is_the_numeric_reference(chain8, monkeypatch):
     monkeypatch.setattr(decoherence, "oscillatory_batch", spy)
     amplitude_numeric(chain8, sched, k, 0.7, lam, rtol=rtol)
     norm = amplitude_bound(chain8, sched, k, lam) / lam
-    (atol,) = budgets[0][1]
-    assert budgets[0][0] == rtol
+    # the channel norm, the amplitude, then the norm of amplitude_bound
+    assert [b[0] for b in budgets] == [(1e-11,), (rtol,), (1e-11,)]
+    (atol,) = budgets[1][1]
     assert atol == pytest.approx(1e-13 * norm, rel=1e-15)
     assert norm == pytest.approx(quad(
         lambda g: 4 * g * np.sin(k) / mode_epsilon(k, g) / sched.velocity_of_g(g),
@@ -376,13 +377,15 @@ def test_amplitude_numeric_is_one_integral(chain8, monkeypatch, omega):
     inner = decoherence.oscillatory_batch
 
     def counting(*args, **kwargs):
-        calls.append((args[1], args[2].tolist()))
+        calls.append((args[1], list(args[2]), kwargs["points"]))
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
     amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3)
     amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3, g_upper=0.9)
-    assert calls == [(0.0, [1.0]), (0.0, [0.9])]
+    # per call its channel norm (break at g = 1/2), then its one amplitude
+    assert calls == [(0.0, [1.0], ((0.5,),)), (0.0, [1.0], ((),)),
+                     (0.0, [0.9], ((0.5,),)), (0.0, [0.9], ((),))]
 
 
 def test_subgap_amplitude_meets_relative_budget(chain8):
@@ -390,7 +393,8 @@ def test_subgap_amplitude_meets_relative_budget(chain8):
     # where the integral cancels to about 2e-3 of the phase-free bound
     sched = GapAdaptedSchedule(chain8, 80.0, 2)
     k, omega, rtol = np.pi / 8, 0.3, 1e-6
-    pair = lambda g: decoherence._pair(sched, k, omega, g)
+    integrand = decoherence._integrand([(sched, k, omega, decoherence.AMPLITUDE, 1.0)])
+    pair = lambda g: integrand(g, np.zeros(len(g), dtype=int))
     res = oscillatory_integral(pair, 0.0, 1.0, rtol=rtol)
     tight = oscillatory_integral(pair, 0.0, 1.0, rtol=1e-12).value
     assert abs(tight) < 3e-3 * amplitude_bound(chain8, sched, k, 1.0)
@@ -404,17 +408,18 @@ def test_channel_norm_computed_once_per_channel(monkeypatch):
     spec = ChainSpec(8)
     sched = LinearSchedule(30.0)
     calls = []
-    inner = decoherence.smooth_integral
+    inner = decoherence.oscillatory_batch
 
     def counting(*args, **kwargs):
-        calls.append(args[1:3])
+        calls.append(kwargs["points"])
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(decoherence, "smooth_integral", counting)
+    monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
     bath = BathSpectrum.ohmic(0.5, CouplingConstant(0.01), support_max=1.9)
     res = total_excitation_probability(spec, sched, bath)
     assert sum(len(m) for m in res.methods.values()) == 33 * spec.n // 2
-    assert len(calls) == spec.n // 2
+    # one batch of the n/2 channel norms (break at g = 1/2), one of the amplitudes
+    assert calls == [((0.5,),) * (spec.n // 2), ((),) * (33 * spec.n // 2)]
 
 
 @pytest.mark.parametrize("x", [0.5, 3.8, 8.0, 40.0])

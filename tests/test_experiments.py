@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -8,17 +9,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isingsweep.chain import ChainSpec
+from isingsweep import decoherence
+from isingsweep.chain import ChainSpec, channel_momenta
 from isingsweep.cli import main
+from isingsweep.decoherence import (
+    accumulated_phase,
+    amplitude_bound,
+    amplitude_numeric,
+    saddle_points,
+)
 from isingsweep.dynamics import integrate_modes
 from isingsweep.experiments import (
+    _T1_N_FIXED,
     ConfigError,
     ExperimentConfig,
     config_hash,
     run_experiment,
+    run_table1,
     table1_cells,
     write_csv,
 )
+from isingsweep.schedules import make_schedule, runtime_for_adiabaticity
 
 
 def test_config_validation_messages():
@@ -85,6 +96,61 @@ def test_byte_identical_reruns(tmp_path):
     assert diagnostics[0] == diagnostics[1]
     assert (out1 / "dyn" / "dynamics_n4.csv").read_bytes() == \
         (out2 / "dyn" / "dynamics_n4.csv").read_bytes()
+    # the scaling table's three batched passes: same bytes, same counts
+    diagnostics = []
+    for out in (out1, out2):
+        summary = run_experiment(ExperimentConfig.from_dict({
+            "kind": "scaling", "coupling": 1e-3, "output_dir": str(out / "t1")}))
+        diagnostics.append(json.dumps(summary["diagnostics"]))
+    assert diagnostics[0] == diagnostics[1]
+    passes = json.loads(diagnostics[0])
+    assert sorted(passes) == ["pass_1", "pass_2", "pass_3"]
+    assert all(d["failures"] == 0 and d["quadrature_panels"] >= d["integrals"]
+               for d in passes.values())
+    tables = sorted((out1 / "t1").glob("table1_*.csv"))
+    assert len(tables) == 7
+    for path in tables:
+        assert path.read_bytes() == (out2 / "t1" / path.name).read_bytes(), path.name
+
+
+def test_table1_in_three_batches_matches_public_calls(tmp_path, monkeypatch):
+    # one oscillatory_batch call per pass; the raw value of one point per
+    # cell, the omega sweep at its largest omega, is that of the public
+    # solo calls
+    lam, eps_adiab, rtol = 1e-3, 0.25, 1e-6
+    calls = []
+    inner = decoherence.oscillatory_batch
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
+    _, fits, _, diagnostics = run_table1(tmp_path, lam, eps_adiab, rtol)
+    monkeypatch.undo()
+    assert calls == [144, 72, 36]
+    assert [d["integrals"] for d in diagnostics.values()] == calls
+    assert all(f["pass"] for f in fits.values())
+    spec = ChainSpec(_T1_N_FIXED)
+    for cell in table1_cells():
+        kind = cell["schedule"]
+        with open(tmp_path / f"table1_{cell['name']}.csv", newline="") as fh:
+            row = [r for r in csv.DictReader(fh) if r["sweep"] == "omega"][-1]
+        omega = float(row["value"])
+        first = make_schedule(kind, runtime_for_adiabaticity(kind, spec.n, eps_adiab), spec)
+        if cell["column"] == "saddle":
+            k = spec.smallest_momentum
+            lo, hi = (accumulated_phase(spec, first, k, omega, g)
+                      for g in saddle_points(spec, k, omega))
+            longer = make_schedule(kind, first.total_time * (1.0 + np.pi / abs(hi - lo)), spec)
+            a1, a2 = (amplitude_numeric(spec, sched, k, omega, lam, rtol=rtol)
+                      for sched in (first, longer))
+            expected = np.sqrt(0.5 * (abs(a1) ** 2 + abs(a2) ** 2))
+        else:
+            kpos = channel_momenta(spec)
+            k = kpos[np.argmin(np.abs(2.0 * kpos - omega))]
+            expected = amplitude_bound(spec, first, k, lam)
+        assert float(row["raw"]) == pytest.approx(expected, rel=1e-12, abs=0.0), cell["name"]
 
 
 def test_fig1_comes_from_this_run(tmp_path):

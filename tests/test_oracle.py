@@ -239,6 +239,28 @@ def test_even_sector_gap_matches_dense():
         even_sector_gap(np.ones(4), np.ones(4), periodic=False)
 
 
+def test_even_sector_gap_stacked_matches_one_at_a_time():
+    # m chains in one call: an array of m gaps, each bitwise that of its
+    # own call, which returns a float
+    rng = np.random.default_rng(3)
+    for n, periodic in [(2, False), (5, True), (8, False), (12, True)]:
+        h = rng.uniform(-1.0, 1.0, (7, n))
+        J = rng.uniform(-1.0, 1.0, (7, n if periodic else n - 1))
+        stacked = even_sector_gap(h, J, periodic)
+        single = [even_sector_gap(a, b, periodic) for a, b in zip(h, J)]
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (7,)
+        assert all(isinstance(x, float) for x in single)
+        assert stacked.tolist() == single
+    with pytest.raises(ValueError, match="J"):
+        even_sector_gap(np.ones((3, 4)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="J"):
+        even_sector_gap(np.ones((3, 4)), np.ones(3))
+    with pytest.raises(ValueError, match="h"):
+        even_sector_gap(np.ones((2, 3, 4)), np.ones((2, 3, 3)))
+    with pytest.raises(ValueError, match="h"):
+        even_sector_gap(np.ones((3, 1)), np.ones((3, 0)))
+
+
 def test_stepwise_gap_profile_small_n():
     prof = stepwise_gap_profile(4)
     assert prof.gaps.shape == (3, 50)

@@ -14,7 +14,7 @@ from isingsweep.quadrature import (
     oscillatory_integral,
     smooth_integral,
 )
-from isingsweep.schedules import GapAdaptedSchedule, _norm_integral
+from isingsweep.schedules import GapAdaptedSchedule, LinearSchedule, _norm_integral
 
 
 def _pair(amp, dphase):
@@ -137,15 +137,18 @@ def test_batch_matches_solo_calls():
     ka = np.repeat(channel_momenta(spec), 3)
     omega = np.tile([0.3, 0.8, 1.5], 4)
     upper = np.where(np.arange(ka.size) % 2, 0.9, 1.0)
-    norm = np.array([decoherence._channel_norm(sched, k, u) for k, u in zip(ka, upper)])
+    norm = np.array([decoherence._channel_norms(sched, [k], u)[sched, k, u]
+                     for k, u in zip(ka, upper)])
+    integrand = decoherence._integrand([(sched, k, w, decoherence.AMPLITUDE, u)
+                                        for k, w, u in zip(ka, omega, upper)])
     calls = []
 
     def pair(g, owner):
         calls.append((g.copy(), owner.copy()))
-        return decoherence._pair(sched, ka[owner, None], omega[owner, None], g)
+        return integrand(g, owner)
 
     batch = oscillatory_batch(pair, 0.0, upper, rtol=1e-6, atol=1e-13 * norm)
-    solo = [oscillatory_integral(lambda g: decoherence._pair(sched, ka[j], omega[j], g), 0.0,
+    solo = [oscillatory_integral(lambda g: integrand(g, np.full(len(g), j)), 0.0,
                                  upper[j], rtol=1e-6, atol=1e-13 * norm[j])
             for j in range(ka.size)]
     assert abs(solo[0].value) < 3e-3 * norm[0]
@@ -158,6 +161,40 @@ def test_batch_matches_solo_calls():
         assert owner.shape == (g.shape[0],) and np.all(np.diff(owner) >= 0)
         assert np.all(g >= 0.0) and np.all(g <= upper[owner, None] + 1e-15)  # rows stay in range
     assert sum(g.size for g, _ in calls) == sum(res.evaluations for res in batch)
+
+
+def test_batch_mixed_budgets_and_points_match_solo_calls():
+    # channel norms, phases and amplitudes on two schedules in one batch,
+    # each with its own rtol, atol and break points, as the decoherence
+    # layer gives them: every integral keeps the tree of its solo call
+    spec = ChainSpec(8)
+    terms, rtol, atol, points = [], [], [], []
+    for sched in (GapAdaptedSchedule(spec, 80.0, 2), LinearSchedule(30.0)):
+        for k in channel_momenta(spec)[:2]:
+            terms += [(sched, k, 0.0, decoherence.NORM, 1.0),
+                      (sched, k, 0.8, decoherence.PHASE, 0.7),
+                      (sched, k, 0.8, decoherence.AMPLITUDE, 0.9)]
+            rtol += [1e-11, 1e-13, 1e-6]
+            atol += [0.0, 1e-9, 1e-12]
+            points += [(0.5,), (0.5,), ()]
+    integrand = decoherence._integrand(terms)
+    upper = [t[4] for t in terms]
+    rows = []
+
+    def pair(g, owner):
+        rows.append(np.bincount(owner, minlength=len(terms)))
+        return integrand(g, owner)
+
+    batch = oscillatory_batch(pair, 0.0, upper, rtol, atol, points)
+    assert rows[0].tolist() == [2, 2, 1] * 4  # g = 1/2 splits the norms and phases only
+    for j, got in enumerate(batch):
+        ref = oscillatory_integral(lambda g: integrand(g, np.full(len(g), j)), 0.0, upper[j],
+                                   rtol[j], atol[j], points[j])
+        assert (got.panels, got.evaluations, got.levels) == (ref.panels, ref.evaluations,
+                                                             ref.levels), j
+        assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value), j
+    with pytest.raises(ValueError, match="rtol"):
+        oscillatory_batch(pair, 0.0, upper[:2], [1e-6, -1.0], [0.0, 0.0])
 
 
 def test_batch_sums_phase_within_each_integral():

@@ -9,6 +9,7 @@ from isingsweep.schedules import (
     LinearSchedule,
     StepWisePath,
     StepWiseSweep,
+    _velocity,
     make_schedule,
     runtime_for_adiabaticity,
     stepwise_hamiltonian_weights,
@@ -94,6 +95,48 @@ def test_g_dot_matches_finite_difference():
         fd = (sched.g_of_t(t + h) - sched.g_of_t(t - h)) / (2 * h)
         gd = sched.velocity_of_g(sched.g_of_t(t))
         assert np.max(np.abs(fd - gd) / np.abs(gd)) < 1e-6, kind
+
+
+def test_velocity_terms_give_each_schedule_in_one_batch():
+    # one vectorized expression over the (rate, s, c, power) of several
+    # schedules gives every schedule's own dg/dt, bitwise, and that is
+    # C * DeltaE^p with DeltaE the fundamental gap (p = 0: 1/T)
+    spec = ChainSpec(16)
+    scheds = [LinearSchedule(50.0), GapAdaptedSchedule(spec, 50.0, 1),
+              GapAdaptedSchedule(spec, 80.0, 2)]
+    g = np.linspace(0.0, 1.0, 11)
+    rate, s, c, power = np.array([x.velocity_terms for x in scheds], dtype=float).T[..., None]
+    batch = _velocity(rate, s, c, power, g)
+    for row, sched in zip(batch, scheds):
+        assert np.array_equal(row, sched.velocity_of_g(g))
+        assert row[3] == sched.velocity_of_g(g[3])
+    assert np.all(batch[0] == 1.0 / 50.0)
+    for sched, p in zip(scheds[1:], (1, 2)):
+        np.testing.assert_allclose(sched.velocity_of_g(g),
+                                   sched.rate_constant * fundamental_gap(spec, g) ** p,
+                                   rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["linear", "gap-adapted-2"])
+def test_time_check_edges_scalar_and_array(kind):
+    # within 1e-12 T of [0, T] a time is clipped, beyond it rejected;
+    # NaN passes through; a float and a 1-element array agree bitwise
+    sched = make_schedule(kind, 70.0, ChainSpec(8))
+    T = sched.total_time
+    slop = 1e-12 * T
+    for t, clipped in ((-0.5 * slop, 0.0), (T + 0.5 * slop, T), (0.0, 0.0), (T, T)):
+        assert sched._check_time(t) == clipped
+        assert sched._check_time(np.array([t])).tolist() == [clipped]
+    for t in np.linspace(0.0, T, 7).tolist():
+        assert sched.g_of_t(t) == sched.g_of_t(np.array([t]))[0]
+    for t in (-2.0 * slop, T + 2.0 * slop):
+        with pytest.raises(ValueError, match="outside"):
+            sched._check_time(t)
+        with pytest.raises(ValueError, match="outside"):
+            sched._check_time(np.array([0.5 * T, t]))
+    assert np.isnan(sched._check_time(float("nan")))
+    assert np.isnan(sched._check_time(np.array([0.0, np.nan]))[1])
+    assert np.isnan(sched.g_of_t(float("nan")))
 
 
 def test_adapted_slowest_at_critical_point():
