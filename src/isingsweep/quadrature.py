@@ -221,8 +221,7 @@ def oscillatory_batch(integrand, a: float, b, rtol, atol, points=None) -> list:
     for level in range(1, _LEVELS + 1):
         lo, hi = left[fresh], right[fresh]
         hw = 0.5 * (hi - lo)
-        nodes = 0.5 * (hi + lo)[:, None] + hw[:, None] * x
-        f, dphi = integrand(nodes, owner[fresh])
+        f, dphi = integrand(0.5 * (hi + lo)[:, None] + hw[:, None] * x, owner[fresh])
         f = np.asarray(f, dtype=complex)
         dphi = np.asarray(dphi, dtype=float)
         phi = hw[:, None] * (dphi @ q.T)  # phase relative to the left edge
