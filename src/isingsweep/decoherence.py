@@ -167,7 +167,7 @@ def _integrand(terms):
         f = pair_element(ka[row], g, eps)
         f /= vel
         dphi = (-omega[row] + 2.0 * eps) / vel
-        norm, phase = kind[owner] == NORM, kind[owner] == PHASE  # their rows change in place
+        norm, phase = kind[owner] == NORM, kind[owner] == PHASE  # rows overwritten in place
         f[norm] = np.abs(f[norm])
         f[phase] = dphi[phase]
         dphi[norm | phase] = 0.0
