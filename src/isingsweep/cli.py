@@ -1,8 +1,9 @@
 """Command-line driver.
 
-One subcommand per experiment kind; each accepts ``--config FILE`` (JSON)
-with flag overrides.  Exit status is nonzero when any built-in check
-fails or the configuration is invalid.
+The experiment kind is the one positional argument; every kind takes
+the same options, ``--config FILE`` (JSON) with flag overrides.  Exit
+status is nonzero when any built-in check fails or the configuration
+is invalid.
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ from .experiments import (
 )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="isingsweep",
+        description="Adiabatic sweeps of the transverse-field Ising chain: "
+                    "spectra, mode dynamics, bath-induced excitation amplitudes, "
+                    "scaling fits, and dense-diagonalization cross-checks.",
+    )
+    p.add_argument("kind", choices=EXPERIMENT_KINDS, help="the experiment to run")
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--n", type=int, nargs="+", dest="chain_sizes", help="chain sizes")
     p.add_argument("--T", type=float, dest="total_time", help="explicit run time")
@@ -32,20 +40,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bath", dest="bath_kind", choices=_BATH_KINDS)
     p.add_argument("--coupling", type=float, help="bath coupling lambda")
     p.add_argument("--out", dest="output_dir", help="output directory")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="isingsweep",
-        description="Adiabatic sweeps of the transverse-field Ising chain: "
-                    "spectra, mode dynamics, bath-induced excitation amplitudes, "
-                    "scaling fits, and dense-diagonalization cross-checks.",
-    )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in EXPERIMENT_KINDS:
-        p = sub.add_parser(kind, help=f"run the {kind} experiment")
-        _add_common(p)
-    return parser
+    return p
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:

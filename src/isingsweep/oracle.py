@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import even_sector_gap
-from .schedules import Schedule, StepWiseSweep, StepWisePath, stepwise_hamiltonian_weights
+from .schedules import Schedule, StepWiseSweep, stepwise_weights
 
 __all__ = [
     "DenseHamiltonian",
@@ -315,6 +315,7 @@ class StepwiseGapProfile:
     steps: np.ndarray
     s_values: np.ndarray
     gaps: np.ndarray  # shape (n-1, len(s_values))
+    gap_calls: int    # stacked even_sector_gap calls that made ``gaps``
 
     @property
     def min_gap(self) -> float:
@@ -322,23 +323,23 @@ class StepwiseGapProfile:
 
 
 def stepwise_gap_profile(n: int, s_points: int = 50) -> StepwiseGapProfile:
-    """Even-sector gap over every step of the step-wise path (open chain)."""
+    """Even-sector gap over every step of the step-wise path (open chain):
+    per step, one broadcast weight call and one stacked gap call."""
     svals = np.linspace(0.0, 1.0, s_points)
     steps = np.arange(1, n)
-    gaps = np.empty((len(steps), len(svals)))
-    for si, step in enumerate(steps):  # one stacked call per step
-        hw, Jw = zip(*(stepwise_hamiltonian_weights(StepWisePath(n, int(step), float(s)))
-                       for s in svals))
-        gaps[si] = even_sector_gap(np.array(hw), np.array(Jw), periodic=False)
-    return StepwiseGapProfile(n=n, steps=steps, s_values=svals, gaps=gaps)
+    gaps = np.array([even_sector_gap(*stepwise_weights(n, step, svals)) for step in steps])
+    return StepwiseGapProfile(n=n, steps=steps, s_values=svals, gaps=gaps, gap_calls=len(steps))
+
+
+_UNIFORM_G_POINTS = 41
 
 
 def uniform_min_even_gap(n: int) -> float:
-    """Minimum over g of the uniform ring's even-sector gap.
+    """Minimum over g of the uniform ring's even-sector gap, from one stacked call.
 
     Read off a 41-point g grid, which is exact: the gap is the
     (pi/n, -pi/n) pair gap 2 epsilon(pi/n, g), smallest at g = 1/2,
     and g = 1/2 is a grid node.
     """
-    hw, Jw = zip(*(_uniform_weights(n, g, True) for g in np.linspace(0.0, 1.0, 41)))
-    return float(even_sector_gap(np.array(hw), np.array(Jw), periodic=True).min())
+    g = np.linspace(0.0, 1.0, _UNIFORM_G_POINTS)[:, None] * np.ones(n)  # a ring per row
+    return float(even_sector_gap(1.0 - g, g, periodic=True).min())

@@ -39,6 +39,7 @@ __all__ = [
     "StepWiseSweep",
     "make_schedule",
     "stepwise_hamiltonian_weights",
+    "stepwise_weights",
     "runtime_for_adiabaticity",
 ]
 
@@ -174,26 +175,24 @@ class StepWisePath:
             raise ValueError(f"s must be in [0, 1], got {self.s}")
 
 
-def stepwise_hamiltonian_weights(path: StepWisePath) -> tuple[np.ndarray, np.ndarray]:
-    """Transverse weights h_j and open-chain bond weights J_j at a path point.
+def stepwise_weights(n: int, step, s) -> tuple[np.ndarray, np.ndarray]:
+    """Transverse weights h_j and open-chain bond weights J_j along the step-wise path.
 
     Defines H = -sum_j h_j sigma^x_j - sum_j J_j sigma^z_j sigma^z_{j+1}
-    with n-1 bonds and no closing bond.  Step 1 fades the fields on
-    sites 1 and 2 together while bond 1 grows; step j >= 2 fades the
-    field on site j+1 while bond j grows.
+    with n-1 bonds and no closing bond.  Bond j grows as s during step j
+    and is 1 after it; each field is one minus the bond on its left, site 1
+    sharing bond 1 with site 2.  ``step`` (1..n-1) and ``s`` (0..1)
+    broadcast; h and J gain a last axis of n sites and n-1 bonds.
     """
-    n, step, s = path.n, path.step, path.s
-    h = np.ones(n)
-    J = np.zeros(n - 1)
-    if step == 1:
-        h[0] = h[1] = 1.0 - s
-        J[0] = s
-    else:
-        h[:step] = 0.0
-        h[step] = 1.0 - s
-        J[: step - 1] = 1.0
-        J[step - 1] = s
-    return h, J
+    step = np.asarray(step)[..., None]
+    bond = np.arange(n - 1)
+    J = np.where(bond < step - 1, 1.0, np.asarray(s, dtype=float)[..., None] * (bond == step - 1))
+    return 1.0 - np.concatenate((J[..., :1], J), axis=-1), J
+
+
+def stepwise_hamiltonian_weights(path: StepWisePath) -> tuple[np.ndarray, np.ndarray]:
+    """The weights ``(h, J)`` of :func:`stepwise_weights` at one path point."""
+    return stepwise_weights(path.n, path.step, path.s)
 
 
 class StepWiseSweep:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from isingsweep import decoherence
-from isingsweep.chain import ChainSpec, channel_momenta
+from isingsweep.chain import ChainSpec, channel_momenta, even_sector_gap
 from isingsweep.cli import main
 from isingsweep.decoherence import (
     accumulated_phase,
@@ -29,7 +29,12 @@ from isingsweep.experiments import (
     table1_cells,
     write_csv,
 )
-from isingsweep.schedules import make_schedule, runtime_for_adiabaticity
+from isingsweep.schedules import (
+    StepWisePath,
+    make_schedule,
+    runtime_for_adiabaticity,
+    stepwise_hamiltonian_weights,
+)
 
 
 def test_config_validation_messages():
@@ -111,6 +116,18 @@ def test_byte_identical_reruns(tmp_path):
     assert len(tables) == 7
     for path in tables:
         assert path.read_bytes() == (out2 / "t1" / path.name).read_bytes(), path.name
+    # the step-wise profiles, written a block at a time: same bytes, same counts
+    diagnostics = []
+    for out in (out1, out2):
+        summary = run_experiment(ExperimentConfig.from_dict({
+            "kind": "stepwise", "chain_sizes": [4, 6], "output_dir": str(out / "sw")}))
+        diagnostics.append(json.dumps(summary["diagnostics"]))
+    assert diagnostics[0] == diagnostics[1]
+    assert json.loads(diagnostics[0]) == {
+        str(n): {"profile": {"chains": 50 * (n - 1), "gap_calls": n - 1},
+                 "uniform_min": {"chains": 41, "gap_calls": 1}} for n in (4, 6)}
+    for name in ("stepwise_gaps.csv", "stepwise_min_gaps.csv", "uniform_min_gaps.csv"):
+        assert (out1 / "sw" / name).read_bytes() == (out2 / "sw" / name).read_bytes(), name
 
 
 def test_table1_in_three_batches_matches_public_calls(tmp_path, monkeypatch):
@@ -201,6 +218,20 @@ def test_dynamics_experiment_csv(tmp_path):
                     "max_norm_drift": traj.max_norm_drift}
     assert traj.magnus_steps == 2 ** diag["doublings"]
     assert traj.doubling_delta <= config.ode_rtol
+
+
+def test_stepwise_csv_text(tmp_path):
+    # integer n and step, then s and the gap of each path point as %.17g
+    assert main(["stepwise", "--n", "4", "--out", str(tmp_path)]) == 0
+
+    def gap(step, s):
+        return even_sector_gap(*stepwise_hamiltonian_weights(StepWisePath(4, step, s)))
+
+    lines = ["n,step,s,gap"] + [f"4,{step},{s:.17g},{gap(step, s):.17g}"
+                                for step in (1, 2, 3) for s in np.linspace(0.0, 1.0, 50).tolist()]
+    text = (tmp_path / "stepwise_gaps.csv").read_bytes().decode()
+    assert text == "".join(line + "\r\n" for line in lines)
+    assert text.splitlines()[1].startswith("4,1,0,")
 
 
 def test_oracle_check_experiment(tmp_path):
@@ -342,6 +373,20 @@ def test_cli_runs_and_reports(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "summary.json" in out
+
+
+def test_cli_one_parser_for_every_kind(tmp_path, capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["stepwise", "--help"])
+    assert done.value.code == 0
+    assert "--config" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as done:
+        main(["nope"])
+    assert done.value.code == 2
+    assert "argument kind: invalid choice: 'nope'" in capsys.readouterr().err
+    # options may come before the kind
+    assert main(["--out", str(tmp_path / "o"), "spectrum", "--n", "4"]) == 0
+    assert (tmp_path / "o" / "spectrum_n4.csv").exists()
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

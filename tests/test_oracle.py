@@ -271,6 +271,17 @@ def test_stepwise_gap_profile_small_n():
         assert stepwise_gap_profile(n).min_gap == pytest.approx(1.4145080368296699, abs=1e-12)
 
 
+def test_stepwise_gap_profile_matches_each_point():
+    # the broadcast weights and one stacked call per step give, bit for
+    # bit, the gap of every path point on its own
+    for n in range(4, 13):
+        prof = stepwise_gap_profile(n)
+        assert prof.gap_calls == n - 1
+        single = [[even_sector_gap(*stepwise_hamiltonian_weights(StepWisePath(n, step, s)))
+                   for s in prof.s_values.tolist()] for step in prof.steps.tolist()]
+        assert prof.gaps.tolist() == single, n
+
+
 def test_uniform_min_even_gap_matches_fundamental_gap():
     # the free-fermion even-sector gap read off the g grid is the
     # (pi/n, -pi/n) pair gap at g = 1/2, 4 sin(pi/2n)

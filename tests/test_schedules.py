@@ -13,6 +13,7 @@ from isingsweep.schedules import (
     make_schedule,
     runtime_for_adiabaticity,
     stepwise_hamiltonian_weights,
+    stepwise_weights,
 )
 
 
@@ -196,6 +197,20 @@ def test_stepwise_weights_continuous_across_steps():
             h2, J2 = stepwise_hamiltonian_weights(StepWisePath(n, step + 1, 0.0))
             np.testing.assert_array_equal(h1, h2)
             np.testing.assert_array_equal(J1, J2)
+
+
+def test_stepwise_weights_broadcast_match_each_point():
+    # one call over every (step, s) of a size holds, bit for bit, the
+    # weights of each path point, s = 0 and 1 included
+    svals = np.linspace(0.0, 1.0, 50)
+    for n in range(2, 13):
+        steps = np.arange(1, n)
+        h, J = stepwise_weights(n, steps[:, None], svals)
+        assert h.shape == (n - 1, 50, n) and J.shape == (n - 1, 50, n - 1)
+        for i, step in enumerate(steps.tolist()):
+            for j, s in enumerate(svals.tolist()):
+                h1, J1 = stepwise_hamiltonian_weights(StepWisePath(n, step, s))
+                assert h[i, j].tobytes() == h1.tobytes() and J[i, j].tobytes() == J1.tobytes()
 
 
 def test_stepwise_path_validation():
