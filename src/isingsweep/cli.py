@@ -2,8 +2,8 @@
 
 The experiment kind is the one positional argument; every kind takes
 the same options, ``--config FILE`` (JSON) with flag overrides.  Exit
-status is nonzero when any built-in check fails or the configuration
-is invalid.
+status is 1 when any built-in check fails and 2 when the configuration
+is invalid, the output directory included.
 """
 
 from __future__ import annotations
@@ -66,10 +66,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
+        summary = run_experiment(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summary = run_experiment(config)
     for name, ok in summary["checks"].items():
         print(f"[{'PASS' if ok else 'FAIL'}] {name}")
     print(f"outputs: {len(summary['outputs'])} files in {config.output_dir}")
