@@ -21,16 +21,12 @@ from .decoherence import (
     amplitude_bound,
     amplitude_numeric,
     amplitude_saddle_point,
-    amplitude_suppressed_estimate,
     scaling_fit,
     total_excitation_probability,
 )
 from .dynamics import (
-    BogoliubovState,
     ModeTrajectory,
     adiabatic_overlap,
-    adiabatic_solution,
-    excitation_probability,
     integrate_modes,
 )
 from .quadrature import OscillatoryResult, QuadratureError, oscillatory_integral

@@ -12,17 +12,16 @@ sweep variable g, where the phase derivative has the closed form
 of the run time T and uniform across schedules.
 
 Provided evaluations: the numeric integral, the two-saddle
-stationary-phase approximation with a validity flag, the rigorous
-phase-free upper bound lam * int |M| dt, and the sub-gap exponential
-suppression estimate.  Every integral, numeric amplitude, channel norm
-int |M_k / (dg/dt)| dg or accumulated phase, goes through one routine
-that integrates a list of them, on any mix of schedules, in one batched
-quadrature call.  The omega-independent norm is integrated once per
-channel, before the amplitudes: each amplitude's relative budget is
-floored at 1e-13 of it, which keeps amplitudes that cancel to nearly
-nothing from chasing an unreachable relative budget.  On top of these
-sit the bath-averaged total excitation probability and the log-log
-scaling fit used for exponent checks.
+stationary-phase approximation with a validity flag, and the rigorous
+phase-free upper bound lam * int |M| dt.  Every integral, numeric
+amplitude, channel norm int |M_k / (dg/dt)| dg or accumulated phase,
+goes through one routine that integrates a list of them, on any mix of
+schedules, in one batched quadrature call.  The omega-independent norm
+is integrated once per channel, before the amplitudes: each amplitude's
+relative budget is floored at 1e-13 of it, which keeps amplitudes that
+cancel to nearly nothing from chasing an unreachable relative budget.
+On top of these sit the bath-averaged total excitation probability and
+the log-log scaling fit used for exponent checks.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .chain import (
     pair_matrix_element,
 )
 from .quadrature import QuadratureError, oscillatory_batch
-from .schedules import LinearSchedule, Schedule, _velocity
+from .schedules import Schedule, _velocity
 
 __all__ = [
     "BathSpectrum",
@@ -53,7 +52,6 @@ __all__ = [
     "amplitude_numeric",
     "amplitude_saddle_point",
     "amplitude_bound",
-    "amplitude_suppressed_estimate",
     "saddle_points",
     "accumulated_phase",
     "total_excitation_probability",
@@ -307,32 +305,6 @@ def amplitude_bound(spec: ChainSpec, schedule: Schedule, k: float, lam: float) -
     """Rigorous bound lam * int_0^T |M_k(t)| dt, for every frequency (all phases dropped)."""
     (norm,) = _channel_norms(schedule, [_check_channel(spec, k)]).values()
     return float(lam * norm)
-
-
-def amplitude_suppressed_estimate(spec: ChainSpec, schedule: Schedule, k: float,
-                                  omega: float, lam: float) -> float:
-    """Order-of-magnitude sub-gap estimate lam * exp(-T (ka)^2 / 2).
-
-    Valid reading: for omega below the channel's minimum gap
-    2 epsilon_k(1/2) = 4 |sin(ka/2)| the amplitude decays exponentially
-    in T.  The exponent constant here is the coarse analytic one for the
-    constant-speed sweep; the sharp decay rate of the integral is
-    smaller (see the suppression tests).  Only derived for the linear
-    schedule; other kinds raise.
-    """
-    ka = _check_channel(spec, k)
-    min_gap = 2.0 * mode_epsilon(ka, 0.5)
-    if not omega < min_gap:
-        raise ValueError(
-            f"sub-gap estimate needs omega below the minimum channel gap {min_gap:.6g}, "
-            f"got {omega}"
-        )
-    if not isinstance(schedule, LinearSchedule):
-        raise NotImplementedError(
-            "sub-gap suppression exponent not derived for schedule kind "
-            f"{schedule.kind!r}; only the constant-speed sweep is supported"
-        )
-    return float(lam * np.exp(-schedule.total_time * ka * ka / 2.0))
 
 
 @dataclass

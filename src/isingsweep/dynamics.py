@@ -6,10 +6,10 @@ complex pair (u_k, v_k) with |u|^2 + |v|^2 = 1 under the shared g(t),
     i du/dt = -alpha u + beta v,      i dv/dt = alpha v + beta u,
 
 that is i d/dt (u, v) = H_k (u, v) with H_k = beta sigma_x - alpha sigma_z,
-an su(2) generator.  The module provides the closed-form adiabatic
-solution, the numerical solution of these equations for all pairs at
-once, and the overlap-based excitation probability of each (k, -k)
-channel.
+an su(2) generator.  The module integrates these equations for all
+pairs at once; the trajectory carries the excitation probability of
+each (k, -k) channel at every output time and, through
+:func:`adiabatic_overlap`, its overlap with the instantaneous pair.
 
 The numerical solution uses sixth-order Magnus steps (Blanes, Casas,
 Oteo and Ros, Phys. Rep. 470, 151 (2009)): g is sampled at three
@@ -23,13 +23,7 @@ reduction, and the interval products are applied in order over the
 time grid.  The number of steps per interval starts at one and doubles
 until two successive solves agree within the requested tolerance.
 
-Phase convention: the closed-form pair carries exp(-i Theta) with
-Theta = int_0^t epsilon dt' (:func:`adiabatic_phase`); integrating the
-equations above from the g = 0 ground state produces the conjugate
-global phase exp(+i Theta) on the same branch.  The two agree up to
-this overall phase, which is what the overlap diagnostic measures, and
-every probability computed here is insensitive to it, so the solve
-carries (u, v) only.
+The solve fixes (u, v) up to a global phase that nothing here sees.
 
 On the physical grid beta vanishes only at g = 0 (where alpha > 0), so
 the positive branch normalization never degenerates; no branch
@@ -43,17 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, channel_momenta, mode_alpha, mode_beta, mode_epsilon
-from .quadrature import smooth_integral
 from .schedules import Schedule
 
 __all__ = [
-    "BogoliubovState",
     "ModeTrajectory",
     "instantaneous_pair",
-    "adiabatic_phase",
-    "adiabatic_solution",
     "integrate_modes",
-    "excitation_probability",
     "adiabatic_overlap",
 ]
 
@@ -64,51 +53,24 @@ _BLOCK = 2 ** 11  # (mode, step) pairs whose propagators are built at once; boun
 _NODES = 0.5 + np.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 
 
-@dataclass
-class BogoliubovState:
-    """Snapshot of all positive-momentum pairs at one time."""
+def instantaneous_pair(k, g):
+    """Positive-branch ground-state pair (u, v) at fixed g, with zero phase.
 
-    t: float
-    g: float
-    k: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-
-
-def instantaneous_pair(k, g, theta=0.0):
-    """Positive-branch pair (u, v) at fixed g with phase exp(-i theta).
-
-    u = (alpha + epsilon) e^{-i theta} / N,  v = -beta e^{-i theta} / N,
+    u = (alpha + epsilon) / N,  v = -beta / N,
     N = sqrt(2 epsilon^2 + 2 alpha epsilon); exactly normalized since
     N^2 = (alpha + epsilon)^2 + beta^2.
     """
     a = mode_alpha(k, g)
     b = mode_beta(k, g)
     e = mode_epsilon(k, g)
-    norm = np.sqrt(2.0 * e * e + 2.0 * a * e)
-    phase = np.exp(-1j * np.asarray(theta))
-    return (a + e) * phase / norm, -b * phase / norm
+    inv_norm = 1.0 / np.sqrt(2.0 * e * e + 2.0 * a * e)
+    return (a + e) * inv_norm, -b * inv_norm
 
 
 def _excited_fraction(k, g, u, v):
     """|u_gs v - v_gs u|^2 against the zero-phase instantaneous pair at g."""
     ug, vg = instantaneous_pair(k, g)
     return np.abs(ug * v - vg * u) ** 2
-
-
-def adiabatic_phase(k: float, schedule: Schedule, t: float) -> float:
-    """Theta = int_0^t epsilon_k dt' = int_0^g(t) epsilon_k / (dg/dt) dg."""
-    return smooth_integral(lambda g: mode_epsilon(k, g) / schedule.velocity_of_g(g),
-                           0.0, float(schedule.g_of_t(t)), rtol=1e-11, atol=1e-11,
-                           points=(0.5,))
-
-
-def adiabatic_solution(k: float, schedule: Schedule, t: float):
-    """Closed-form adiabatic (u_k, v_k) at time t."""
-    theta = adiabatic_phase(k, schedule, t)
-    g = float(schedule.g_of_t(t))
-    u, v = instantaneous_pair(k, g, theta)
-    return complex(u), complex(v)
 
 
 @dataclass
@@ -124,15 +86,6 @@ class ModeTrajectory:
     max_norm_drift: float
     magnus_steps: int      # Magnus steps per output interval of the returned solve
     doubling_delta: float  # max |du|, |dv| between it and the solve with half the steps
-
-    def state_at(self, index: int) -> BogoliubovState:
-        return BogoliubovState(
-            t=float(self.t[index]), g=float(self.g[index]), k=self.k,
-            u=self.u[:, index].copy(), v=self.v[:, index].copy(),
-        )
-
-    def final_state(self) -> BogoliubovState:
-        return self.state_at(len(self.t) - 1)
 
 
 def _cross(x, y):
@@ -292,23 +245,11 @@ def integrate_modes(spec: ChainSpec, schedule: Schedule, t_grid, rtol: float = 1
     )
 
 
-def excitation_probability(state: BogoliubovState, g: float) -> dict:
-    """Per-channel probability p_k = |u_gs v - v_gs u|^2 at sweep value g.
+def adiabatic_overlap(traj: ModeTrajectory) -> np.ndarray:
+    """Overlap |u* u_ad + v* v_ad| of each mode with the instantaneous pair, shape (modes, times).
 
-    (u_gs, v_gs) is the instantaneous positive-branch pair with zero
-    phase; p_k is 0 for the instantaneous ground state and 1 for the
-    excited pair, and is invariant under the global phase of (u, v).
+    Equals 1 exactly when the integrated pair follows the adiabatic
+    branch up to a global phase, which drops out of the modulus.
     """
-    p = _excited_fraction(state.k, g, state.u, state.v)
-    return {float(k): float(pk) for k, pk in zip(state.k, p)}
-
-
-def adiabatic_overlap(schedule: Schedule, state: BogoliubovState) -> np.ndarray:
-    """Per-mode overlap |u* u_ad + v* v_ad| with the closed-form solution.
-
-    Equals 1 exactly when the integrated pair matches the adiabatic
-    branch up to a global phase.  The closed-form phase exp(-i Theta) is
-    common to u_ad and v_ad and drops out of the modulus.
-    """
-    u_ad, v_ad = instantaneous_pair(state.k, float(schedule.g_of_t(state.t)))
-    return np.abs(np.conj(state.u) * u_ad + np.conj(state.v) * v_ad)
+    u_ad, v_ad = instantaneous_pair(traj.k[:, None], traj.g[None, :])
+    return np.abs(np.conj(traj.u) * u_ad + np.conj(traj.v) * v_ad)

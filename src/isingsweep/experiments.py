@@ -35,7 +35,6 @@ from .decoherence import (
     amplitude_bound,
     amplitude_numeric,
     amplitude_saddle_point,
-    amplitude_suppressed_estimate,
     saddle_points,
     scaling_fit,
 )
@@ -106,6 +105,15 @@ def _check_bath_params(kind: str, params: dict) -> None:
         raise ConfigError(
             f"{path}.omega_max: must exceed omega_min = {params['omega_min']!r}, "
             f"got {params['omega_max']!r}")
+
+
+def _subgap_pair(spec: ChainSpec, omega_grid):
+    """The first (k, omega), k ascending, with omega below the channel's minimum gap, or None."""
+    for k in channel_momenta(spec).tolist():
+        for w in omega_grid:
+            if w < 2.0 * mode_epsilon(k, 0.5):
+                return k, w
+    return None
 
 
 @dataclass(frozen=True)
@@ -182,6 +190,9 @@ class ExperimentConfig:
                 what = "positive" if positive else "finite"
                 raise ConfigError(f"config.{key}: must be a list of {what} numbers, got {vals!r}")
             d[key] = tuple(float(v) for v in vals)
+        scan = kind == "decoherence" and d.get("omega_grid") and d.get("t_scan")
+        if scan and _subgap_pair(ChainSpec(d["chain_sizes"][0]), d["omega_grid"]) is None:
+            raise ConfigError("config.t_scan: no sub-gap (k, omega) pair in the grid")
         return cls(**d)
 
     def to_dict(self) -> dict:
@@ -439,24 +450,18 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
                                    rtol=config.amplitude_rtol)
         for k, a_row in zip(ks.tolist(), a_grid.tolist()):
             b = amplitude_bound(spec, sched, k, lam)
-            min_gap = 2.0 * mode_epsilon(k, 0.5)
             for omega, a_num in zip(omegas.tolist(), a_row):
                 bound_ok &= abs(a_num) <= b * (1.0 + 1e-9)
                 rows.append((n, sched.kind, T, k, omega, "numeric",
                              a_num.real, a_num.imag, abs(a_num), ""))
                 rows.append((n, sched.kind, T, k, omega, "bound", b, 0.0, b, ""))
-                if omega > 2.0 * k:
+                # saddle points exist only up to the largest channel gap 4
+                if 2.0 * k < omega <= 4.0:
                     sp = amplitude_saddle_point(spec, sched, k, omega, lam)
                     rows.append((n, sched.kind, T, k, omega, "saddle-point",
                                  sp.value.real, sp.value.imag, abs(sp.value), str(sp.valid)))
                     if sp.valid and abs(a_num) > 0:
                         saddle_ok &= 0.8 <= abs(sp.value) / abs(a_num) <= 1.25
-                # between the minimum gap 4|sin(k/2)| and 2k neither
-                # approximation applies: numeric and bound rows only
-                elif omega < min_gap and sched.kind == "linear":
-                    est = amplitude_suppressed_estimate(spec, sched, k, omega, lam)
-                    rows.append((n, sched.kind, T, k, omega, "suppressed",
-                                 est, 0.0, est, ""))
     files.append(write_csv(
         out / "amplitudes.csv",
         ["n", "schedule", "T", "k", "omega", "method", "re", "im", "abs", "valid"],
@@ -468,25 +473,13 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
     if config.t_scan:
         n = config.chain_sizes[0]
         spec = ChainSpec(n)
-        # first sub-gap (k, omega) pair from the configured grid
-        pair = None
-        for k in channel_momenta(spec):
-            for w in config.omega_grid:
-                if w < 2.0 * mode_epsilon(k, 0.5):
-                    pair = (float(k), float(w))
-                    break
-            if pair:
-                break
-        if pair is None:
-            raise ConfigError("config.t_scan: no sub-gap (k, omega) pair in the grid")
-        k, w = pair
+        k, w = _subgap_pair(spec, config.omega_grid)
         scan_rows = []
         for T in config.t_scan:
             sched = config.schedule_for(n, total_time=T)
             a_num = amplitude_numeric(spec, sched, k, w, lam, rtol=config.amplitude_rtol)
-            scan_rows.append((float(T), math.log(abs(a_num)), -(k * k) / 2.0))
-        files.append(write_csv(out / "suppression.csv",
-                               ["T", "ln_abs_amplitude", "predicted_slope"], scan_rows))
+            scan_rows.append((float(T), math.log(abs(a_num))))
+        files.append(write_csv(out / "suppression.csv", ["T", "ln_abs_amplitude"], scan_rows))
     return files, checks, {}
 
 

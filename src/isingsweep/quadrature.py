@@ -37,8 +37,7 @@ batch; its tree and counts are those it has on its own.
 Naive composite quadrature would cost O(total phase) evaluations and
 make long-sweep amplitude scans intractable; this scheme costs
 O(panels * order) with the panel count set by the smoothness of ``f``
-and ``Phi'`` alone.  Smooth real integrands without a phase use
-:func:`smooth_integral`, the same engine with ``Phi' = 0``.
+and ``Phi'`` alone.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-__all__ = ["OscillatoryResult", "QuadratureError", "oscillatory_batch", "oscillatory_integral",
-           "smooth_integral"]
+__all__ = ["OscillatoryResult", "QuadratureError", "oscillatory_batch", "oscillatory_integral"]
 
 # Panels with |accumulated phase| below this are integrated directly by
 # Clenshaw-Curtis; above it Levin collocation takes over.  Order 32
@@ -300,17 +298,3 @@ def oscillatory_integral(integrand, a: float, b: float, rtol: float, atol: float
     if isinstance(res, QuadratureError):
         raise res
     return res
-
-
-def smooth_integral(f, a: float, b: float, rtol: float, atol: float = 0.0,
-                    points=()) -> float:
-    """Integrate a smooth real ``f`` over [a, b]: the engine with no phase.
-
-    ``f`` is called once per level with a 2-D array of nodes, one row per
-    open panel, and must return values of the same shape.  Budget,
-    ``points`` and failure are those of :func:`oscillatory_integral`.
-    """
-    if b == a:
-        return 0.0
-    res = oscillatory_integral(lambda x: (f(x), np.zeros_like(x)), a, b, rtol, atol, points)
-    return float(res.value.real)

@@ -247,7 +247,7 @@ def test_criterion_8_adiabatic_solution_agreement():
         T = runtime_for_adiabaticity(kind, 4, 1e-3)
         sched = make_schedule(kind, T, spec)
         traj = integrate_modes(spec, sched, np.linspace(0.0, T, 5), rtol=1e-10)
-        ov = adiabatic_overlap(sched, traj.final_state())
+        ov = adiabatic_overlap(traj)[:, -1]
         ok &= np.all(ov >= 1 - 1e-4)
         details.append(f"{kind}: min overlap deficit={np.max(1 - ov):.2e}")
     assert _report("criterion 8: closed-form vs integrated pair overlap", ok,

@@ -9,7 +9,6 @@ from isingsweep.decoherence import (
     amplitude_bound,
     amplitude_numeric,
     amplitude_saddle_point,
-    amplitude_suppressed_estimate,
     accumulated_phase,
     saddle_points,
     scaling_fit,
@@ -171,16 +170,7 @@ def test_saddle_self_consistency_over_sizes():
     assert checked >= 4
 
 
-def test_suppressed_estimate_properties(chain8):
-    k = np.pi / 8
-    e1 = amplitude_suppressed_estimate(chain8, LinearSchedule(40.0), k, 0.1, 1e-3)
-    e2 = amplitude_suppressed_estimate(chain8, LinearSchedule(80.0), k, 0.1, 1e-3)
-    assert np.log(e1) - np.log(e2) == pytest.approx(40.0 * k**2 / 2, rel=1e-12)
-    with pytest.raises(ValueError, match="sub-gap"):
-        amplitude_suppressed_estimate(chain8, LinearSchedule(40.0), k, 2.0, 1e-3)
-    with pytest.raises(NotImplementedError, match="not derived"):
-        amplitude_suppressed_estimate(
-            chain8, GapAdaptedSchedule(chain8, 40.0, 1), k, 0.1, 1e-3)
+def test_channel_between_minimum_gap_and_2k(chain8):
     # omega = 2.3 lies between the minimum gap 4 sin(3pi/16) = 2.2223 of
     # k = 3pi/8 and 2k = 2.356: the channel resonates at two real saddles,
     # so it is not sub-gap, and the saddle formula (omega > 2|ka|) is out
@@ -189,8 +179,6 @@ def test_suppressed_estimate_properties(chain8):
     g_lo, g_hi = saddle_points(chain8, k, 2.3)
     assert 0.0 < g_lo < 0.5 < g_hi < 1.0
     assert abs(amplitude_numeric(chain8, sched, k, 2.3, 1e-3)) > 1e-2
-    with pytest.raises(ValueError, match=r"minimum channel gap 2\.2222"):
-        amplitude_suppressed_estimate(chain8, sched, k, 2.3, 1e-3)
     with pytest.raises(ValueError, match="saddle-point approximation needs"):
         amplitude_saddle_point(chain8, sched, k, 2.3, 1e-3)
 

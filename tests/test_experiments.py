@@ -257,11 +257,7 @@ def test_decoherence_experiment_with_suppression_scan(tmp_path):
     lines = (tmp_path / "amplitudes.csv").read_text().splitlines()
     assert lines[0] == "n,schedule,T,k,omega,method,re,im,abs,valid"
     assert (tmp_path / "suppression.csv").exists()
-    rows = (tmp_path / "suppression.csv").read_text().splitlines()[1:]
-    # predicted slope column is the constant -(ka)^2/2 for the first sub-gap channel
-    ka = np.pi / 8
-    for row in rows:
-        assert float(row.split(",")[-1]) == pytest.approx(-(ka**2) / 2)
+    assert (tmp_path / "suppression.csv").read_text().splitlines()[0] == "T,ln_abs_amplitude"
 
 
 def test_decoherence_subgap_rows_use_the_exact_minimum_gap(tmp_path):
@@ -279,10 +275,38 @@ def test_decoherence_subgap_rows_use_the_exact_minimum_gap(tmp_path):
     for r in rows:
         methods.setdefault(round(float(r[3]) * 8 / np.pi), []).append(r[5])
     assert methods == {1: ["numeric", "bound", "saddle-point"], 3: ["numeric", "bound"],
-                       5: ["numeric", "bound", "suppressed"]}
-    scan = (tmp_path / "suppression.csv").read_text().splitlines()[1:]
-    for row in scan:
-        assert float(row.split(",")[-1]) == pytest.approx(-((5 * np.pi / 8) ** 2) / 2)
+                       5: ["numeric", "bound"]}
+    spec = ChainSpec(8)
+    k = channel_momenta(spec)[2]
+    scan = [float(r.split(",")[1])
+            for r in (tmp_path / "suppression.csv").read_text().splitlines()[1:]]
+    expected = [np.log(abs(amplitude_numeric(spec, make_schedule("linear", T, spec), k, 2.3,
+                                             1e-3, rtol=1e-6))) for T in (40.0, 80.0)]
+    assert scan == pytest.approx(expected, rel=1e-12)
+
+
+def test_amplitude_table_above_the_largest_channel_gap(tmp_path):
+    # saddle points exist only up to omega = 4: omega = 5 gets numeric and bound rows
+    assert main(["decoherence", "--n", "8", "--omega", "5.0", "3.9", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "amplitudes.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    methods = {}
+    for r in rows:
+        methods.setdefault(float(r["omega"]), []).append(r["method"])
+    assert methods[5.0] == ["numeric", "bound"] * 4
+    assert methods[3.9].count("saddle-point") == 2  # the channels with 2k < 3.9
+
+
+def test_t_scan_without_subgap_pair_fails_before_any_amplitude(tmp_path, capsys):
+    # omega = 3.95 is above the minimum gap of every n = 8 channel
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"t_scan": [30, 60]}))
+    out = tmp_path / "o"
+    rc = main(["decoherence", "--config", str(cfg_file), "--n", "8", "--omega", "3.95",
+               "--out", str(out)])
+    assert rc == 2
+    assert "config.t_scan:" in capsys.readouterr().err
+    assert not (out / "amplitudes.csv").exists()
 
 
 def test_decoherence_bath_averaged_mode(tmp_path):

@@ -12,7 +12,6 @@ from isingsweep.quadrature import (
     _panel_setup,
     oscillatory_batch,
     oscillatory_integral,
-    smooth_integral,
 )
 from isingsweep.schedules import GapAdaptedSchedule, LinearSchedule, _norm_integral
 
@@ -277,9 +276,9 @@ def test_singular_levin_system_bisects_or_raises(monkeypatch):
 def test_smooth_integral_gap_norm_closed_form(power, n):
     # int_0^1 DeltaE^-p dg peaks sharply at g = 1/2 for large n
     spec = ChainSpec(n)
-    val = smooth_integral(lambda g: fundamental_gap(spec, g) ** -power, 0.0, 1.0,
-                          rtol=1e-12, points=(0.5,))
-    assert val == pytest.approx(_norm_integral(spec, power), rel=1e-11, abs=0.0)
+    res = oscillatory_integral(_pair(lambda g: fundamental_gap(spec, g) ** -power, np.zeros_like),
+                               0.0, 1.0, rtol=1e-12, points=(0.5,))
+    assert res.value.real == pytest.approx(_norm_integral(spec, power), rel=1e-11, abs=0.0)
 
 
 def test_smooth_integral_one_call_per_level():
@@ -290,17 +289,18 @@ def test_smooth_integral_one_call_per_level():
         shapes.append(g.shape)
         return fundamental_gap(spec, g) ** -2
 
-    smooth_integral(f, 0.0, 1.0, rtol=1e-11, points=(0.5,))
+    oscillatory_integral(_pair(f, np.zeros_like), 0.0, 1.0, rtol=1e-11, points=(0.5,))
     assert 1 < len(shapes) <= quadrature._LEVELS
     assert all(len(shape) == 2 and shape[1] == 33 for shape in shapes)
     assert shapes[0] == (2, 33)  # the break point splits the first level
-    assert smooth_integral(np.cos, 0.0, 1.0, rtol=1e-13) == pytest.approx(np.sin(1.0), abs=1e-15)
-    assert smooth_integral(np.cos, 0.3, 0.3, rtol=1e-13) == 0.0
+    res = oscillatory_integral(_pair(np.cos, np.zeros_like), 0.0, 1.0, rtol=1e-13)
+    assert res.value.real == pytest.approx(np.sin(1.0), abs=1e-15)
 
 
 def test_smooth_integral_rejects_non_integrable():
     with pytest.raises(QuadratureError, match="did not converge"):
-        smooth_integral(lambda g: 1.0 / np.abs(g - 0.3), 0.0, 1.0, rtol=1e-10)
+        oscillatory_integral(_pair(lambda g: 1.0 / np.abs(g - 0.3), np.zeros_like), 0.0, 1.0,
+                             rtol=1e-10)
     # a jump keeps one panel per level open until the level cap
     calls = []
 
@@ -309,7 +309,7 @@ def test_smooth_integral_rejects_non_integrable():
         return np.where(g > 1.0 / 3.0, 1.0, 0.0)
 
     with pytest.raises(QuadratureError, match="2 panels open"):
-        smooth_integral(step, 0.0, 1.0, rtol=1e-10)
+        oscillatory_integral(_pair(step, np.zeros_like), 0.0, 1.0, rtol=1e-10)
     assert len(calls) == quadrature._LEVELS and max(calls) <= 2
     with pytest.raises(ValueError, match="reversed"):
-        smooth_integral(np.cos, 1.0, 0.0, rtol=1e-10)
+        oscillatory_integral(_pair(np.cos, np.zeros_like), 1.0, 0.0, rtol=1e-10)
