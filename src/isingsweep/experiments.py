@@ -43,7 +43,6 @@ from .oracle import (
     _DENSE_CAP,
     _UNIFORM_G_POINTS,
     sigma_x_elements,
-    spectrum as dense_spectrum,
     stepwise_gap_profile,
     uniform_hamiltonian,
     uniform_min_even_gap,
@@ -185,6 +184,8 @@ class ExperimentConfig:
             vals = d.get(key)
             if vals is None:
                 continue
+            if isinstance(vals, (list, tuple)) and not vals:
+                raise ConfigError(f"config.{key}: must be a non-empty list")
             if not isinstance(vals, (list, tuple)) or not all(
                     _is_real(v) and (v > 0 or not positive) for v in vals):
                 what = "positive" if positive else "finite"
@@ -565,8 +566,7 @@ def _run_oracle_check(config: ExperimentConfig, out: Path):
         kpos = channel_momenta(spec)
         files.append(_dump_spectrum(out / f"dense_spectrum_n{n}.csv", n, g=0.5))
         for g in g_values:
-            H = uniform_hamiltonian(n, g)
-            w, elems = sigma_x_elements(H, sector="even")
+            w, elems = sigma_x_elements(uniform_hamiltonian(n, g, sector="even"))
             e0_f = ground_energy(spec, g)
             err = abs(w[0] - e0_f)
             ok_energy &= err <= 1e-10
@@ -619,9 +619,8 @@ def _run_oracle_check(config: ExperimentConfig, out: Path):
 
 def _dump_spectrum(path: Path, n: int, g: float) -> str:
     """Parity-resolved dense spectrum as (index, energy, parity) rows."""
-    H = uniform_hamiltonian(n, g)
-    levels = [(float(e), "even") for e in dense_spectrum(H, "even")]
-    levels += [(float(e), "odd") for e in dense_spectrum(H, "odd")]
+    levels = [(float(e), sector) for sector in ("even", "odd")
+              for e in np.linalg.eigvalsh(uniform_hamiltonian(n, g, sector=sector).matrix)]
     levels.sort(key=lambda r: (r[0], r[1]))
     return write_csv(path, ["index", "energy", "parity"],
                      [(i, e, p) for i, (e, p) in enumerate(levels)])

@@ -5,10 +5,13 @@ parity resolution, transverse-field matrix elements, time-dependent
 Schroedinger evolution, and the even-sector gap profiles of the two
 sweep styles.
 
-Every spin Hamiltonian here (the dense matrix, the even-sector block
-and the matrix-free time-dependent :class:`SweepPath`) comes from one
-shape check on the fields ``h`` and bond weights ``J`` and one table of
-the sigma^z sigma^z diagonal of every bond.  A path is the uniform
+Every spin Hamiltonian here (the dense matrix or parity block of
+:func:`build_hamiltonian` and the matrix-free time-dependent
+:class:`SweepPath`) comes from one shape check on the fields ``h`` and
+bond weights ``J`` and one table of the sigma^z sigma^z diagonal of
+every bond.  The even and odd blocks (2^(n-1) square) are built
+directly in the sector basis; only ``sector="full"`` builds the 2^n
+matrix.  A path is the uniform
 sweep (:func:`uniform_path`) or the step-wise one (:func:`stepwise_path`);
 :class:`CompositeBosonPath` couples either to one boson mode, the dense
 check of the response amplitudes.
@@ -40,7 +43,6 @@ __all__ = [
     "build_hamiltonian",
     "uniform_hamiltonian",
     "parity_commutator_max",
-    "spectrum",
     "embed_sector_vector",
     "sigma_x_apply",
     "sigma_x_elements",
@@ -57,6 +59,8 @@ __all__ = [
 
 _DENSE_CAP = 14
 _EVOLVE_CAP = 12
+# sign of the complement |~r> in a block's basis state (|r> +- |~r>)/sqrt(2)
+_SECTOR_SIGN = {"full": 1.0, "even": 1.0, "odd": -1.0}
 
 
 class EvolutionError(RuntimeError):
@@ -65,14 +69,11 @@ class EvolutionError(RuntimeError):
 
 @dataclass
 class DenseHamiltonian:
-    """Dense spin Hamiltonian of an n-site chain."""
+    """Dense spin Hamiltonian of an n-site chain, or one of its parity blocks."""
 
     n: int
     matrix: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
+    sector: str = "full"
 
 
 def _check_weights(n: int, h, J, periodic: bool):
@@ -99,19 +100,35 @@ def _flips(n: int) -> np.ndarray:
     return np.arange(1 << n) ^ (1 << np.arange(n))[:, None]
 
 
-def build_hamiltonian(n: int, h, J, periodic: bool = True) -> DenseHamiltonian:
-    """Dense H = -sum h_j sigma^x_j - sum J_b sigma^z sigma^z (2^n x 2^n)."""
+def build_hamiltonian(n: int, h, J, periodic: bool = True,
+                      sector: str = "full") -> DenseHamiltonian:
+    """Dense H = -sum h_j sigma^x_j - sum J_b sigma^z sigma^z.
+
+    ``sector="full"`` builds the 2^n x 2^n matrix; ``"even"`` or ``"odd"``
+    builds that bit-flip parity block (2^(n-1) square) in the basis
+    (|r> +- |~r>)/sqrt(2), r < 2^(n-1) and ~r its complement.
+    """
+    if sector not in _SECTOR_SIGN:
+        raise ValueError(f"sector must be full/even/odd, got {sector!r}")
+    dim = 1 << (n if sector == "full" else n - 1)
     if n > _DENSE_CAP:
         raise ValueError(
-            f"n={n} exceeds the dense diagonalization cap n<={_DENSE_CAP} "
-            f"(a 2^{n} x 2^{n} matrix would need {(1 << (2 * n)) * 8 / 2**30:.1f} GiB)"
+            f"n={n} exceeds the dense diagonalization cap n<={_DENSE_CAP} (the {sector} "
+            f"Hamiltonian, {dim} x {dim}, would need {dim * dim * 8 / 2**30:.1f} GiB)"
         )
     h, J = _check_weights(n, h, J, periodic)
-    idx = np.arange(1 << n)
-    H = np.zeros((idx.size, idx.size))
-    H[idx, idx] -= J @ _bond_table(n, periodic)
-    H[idx, _flips(n)] -= h[:, None]
-    return DenseHamiltonian(n=n, matrix=H)
+    i = np.arange(dim)
+    H = np.zeros((dim, dim))
+    H[i, i] -= J @ _bond_table(n, periodic)[:, :dim]
+    # a flip that leaves the representatives lands on the complement of a
+    # representative, with the sector's sign; one site at a time, since at
+    # n = 2 both flips of a representative land on one column and a single
+    # fancy-index -= would drop one of them
+    top = (1 << n) - 1
+    for j, f in enumerate(_flips(n)[:, :dim]):
+        out = f >= dim
+        H[i, np.where(out, top - f, f)] -= h[j] * np.where(out, _SECTOR_SIGN[sector], 1.0)
+    return DenseHamiltonian(n=n, matrix=H, sector=sector)
 
 
 def _uniform_weights(n: int, g: float, periodic: bool):
@@ -119,26 +136,24 @@ def _uniform_weights(n: int, g: float, periodic: bool):
     return np.full(n, 1.0 - g), np.full(n if periodic else n - 1, g)
 
 
-def uniform_hamiltonian(n: int, g: float, periodic: bool = True) -> DenseHamiltonian:
+def uniform_hamiltonian(n: int, g: float, periodic: bool = True,
+                        sector: str = "full") -> DenseHamiltonian:
     """Uniform sweep Hamiltonian with h_j = 1-g and J_b = g."""
-    return build_hamiltonian(n, *_uniform_weights(n, g, periodic), periodic)
+    return build_hamiltonian(n, *_uniform_weights(n, g, periodic), periodic, sector)
 
 
 def parity_commutator_max(H: DenseHamiltonian) -> float:
-    """max |[H, P]| entrywise, P the global bit-flip."""
-    comp = np.arange(H.dim)[::-1]  # i ^ (dim-1) == dim-1-i
+    """max |[H, P]| entrywise, P the global bit-flip (H on the full space)."""
+    if H.sector != "full":
+        raise ValueError(f"the parity check needs the full matrix, got the {H.sector} block")
+    comp = np.arange(len(H.matrix))[::-1]  # i ^ (dim-1) == dim-1-i
     return float(np.max(np.abs(H.matrix[:, comp] - H.matrix[comp, :])))
 
 
 def _sector_reps(dim: int, sector: str):
     """Representatives i < dim/2, their complements and the sector's sign."""
     reps = np.arange(dim // 2)
-    return reps, reps ^ (dim - 1), (+1.0 if sector == "even" else -1.0)
-
-
-def _sector_matrix(H: DenseHamiltonian, sector: str) -> np.ndarray:
-    reps, creps, sign = _sector_reps(H.dim, sector)
-    return H.matrix[np.ix_(reps, reps)] + sign * H.matrix[np.ix_(reps, creps)]
+    return reps, reps ^ (dim - 1), _SECTOR_SIGN[sector]
 
 
 def embed_sector_vector(x: np.ndarray, n: int, sector: str) -> np.ndarray:
@@ -151,36 +166,25 @@ def embed_sector_vector(x: np.ndarray, n: int, sector: str) -> np.ndarray:
     return psi
 
 
-def spectrum(H: DenseHamiltonian, sector: str = "full", eigenvectors: bool = False):
-    """Ascending eigenvalues of H restricted to a parity sector.
-
-    For sectors, returned eigenvectors live in the sector basis; use
-    :func:`embed_sector_vector` to lift them.
-    """
-    if sector not in ("full", "even", "odd"):
-        raise ValueError(f"sector must be full/even/odd, got {sector!r}")
-    M = H.matrix if sector == "full" else _sector_matrix(H, sector)
-    if eigenvectors:
-        return np.linalg.eigh(M)
-    return np.linalg.eigvalsh(M)
-
-
 def sigma_x_apply(n: int, psi: np.ndarray) -> np.ndarray:
     """Apply sum_j sigma^x_j to full-space vectors (or stacked columns)."""
     return psi[_flips(n)].sum(axis=0)
 
 
-def sigma_x_elements(H: DenseHamiltonian, sector: str = "even"):
-    """Energies and elements <s| sum sigma^x |0> for every sector level s.
+def sigma_x_elements(H: DenseHamiltonian):
+    """Energies and elements <s| sum sigma^x |0> for every level s of H.
 
-    The ground state is taken inside the requested parity sector, which
-    keeps it unique even at g = 1 where the full-spectrum ground state
-    is a parity doublet.
+    On a parity block the ground state is that sector's, which keeps it
+    unique even at g = 1 where the full-spectrum ground state is a parity
+    doublet.  Only the ground state is lifted to the full space, and
+    sum sigma^x |0> is projected back onto the block's basis.
     """
-    w, V = spectrum(H, sector=sector, eigenvectors=True)
-    full = V if sector == "full" else embed_sector_vector(V, H.n, sector)
-    x0 = sigma_x_apply(H.n, full[:, 0])
-    return w, full.T @ x0
+    w, V = np.linalg.eigh(H.matrix)
+    if H.sector == "full":
+        return w, V.T @ sigma_x_apply(H.n, V[:, 0])
+    x0 = sigma_x_apply(H.n, embed_sector_vector(V[:, 0], H.n, H.sector))
+    reps, creps, sign = _sector_reps(1 << H.n, H.sector)
+    return w, V.T @ ((x0[reps] + sign * x0[creps]) / np.sqrt(2.0))
 
 
 class SweepPath:
@@ -289,18 +293,8 @@ def schrodinger_evolve(path, psi0: np.ndarray, T: float, rtol: float = 1e-10,
 
 
 def even_sector_matrix(n: int, h, J, periodic: bool = False) -> np.ndarray:
-    """Even-parity block built directly in the sector basis (2^(n-1) dim)."""
-    h, J = _check_weights(n, h, J, periodic)
-    dim = 1 << n
-    half = dim // 2
-    i = np.arange(half)
-    He = np.zeros((half, half))
-    He[i, i] -= J @ _bond_table(n, periodic)[:, :half]
-    # the even sector identifies f with its complement dim-1-f, so a flip
-    # that leaves the representatives i < half lands on dim-1-f
-    for j, f in enumerate(_flips(n)[:, :half]):
-        He[i, np.minimum(f, dim - 1 - f)] -= h[j]
-    return He
+    """Even-parity block (2^(n-1) square) of :func:`build_hamiltonian`."""
+    return build_hamiltonian(n, h, J, periodic, sector="even").matrix
 
 
 def even_gap(n: int, h, J, periodic: bool = False) -> float:

@@ -27,7 +27,6 @@ from isingsweep.oracle import (
     CompositeBosonPath,
     embed_sector_vector,
     schrodinger_evolve,
-    spectrum,
     stepwise_gap_profile,
     uniform_hamiltonian,
     uniform_min_even_gap,
@@ -100,12 +99,12 @@ def test_criterion_3_decoherence_oracle():
 
     def dense_amplitude(omega0, T):
         sched = LinearSchedule(T)
-        w0, V0 = spectrum(uniform_hamiltonian(n, 0.0), "even", eigenvectors=True)
+        w0, V0 = np.linalg.eigh(uniform_hamiltonian(n, 0.0, sector="even").matrix)
         gs0 = embed_sector_vector(V0[:, 0], n, "even")
         path = CompositeBosonPath(uniform_path(n, sched), omega0, lam, n_quanta=2)
         psi0 = path.boson_state(gs0.astype(complex), occupancy=1)
         psi = schrodinger_evolve(path, psi0, g_f * T, rtol=1e-11)
-        wf, Vf = spectrum(uniform_hamiltonian(n, g_f), "even", eigenvectors=True)
+        wf, Vf = np.linalg.eigh(uniform_hamiltonian(n, g_f, sector="even").matrix)
         target = wf[0] + 2 * mode_epsilon(k, g_f)
         s_idx = int(np.argmin(np.abs(wf - target)))
         s_full = embed_sector_vector(Vf[:, s_idx], n, "even")

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isingsweep import decoherence
+from isingsweep import decoherence, oracle
 from isingsweep.chain import ChainSpec, channel_momenta, even_sector_gap
 from isingsweep.cli import main
 from isingsweep.decoherence import (
@@ -129,6 +130,12 @@ def test_byte_identical_reruns(tmp_path):
                  "uniform_min": {"chains": 41, "gap_calls": 1}} for n in (4, 6)}
     for name in ("stepwise_gaps.csv", "stepwise_min_gaps.csv", "uniform_min_gaps.csv"):
         assert (out1 / "sw" / name).read_bytes() == (out2 / "sw" / name).read_bytes(), name
+    # the dense oracle's spectra and report
+    for out in (out1, out2):
+        run_experiment(ExperimentConfig.from_dict({
+            "kind": "oracle-check", "chain_sizes": [2, 4], "output_dir": str(out / "oc")}))
+    for name in ("dense_spectrum_n2.csv", "dense_spectrum_n4.csv", "oracle_report.json"):
+        assert (out1 / "oc" / name).read_bytes() == (out2 / "oc" / name).read_bytes(), name
 
 
 def test_table1_in_three_batches_matches_public_calls(tmp_path, monkeypatch):
@@ -244,6 +251,26 @@ def test_oracle_check_experiment(tmp_path):
     report = json.loads((tmp_path / "oracle_report.json").read_text())
     assert any(r["quantity"] == "ground_energy" for r in report)
     assert all(r["abs_error"] <= 1e-8 for r in report if r["quantity"] == "matrix_element")
+
+
+def test_oracle_check_builds_parity_blocks_only(tmp_path, monkeypatch):
+    # every dense matrix the check diagonalizes is a 2^(n-1) parity block,
+    # never the 2^n matrix
+    build, sectors = oracle.build_hamiltonian, []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(build).bind(*args, **kwargs)
+        sectors.append(bound.arguments.get("sector", "full"))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "build_hamiltonian", spy)
+    summary = run_experiment(ExperimentConfig.from_dict({
+        "kind": "oracle-check", "chain_sizes": [4], "output_dir": str(tmp_path)}))
+    assert summary["all_checks_pass"]
+    # five g values of the even block, and the even and odd spectrum dump
+    assert sorted(sectors) == ["even"] * 6 + ["odd"]
+    rows = (tmp_path / "dense_spectrum_n4.csv").read_text().splitlines()[1:]
+    assert len(rows) == 16
 
 
 def test_decoherence_experiment_with_suppression_scan(tmp_path):
@@ -430,6 +457,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("omega_grid", "0.5"), ("t_scan", ["x"]),
     ("bath_params.omega_c", -1), ("bath_params.omega_c", "0.5"),
     ("output_dir", 5), ("output_dir", ["a"]), ("output_dir", ""),
+    ("omega_grid", []), ("t_scan", []),
 ])
 def test_cli_rejects_bad_numeric_field(tmp_path, capsys, field, value):
     # a dotted field names one bath parameter

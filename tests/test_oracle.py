@@ -21,7 +21,6 @@ from isingsweep.oracle import (
     schrodinger_evolve,
     sigma_x_apply,
     sigma_x_elements,
-    spectrum,
     stepwise_gap_profile,
     stepwise_path,
     uniform_hamiltonian,
@@ -36,35 +35,44 @@ from isingsweep.schedules import (
 )
 
 
+def _levels(n, g, sector="full"):
+    return np.linalg.eigvalsh(uniform_hamiltonian(n, g, sector=sector).matrix)
+
+
 def test_two_independent_spins():
-    H = uniform_hamiltonian(2, 0.0)
-    np.testing.assert_allclose(spectrum(H), [-2, 0, 0, 2], atol=1e-14)
+    np.testing.assert_allclose(_levels(2, 0.0), [-2, 0, 0, 2], atol=1e-14)
 
 
 def test_classical_ferromagnet_ground_doublet():
-    H = uniform_hamiltonian(4, 1.0)
-    w = spectrum(H)
+    w = _levels(4, 1.0)
     assert w[0] == pytest.approx(-4.0, abs=1e-14)
     assert w[1] == pytest.approx(-4.0, abs=1e-14)
     # parity doublet split below round-off
-    we = spectrum(H, "even")
-    wo = spectrum(H, "odd")
-    assert abs(we[0] - wo[0]) <= 1e-10
+    assert abs(_levels(4, 1.0, "even")[0] - _levels(4, 1.0, "odd")[0]) <= 1e-10
 
 
 def test_parity_commutes_and_sectors_partition():
     for n, g in [(4, 0.3), (6, 0.5)]:
-        H = uniform_hamiltonian(n, g)
-        assert parity_commutator_max(H) <= 1e-12
-        we, wo = spectrum(H, "even"), spectrum(H, "odd")
-        assert len(we) + len(wo) == 2**n
+        assert parity_commutator_max(uniform_hamiltonian(n, g)) <= 1e-12
+        we, wo = _levels(n, g, "even"), _levels(n, g, "odd")
+        assert len(we) == len(wo) == 2 ** (n - 1)
         full = np.sort(np.concatenate([we, wo]))
-        np.testing.assert_allclose(full, spectrum(H), atol=1e-10)
+        np.testing.assert_allclose(full, _levels(n, g), atol=1e-10)
+    # a block has no complement map of its own to check
+    with pytest.raises(ValueError, match="full matrix, got the even block"):
+        parity_commutator_max(uniform_hamiltonian(4, 0.3, sector="even"))
 
 
 def test_memory_guard():
     with pytest.raises(ValueError, match="cap"):
         build_hamiltonian(16, np.ones(16), np.ones(16))
+    # the message sizes the block the call would build
+    for sector, size in (("even", r"32768 x 32768, would need 8\.0"),
+                         ("full", r"65536 x 65536, would need 32\.0")):
+        with pytest.raises(ValueError, match=f"the {sector} Hamiltonian, {size} GiB"):
+            build_hamiltonian(16, np.ones(16), np.ones(16), sector=sector)
+    with pytest.raises(ValueError, match="sector must be full/even/odd"):
+        build_hamiltonian(4, np.ones(4), np.ones(4), sector="both")
 
 
 def test_weight_shape_validation():
@@ -91,18 +99,16 @@ def test_ground_energy_matches_fermionic():
     for n in (2, 4, 8):
         spec = ChainSpec(n)
         for g in (0.0, 0.3, 0.5, 0.9):
-            w = spectrum(uniform_hamiltonian(n, g), "even")
+            w = _levels(n, g, "even")
             assert abs(w[0] - ground_energy(spec, g)) <= 1e-10
-    # n = 12 from the even block alone (the full 2^12 build is wasteful there)
-    w12 = np.linalg.eigvalsh(even_sector_matrix(12, np.full(12, 0.5), np.full(12, 0.5),
-                                                periodic=True))
+    w12 = _levels(12, 0.5, "even")
     assert abs(w12[0] - ground_energy(ChainSpec(12), 0.5)) <= 1e-10
 
 
 def test_full_spectrum_contains_pair_and_composite_levels():
     n, g = 6, 0.4
     spec = ChainSpec(n)
-    w = spectrum(uniform_hamiltonian(n, g))
+    w = _levels(n, g)
     e0 = ground_energy(spec, g)
     kpos = channel_momenta(spec)
     eps = mode_epsilon(kpos, g)
@@ -116,7 +122,7 @@ def test_full_spectrum_contains_pair_and_composite_levels():
 def test_polarized_expectation_at_g0():
     n = 5  # odd chains are fine for the dense oracle itself
     H = build_hamiltonian(n, np.ones(n), np.zeros(n))
-    w, V = spectrum(H, eigenvectors=True)
+    w, V = np.linalg.eigh(H.matrix)
     val = V[:, 0] @ sigma_x_apply(n, V[:, 0])
     assert val == pytest.approx(n, abs=1e-12)
 
@@ -124,8 +130,7 @@ def test_polarized_expectation_at_g0():
 def test_matrix_elements_match_pair_formula():
     n, g = 8, 0.5
     spec = ChainSpec(n)
-    H = uniform_hamiltonian(n, g)
-    w, elems = sigma_x_elements(H, "even")
+    w, elems = sigma_x_elements(uniform_hamiltonian(n, g, sector="even"))
     kpos = channel_momenta(spec)
     matched = np.zeros(len(w), dtype=bool)
     for k in kpos:
@@ -142,7 +147,7 @@ def test_matrix_elements_match_pair_formula():
 def test_constant_hamiltonian_evolution_is_a_phase():
     n = 3
     H = build_hamiltonian(n, np.ones(n), 0.5 * np.ones(n))
-    w, V = spectrum(H, eigenvectors=True)
+    w, V = np.linalg.eigh(H.matrix)
 
     class Static:
         def __init__(self):
@@ -161,11 +166,11 @@ def test_constant_hamiltonian_evolution_is_a_phase():
 def test_uniform_sweep_adiabatic_limit():
     n, T = 4, 400.0
     sched = LinearSchedule(T)
-    w0, V0 = spectrum(uniform_hamiltonian(n, 0.0), "even", eigenvectors=True)
+    w0, V0 = np.linalg.eigh(uniform_hamiltonian(n, 0.0, sector="even").matrix)
     psi0 = embed_sector_vector(V0[:, 0], n, "even").astype(complex)
     psi = schrodinger_evolve(uniform_path(n, sched), psi0, T, rtol=1e-10)
     assert abs(np.linalg.norm(psi) - 1.0) <= 10 * 1e-10  # unitarity
-    wf, Vf = spectrum(uniform_hamiltonian(n, 1.0), "even", eigenvectors=True)
+    wf, Vf = np.linalg.eigh(uniform_hamiltonian(n, 1.0, sector="even").matrix)
     gs = embed_sector_vector(Vf[:, 0], n, "even")
     assert abs(np.vdot(gs, psi)) ** 2 >= 1 - 1e-4
 
@@ -174,12 +179,12 @@ def test_stepwise_evolution_stays_even_and_adiabatic():
     n = 4
     sweep = StepWiseSweep(n, 120.0)
     path = stepwise_path(sweep)
-    w0, V0 = spectrum(build_hamiltonian(n, np.ones(n), np.zeros(n - 1), periodic=False),
-                      "even", eigenvectors=True)
+    w0, V0 = np.linalg.eigh(build_hamiltonian(n, np.ones(n), np.zeros(n - 1), periodic=False,
+                                              sector="even").matrix)
     psi0 = embed_sector_vector(V0[:, 0], n, "even").astype(complex)
     psi = schrodinger_evolve(path, psi0, 120.0, rtol=1e-10)
-    Hf = build_hamiltonian(n, np.zeros(n), np.ones(n - 1), periodic=False)
-    wf, Vf = spectrum(Hf, "even", eigenvectors=True)
+    Hf = build_hamiltonian(n, np.zeros(n), np.ones(n - 1), periodic=False, sector="even")
+    wf, Vf = np.linalg.eigh(Hf.matrix)
     gs = embed_sector_vector(Vf[:, 0], n, "even")
     assert abs(np.vdot(gs, psi)) ** 2 >= 1 - 1e-3
 
@@ -203,15 +208,37 @@ def test_matrix_free_paths_match_dense_hamiltonian():
 
 
 def test_even_sector_matrix_matches_slicing():
-    for n, periodic in [(4, True), (6, False)]:
-        h = np.linspace(0.2, 1.0, n)
-        J = np.linspace(0.5, 0.9, n if periodic else n - 1)
-        H = build_hamiltonian(n, h, J, periodic)
-        direct = even_sector_matrix(n, h, J, periodic)
-        reps = np.arange(2 ** (n - 1))
-        creps = reps ^ (2**n - 1)
-        sliced = H.matrix[np.ix_(reps, reps)] + H.matrix[np.ix_(reps, creps)]
-        np.testing.assert_allclose(direct, sliced, atol=1e-14)
+    # each parity block, built directly, is bit for bit the slice
+    # <r|H|c> +- <r|H|~c> of the full matrix, n = 2 included, where both
+    # flips of a representative land on one column
+    rng = np.random.default_rng(5)
+    for n in range(2, 9):
+        for periodic in (True, False):
+            h = rng.uniform(-1.5, 1.5, n)
+            J = rng.uniform(-1.5, 1.5, n if periodic else n - 1)
+            full = build_hamiltonian(n, h, J, periodic).matrix
+            reps = np.arange(2 ** (n - 1))
+            creps = reps ^ (2**n - 1)
+            for sector, sign in (("even", 1.0), ("odd", -1.0)):
+                block = build_hamiltonian(n, h, J, periodic, sector=sector)
+                assert block.sector == sector
+                sliced = full[np.ix_(reps, reps)] + sign * full[np.ix_(reps, creps)]
+                np.testing.assert_array_equal(block.matrix, sliced, err_msg=(n, periodic, sector))
+            np.testing.assert_array_equal(even_sector_matrix(n, h, J, periodic),
+                                          build_hamiltonian(n, h, J, periodic, "even").matrix)
+
+
+def test_sigma_x_elements_match_full_space_lift():
+    # lifting only the ground state gives the elements of lifting every level
+    for n, g in [(2, 0.5), (4, 0.3), (6, 0.8)]:
+        for sector in ("even", "odd"):
+            H = uniform_hamiltonian(n, g, sector=sector)
+            w, elems = sigma_x_elements(H)
+            ref_w, V = np.linalg.eigh(H.matrix)
+            lifted = embed_sector_vector(V, n, sector)
+            np.testing.assert_array_equal(w, ref_w)
+            np.testing.assert_allclose(elems, lifted.T @ sigma_x_apply(n, lifted[:, 0]),
+                                       rtol=0, atol=1e-13)
 
 
 def test_even_sector_gap_matches_dense():
@@ -307,7 +334,7 @@ def test_pair_occupations_match_dense_ground_state():
     # at (n=2, g=1/2, ka=pi/2) this is 2 - 4/(4 + 2 sqrt(2)) = sqrt(2)
     for n, g in [(2, 0.5), (4, 0.3), (4, 0.5), (6, 0.8)]:
         spec = ChainSpec(n)
-        w, V = spectrum(uniform_hamiltonian(n, g), "even", eigenvectors=True)
+        w, V = np.linalg.eigh(uniform_hamiltonian(n, g, sector="even").matrix)
         gs = embed_sector_vector(V[:, 0], n, "even")
         x_dense = gs @ sigma_x_apply(n, gs)
         _, v = instantaneous_pair(momentum_grid(spec), g)
