@@ -31,12 +31,9 @@ from .dynamics import (
 )
 from .quadrature import OscillatoryResult, QuadratureError, oscillatory_integral
 from .schedules import (
-    GapAdaptedSchedule,
-    LinearSchedule,
     Schedule,
     StepWisePath,
     StepWiseSweep,
-    make_schedule,
     runtime_for_adiabaticity,
     stepwise_hamiltonian_weights,
 )

@@ -14,12 +14,12 @@ import sys
 
 from .experiments import (
     _BATH_KINDS,
-    _SCHEDULE_KINDS,
     EXPERIMENT_KINDS,
     ConfigError,
     ExperimentConfig,
     run_experiment,
 )
+from .schedules import _POWERS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--n", type=int, nargs="+", dest="chain_sizes", help="chain sizes")
     p.add_argument("--T", type=float, dest="total_time", help="explicit run time")
-    p.add_argument("--schedule", dest="schedule_kind", choices=_SCHEDULE_KINDS)
+    p.add_argument("--schedule", dest="schedule_kind", choices=tuple(_POWERS))
     p.add_argument("--epsilon-adiab", type=float, dest="epsilon_adiab",
                    help="adiabaticity target fixing T when --T is absent")
     p.add_argument("--omega", type=float, nargs="+", dest="omega_grid", help="frequency grid")

@@ -267,7 +267,7 @@ def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega:
     if not omega > 2.0 * abs(ka):
         raise ValueError(
             f"saddle-point approximation needs omega > 2|ka| = {2 * abs(ka):.6g}, "
-            f"got omega={omega}; use the bound or the sub-gap estimate"
+            f"got omega={omega}; use amplitude_numeric or amplitude_bound"
         )
     g_lo, g_hi = saddle_points(spec, k, omega)
     disc = omega * np.sqrt(omega**2 - 4.0 * ka * ka)

@@ -47,7 +47,7 @@ from .oracle import (
     uniform_hamiltonian,
     uniform_min_even_gap,
 )
-from .schedules import Schedule, make_schedule, runtime_for_adiabaticity
+from .schedules import _POWERS, Schedule, runtime_for_adiabaticity
 
 __all__ = [
     "ConfigError",
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 EXPERIMENT_KINDS = ("spectrum", "dynamics", "decoherence", "scaling", "stepwise", "oracle-check")
-_SCHEDULE_KINDS = ("linear", "gap-adapted-1", "gap-adapted-2")
 _BATH_KINDS = ("monochromatic", "ohmic", "flat")
 
 
@@ -153,12 +152,14 @@ class ExperimentConfig:
                 raise ConfigError(f"config.chain_sizes[{i}]: n must be an even integer >= 2, got {n!r}")
             if n > _DENSE_CAP and kind == "oracle-check":
                 raise ConfigError(f"config.chain_sizes[{i}]: n={n} exceeds the dense cap {_DENSE_CAP}")
+            if n in sizes[:i]:
+                raise ConfigError(f"config.chain_sizes[{i}]: n={n} repeats")
         d["chain_sizes"] = tuple(sizes)
         if "output_dir" in d and not (isinstance(d["output_dir"], str) and d["output_dir"]):
             raise ConfigError(f"config.output_dir: must be a non-empty string, got {d['output_dir']!r}")
-        if d.get("schedule_kind", "linear") not in _SCHEDULE_KINDS:
+        if d.get("schedule_kind", "linear") not in _POWERS:
             raise ConfigError(
-                f"config.schedule_kind: must be one of {_SCHEDULE_KINDS}, got {d['schedule_kind']!r}")
+                f"config.schedule_kind: must be one of {tuple(_POWERS)}, got {d['schedule_kind']!r}")
         if d.get("total_time") is not None:
             _check_real(d, "total_time", 0.0)
         for key in ("epsilon_adiab", "amplitude_rtol"):
@@ -207,7 +208,7 @@ class ExperimentConfig:
     def schedule_for(self, n: int, total_time: float | None = None) -> Schedule:
         T = total_time or self.total_time or runtime_for_adiabaticity(
             self.schedule_kind, n, self.epsilon_adiab)
-        return make_schedule(self.schedule_kind, T, ChainSpec(n))
+        return Schedule(self.schedule_kind, T, ChainSpec(n))
 
     def bath(self) -> BathSpectrum:
         coupling = CouplingConstant(self.coupling)
@@ -309,7 +310,7 @@ def _t1_points(eps_adiab: float) -> list:
             kpos = channel_momenta(spec)
             # the fundamental mode, or in a bound cell the mode resonating with omega
             k = float(kpos[0 if saddle else np.argmin(np.abs(2.0 * kpos - omega))])
-            sched = make_schedule(kind, runtime_for_adiabaticity(kind, n, eps_adiab), spec)
+            sched = Schedule(kind, runtime_for_adiabaticity(kind, n, eps_adiab), spec)
             points.append((cell, sweep, value, spec, k, omega, sched))
     return points
 
@@ -342,7 +343,7 @@ def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float):
         (sched, k, omega, PHASE, g) for *_, spec, k, omega, sched in saddle
         for g in saddle_points(spec, k, omega)])
     lo, hi = phases[len(points):].real.reshape(-1, 2).T
-    longer = [make_schedule(cell["schedule"], sched.total_time * (1.0 + np.pi / abs(dphi)), spec)
+    longer = [Schedule(cell["schedule"], sched.total_time * (1.0 + np.pi / abs(dphi)), spec)
               for (cell, *_, spec, k, omega, sched), dphi in zip(saddle, (hi - lo).tolist())]
     first = integrate([(s2, k, 0.0, NORM, 1.0) for (*_, k, omega, _), s2 in zip(saddle, longer)] + [
         (sched, k, omega, AMPLITUDE, 1.0) for *_, k, omega, sched in saddle])[len(saddle):]
@@ -515,7 +516,7 @@ def _run_total_probability(config: ExperimentConfig, out: Path):
     # a phase-free bound stands in for a failed amplitude and inflates P
     checks = {"no_bound_fallback": not any(r[5] for r in rows)}
     if len(rows) >= 2:
-        p = [r[3] for r in rows]
+        p = [r[3] for r in sorted(rows)]  # in ascending n, whatever the size order
         checks["p_total_increases_with_n"] = bool(all(b > a for a, b in zip(p, p[1:])))
     return files, checks, {"response_warnings": warnings_seen, "diagnostics": diagnostics}
 

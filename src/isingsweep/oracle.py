@@ -152,6 +152,8 @@ def parity_commutator_max(H: DenseHamiltonian) -> float:
 
 def _sector_reps(dim: int, sector: str):
     """Representatives i < dim/2, their complements and the sector's sign."""
+    if sector not in ("even", "odd"):
+        raise ValueError(f"sector must be even or odd, got {sector!r}")
     reps = np.arange(dim // 2)
     return reps, reps ^ (dim - 1), _SECTOR_SIGN[sector]
 

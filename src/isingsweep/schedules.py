@@ -1,8 +1,10 @@
 """Sweep schedules g(t) and the step-wise spatial interpolation path.
 
-Three homogeneous schedule kinds drive the uniform sweep: constant
-speed (g = t/T) and two gap-adapted kinds with dg/dt proportional to
-the fundamental gap or its square, normalized so g(T) = 1.  With the
+Three homogeneous schedule kinds drive the uniform sweep, all one
+class, ``Schedule(kind, T, spec)``: constant speed (g = t/T) and two
+gap-adapted kinds with dg/dt proportional to the fundamental gap or its
+square (the local adiabatic schedule of Roland and Cerf, PRA 65, 042308
+(2002)), normalized so g(T) = 1.  With the
 fundamental gap DeltaE = 4 sqrt(s^2 + c^2 x^2), s = sin(pi/2n),
 c = cos(pi/2n) and x = 1 - 2g, the integral
 I_p(g) = int_0^g DeltaE^-p dg' = C t(g) of dg/dt = C DeltaE^p has the
@@ -33,16 +35,14 @@ from .chain import ChainSpec, mode_epsilon
 
 __all__ = [
     "Schedule",
-    "LinearSchedule",
-    "GapAdaptedSchedule",
     "StepWisePath",
     "StepWiseSweep",
-    "make_schedule",
     "stepwise_hamiltonian_weights",
     "stepwise_weights",
     "runtime_for_adiabaticity",
 ]
 
+# the schedule kinds, each with its power p of dg/dt = C DeltaE^p
 _POWERS = {"linear": 0, "gap-adapted-1": 1, "gap-adapted-2": 2}
 # phi and its inverse per power: I_p(g) is linear in phi(c x / s)
 _PHI = {1: (np.arcsinh, np.sinh), 2: (np.arctan, np.tan)}
@@ -80,14 +80,41 @@ def _velocity(rate, s, c, power, g):
 
 
 class Schedule:
-    """Common interface of the homogeneous g(t) schedules."""
+    """Homogeneous sweep g(t) with dg/dt = C * DeltaE(g)^p, C fixed by g(T) = 1.
 
-    kind: str
-    total_time: float
-    velocity_terms: tuple  # (rate, s, c, power) of _velocity
+    ``kind`` names the power: "linear" (p = 0, g = t/T), "gap-adapted-1"
+    or "gap-adapted-2".  A gap-adapted kind needs ``spec``: DeltaE is the
+    fundamental gap of its lowest momentum pair, so the sweep slows down
+    near the critical point g = 1/2.  With phi(x) = asinh(c x/s) (p = 1)
+    or atan(c x/s) (p = 2), the integral I_p(g) is proportional to
+    phi(1) - phi(1 - 2g); hence t(g) = T (1 - phi(x)/phi(1)) / 2 and its
+    inverse x = (s/c) phi^-1(phi(1) (1 - 2t/T)), both exact.
+    """
+
+    def __init__(self, kind: str, total_time: float, spec: ChainSpec | None = None):
+        if kind not in _POWERS:
+            raise ValueError(f"unknown schedule kind {kind!r}")
+        power = _POWERS[kind]
+        if power and spec is None:
+            raise ValueError(f"{kind} needs a ChainSpec for the fundamental gap")
+        self.kind = kind
+        self.total_time = _check_total_time(total_time)
+        if not power:
+            self.velocity_terms = (1.0 / self.total_time, 0.0, 1.0, 0)  # (rate, s, c, power)
+            return
+        s, c = _gap_sin_cos(spec)
+        self.velocity_terms = (_norm_integral(spec, power) / self.total_time, s, c, power)
+        phi, self._phi_inverse = _PHI[power]
+        self._phi_edge = phi(c / s)
 
     def g_of_t(self, t):
-        raise NotImplementedError
+        """g(t), t in [0, T]: t/T for p = 0, the closed-form inverse of t(g) otherwise."""
+        t = self._check_time(t)
+        _, s, c, power = self.velocity_terms
+        if not power:
+            return t / self.total_time
+        x = s / c * self._phi_inverse(self._phi_edge * (1.0 - 2.0 * t / self.total_time))
+        return np.clip(0.5 * (1.0 - x), 0.0, 1.0)
 
     def velocity_of_g(self, g):
         """dg/dt as a function of g (closed form, exact)."""
@@ -103,59 +130,6 @@ class Schedule:
         if np.any(t < -slop) or np.any(t > T + slop):
             raise ValueError(f"t outside [0, {T}]")
         return np.clip(t, 0.0, T)
-
-
-class LinearSchedule(Schedule):
-    """Constant-speed interpolation g(t) = t/T."""
-
-    kind = "linear"
-
-    def __init__(self, total_time: float):
-        self.total_time = _check_total_time(total_time)
-        self.velocity_terms = (1.0 / self.total_time, 0.0, 1.0, 0)
-
-    def g_of_t(self, t):
-        return self._check_time(t) / self.total_time
-
-
-class GapAdaptedSchedule(Schedule):
-    """Schedule with dg/dt = C * DeltaE(g)^power, C fixed by g(T) = 1.
-
-    DeltaE is the fundamental gap of the lowest momentum pair, so the
-    sweep slows down near the critical point g = 1/2.  With
-    phi(x) = asinh(c x/s) (power 1) or atan(c x/s) (power 2), the
-    integral I_p(g) is proportional to phi(1) - phi(1 - 2g); hence
-    t(g) = T (1 - phi(x)/phi(1)) / 2 and its inverse
-    x = (s/c) phi^-1(phi(1) (1 - 2t/T)), both exact.
-    """
-
-    def __init__(self, spec: ChainSpec, total_time: float, power: int):
-        if power not in (1, 2):
-            raise ValueError(f"power must be 1 or 2, got {power}")
-        self.kind = f"gap-adapted-{power}"
-        self.total_time = _check_total_time(total_time)
-        self.rate_constant = _norm_integral(spec, power) / self.total_time
-        s, c = _gap_sin_cos(spec)
-        self.velocity_terms = (self.rate_constant, s, c, power)
-        self._s_over_c = s / c
-        phi, self._phi_inverse = _PHI[power]
-        self._phi_edge = phi(c / s)
-
-    def g_of_t(self, t):
-        u = 1.0 - 2.0 * self._check_time(t) / self.total_time
-        x = self._s_over_c * self._phi_inverse(self._phi_edge * u)
-        return np.clip(0.5 * (1.0 - x), 0.0, 1.0)
-
-
-def make_schedule(kind: str, total_time: float, spec: ChainSpec | None = None) -> Schedule:
-    """Build a homogeneous schedule by kind name."""
-    if kind == "linear":
-        return LinearSchedule(total_time)
-    if kind in ("gap-adapted-1", "gap-adapted-2"):
-        if spec is None:
-            raise ValueError(f"{kind} needs a ChainSpec for the fundamental gap")
-        return GapAdaptedSchedule(spec, total_time, power=_POWERS[kind])
-    raise ValueError(f"unknown schedule kind {kind!r}")
 
 
 @dataclass(frozen=True)

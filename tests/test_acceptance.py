@@ -32,7 +32,7 @@ from isingsweep.oracle import (
     uniform_min_even_gap,
     uniform_path,
 )
-from isingsweep.schedules import LinearSchedule, make_schedule, runtime_for_adiabaticity
+from isingsweep.schedules import Schedule, runtime_for_adiabaticity
 
 
 def _report(label: str, ok: bool, detail: str = "") -> bool:
@@ -60,7 +60,7 @@ def test_criterion_2_normalization_suite():
     # (a) norm conservation under integration
     spec = ChainSpec(6)
     rtol = 1e-10
-    traj = integrate_modes(spec, LinearSchedule(40.0), np.linspace(0, 40.0, 9), rtol=rtol)
+    traj = integrate_modes(spec, Schedule("linear", 40.0), np.linspace(0, 40.0, 9), rtol=rtol)
     ok_norm = traj.max_norm_drift <= 10 * rtol
     # (b) epsilon^2 = alpha^2 + beta^2 to 1e-12 relative
     rng = np.random.default_rng(0)
@@ -98,7 +98,7 @@ def test_criterion_3_decoherence_oracle():
     k = np.pi / 4
 
     def dense_amplitude(omega0, T):
-        sched = LinearSchedule(T)
+        sched = Schedule("linear", T)
         w0, V0 = np.linalg.eigh(uniform_hamiltonian(n, 0.0, sector="even").matrix)
         gs0 = embed_sector_vector(V0[:, 0], n, "even")
         path = CompositeBosonPath(uniform_path(n, sched), omega0, lam, n_quanta=2)
@@ -114,7 +114,7 @@ def test_criterion_3_decoherence_oracle():
     details = []
     for omega0, T in [(2.2, 60.0), (2.6, 40.0), (0.9, 60.0), (1.8, 80.0)]:
         a_dense = dense_amplitude(omega0, T)
-        a_resp = abs(amplitude_numeric(spec, LinearSchedule(T), k, omega0, lam,
+        a_resp = abs(amplitude_numeric(spec, Schedule("linear", T), k, omega0, lam,
                                        g_upper=g_f))
         rel = abs(a_dense - a_resp) / a_resp
         ok &= rel <= 0.05
@@ -147,7 +147,7 @@ def test_criterion_5a_subgap_decay_constant():
     omega = 0.1  # far below 2|ka| = 0.785
     lam = 1e-3
     Ts = np.array([30.0, 60.0, 90.0, 120.0])
-    vals = [abs(amplitude_numeric(spec, LinearSchedule(T), k, omega, lam, rtol=1e-8))
+    vals = [abs(amplitude_numeric(spec, Schedule("linear", T), k, omega, lam, rtol=1e-8))
             for T in Ts]
     slope = np.polyfit(Ts, np.log(vals), 1)[0]
     target = -(k * k) / 2.0
@@ -175,7 +175,7 @@ def test_suppression_sharp_rate_diagnostic():
     kappa = (s * s / c) * np.arcsin(c * y_star / s) - omega * y_star / 4.0
 
     def subtracted(T):
-        sched = LinearSchedule(float(T))
+        sched = Schedule("linear", float(T))
         a = amplitude_numeric(spec, sched, k, omega, lam, rtol=1e-8)
         phi1 = accumulated_phase(spec, sched, k, omega, 1.0)
         m1 = 4j * np.sin(k) / mode_epsilon(k, 1.0)
@@ -194,7 +194,7 @@ def test_criterion_5b_negative_frequency_suppression():
     spec = ChainSpec(8)
     k = np.pi / 8
     lam = 1e-3
-    sched = LinearSchedule(120.0)
+    sched = Schedule("linear", 120.0)
     a_neg = abs(amplitude_numeric(spec, sched, k, -0.3, lam))
     bound = amplitude_bound(spec, sched, k, lam)
     assert _report("criterion 5b: negative-frequency amplitudes 10x below the bound",
@@ -211,7 +211,7 @@ def test_criterion_6_growth_with_system_size():
         for n in (8, 16, 32, 64):
             spec = ChainSpec(n)
             T = runtime_for_adiabaticity(kind, n, 0.25)
-            sched = make_schedule(kind, T, spec)
+            sched = Schedule(kind, T, spec)
             res = total_excitation_probability(spec, sched, bath, n_omega=21, rtol=1e-5)
             values.append(res.p_total)
         increasing = all(b > a for a, b in zip(values, values[1:]))
@@ -244,7 +244,7 @@ def test_criterion_8_adiabatic_solution_agreement():
     for kind in ("linear", "gap-adapted-2"):
         spec = ChainSpec(4)
         T = runtime_for_adiabaticity(kind, 4, 1e-3)
-        sched = make_schedule(kind, T, spec)
+        sched = Schedule(kind, T, spec)
         traj = integrate_modes(spec, sched, np.linspace(0.0, T, 5), rtol=1e-10)
         ov = adiabatic_overlap(traj)[:, -1]
         ok &= np.all(ov >= 1 - 1e-4)

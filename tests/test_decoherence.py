@@ -15,7 +15,7 @@ from isingsweep.decoherence import (
     total_excitation_probability,
 )
 from isingsweep.quadrature import QuadratureError, oscillatory_integral
-from isingsweep.schedules import GapAdaptedSchedule, LinearSchedule, Schedule
+from isingsweep.schedules import Schedule
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,7 @@ def chain8():
 
 
 def test_linearity_in_coupling(chain8):
-    sched = LinearSchedule(60.0)
+    sched = Schedule("linear", 60.0)
     a1 = amplitude_numeric(chain8, sched, np.pi / 8, 0.8, 1e-3)
     a2 = amplitude_numeric(chain8, sched, np.pi / 8, 0.8, 2e-3)
     assert a2 == 2 * a1  # exactly linear
@@ -56,7 +56,7 @@ def test_array_amplitudes_match_scalar_calls(chain8, monkeypatch):
     # 4 channels x 3 frequencies, including the sub-gap omega = 0.3 of
     # k = pi/8: one batch of the 4 channel norms, one of the 12
     # amplitudes, every value that of its scalar call
-    sched = GapAdaptedSchedule(chain8, 80.0, 2)
+    sched = Schedule("gap-adapted-2", 80.0, chain8)
     ks = channel_momenta(chain8)
     omegas = np.array([0.3, 0.8, 1.5])
     scalar = [[amplitude_numeric(chain8, sched, k, w, 1e-3) for w in omegas] for k in ks]
@@ -76,7 +76,7 @@ def test_array_amplitudes_match_scalar_calls(chain8, monkeypatch):
 
 
 def test_amplitude_requires_positive_grid_momentum(chain8):
-    sched = LinearSchedule(10.0)
+    sched = Schedule("linear", 10.0)
     with pytest.raises(ValueError, match="positive"):
         amplitude_numeric(chain8, sched, -np.pi / 8, 0.5, 1e-3)
     with pytest.raises(ValueError, match="grid"):
@@ -90,7 +90,7 @@ def test_bound_dominates_numeric_random_tuples(chain8):
         k = float(rng.choice(kpos))
         omega = float(rng.uniform(-0.5, 3.0))
         T = float(rng.uniform(5.0, 150.0))
-        sched = LinearSchedule(T)
+        sched = Schedule("linear", T)
         a = abs(amplitude_numeric(chain8, sched, k, omega, 1e-3))
         b = amplitude_bound(chain8, sched, k, 1e-3)
         assert a <= b * (1 + 1e-9)
@@ -124,15 +124,16 @@ def test_saddle_points_solve_energy_conservation(n, k):
 
 
 def test_saddle_point_requires_supercritical_frequency(chain8):
-    sched = LinearSchedule(50.0)
-    with pytest.raises(ValueError, match="omega"):
+    sched = Schedule("linear", 50.0)
+    with pytest.raises(ValueError, match=r"needs omega > 2\|ka\| = .*; "
+                                         r"use amplitude_numeric or amplitude_bound$"):
         amplitude_saddle_point(chain8, sched, np.pi / 8, 0.5, 1e-3)  # < 2|ka|
     with pytest.raises(ValueError, match="gap"):
         saddle_points(chain8, np.pi / 8, 5.0)
 
 
 def test_saddle_boundary_flagged_invalid(chain8):
-    sched = LinearSchedule(50.0)
+    sched = Schedule("linear", 50.0)
     sp = amplitude_saddle_point(chain8, sched, np.pi / 8, 4.0, 1e-3)
     assert not sp.valid
     assert sp.g_minus == 0.0 and sp.g_plus == 1.0
@@ -141,7 +142,7 @@ def test_saddle_boundary_flagged_invalid(chain8):
 def test_saddle_matches_numeric_when_valid():
     spec = ChainSpec(32)
     T = 900.0
-    sched = LinearSchedule(T)
+    sched = Schedule("linear", T)
     k = np.pi / 32
     for omega in (0.6, 1.0, 1.5):
         sp = amplitude_saddle_point(spec, sched, k, omega, 1e-3)
@@ -160,7 +161,7 @@ def test_saddle_self_consistency_over_sizes():
         spec = ChainSpec(n)
         k = np.pi / n
         T = 0.4 * n**2
-        sched = LinearSchedule(T)
+        sched = Schedule("linear", T)
         sp = amplitude_saddle_point(spec, sched, k, omega, lam)
         if not sp.valid:
             continue
@@ -175,7 +176,7 @@ def test_channel_between_minimum_gap_and_2k(chain8):
     # k = 3pi/8 and 2k = 2.356: the channel resonates at two real saddles,
     # so it is not sub-gap, and the saddle formula (omega > 2|ka|) is out
     # of its domain too
-    k, sched = 3 * np.pi / 8, LinearSchedule(100.0)
+    k, sched = 3 * np.pi / 8, Schedule("linear", 100.0)
     g_lo, g_hi = saddle_points(chain8, k, 2.3)
     assert 0.0 < g_lo < 0.5 < g_hi < 1.0
     assert abs(amplitude_numeric(chain8, sched, k, 2.3, 1e-3)) > 1e-2
@@ -184,7 +185,7 @@ def test_channel_between_minimum_gap_and_2k(chain8):
 
 
 def test_negative_frequency_strongly_suppressed(chain8):
-    sched = LinearSchedule(120.0)
+    sched = Schedule("linear", 120.0)
     k = np.pi / 8
     a_neg = abs(amplitude_numeric(chain8, sched, k, -0.3, 1e-3))
     bound = amplitude_bound(chain8, sched, k, 1e-3)
@@ -194,7 +195,7 @@ def test_negative_frequency_strongly_suppressed(chain8):
 def test_accumulated_phase_consistency(chain8):
     # d(phase)/dg integrates the closed form: cross-check against a
     # two-piece split of the interval
-    sched = LinearSchedule(37.0)
+    sched = Schedule("linear", 37.0)
     k, omega = np.pi / 8, 0.9
     full = accumulated_phase(chain8, sched, k, omega, 1.0)
     split = (accumulated_phase(chain8, sched, k, omega, 0.4)
@@ -231,7 +232,7 @@ def test_bath_spectrum_families():
 
 def test_total_probability_quadratic_in_coupling():
     spec = ChainSpec(8)
-    sched = LinearSchedule(30.0)
+    sched = Schedule("linear", 30.0)
     r1 = total_excitation_probability(
         spec, sched, BathSpectrum.monochromatic(0.8, CouplingConstant(1e-3)))
     r2 = total_excitation_probability(
@@ -245,7 +246,7 @@ def test_total_probability_subgap_bath_negligible():
     # survives (no energy-conserving transitions): tiny in absolute
     # terms and far below a resonant bath at the same coupling
     spec = ChainSpec(8)
-    sched = LinearSchedule(250.0)  # adiabatic
+    sched = Schedule("linear", 250.0)  # adiabatic
     sub = total_excitation_probability(
         spec, sched, BathSpectrum.monochromatic(0.05, CouplingConstant(1e-3)))
     res = total_excitation_probability(
@@ -257,7 +258,7 @@ def test_total_probability_subgap_bath_negligible():
 def test_total_probability_breakdown_reported():
     spec = ChainSpec(16)
     T = 600.0
-    sched = LinearSchedule(T)
+    sched = Schedule("linear", T)
     with pytest.warns(UserWarning, match="large"):
         coupling = CouplingConstant(0.9)
     bath = BathSpectrum.monochromatic(0.9, coupling)
@@ -270,7 +271,7 @@ def test_total_probability_bound_fallback_per_term(monkeypatch):
     # exactly one (k, omega) term fails its integral: it alone takes the
     # phase-free bound, and every other term stays numeric
     spec = ChainSpec(8)
-    sched = LinearSchedule(30.0)
+    sched = Schedule("linear", 30.0)
     bath = BathSpectrum.ohmic(0.5, CouplingConstant(0.01), support_max=1.9)
     nodes, weights = bath.quadrature()
     clean = total_excitation_probability(spec, sched, bath)
@@ -301,7 +302,7 @@ def test_total_probability_skips_zero_weight_nodes():
     spec = ChainSpec(8)
     bath = BathSpectrum.ohmic(1e-6, CouplingConstant(0.01), support_max=1.9)
     assert not bath.quadrature()[1].any()
-    res = total_excitation_probability(spec, LinearSchedule(30.0), bath)
+    res = total_excitation_probability(spec, Schedule("linear", 30.0), bath)
     assert res.p_total == 0.0 and res.panels == 0
     assert all(m == ("skipped",) * 33 for m in res.methods.values())
 
@@ -324,7 +325,7 @@ def test_accumulated_phase_linear_closed_form(n):
     # antiderivative F of sqrt(s^2 + c^2 x^2).
     spec = ChainSpec(n)
     T, omega = 53.0 * n, 0.9
-    sched = LinearSchedule(T)
+    sched = Schedule("linear", T)
     for k in (np.pi / n, 5 * np.pi / n):
         s, c = np.sin(k / 2), np.cos(k / 2)
 
@@ -337,7 +338,7 @@ def test_accumulated_phase_linear_closed_form(n):
 
 
 def test_bound_norm_is_the_numeric_reference(chain8, monkeypatch):
-    sched = GapAdaptedSchedule(chain8, 80.0, 2)
+    sched = Schedule("gap-adapted-2", 80.0, chain8)
     k, lam, rtol = 3 * np.pi / 8, 1e-3, 1e-6
     budgets = []
     inner = decoherence.oscillatory_batch
@@ -360,7 +361,7 @@ def test_bound_norm_is_the_numeric_reference(chain8, monkeypatch):
 
 @pytest.mark.parametrize("omega", [0.3, 0.8, 1.5])
 def test_amplitude_numeric_is_one_integral(chain8, monkeypatch, omega):
-    sched = GapAdaptedSchedule(chain8, 80.0, 2)
+    sched = Schedule("gap-adapted-2", 80.0, chain8)
     calls = []
     inner = decoherence.oscillatory_batch
 
@@ -379,7 +380,7 @@ def test_amplitude_numeric_is_one_integral(chain8, monkeypatch, omega):
 def test_subgap_amplitude_meets_relative_budget(chain8):
     # omega = 0.3 lies below the channel's minimum gap 4 sin(k/2) = 0.78,
     # where the integral cancels to about 2e-3 of the phase-free bound
-    sched = GapAdaptedSchedule(chain8, 80.0, 2)
+    sched = Schedule("gap-adapted-2", 80.0, chain8)
     k, omega, rtol = np.pi / 8, 0.3, 1e-6
     integrand = decoherence._integrand([(sched, k, omega, decoherence.AMPLITUDE, 1.0)])
     pair = lambda g: integrand(g, np.zeros(len(g), dtype=int))
@@ -394,7 +395,7 @@ def test_subgap_amplitude_meets_relative_budget(chain8):
 
 def test_channel_norm_computed_once_per_channel(monkeypatch):
     spec = ChainSpec(8)
-    sched = LinearSchedule(30.0)
+    sched = Schedule("linear", 30.0)
     calls = []
     inner = decoherence.oscillatory_batch
 

@@ -18,9 +18,7 @@ from isingsweep.oracle import (
     uniform_path,
 )
 from isingsweep.schedules import (
-    LinearSchedule,
     Schedule,
-    make_schedule,
     runtime_for_adiabaticity,
 )
 
@@ -42,11 +40,11 @@ class FrozenSchedule(Schedule):
         return 0.0
 
 
-class NaNAfterSchedule(LinearSchedule):
+class NaNAfterSchedule(Schedule):
     """Linear sweep whose g(t) turns NaN past t_bad, as a broken schedule would."""
 
     def __init__(self, total_time, t_bad):
-        super().__init__(total_time)
+        super().__init__("linear", total_time)
         self.t_bad = t_bad
 
     def g_of_t(self, t):
@@ -102,7 +100,7 @@ def test_excitation_probability_limits():
 
 def test_norm_conservation_and_adiabatic_limit():
     spec = ChainSpec(6)
-    sched = LinearSchedule(400.0)
+    sched = Schedule("linear", 400.0)
     t_grid = np.linspace(0.0, 400.0, 9)
     traj = integrate_modes(spec, sched, t_grid, rtol=1e-10)
     assert traj.max_norm_drift <= 10 * 1e-10
@@ -116,7 +114,7 @@ def test_shared_step_control_meets_rtol_per_mode(n, rtol):
     # every mode, not just the stacked state as a whole, is within 10*rtol
     # of a tight solve
     spec = ChainSpec(n)
-    sched = LinearSchedule(20.0)
+    sched = Schedule("linear", 20.0)
     t_grid = np.linspace(0.0, 20.0, 9)
     traj = integrate_modes(spec, sched, t_grid, rtol=rtol)
     ref = integrate_modes(spec, sched, t_grid, rtol=1e-12)
@@ -127,7 +125,7 @@ def test_shared_step_control_meets_rtol_per_mode(n, rtol):
 
 def test_negative_momentum_gives_same_probability():
     spec = ChainSpec(6)
-    sched = LinearSchedule(15.0)
+    sched = Schedule("linear", 15.0)
     t_grid = np.linspace(0.0, 15.0, 4)
     k = channel_momenta(spec)[0]
     u, v, _, _ = _integrate_pairs(sched, [k, -k], t_grid, rtol=1e-11)
@@ -142,7 +140,7 @@ def test_total_excitation_matches_dense_evolution_n4():
     # sum over channels against the full many-body excited population
     n, T = 4, 30.0
     spec = ChainSpec(n)
-    sched = LinearSchedule(T)
+    sched = Schedule("linear", T)
     t_grid = np.linspace(0.0, T, 7)
     traj = integrate_modes(spec, sched, t_grid, rtol=1e-12)
 
@@ -167,7 +165,7 @@ def test_landau_zener_decay_of_lowest_mode():
     Ts = np.array([20.0, 30.0, 40.0, 55.0, 70.0])
     ps = []
     for T in Ts:
-        traj = integrate_modes(spec, LinearSchedule(T), np.linspace(0, T, 3), rtol=1e-11)
+        traj = integrate_modes(spec, Schedule("linear", T), np.linspace(0, T, 3), rtol=1e-11)
         assert traj.k[0] == k1 and traj.g[-1] == 1.0
         ps.append(traj.p[0, -1])
     slope, _ = np.polyfit(Ts * k1**2, np.log(ps), 1)
@@ -177,7 +175,7 @@ def test_landau_zener_decay_of_lowest_mode():
 def test_adiabatic_overlap_near_unity():
     spec = ChainSpec(4)
     T = 600.0
-    sched = LinearSchedule(T)
+    sched = Schedule("linear", T)
     traj = integrate_modes(spec, sched, np.linspace(0.0, T, 5), rtol=1e-11)
     ov = adiabatic_overlap(traj)
     assert ov.shape == traj.u.shape
@@ -188,7 +186,7 @@ def test_magnus_step_is_sixth_order():
     # halving the step cuts the error 64-fold; a wrong commutator
     # coefficient leaves a second-order method (4-fold)
     spec = ChainSpec(6)
-    sched = LinearSchedule(20.0)
+    sched = Schedule("linear", 20.0)
     ka = channel_momenta(spec)
     t_grid = np.linspace(0.0, 20.0, 5)
     u_ref, v_ref = _solve(sched, ka, t_grid, 1024)
@@ -220,7 +218,7 @@ def _dop853_reference(g_of_t, ka, t_grid):
 def test_magnus_matches_independent_dop853(n, kind, eps_adiab, points, coarser):
     rtol = 1e-10
     spec = ChainSpec(n)
-    sched = make_schedule(kind, runtime_for_adiabaticity(kind, n, eps_adiab), spec)
+    sched = Schedule(kind, runtime_for_adiabaticity(kind, n, eps_adiab), spec)
     t_grid = np.linspace(0.0, sched.total_time, points)
     traj = integrate_modes(spec, sched, t_grid, rtol=rtol)
     T = sched.total_time
@@ -245,7 +243,7 @@ def test_magnus_matches_independent_dop853(n, kind, eps_adiab, points, coarser):
 def test_t_grid_rejected(t_grid, match):
     spec = ChainSpec(4)
     with pytest.raises(ValueError, match=f"t_grid.*{match}"):
-        integrate_modes(spec, LinearSchedule(10.0), t_grid)
+        integrate_modes(spec, Schedule("linear", 10.0), t_grid)
 
 
 def test_nan_schedule_fails_at_once():
@@ -260,4 +258,4 @@ def test_step_cap_fails_with_last_delta(monkeypatch):
     monkeypatch.setattr(dynamics, "MAX_STEPS", 8)
     spec = ChainSpec(4)
     with pytest.raises(RuntimeError, match=r"no agreement within 8 Magnus steps.* = [0-9.e-]+ at 4 steps"):
-        integrate_modes(spec, LinearSchedule(20.0), np.linspace(0.0, 20.0, 3), rtol=1e-12)
+        integrate_modes(spec, Schedule("linear", 20.0), np.linspace(0.0, 20.0, 3), rtol=1e-12)

@@ -31,8 +31,8 @@ from isingsweep.experiments import (
 )
 from isingsweep.quadrature import QuadratureError
 from isingsweep.schedules import (
+    Schedule,
     StepWisePath,
-    make_schedule,
     runtime_for_adiabaticity,
     stepwise_hamiltonian_weights,
 )
@@ -162,12 +162,12 @@ def test_table1_in_three_batches_matches_public_calls(tmp_path, monkeypatch):
         with open(tmp_path / f"table1_{cell['name']}.csv", newline="") as fh:
             row = [r for r in csv.DictReader(fh) if r["sweep"] == "omega"][-1]
         omega = float(row["value"])
-        first = make_schedule(kind, runtime_for_adiabaticity(kind, spec.n, eps_adiab), spec)
+        first = Schedule(kind, runtime_for_adiabaticity(kind, spec.n, eps_adiab), spec)
         if cell["column"] == "saddle":
             k = spec.smallest_momentum
             lo, hi = (accumulated_phase(spec, first, k, omega, g)
                       for g in saddle_points(spec, k, omega))
-            longer = make_schedule(kind, first.total_time * (1.0 + np.pi / abs(hi - lo)), spec)
+            longer = Schedule(kind, first.total_time * (1.0 + np.pi / abs(hi - lo)), spec)
             a1, a2 = (amplitude_numeric(spec, sched, k, omega, lam, rtol=rtol)
                       for sched in (first, longer))
             expected = np.sqrt(0.5 * (abs(a1) ** 2 + abs(a2) ** 2))
@@ -307,7 +307,7 @@ def test_decoherence_subgap_rows_use_the_exact_minimum_gap(tmp_path):
     k = channel_momenta(spec)[2]
     scan = [float(r.split(",")[1])
             for r in (tmp_path / "suppression.csv").read_text().splitlines()[1:]]
-    expected = [np.log(abs(amplitude_numeric(spec, make_schedule("linear", T, spec), k, 2.3,
+    expected = [np.log(abs(amplitude_numeric(spec, Schedule("linear", T, spec), k, 2.3,
                                              1e-3, rtol=1e-6))) for T in (40.0, 80.0)]
     assert scan == pytest.approx(expected, rel=1e-12)
 
@@ -445,6 +445,10 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     rc = main(["spectrum", "--n", "7", "--out", str(tmp_path)])
     assert rc == 2
     assert "even integer" in capsys.readouterr().err
+    # a repeated size would fail the growth check and write its files twice
+    rc = main(["spectrum", "--n", "8", "8", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "config.chain_sizes[1]: n=8 repeats" in capsys.readouterr().err
 
 
 # lattice_spacing and seed are no longer fields, so they are rejected as unknown
@@ -524,6 +528,14 @@ def test_bath_mode_bound_fallback_fails_a_check(tmp_path, monkeypatch, capsys):
     assert fell["checks"] == {"no_bound_fallback": False}
     assert fell["diagnostics"]["8"]["bound_terms"] == 1
     assert "[FAIL] no_bound_fallback" in capsys.readouterr().out
+    # the growth check compares sizes in ascending n, whatever order they are given in
+    monkeypatch.undo()
+    argv = ["decoherence", "--n", "16", "8", "--bath", "ohmic", "--coupling", "1e-2", "--out"]
+    assert main(argv + [str(tmp_path / "descending")]) == 0
+    rows = (tmp_path / "descending" / "total_probability.csv").read_text().splitlines()[1:]
+    (n_first, *_, p_first), (n_last, *_, p_last) = (r.split(",")[:4] for r in rows)
+    assert (n_first, n_last) == ("16", "8") and float(p_first) > float(p_last)
+    assert "[PASS] p_total_increases_with_n" in capsys.readouterr().out
 
 
 def test_cli_config_file_with_overrides(tmp_path):

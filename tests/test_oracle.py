@@ -28,7 +28,7 @@ from isingsweep.oracle import (
     uniform_path,
 )
 from isingsweep.schedules import (
-    LinearSchedule,
+    Schedule,
     StepWisePath,
     StepWiseSweep,
     stepwise_hamiltonian_weights,
@@ -165,7 +165,7 @@ def test_constant_hamiltonian_evolution_is_a_phase():
 
 def test_uniform_sweep_adiabatic_limit():
     n, T = 4, 400.0
-    sched = LinearSchedule(T)
+    sched = Schedule("linear", T)
     w0, V0 = np.linalg.eigh(uniform_hamiltonian(n, 0.0, sector="even").matrix)
     psi0 = embed_sector_vector(V0[:, 0], n, "even").astype(complex)
     psi = schrodinger_evolve(uniform_path(n, sched), psi0, T, rtol=1e-10)
@@ -193,7 +193,7 @@ def test_matrix_free_paths_match_dense_hamiltonian():
     # the uniform ring and the step-wise open chain, each applied to a
     # vector and to a 3-column boson block
     rng = np.random.default_rng(3)
-    sched = LinearSchedule(10.0)
+    sched = Schedule("linear", 10.0)
     cases = [(uniform_path(n, sched), True,
               lambda t, n=n: (np.full(n, 1.0 - t / 10.0), np.full(n, t / 10.0)))
              for n in (4, 5)]
@@ -239,6 +239,10 @@ def test_sigma_x_elements_match_full_space_lift():
             np.testing.assert_array_equal(w, ref_w)
             np.testing.assert_allclose(elems, lifted.T @ sigma_x_apply(n, lifted[:, 0]),
                                        rtol=0, atol=1e-13)
+    # a vector lifts from a parity block only; "full" is no block to lift from
+    for sector in ("full", "evn"):
+        with pytest.raises(ValueError, match=f"sector must be even or odd, got '{sector}'"):
+            embed_sector_vector(np.ones(2), 2, sector)
 
 
 def test_even_sector_gap_matches_dense():
@@ -317,7 +321,7 @@ def test_uniform_min_even_gap_matches_fundamental_gap():
 
 
 def test_composite_boson_path_dimensions_and_projection():
-    path = CompositeBosonPath(uniform_path(4, LinearSchedule(10.0)), omega0=1.0, lam=1e-3,
+    path = CompositeBosonPath(uniform_path(4, Schedule("linear", 10.0)), omega0=1.0, lam=1e-3,
                               n_quanta=2)
     assert path.dim == 16 * 3
     sys_state = np.zeros(16, dtype=complex)

@@ -13,7 +13,7 @@ from isingsweep.quadrature import (
     oscillatory_batch,
     oscillatory_integral,
 )
-from isingsweep.schedules import GapAdaptedSchedule, LinearSchedule, _norm_integral
+from isingsweep.schedules import Schedule, _norm_integral
 
 
 def _pair(amp, dphase):
@@ -132,7 +132,7 @@ def test_batch_matches_solo_calls():
     # omega = 0.3 lies below the gap of k = pi/8, where the integral
     # cancels to about 2e-3 of the phase-free bound
     spec = ChainSpec(8)
-    sched = GapAdaptedSchedule(spec, 80.0, 2)
+    sched = Schedule("gap-adapted-2", 80.0, spec)
     ka = np.repeat(channel_momenta(spec), 3)
     omega = np.tile([0.3, 0.8, 1.5], 4)
     upper = np.where(np.arange(ka.size) % 2, 0.9, 1.0)
@@ -168,7 +168,7 @@ def test_batch_mixed_budgets_and_points_match_solo_calls():
     # layer gives them: every integral keeps the tree of its solo call
     spec = ChainSpec(8)
     terms, rtol, atol, points = [], [], [], []
-    for sched in (GapAdaptedSchedule(spec, 80.0, 2), LinearSchedule(30.0)):
+    for sched in (Schedule("gap-adapted-2", 80.0, spec), Schedule("linear", 30.0)):
         for k in channel_momenta(spec)[:2]:
             terms += [(sched, k, 0.0, decoherence.NORM, 1.0),
                       (sched, k, 0.8, decoherence.PHASE, 0.7),

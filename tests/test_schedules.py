@@ -5,12 +5,10 @@ from scipy.optimize import brentq
 
 from isingsweep.chain import ChainSpec, fundamental_gap
 from isingsweep.schedules import (
-    GapAdaptedSchedule,
-    LinearSchedule,
+    Schedule,
     StepWisePath,
     StepWiseSweep,
     _velocity,
-    make_schedule,
     runtime_for_adiabaticity,
     stepwise_hamiltonian_weights,
     stepwise_weights,
@@ -18,10 +16,10 @@ from isingsweep.schedules import (
 
 
 def test_linear_basics():
-    sched = LinearSchedule(100.0)
+    sched = Schedule("linear", 100.0)
     assert sched.g_of_t(50.0) == 0.5
     assert sched.velocity_of_g(0.1) == pytest.approx(1 / 100)
-    assert LinearSchedule(200.0).velocity_of_g(0.165) == pytest.approx(1 / 200)
+    assert Schedule("linear", 200.0).velocity_of_g(0.165) == pytest.approx(1 / 200)
     with pytest.raises(ValueError, match="outside"):
         sched.g_of_t(101.0)
     with pytest.raises(ValueError, match="outside"):
@@ -31,19 +29,27 @@ def test_linear_basics():
 @pytest.mark.parametrize("total_time", [float("inf"), float("nan"), 0.0, -5.0])
 def test_total_time_must_be_positive_and_finite(total_time):
     spec = ChainSpec(8)
-    for build in (lambda: LinearSchedule(total_time),
-                  lambda: make_schedule("linear", total_time),
-                  lambda: make_schedule("gap-adapted-2", total_time, spec),
-                  lambda: GapAdaptedSchedule(spec, total_time, power=1),
+    for build in (lambda: Schedule("linear", total_time),
+                  lambda: Schedule("linear", total_time, spec),
+                  lambda: Schedule("gap-adapted-2", total_time, spec),
+                  lambda: Schedule("gap-adapted-1", total_time, spec),
                   lambda: StepWiseSweep(5, total_time)):
         with pytest.raises(ValueError, match="total_time"):
             build()
+    # the kind is checked first: an unknown one, or a gap-adapted one without
+    # the chain whose gap it follows, fails whatever the time
+    for kind, args, match in (("cubic", (), "unknown schedule kind 'cubic'"),
+                              ("gap-adapted", (spec,), "unknown schedule kind"),
+                              ("gap-adapted-1", (), "gap-adapted-1 needs a ChainSpec"),
+                              ("gap-adapted-2", (None,), "gap-adapted-2 needs a ChainSpec")):
+        with pytest.raises(ValueError, match=match):
+            Schedule(kind, total_time, *args)
 
 
 @pytest.mark.parametrize("kind", ["gap-adapted-1", "gap-adapted-2"])
 def test_adapted_endpoints_and_monotonicity(kind):
     spec = ChainSpec(8)
-    sched = make_schedule(kind, 60.0, spec)
+    sched = Schedule(kind, 60.0, spec)
     assert abs(sched.g_of_t(0.0)) <= 1e-9
     assert abs(sched.g_of_t(60.0) - 1.0) <= 1e-9
     t = np.linspace(0.0, 60.0, 10_000)
@@ -55,12 +61,12 @@ def test_adapted_ode_vs_inverse_quadrature_oracle():
     # independent route: T/2 = (1/c) * int_0^g dg'/DeltaE(g') solved for g
     spec = ChainSpec(8)
     T = 80.0
-    sched = GapAdaptedSchedule(spec, T, power=1)
+    sched = Schedule("gap-adapted-1", T, spec)
 
     def time_of(g):
         val = quad(lambda x: fundamental_gap(spec, x) ** -1, 0.0, g,
                    points=[0.5] if g > 0.5 else None, limit=200, epsrel=1e-13)[0]
-        return val / sched.rate_constant
+        return val / sched.velocity_terms[0]
 
     g_oracle = brentq(lambda g: time_of(g) - T / 2, 1e-12, 1.0, xtol=1e-13)
     assert abs(float(sched.g_of_t(T / 2)) - g_oracle) < 1e-8
@@ -72,15 +78,15 @@ def test_closed_form_vs_independent_references(kind, n):
     spec = ChainSpec(n)
     p = int(kind[-1])
     T = runtime_for_adiabaticity(kind, n, 0.25)
-    sched = make_schedule(kind, T, spec)
+    sched = Schedule(kind, T, spec)
     # norm: adaptive quadrature of DeltaE^-p over the whole sweep
     norm = quad(lambda g: fundamental_gap(spec, g) ** -p, 0.0, 1.0, points=[0.5],
                 limit=200, epsabs=0.0, epsrel=1e-13)[0]
-    assert sched.rate_constant * T == pytest.approx(norm, rel=1e-12, abs=0.0)
+    assert sched.velocity_terms[0] * T == pytest.approx(norm, rel=1e-12, abs=0.0)
     # g(t): a tight ODE solve of the rate equation, sampled densely enough
     # that an interpolated g(t) would show its error between nodes
     t = np.linspace(0.0, T, 4 * 8192 + 1)
-    ode = solve_ivp(lambda _, y: sched.rate_constant * fundamental_gap(spec, y[0]) ** p,
+    ode = solve_ivp(lambda _, y: sched.velocity_terms[0] * fundamental_gap(spec, y[0]) ** p,
                     (0.0, T), [0.0], method="DOP853", rtol=1e-13, atol=1e-16, t_eval=t)
     assert ode.success
     g = sched.g_of_t(t)
@@ -92,7 +98,7 @@ def test_g_dot_matches_finite_difference():
     t = np.linspace(0.05, 0.95, 41) * 50.0
     h = 50.0 * 1e-6
     for kind in ("linear", "gap-adapted-1", "gap-adapted-2"):
-        sched = make_schedule(kind, 50.0, ChainSpec(8))
+        sched = Schedule(kind, 50.0, ChainSpec(8))
         fd = (sched.g_of_t(t + h) - sched.g_of_t(t - h)) / (2 * h)
         gd = sched.velocity_of_g(sched.g_of_t(t))
         assert np.max(np.abs(fd - gd) / np.abs(gd)) < 1e-6, kind
@@ -103,8 +109,8 @@ def test_velocity_terms_give_each_schedule_in_one_batch():
     # schedules gives every schedule's own dg/dt, bitwise, and that is
     # C * DeltaE^p with DeltaE the fundamental gap (p = 0: 1/T)
     spec = ChainSpec(16)
-    scheds = [LinearSchedule(50.0), GapAdaptedSchedule(spec, 50.0, 1),
-              GapAdaptedSchedule(spec, 80.0, 2)]
+    scheds = [Schedule("linear", 50.0), Schedule("gap-adapted-1", 50.0, spec),
+              Schedule("gap-adapted-2", 80.0, spec)]
     g = np.linspace(0.0, 1.0, 11)
     rate, s, c, power = np.array([x.velocity_terms for x in scheds], dtype=float).T[..., None]
     batch = _velocity(rate, s, c, power, g)
@@ -114,7 +120,7 @@ def test_velocity_terms_give_each_schedule_in_one_batch():
     assert np.all(batch[0] == 1.0 / 50.0)
     for sched, p in zip(scheds[1:], (1, 2)):
         np.testing.assert_allclose(sched.velocity_of_g(g),
-                                   sched.rate_constant * fundamental_gap(spec, g) ** p,
+                                   sched.velocity_terms[0] * fundamental_gap(spec, g) ** p,
                                    rtol=1e-15, atol=0.0)
 
 
@@ -122,7 +128,7 @@ def test_velocity_terms_give_each_schedule_in_one_batch():
 def test_time_check_edges_scalar_and_array(kind):
     # within 1e-12 T of [0, T] a time is clipped, beyond it rejected;
     # NaN passes through; a float and a 1-element array agree bitwise
-    sched = make_schedule(kind, 70.0, ChainSpec(8))
+    sched = Schedule(kind, 70.0, ChainSpec(8))
     T = sched.total_time
     slop = 1e-12 * T
     for t, clipped in ((-0.5 * slop, 0.0), (T + 0.5 * slop, T), (0.0, 0.0), (T, T)):
@@ -142,12 +148,12 @@ def test_time_check_edges_scalar_and_array(kind):
 
 def test_adapted_slowest_at_critical_point():
     spec = ChainSpec(8)
-    sched = GapAdaptedSchedule(spec, 50.0, power=1)
+    sched = Schedule("gap-adapted-1", 50.0, spec)
     g = np.linspace(0.0, 1.0, 201)
     v = sched.velocity_of_g(g)
     assert g[np.argmin(v)] == pytest.approx(0.5, abs=1e-9)
     # speed ratio between critical point and start equals the gap ratio squared for power 2
-    s2 = GapAdaptedSchedule(spec, 50.0, power=2)
+    s2 = Schedule("gap-adapted-2", 50.0, spec)
     ratio = s2.velocity_of_g(0.5) / s2.velocity_of_g(0.0)
     assert ratio == pytest.approx((fundamental_gap(spec, 0.5) / fundamental_gap(spec, 0.0)) ** 2,
                                   rel=1e-12)
@@ -157,8 +163,8 @@ def test_rate_constant_stable_under_doubling():
     # doubling n with T proportional to n keeps the normalized rate
     # constant of the quadratic-gap schedule fixed (the velocity at the
     # critical point itself scales with the shrinking gap squared)
-    c16 = GapAdaptedSchedule(ChainSpec(16), 16.0, power=2).rate_constant
-    c32 = GapAdaptedSchedule(ChainSpec(32), 32.0, power=2).rate_constant
+    c16 = Schedule("gap-adapted-2", 16.0, ChainSpec(16)).velocity_terms[0]
+    c32 = Schedule("gap-adapted-2", 32.0, ChainSpec(32)).velocity_terms[0]
     assert c32 / c16 == pytest.approx(1.0, rel=0.05)
 
 
