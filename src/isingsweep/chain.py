@@ -143,8 +143,12 @@ def mode_epsilon_dg(ka, g):
 
 
 def pair_element(ka, g, eps):
-    """Pair matrix element 4i g sin(ka) / eps for a caller that holds eps = epsilon(ka, g)."""
-    return 4.0j * g * np.sin(ka) / eps
+    """Real 4 g sin(ka) / eps, which i times is the pair matrix element when eps = epsilon(ka, g).
+
+    Real, so that a caller dividing by a further real factor (such as
+    dg/dt) folds it into ``eps`` and multiplies by i once.
+    """
+    return 4.0 * g * np.sin(ka) / eps
 
 
 def pair_matrix_element(ka, g):
@@ -153,7 +157,7 @@ def pair_matrix_element(ka, g):
     Takes scalars or NumPy arrays, for callers that have validated the
     momentum (:func:`excitation_matrix_element` is the checked form).
     """
-    return pair_element(ka, g, mode_epsilon(ka, g))
+    return 1j * pair_element(ka, g, mode_epsilon(ka, g))
 
 
 def _check_on_grid(spec: ChainSpec, k: float) -> float:

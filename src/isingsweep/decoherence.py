@@ -162,11 +162,11 @@ def _integrand(terms):
         row = owner[:, None]
         vel = _velocity(rate[row], s[row], c[row], power[row], g)
         eps = mode_epsilon(ka[row], g)
-        f = pair_element(ka[row], g, eps)
-        f /= vel
+        m = pair_element(ka[row], g, eps * vel)  # M_k / v = i m
+        f = 1j * m
         dphi = (-omega[row] + 2.0 * eps) / vel
         norm, phase = kind[owner] == NORM, kind[owner] == PHASE  # rows overwritten in place
-        f[norm] = np.abs(f[norm])
+        f[norm] = np.abs(m[norm])
         f[phase] = dphi[phase]
         dphi[norm | phase] = 0.0
         return f, dphi
@@ -250,7 +250,9 @@ def saddle_points(spec: ChainSpec, k: float, omega: float) -> tuple[float, float
 
 def accumulated_phase(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
                       g: float) -> float:
-    """Phase -omega t(g) + int_0^t 2 epsilon dt' evaluated at sweep value g."""
+    """Phase -omega t(g) + int_0^t 2 epsilon dt' evaluated at sweep value g in [0, 1]."""
+    if not 0.0 <= g <= 1.0:
+        raise ValueError(f"g must be in [0, 1], got {g}")
     term = (schedule, _check_channel(spec, k), omega, PHASE, g)
     return float(_values(_batch([term]))[0].real) if g else 0.0
 
@@ -315,6 +317,7 @@ class TotalExcitationResult:
     warnings: list = field(default_factory=list)
     panels: int = 0        # summed over the numeric terms
     evaluations: int = 0   # summed over the numeric terms
+    levin_solves: int = 0  # summed over the numeric terms
     levels: int = 0        # bisection levels of the deepest numeric term
 
 
@@ -347,6 +350,7 @@ def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: Bath
         methods.append("numeric")
         result.panels += res.panels
         result.evaluations += res.evaluations
+        result.levin_solves += res.levin_solves
         result.levels = max(result.levels, res.levels)
     amplitudes = values.reshape(len(ks), int(live.sum())) @ weights[live]
     methods = iter(methods)

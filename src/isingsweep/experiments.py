@@ -335,6 +335,7 @@ def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float):
         counts[f"pass_{len(counts) + 1}"] = {
             "integrals": len(outcomes), "quadrature_panels": sum(r.panels for r in outcomes),
             "quadrature_evaluations": sum(r.evaluations for r in outcomes),
+            "quadrature_levin_solves": sum(r.levin_solves for r in outcomes),
             "quadrature_levels": max(r.levels for r in outcomes)}
         norm.update(((t[0], t[1], 1.0), v.real) for t, v in zip(terms, values) if t[3] == NORM)
         return values
@@ -507,6 +508,7 @@ def _run_total_probability(config: ExperimentConfig, out: Path):
         warnings_seen += res.warnings
         diagnostics[str(n)] = {"quadrature_panels": res.panels,
                                "quadrature_evaluations": res.evaluations,
+                               "quadrature_levin_solves": res.levin_solves,
                                "quadrature_levels": res.levels,
                                "numeric_terms": methods.count("numeric"),
                                "bound_terms": methods.count("bound")}

@@ -12,11 +12,15 @@ last row is the Clenshaw-Curtis weight vector.  Panels whose
 accumulated phase is small are integrated directly by Clenshaw-Curtis
 on the full oscillatory integrand (this is what happens automatically
 around stationary points, where ``Phi'`` passes through zero).  Rapidly
-oscillating panels use Levin collocation, whose cost is independent of
-the oscillation count: solve the square collocation system
-``(D + i diag Phi') p = f`` with the differentiation matrix ``D`` and
-evaluate ``p exp(i Phi)`` at the panel ends.  Every panel estimate is
-paired with a half-order estimate on the nested node subset.
+oscillating panels use Levin collocation (D. Levin, Math. Comp. 38,
+531 (1982)), whose cost is independent of the oscillation count: solve
+the square collocation system ``(D + i diag Phi') p = f`` with the
+differentiation matrix ``D`` and evaluate ``p exp(i Phi)`` at the panel
+ends.  A Clenshaw-Curtis panel's error is its distance from the
+half-order rule on the nested node subset, which costs no solve; a
+Levin panel's is read off the trailing Chebyshev coefficients of its
+own solution ``p`` (Trefethen, Approximation Theory and Approximation
+Practice, SIAM 2013), so each Levin panel costs one solve.
 
 Panels are bisected level by level, for a whole batch of integrals at
 once (:func:`oscillatory_batch`): the integrand is called once per
@@ -64,6 +68,14 @@ _MAX_OPEN = 4096
 # whole level of the bath-averaged sum at once, about 530 rows, raised
 # its peak resident memory by a fifth; 64 rows still cost 2 MB more.
 _CHUNK = 32
+# A Levin panel's error is _TAIL_FACTOR times the summed magnitude of the
+# last _TAIL Chebyshev coefficients of its order-32 solution p.  Against
+# rtol 1e-11 solves of the bath amplitudes at n = 8 and 16, these keep
+# every rtol 1e-6 value within 3.9e-10 relative; 10 times the last two
+# coefficients left 2.3e-7, and the last coefficient alone 3.0e-6, past
+# the budget.
+_TAIL = 4
+_TAIL_FACTOR = 1e3
 _ONE_RUN = np.zeros(1, dtype=int)
 
 
@@ -78,17 +90,20 @@ class OscillatoryResult:
     panels: int
     evaluations: int
     levels: int
+    levin_solves: int  # Levin collocation systems, one per fast-oscillating panel evaluated
 
 
 @lru_cache(maxsize=None)
 def _panel_setup(order: int):
     """Nodes and fixed node-value matrices for one panel order.
 
-    Returns ascending Chebyshev-Lobatto nodes on [-1, 1], the
-    cumulative-antiderivative matrix ``Q`` (values at the nodes ->
-    ``int_{-1}^{x_i}`` of their interpolant, at the nodes; its last row
-    is the Clenshaw-Curtis weight vector) and the differentiation
-    matrix ``D``, both acting on values at those nodes.
+    Returns ascending Chebyshev-Lobatto nodes on [-1, 1] and three maps
+    acting on values at those nodes: the cumulative-antiderivative
+    matrix ``Q`` (values at the nodes -> ``int_{-1}^{x_i}`` of their
+    interpolant, at the nodes; its last row is the Clenshaw-Curtis
+    weight vector), the differentiation matrix ``D`` (complex, as every
+    Levin system it enters) and the last ``_TAIL`` rows of the map to
+    Chebyshev coefficients.
     """
     j = np.arange(order + 1)
     x = -np.cos(np.pi * j / order)  # ascending
@@ -97,56 +112,66 @@ def _panel_setup(order: int):
     basis = np.eye(order + 1)
     q = _cheb.chebval(x, _cheb.chebint(basis, lbnd=-1.0)).T @ to_coeffs
     diff = _cheb.chebval(x, _cheb.chebder(basis)).T @ to_coeffs
-    return x, q, diff
+    return x, q, diff.astype(complex), to_coeffs[-_TAIL:]
 
 
-def _rule(f, dphi, phi, hw, rows, order):
-    """Panel values of one order, relative to each row's left-edge phase.
+def _levin(f, dphi, phi, hw, rows):
+    """Levin collocation values and tail errors of the indexed ``rows``, relative to their
+    left-edge phase.
 
-    The indexed ``rows`` are solved by Levin collocation, in stacks of at
-    most ``_CHUNK`` systems, the others by Clenshaw-Curtis.  The Levin
-    rows of a stack with a singular system get the value NaN.
+    Solves ``(d/dx + i Phi') p = f`` on each panel, scaled to the node
+    variable as ``(D + i hw Phi') p = hw f``, in stacks of at most
+    ``_CHUNK`` systems; the rows of a stack with a singular system get
+    the value NaN.
     """
-    _, q, diff = _panel_setup(order)
-    out = hw * ((f * np.exp(1j * phi)) @ q[-1])
+    _, _, diff, tail = _panel_setup(32)
+    value = np.empty(rows.size, dtype=complex)
+    err = np.empty(rows.size)
+    i = np.arange(diff.shape[0])
     for start in range(0, rows.size, _CHUNK):
-        r = rows[start:start + _CHUNK]
-        # Levin collocation: (d/dx + i Phi') p = f on each panel.  The
-        # stack is built in place, without a real temporary of its size.
-        mats = np.divide(diff, hw[r, None, None], out=np.empty((r.size, *diff.shape), complex))
-        i = np.arange(order + 1)
-        mats[:, i, i] += 1j * dphi[r]
+        r, out = rows[start:start + _CHUNK], slice(start, start + _CHUNK)
+        mats = np.repeat(diff[None], r.size, axis=0)
+        mats[:, i, i] += 1j * hw[r, None] * dphi[r]
         try:
-            p = np.linalg.solve(mats, f[r, :, None])[..., 0]
+            p = np.linalg.solve(mats, (hw[r, None] * f[r])[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            out[r] = np.nan
+            value[out] = err[out] = np.nan
             continue
-        out[r] = p[:, -1] * np.exp(1j * phi[r, -1]) - p[:, 0]
-    return out
+        value[out] = p[:, -1] * np.exp(1j * phi[r, -1]) - p[:, 0]
+        err[out] = _TAIL_FACTOR * np.abs(p @ tail.T).sum(axis=1)
+    return value, err
 
 
 def _estimates(f, dphi, phi, hw):
-    """Order-32 panel values and their distance from the nested order-16 ones.
+    """Order-32 panel values, their error estimates, and which rows Levin solved.
 
-    A panel without an estimate gets value 0 and error inf, so it misses
-    every budget and adds nothing to the running total.
+    Clenshaw-Curtis rows are judged by their distance from the nested
+    order-16 rule, Levin rows by the Chebyshev tail of their own
+    solution.  A panel without an estimate gets value 0 and error inf,
+    so it misses every budget and adds nothing to the running total.
     """
-    rows = np.flatnonzero(phi.max(axis=1) - phi.min(axis=1) > _CC_PHASE_LIMIT)
-    unresolved = rows[:0]
+    fast = phi.max(axis=1) - phi.min(axis=1) > _CC_PHASE_LIMIT
+    # A stationary point inside a rapidly oscillating panel defeats Levin
+    # collocation; such a panel has no estimate and misses until direct
+    # integration takes over around it.
+    unresolved = fast & (dphi.min(axis=1) < 0.0) & (dphi.max(axis=1) > 0.0)
+    levin = fast & ~unresolved
+    value, err = np.empty(len(f), dtype=complex), np.empty(len(f))
+    cc = np.flatnonzero(~fast)
+    if cc.size:
+        _, q, *_ = _panel_setup(32)
+        _, q_lo, *_ = _panel_setup(16)
+        f_cc, hw_cc = f[cc], hw[cc]
+        phi_lo = hw_cc[:, None] * (dphi[cc, ::2] @ q_lo.T)
+        value[cc] = hw_cc * ((f_cc * np.exp(1j * phi[cc])) @ q[-1])
+        err[cc] = np.abs(value[cc] - hw_cc * ((f_cc[:, ::2] * np.exp(1j * phi_lo)) @ q_lo[-1]))
+    rows = np.flatnonzero(levin)
     if rows.size:
-        # A stationary point inside a rapidly oscillating panel defeats
-        # Levin collocation; such a panel has no estimate and misses
-        # until direct integration takes over around it.
-        stationary = (dphi[rows].min(axis=1) < 0.0) & (dphi[rows].max(axis=1) > 0.0)
-        unresolved, rows = rows[stationary], rows[~stationary]
-    phi_lo = hw[:, None] * (dphi[:, ::2] @ _panel_setup(16)[1].T)
-    hi = _rule(f, dphi, phi, hw, rows, 32)
-    err = np.abs(hi - _rule(f[:, ::2], dphi[:, ::2], phi_lo, hw, rows, 16))
-    if rows.size or unresolved.size:
-        # with the rows of a stack that had a singular Levin system
-        unresolved = np.concatenate((unresolved, rows[np.isnan(err[rows])]))
-        hi[unresolved], err[unresolved] = 0.0, np.inf
-    return hi, err
+        value[rows], err[rows] = _levin(f, dphi, phi, hw, rows)
+        # with the rows of a stack that had a singular Levin system, or no finite value
+        unresolved[rows] |= ~np.isfinite(value[rows])
+    value[unresolved], err[unresolved] = 0.0, np.inf
+    return value, err, levin
 
 
 def _run_phases(owner, increment):
@@ -196,7 +221,7 @@ def oscillatory_batch(integrand, a: float, b, rtol, atol, points=None) -> list:
             raise ValueError(f"need rtol, atol >= 0 and one of them positive, got {eps}, {least}")
     if not upper:
         return []
-    x, q, _ = _panel_setup(32)
+    x, q, *_ = _panel_setup(32)
     left, right, owner, initial = [], [], [], []
     for j, (hi, breaks) in enumerate(zip(upper, points or [()] * len(upper))):
         edges = [a, *sorted(p for p in breaks if a < p < hi), hi]
@@ -215,6 +240,7 @@ def oscillatory_batch(integrand, a: float, b, rtol, atol, points=None) -> list:
     error = np.zeros(left.size)
     increment = np.zeros(left.size)
     fresh = np.ones(left.size, dtype=bool)
+    solves = np.zeros(len(upper), dtype=int)
     results = [None] * len(upper)
     for level in range(1, _LEVELS + 1):
         lo, hi = left[fresh], right[fresh]
@@ -223,7 +249,8 @@ def oscillatory_batch(integrand, a: float, b, rtol, atol, points=None) -> list:
         f = np.asarray(f, dtype=complex)
         dphi = np.asarray(dphi, dtype=float)
         phi = hw[:, None] * (dphi @ q.T)  # phase relative to the left edge
-        value[fresh], error[fresh] = _estimates(f, dphi, phi, hw)
+        value[fresh], error[fresh], levin = _estimates(f, dphi, phi, hw)
+        solves += np.bincount(owner[fresh][levin], minlength=solves.size)
         increment[fresh] = phi[:, -1]
         if ids.size == 1:  # one open integral, as in every solo call: no runs to find
             first, run = _ONE_RUN, slice(None)
@@ -246,7 +273,8 @@ def oscillatory_batch(integrand, a: float, b, rtol, atol, points=None) -> list:
                 # every evaluated panel is an initial one or half of a split one
                 results[j] = OscillatoryResult(
                     value=complex(total[r]), error=float(errors[r]), panels=panels,
-                    evaluations=(2 * panels - initial[j]) * x.size, levels=level)
+                    evaluations=(2 * panels - initial[j]) * x.size, levels=level,
+                    levin_solves=int(solves[j]))
             if done.all():
                 return results
             reps[done[run]] = 0  # retire the finished integrals

@@ -205,6 +205,11 @@ def test_accumulated_phase_consistency(chain8):
     # linear schedule: phase at g=1 equals T*(-omega + 2*int eps dg)
     val = quad(lambda g: 2 * mode_epsilon(k, g), 0, 1, limit=200)[0]
     assert full == pytest.approx(37.0 * (-omega + val), rel=1e-9)
+    # g outside the sweep is rejected by name, not integrated past its end
+    # or passed on as an empty interval
+    for g in (1.5, -0.2):
+        with pytest.raises(ValueError, match=r"g must be in \[0, 1\]"):
+            accumulated_phase(chain8, Schedule("linear", 20.0), k, 1.0, g)
 
 
 def test_bath_spectrum_families():

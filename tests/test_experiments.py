@@ -114,6 +114,10 @@ def test_byte_identical_reruns(tmp_path):
     passes = json.loads(diagnostics[0])
     assert sorted(passes) == ["pass_1", "pass_2", "pass_3"]
     assert all(d["quadrature_panels"] >= d["integrals"] for d in passes.values())
+    # pass 1 holds only zero-phase norms and phases, which need no Levin solve
+    assert [d["quadrature_levin_solves"] == 0 for d in passes.values()] == [True, False, False]
+    assert all(d["quadrature_levin_solves"] <= d["quadrature_evaluations"] // 33
+               for d in passes.values())
     tables = sorted((out1 / "t1").glob("table1_*.csv"))
     assert len(tables) == 7
     for path in tables:
@@ -352,8 +356,8 @@ def test_decoherence_bath_averaged_mode(tmp_path):
 
 
 def test_bath_mode_diagnostics_are_deterministic(tmp_path):
-    # per size: quadrature panels, evaluations and levels and the term
-    # counts, identical across reruns and free of wall times
+    # per size: quadrature panels, evaluations, Levin solves and levels and
+    # the term counts, identical across reruns and free of wall times
     summaries = []
     for out in (tmp_path / "a", tmp_path / "b"):
         summaries.append(run_experiment(ExperimentConfig.from_dict({
@@ -370,6 +374,8 @@ def test_bath_mode_diagnostics_are_deterministic(tmp_path):
         # and evaluates two new ones of 33 nodes
         assert d["quadrature_evaluations"] == 33 * (2 * d["quadrature_panels"] - terms)
         assert 1 <= d["quadrature_levels"] <= 48
+        # one Levin system per fast-oscillating panel evaluated
+        assert 0 < d["quadrature_levin_solves"] <= d["quadrature_evaluations"] // 33
     saved = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert saved["diagnostics"] == diagnostics
 
