@@ -30,12 +30,6 @@ from .dynamics import (
     integrate_modes,
 )
 from .quadrature import OscillatoryResult, QuadratureError, oscillatory_integral
-from .schedules import (
-    Schedule,
-    StepWisePath,
-    StepWiseSweep,
-    runtime_for_adiabaticity,
-    stepwise_hamiltonian_weights,
-)
+from .schedules import Schedule, runtime_for_adiabaticity
 
 __version__ = "0.1.0"

@@ -157,9 +157,10 @@ class ExperimentConfig:
         d["chain_sizes"] = tuple(sizes)
         if "output_dir" in d and not (isinstance(d["output_dir"], str) and d["output_dir"]):
             raise ConfigError(f"config.output_dir: must be a non-empty string, got {d['output_dir']!r}")
-        if d.get("schedule_kind", "linear") not in _POWERS:
+        schedule_kind = d.get("schedule_kind", "linear")
+        if not isinstance(schedule_kind, str) or schedule_kind not in _POWERS:
             raise ConfigError(
-                f"config.schedule_kind: must be one of {tuple(_POWERS)}, got {d['schedule_kind']!r}")
+                f"config.schedule_kind: must be one of {tuple(_POWERS)}, got {schedule_kind!r}")
         if d.get("total_time") is not None:
             _check_real(d, "total_time", 0.0)
         for key in ("epsilon_adiab", "amplitude_rtol"):
@@ -440,7 +441,7 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
         return _run_total_probability(config, out)
     files, checks = [], {}
     rows = []
-    lam = config.coupling
+    lam = CouplingConstant(config.coupling).lam  # warns when first order breaks down
     bound_ok = True
     saddle_ok = True
     omegas = np.array(config.omega_grid, dtype=float)
@@ -524,26 +525,24 @@ def _run_total_probability(config: ExperimentConfig, out: Path):
 
 
 def _run_scaling(config: ExperimentConfig, out: Path):
-    files, fits, checks, diagnostics = run_table1(out, config.coupling, config.epsilon_adiab,
-                                                  config.amplitude_rtol)
+    files, fits, checks, diagnostics = run_table1(out, CouplingConstant(config.coupling).lam,
+                                                  config.epsilon_adiab, config.amplitude_rtol)
     return files, checks, {"fits": fits, "diagnostics": diagnostics}
 
 
 def _run_stepwise(config: ExperimentConfig, out: Path):
     checks, mins, uniform_rows, diagnostics = {}, [], [], {}
 
-    def blocks():  # each size's profile is written as it is made
+    def blocks():  # each size's profile is written as it is made, one block
         for n in config.chain_sizes:
             prof = stepwise_gap_profile(n)
             mins.append((n, prof.min_gap))
             uniform_rows.append((n, uniform_min_even_gap(n)))
-            diagnostics[str(n)] = {
-                "profile": {"chains": prof.gaps.size, "gap_calls": prof.gap_calls},
-                "uniform_min": {"chains": _UNIFORM_G_POINTS, "gap_calls": 1}}
+            diagnostics[str(n)] = {"profile": {"chains": prof.gaps.size},
+                                   "uniform_min": {"chains": _UNIFORM_G_POINTS}}
             s_text = ["%.17g," % s for s in prof.s_values.tolist()]
-            for step, gaps in zip(prof.steps.tolist(), prof.gaps):
-                head = f"{n},{step},"
-                yield [head + s for s in s_text], gaps[:, None]
+            yield ([f"{n},{step}," + s for step in prof.steps.tolist() for s in s_text],
+                   prof.gaps.reshape(-1, 1))
 
     files = [write_csv(out / "stepwise_gaps.csv", ["n", "step", "s", "gap"], blocks=blocks()),
              write_csv(out / "stepwise_min_gaps.csv", ["n", "min_gap"], mins),

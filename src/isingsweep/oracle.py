@@ -17,9 +17,10 @@ sweep (:func:`uniform_path`) or the step-wise one (:func:`stepwise_path`);
 check of the response amplitudes.
 
 The gap profiles take their gaps from the free-fermion spectrum
-(:func:`isingsweep.chain.even_sector_gap`, n x n singular-value problems
-stacked per call); :func:`even_gap` diagonalizes the dense 2^(n-1) even sector
-and is the reference that fermionic gap is tested against.
+(:func:`isingsweep.chain.even_sector_gap`, n x n singular-value problems,
+one stacked call per profile); :func:`even_gap` diagonalizes the dense
+2^(n-1) even sector and is the reference that fermionic gap is tested
+against.
 
 Basis conventions: computational sigma^z basis, site j <-> bit j,
 bit value 0 means sigma^z = +1.  The global bit-flip parity operator
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import even_sector_gap
-from .schedules import Schedule, StepWiseSweep, stepwise_weights
+from .schedules import Schedule, _check_total_time, stepwise_weights
 
 __all__ = [
     "DenseHamiltonian",
@@ -212,16 +213,30 @@ class SweepPath:
         return out
 
 
-def uniform_path(n: int, schedule: Schedule, periodic: bool = True) -> SweepPath:
-    """H(t) of the uniform sweep driven by a schedule."""
-    return SweepPath(n, lambda t: _uniform_weights(n, float(schedule.g_of_t(t)), periodic),
-                     periodic)
+def uniform_path(n: int, schedule: Schedule) -> SweepPath:
+    """H(t) of the uniform sweep on the ring, driven by a schedule."""
+    return SweepPath(n, lambda t: _uniform_weights(n, float(schedule.g_of_t(t)), True),
+                     periodic=True)
 
 
-def stepwise_path(sweep: StepWiseSweep) -> SweepPath:
-    """H(t) along the step-wise spatial sweep (open chain)."""
-    return SweepPath(sweep.n, lambda t: sweep.weights_at(min(t, sweep.total_time)),
-                     periodic=False)
+def stepwise_path(n: int, total_time: float) -> SweepPath:
+    """H(t) along the step-wise spatial sweep (open chain) in time ``total_time``.
+
+    Each of the n-1 steps takes an equal share of the time, linear in s;
+    a time past the end clamps to it.
+    """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    T = _check_total_time(total_time)
+
+    def weights(t):
+        if not t >= 0.0:
+            raise ValueError(f"t outside [0, {T}]")
+        frac = min(t / T, 1.0) * (n - 1)
+        step = min(int(frac), n - 2)
+        return stepwise_weights(n, step + 1, frac - step)
+
+    return SweepPath(n, weights, periodic=False)
 
 
 class CompositeBosonPath:
@@ -263,8 +278,7 @@ class CompositeBosonPath:
         return out.reshape(-1)
 
 
-def schrodinger_evolve(path, psi0: np.ndarray, T: float, rtol: float = 1e-10,
-                       t_eval=None, atol: float | None = None):
+def schrodinger_evolve(path, psi0: np.ndarray, T: float, rtol: float = 1e-10, t_eval=None):
     """Integrate i dpsi/dt = H(t) psi from 0 to T.
 
     Returns the final state, or ``(times, states)`` with states in
@@ -284,7 +298,7 @@ def schrodinger_evolve(path, psi0: np.ndarray, T: float, rtol: float = 1e-10,
         lambda t, y: -1j * path.apply(t, y),
         (0.0, T), psi0.astype(complex),
         method="DOP853", rtol=max(rtol / 20.0, 1e-13),
-        atol=atol if atol is not None else max(rtol / 200.0, 1e-14),
+        atol=max(rtol / 200.0, 1e-14),
         t_eval=t_eval, dense_output=False,
     )
     if not sol.success:
@@ -305,26 +319,29 @@ def even_gap(n: int, h, J, periodic: bool = False) -> float:
     return float(w[1] - w[0])
 
 
+_S_POINTS = 50  # points per step of a step-wise gap profile
+
+
 @dataclass
 class StepwiseGapProfile:
     n: int
     steps: np.ndarray
     s_values: np.ndarray
     gaps: np.ndarray  # shape (n-1, len(s_values))
-    gap_calls: int    # stacked even_sector_gap calls that made ``gaps``
 
     @property
     def min_gap(self) -> float:
         return float(self.gaps.min())
 
 
-def stepwise_gap_profile(n: int, s_points: int = 50) -> StepwiseGapProfile:
+def stepwise_gap_profile(n: int) -> StepwiseGapProfile:
     """Even-sector gap over every step of the step-wise path (open chain):
-    per step, one broadcast weight call and one stacked gap call."""
-    svals = np.linspace(0.0, 1.0, s_points)
+    per size, one broadcast weight call and one stacked gap call."""
+    svals = np.linspace(0.0, 1.0, _S_POINTS)
     steps = np.arange(1, n)
-    gaps = np.array([even_sector_gap(*stepwise_weights(n, step, svals)) for step in steps])
-    return StepwiseGapProfile(n=n, steps=steps, s_values=svals, gaps=gaps, gap_calls=len(steps))
+    h, J = stepwise_weights(n, steps[:, None], svals)
+    gaps = even_sector_gap(h.reshape(-1, n), J.reshape(-1, n - 1)).reshape(n - 1, _S_POINTS)
+    return StepwiseGapProfile(n=n, steps=steps, s_values=svals, gaps=gaps)
 
 
 _UNIFORM_G_POINTS = 41

@@ -35,9 +35,6 @@ from .chain import ChainSpec, mode_epsilon
 
 __all__ = [
     "Schedule",
-    "StepWisePath",
-    "StepWiseSweep",
-    "stepwise_hamiltonian_weights",
     "stepwise_weights",
     "runtime_for_adiabaticity",
 ]
@@ -132,6 +129,22 @@ class Schedule:
         return np.clip(t, 0.0, T)
 
 
+def stepwise_weights(n: int, step, s) -> tuple[np.ndarray, np.ndarray]:
+    """Transverse weights h_j and open-chain bond weights J_j along the step-wise path.
+
+    Defines H = -sum_j h_j sigma^x_j - sum_j J_j sigma^z_j sigma^z_{j+1}
+    with n-1 bonds and no closing bond.  Bond j grows as s during step j
+    and is 1 after it; each field is one minus the bond on its left, site 1
+    sharing bond 1 with site 2.  ``step`` (1..n-1) and ``s`` (0..1)
+    broadcast; h and J gain a last axis of n sites and n-1 bonds.
+    """
+    step = np.asarray(step)[..., None]
+    bond = np.arange(n - 1)
+    J = np.where(bond < step - 1, 1.0, np.asarray(s, dtype=float)[..., None] * (bond == step - 1))
+    return 1.0 - np.concatenate((J[..., :1], J), axis=-1), J
+
+
+# kept only because bench/make_reference.py imports them
 @dataclass(frozen=True)
 class StepWisePath:
     """One point of the step-wise spatial sweep: step index and local parameter."""
@@ -149,45 +162,9 @@ class StepWisePath:
             raise ValueError(f"s must be in [0, 1], got {self.s}")
 
 
-def stepwise_weights(n: int, step, s) -> tuple[np.ndarray, np.ndarray]:
-    """Transverse weights h_j and open-chain bond weights J_j along the step-wise path.
-
-    Defines H = -sum_j h_j sigma^x_j - sum_j J_j sigma^z_j sigma^z_{j+1}
-    with n-1 bonds and no closing bond.  Bond j grows as s during step j
-    and is 1 after it; each field is one minus the bond on its left, site 1
-    sharing bond 1 with site 2.  ``step`` (1..n-1) and ``s`` (0..1)
-    broadcast; h and J gain a last axis of n sites and n-1 bonds.
-    """
-    step = np.asarray(step)[..., None]
-    bond = np.arange(n - 1)
-    J = np.where(bond < step - 1, 1.0, np.asarray(s, dtype=float)[..., None] * (bond == step - 1))
-    return 1.0 - np.concatenate((J[..., :1], J), axis=-1), J
-
-
 def stepwise_hamiltonian_weights(path: StepWisePath) -> tuple[np.ndarray, np.ndarray]:
     """The weights ``(h, J)`` of :func:`stepwise_weights` at one path point."""
     return stepwise_weights(path.n, path.step, path.s)
-
-
-class StepWiseSweep:
-    """Step-wise path traversed in time: equal duration per step, linear in s."""
-
-    def __init__(self, n: int, total_time: float):
-        if n < 2:
-            raise ValueError(f"n must be >= 2, got {n}")
-        self.n = int(n)
-        self.total_time = _check_total_time(total_time)
-        self.n_steps = self.n - 1
-
-    def path_at(self, t: float) -> StepWisePath:
-        if not 0.0 <= t <= self.total_time * (1 + 1e-12):
-            raise ValueError(f"t outside [0, {self.total_time}]")
-        frac = min(t / self.total_time, 1.0) * self.n_steps
-        step = min(int(frac), self.n_steps - 1)
-        return StepWisePath(self.n, step + 1, frac - step)
-
-    def weights_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return stepwise_hamiltonian_weights(self.path_at(t))
 
 
 def runtime_for_adiabaticity(kind: str, n: int, epsilon_adiab: float) -> float:

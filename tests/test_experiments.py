@@ -30,12 +30,7 @@ from isingsweep.experiments import (
     write_csv,
 )
 from isingsweep.quadrature import QuadratureError
-from isingsweep.schedules import (
-    Schedule,
-    StepWisePath,
-    runtime_for_adiabaticity,
-    stepwise_hamiltonian_weights,
-)
+from isingsweep.schedules import Schedule, runtime_for_adiabaticity, stepwise_weights
 
 
 def test_config_validation_messages():
@@ -53,6 +48,29 @@ def test_config_validation_messages():
         ExperimentConfig.from_dict({"kind": "oracle-check", "chain_sizes": [16]})
     # the step-wise profile is free-fermion, so the dense cap does not apply
     assert ExperimentConfig.from_dict({"kind": "stepwise", "chain_sizes": [16, 32]})
+
+
+_FIELD_VALUES = [[], {}, [1], [[1, 2]], {"a": 1}, True, "x", None, 1.5, -1, float("nan")]
+
+
+@pytest.mark.parametrize("field", sorted(ExperimentConfig.__dataclass_fields__))
+def test_config_field_of_any_json_type_fails_cleanly(field):
+    # whatever JSON value a config file gives a field, from_dict accepts
+    # it or raises ConfigError, which the CLI turns into exit status 2
+    for kind in ("decoherence", "stepwise"):
+        for value in _FIELD_VALUES:
+            try:
+                ExperimentConfig.from_dict({"kind": kind, field: value})
+            except ConfigError:
+                pass
+
+
+@pytest.mark.parametrize("argv", [["decoherence", "--n", "8", "--omega", "0.8"], ["scaling"]],
+                         ids=["amplitude-table", "scaling"])
+def test_large_coupling_warns_in_every_mode(tmp_path, argv):
+    # lambda = 0.5 breaks first-order response whichever runner reads it
+    with pytest.warns(UserWarning, match="coupling lambda=0.5 is large"):
+        main(argv + ["--coupling", "0.5", "--out", str(tmp_path)])
 
 
 def test_config_round_trip_lossless():
@@ -130,8 +148,8 @@ def test_byte_identical_reruns(tmp_path):
         diagnostics.append(json.dumps(summary["diagnostics"]))
     assert diagnostics[0] == diagnostics[1]
     assert json.loads(diagnostics[0]) == {
-        str(n): {"profile": {"chains": 50 * (n - 1), "gap_calls": n - 1},
-                 "uniform_min": {"chains": 41, "gap_calls": 1}} for n in (4, 6)}
+        str(n): {"profile": {"chains": 50 * (n - 1)}, "uniform_min": {"chains": 41}}
+        for n in (4, 6)}
     for name in ("stepwise_gaps.csv", "stepwise_min_gaps.csv", "uniform_min_gaps.csv"):
         assert (out1 / "sw" / name).read_bytes() == (out2 / "sw" / name).read_bytes(), name
     # the dense oracle's spectra and report
@@ -237,7 +255,7 @@ def test_stepwise_csv_text(tmp_path):
     assert main(["stepwise", "--n", "4", "--out", str(tmp_path)]) == 0
 
     def gap(step, s):
-        return even_sector_gap(*stepwise_hamiltonian_weights(StepWisePath(4, step, s)))
+        return even_sector_gap(*stepwise_weights(4, step, s))
 
     lines = ["n,step,s,gap"] + [f"4,{step},{s:.17g},{gap(step, s):.17g}"
                                 for step in (1, 2, 3) for s in np.linspace(0.0, 1.0, 50).tolist()]
@@ -467,7 +485,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("omega_grid", "0.5"), ("t_scan", ["x"]),
     ("bath_params.omega_c", -1), ("bath_params.omega_c", "0.5"),
     ("output_dir", 5), ("output_dir", ["a"]), ("output_dir", ""),
-    ("omega_grid", []), ("t_scan", []),
+    ("omega_grid", []), ("t_scan", []), ("schedule_kind", ["linear"]),
 ])
 def test_cli_rejects_bad_numeric_field(tmp_path, capsys, field, value):
     # a dotted field names one bath parameter

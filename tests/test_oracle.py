@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isingsweep import oracle
 from isingsweep.chain import (
     ChainSpec,
     channel_momenta,
@@ -27,12 +28,7 @@ from isingsweep.oracle import (
     uniform_min_even_gap,
     uniform_path,
 )
-from isingsweep.schedules import (
-    Schedule,
-    StepWisePath,
-    StepWiseSweep,
-    stepwise_hamiltonian_weights,
-)
+from isingsweep.schedules import Schedule, stepwise_weights
 
 
 def _levels(n, g, sector="full"):
@@ -177,8 +173,7 @@ def test_uniform_sweep_adiabatic_limit():
 
 def test_stepwise_evolution_stays_even_and_adiabatic():
     n = 4
-    sweep = StepWiseSweep(n, 120.0)
-    path = stepwise_path(sweep)
+    path = stepwise_path(n, 120.0)
     w0, V0 = np.linalg.eigh(build_hamiltonian(n, np.ones(n), np.zeros(n - 1), periodic=False,
                                               sector="even").matrix)
     psi0 = embed_sector_vector(V0[:, 0], n, "even").astype(complex)
@@ -197,8 +192,7 @@ def test_matrix_free_paths_match_dense_hamiltonian():
     cases = [(uniform_path(n, sched), True,
               lambda t, n=n: (np.full(n, 1.0 - t / 10.0), np.full(n, t / 10.0)))
              for n in (4, 5)]
-    cases += [(stepwise_path(StepWiseSweep(n, 10.0)), False, StepWiseSweep(n, 10.0).weights_at)
-              for n in (4, 6)]
+    cases += [(path, False, path.weights) for path in (stepwise_path(n, 10.0) for n in (4, 6))]
     for path, periodic, weights in cases:
         for t in (0.0, 1.3, 4.9, 7.5, 10.0):
             H = build_hamiltonian(path.n, *weights(t), periodic).matrix
@@ -264,7 +258,7 @@ def test_even_sector_gap_matches_dense():
     for n in range(4, 11):
         for step in range(1, n):
             for s in np.linspace(0.0, 1.0, 50):
-                h, J = stepwise_hamiltonian_weights(StepWisePath(n, step, float(s)))
+                h, J = stepwise_weights(n, step, float(s))
                 assert abs(even_sector_gap(h, J) - even_gap(n, h, J)) <= 1e-12, (n, step, s)
     with pytest.raises(ValueError, match="shape"):
         even_sector_gap(np.ones(4), np.ones(4), periodic=False)
@@ -302,13 +296,21 @@ def test_stepwise_gap_profile_small_n():
         assert stepwise_gap_profile(n).min_gap == pytest.approx(1.4145080368296699, abs=1e-12)
 
 
-def test_stepwise_gap_profile_matches_each_point():
-    # the broadcast weights and one stacked call per step give, bit for
-    # bit, the gap of every path point on its own
+def test_stepwise_gap_profile_matches_each_point(monkeypatch):
+    # the broadcast weights of a size and one stacked gap call give, bit
+    # for bit, the gap of every path point on its own
+    calls = []
+
+    def spy(h, J, periodic=False):
+        calls.append(np.shape(h))
+        return even_sector_gap(h, J, periodic)
+
+    monkeypatch.setattr(oracle, "even_sector_gap", spy)
     for n in range(4, 13):
+        calls.clear()
         prof = stepwise_gap_profile(n)
-        assert prof.gap_calls == n - 1
-        single = [[even_sector_gap(*stepwise_hamiltonian_weights(StepWisePath(n, step, s)))
+        assert calls == [((n - 1) * 50, n)], n
+        single = [[even_sector_gap(*stepwise_weights(n, step, s))
                    for s in prof.s_values.tolist()] for step in prof.steps.tolist()]
         assert prof.gaps.tolist() == single, n
 

@@ -4,10 +4,10 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from isingsweep.chain import ChainSpec, fundamental_gap
+from isingsweep.oracle import stepwise_path
 from isingsweep.schedules import (
     Schedule,
     StepWisePath,
-    StepWiseSweep,
     _velocity,
     runtime_for_adiabaticity,
     stepwise_hamiltonian_weights,
@@ -33,7 +33,7 @@ def test_total_time_must_be_positive_and_finite(total_time):
                   lambda: Schedule("linear", total_time, spec),
                   lambda: Schedule("gap-adapted-2", total_time, spec),
                   lambda: Schedule("gap-adapted-1", total_time, spec),
-                  lambda: StepWiseSweep(5, total_time)):
+                  lambda: stepwise_path(5, total_time)):
         with pytest.raises(ValueError, match="total_time"):
             build()
     # the kind is checked first: an unknown one, or a gap-adapted one without
@@ -185,13 +185,13 @@ def test_runtime_scaling_laws():
 
 
 def test_stepwise_weights_sequence():
-    h, J = stepwise_hamiltonian_weights(StepWisePath(6, 1, 0.0))
+    h, J = stepwise_weights(6, 1, 0.0)
     np.testing.assert_allclose(h, np.ones(6))
     np.testing.assert_allclose(J, np.zeros(5))
-    h, J = stepwise_hamiltonian_weights(StepWisePath(6, 1, 1.0))
+    h, J = stepwise_weights(6, 1, 1.0)
     np.testing.assert_allclose(h, [0, 0, 1, 1, 1, 1])
     np.testing.assert_allclose(J, [1, 0, 0, 0, 0])
-    h, J = stepwise_hamiltonian_weights(StepWisePath(6, 2, 0.5))
+    h, J = stepwise_weights(6, 2, 0.5)
     np.testing.assert_allclose(h, [0, 0, 0.5, 1, 1, 1])
     np.testing.assert_allclose(J, [1, 0.5, 0, 0, 0])
 
@@ -199,15 +199,16 @@ def test_stepwise_weights_sequence():
 def test_stepwise_weights_continuous_across_steps():
     for n in (4, 6, 10):
         for step in range(1, n - 1):
-            h1, J1 = stepwise_hamiltonian_weights(StepWisePath(n, step, 1.0))
-            h2, J2 = stepwise_hamiltonian_weights(StepWisePath(n, step + 1, 0.0))
+            h1, J1 = stepwise_weights(n, step, 1.0)
+            h2, J2 = stepwise_weights(n, step + 1, 0.0)
             np.testing.assert_array_equal(h1, h2)
             np.testing.assert_array_equal(J1, J2)
 
 
 def test_stepwise_weights_broadcast_match_each_point():
     # one call over every (step, s) of a size holds, bit for bit, the
-    # weights of each path point, s = 0 and 1 included
+    # weights of each path point, s = 0 and 1 included, as a point alone
+    # and as the StepWisePath that the benchmark's reference script reads
     svals = np.linspace(0.0, 1.0, 50)
     for n in range(2, 13):
         steps = np.arange(1, n)
@@ -215,8 +216,10 @@ def test_stepwise_weights_broadcast_match_each_point():
         assert h.shape == (n - 1, 50, n) and J.shape == (n - 1, 50, n - 1)
         for i, step in enumerate(steps.tolist()):
             for j, s in enumerate(svals.tolist()):
-                h1, J1 = stepwise_hamiltonian_weights(StepWisePath(n, step, s))
-                assert h[i, j].tobytes() == h1.tobytes() and J[i, j].tobytes() == J1.tobytes()
+                for h1, J1 in (stepwise_weights(n, step, s),
+                               stepwise_hamiltonian_weights(StepWisePath(n, step, s))):
+                    assert h[i, j].tobytes() == h1.tobytes()
+                    assert J[i, j].tobytes() == J1.tobytes()
 
 
 def test_stepwise_path_validation():
@@ -228,12 +231,35 @@ def test_stepwise_path_validation():
         StepWisePath(6, 1, 1.5)
 
 
+def _same_weights(got, want):
+    return all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def _step_and_s(n, total_time, t):
+    """(step, s) of time t <= T on the step-wise sweep: the reference for stepwise_path."""
+    frac = min(t / total_time, 1.0) * (n - 1)
+    step = min(int(frac), n - 2)
+    return step + 1, frac - step
+
+
 def test_stepwise_sweep_time_parameterization():
-    sweep = StepWiseSweep(5, 40.0)
-    assert sweep.n_steps == 4
-    p = sweep.path_at(10.0)  # end of step 1
-    assert (p.step, p.s) == (2, pytest.approx(0.0))
-    p = sweep.path_at(5.0)
-    assert (p.step, p.s) == (1, pytest.approx(0.5))
-    assert sweep.path_at(40.0).step == 4
+    # equal time per step, linear in s; the end of a step is the start of
+    # the next, and a time past T clamps to T
+    weights = stepwise_path(5, 40.0).weights
+    for t, (step, s) in ((10.0, (2, 0.0)), (5.0, (1, 0.5)), (40.0, (4, 1.0)),
+                         (40.0 * (1 + 1e-13), (4, 1.0))):
+        assert _same_weights(weights(t), stepwise_weights(5, step, s)), t
+    for bad in (lambda: weights(-1.0), lambda: weights(float("nan")),
+                lambda: stepwise_path(1, 40.0)):
+        with pytest.raises(ValueError):
+            bad()
+    # a bad total_time is test_total_time_must_be_positive_and_finite's case
+    # random times against the reference map, bit for bit
+    rng = np.random.default_rng(11)
+    for n in range(2, 13):
+        for T in (1.0, 37.3):
+            weights = stepwise_path(n, T).weights
+            for t in rng.uniform(0.0, T, 40).tolist() + [T]:
+                want = stepwise_weights(n, *_step_and_s(n, T, t))
+                assert _same_weights(weights(t), want), (n, T, t)
 
