@@ -92,7 +92,7 @@ class CouplingConstant:
             warnings.warn(
                 f"coupling lambda={self.lam} is large; first-order response "
                 "theory assumes lambda << 1",
-                stacklevel=2,
+                stacklevel=3,  # past the __init__ that dataclass generates
             )
 
 

@@ -299,8 +299,9 @@ def table1_cells() -> list[dict]:
 
 
 def _t1_points(eps_adiab: float) -> list:
-    """Every Table-1 point in row order: (cell, sweep, value, spec, k, omega, schedule)."""
-    points = []
+    """Every Table-1 point in row order: (cell, sweep, value, spec, k, omega, schedule);
+    the points of one (kind, n) share one schedule."""
+    points, schedules = [], {}
     for cell in table1_cells():
         saddle, kind = cell["column"] == "saddle", cell["schedule"]
         fixed, omegas = _T1_OMEGAS[cell["column"]]
@@ -311,48 +312,53 @@ def _t1_points(eps_adiab: float) -> list:
             kpos = channel_momenta(spec)
             # the fundamental mode, or in a bound cell the mode resonating with omega
             k = float(kpos[0 if saddle else np.argmin(np.abs(2.0 * kpos - omega))])
-            sched = Schedule(kind, runtime_for_adiabaticity(kind, n, eps_adiab), spec)
-            points.append((cell, sweep, value, spec, k, omega, sched))
+            if (kind, n) not in schedules:
+                schedules[kind, n] = Schedule(kind, runtime_for_adiabaticity(kind, n, eps_adiab),
+                                              spec)
+            points.append((cell, sweep, value, spec, k, omega, schedules[kind, n]))
     return points
 
 
 def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float):
-    """The six scaling cells in three dependent quadrature passes.
+    """The six scaling cells in two quadrature passes.
 
     A bound point's raw value is lam times its channel norm, a saddle
     point's the envelope sqrt((|A(T)|^2 + |A(T')|^2) / 2), T' = T (1 + pi/|dPhi|)
     with dPhi the phase between the two saddles, free of their cross term.
-    Pass 1 integrates the saddle phases and the first schedules' norms,
-    pass 2 the longer schedules' norms and the first amplitudes, pass 3
-    the rest.  Returns files, fits, checks and the counts of each pass.
+    Pass 1 integrates the norm of each distinct (schedule, k) and the
+    saddle phases.  dg/dt is proportional to 1/T for every kind, so the
+    norm at T' is the norm at T times T'/T; pass 2 integrates every
+    amplitude, at T and at T'.  Returns files, fits, checks and the
+    counts of each pass.
     """
     points = _t1_points(eps_adiab)
     saddle = [p for p in points if p[0]["column"] == "saddle"]
-    counts, norm = {}, {}
+    channels = list(dict.fromkeys((sched, k) for *_, k, omega, sched in points))
+    counts = {}
 
-    def integrate(terms):
-        outcomes = _batch(terms, rtol, norm)
+    def integrate(terms, norms=None):
+        outcomes = _batch(terms, rtol, norms)
         values = _values(outcomes)  # the first failure raises, naming its interval
         counts[f"pass_{len(counts) + 1}"] = {
             "integrals": len(outcomes), "quadrature_panels": sum(r.panels for r in outcomes),
             "quadrature_evaluations": sum(r.evaluations for r in outcomes),
             "quadrature_levin_solves": sum(r.levin_solves for r in outcomes),
             "quadrature_levels": max(r.levels for r in outcomes)}
-        norm.update(((t[0], t[1], 1.0), v.real) for t, v in zip(terms, values) if t[3] == NORM)
         return values
 
-    phases = integrate([(sched, k, 0.0, NORM, 1.0) for *_, k, omega, sched in points] + [
+    values = integrate([(sched, k, 0.0, NORM, 1.0) for sched, k in channels] + [
         (sched, k, omega, PHASE, g) for *_, spec, k, omega, sched in saddle
         for g in saddle_points(spec, k, omega)])
-    lo, hi = phases[len(points):].real.reshape(-1, 2).T
-    longer = [Schedule(cell["schedule"], sched.total_time * (1.0 + np.pi / abs(dphi)), spec)
-              for (cell, *_, spec, k, omega, sched), dphi in zip(saddle, (hi - lo).tolist())]
-    first = integrate([(s2, k, 0.0, NORM, 1.0) for (*_, k, omega, _), s2 in zip(saddle, longer)] + [
-        (sched, k, omega, AMPLITUDE, 1.0) for *_, k, omega, sched in saddle])[len(saddle):]
-    second = integrate([(s2, k, omega, AMPLITUDE, 1.0)
-                        for (*_, k, omega, _), s2 in zip(saddle, longer)])
+    norm = {(sched, k, 1.0): v for (sched, k), v in zip(channels, values.real.tolist())}
+    lo, hi = values[len(channels):].real.reshape(-1, 2).T
+    terms = []
+    for (cell, *_, spec, k, omega, sched), dphi in zip(saddle, (hi - lo).tolist()):
+        longer = Schedule(cell["schedule"], sched.total_time * (1.0 + np.pi / abs(dphi)), spec)
+        norm[longer, k, 1.0] = norm[sched, k, 1.0] * longer.total_time / sched.total_time
+        terms += [(sched, k, omega, AMPLITUDE, 1.0), (longer, k, omega, AMPLITUDE, 1.0)]
+    amplitudes = integrate(terms, norm).tolist()
     envelopes = iter([math.sqrt(0.5 * (abs(-1j * lam * a1) ** 2 + abs(-1j * lam * a2) ** 2))
-                      for a1, a2 in zip(first.tolist(), second.tolist())])
+                      for a1, a2 in zip(amplitudes[::2], amplitudes[1::2])])
     rows = {}
     for cell, sweep, value, spec, k, omega, sched in points:
         om_eff = 2.0 * k  # a bound cell divides by its stated logarithmic factor

@@ -52,8 +52,9 @@ def test_spec_validation():
 def test_coupling_validation():
     with pytest.raises(ValueError):
         CouplingConstant(0.0)
-    with pytest.warns(UserWarning, match="large"):
+    with pytest.warns(UserWarning, match="large") as seen:
         CouplingConstant(0.5)
+    assert [w.filename for w in seen] == [__file__]  # the caller, not the dataclass __init__
     CouplingConstant(0.01)
 
 

@@ -15,7 +15,7 @@ from isingsweep.decoherence import (
     total_excitation_probability,
 )
 from isingsweep.quadrature import QuadratureError, oscillatory_integral
-from isingsweep.schedules import Schedule
+from isingsweep.schedules import _POWERS, Schedule, runtime_for_adiabaticity
 
 
 @pytest.fixture(scope="module")
@@ -217,8 +217,13 @@ def test_bath_spectrum_families():
     mono = BathSpectrum.monochromatic(0.7, lam)
     nodes, weights = mono.quadrature()
     assert nodes.tolist() == [0.7] and weights.tolist() == [1.0]
-    with pytest.warns(UserWarning, match="cold"):
-        BathSpectrum.monochromatic(2.5, lam)
+    # a hot bath warns at the caller of each constructor
+    for make in (lambda: BathSpectrum.monochromatic(2.5, lam),
+                 lambda: BathSpectrum.ohmic(0.5, lam, support_max=2.5),
+                 lambda: BathSpectrum.flat(0.2, 2.5, lam)):
+        with pytest.warns(UserWarning, match="cold") as seen:
+            make()
+        assert [w.filename for w in seen] == [__file__]
     ohmic = BathSpectrum.ohmic(0.3, lam, support_max=1.9)
     nodes, weights = ohmic.quadrature(41)
     assert abs(np.sum(weights) - 1.0) < 1e-8  # unit normalization
@@ -362,6 +367,21 @@ def test_bound_norm_is_the_numeric_reference(chain8, monkeypatch):
     assert norm == pytest.approx(quad(
         lambda g: 4 * g * np.sin(k) / mode_epsilon(k, g) / sched.velocity_of_g(g),
         0.0, 1.0, points=[0.5], epsrel=1e-13, limit=400)[0], rel=1e-11)
+
+
+def test_bound_grows_as_run_time():
+    # dg/dt is proportional to 1/T for every kind, so the channel norm is
+    # proportional to T; the scaling table rescales its longer sweeps' norms by it
+    for kind in _POWERS:
+        for n in (8, 64, 128):
+            spec = ChainSpec(n)
+            T = runtime_for_adiabaticity(kind, n, 0.25)
+            for k in (np.pi / n, (n - 1) * np.pi / n):
+                base = amplitude_bound(spec, Schedule(kind, T, spec), k, 1.0)
+                for kappa in (1.5, 3.0, 1.0 + np.pi / 37.3):
+                    longer = amplitude_bound(spec, Schedule(kind, kappa * T, spec), k, 1.0)
+                    assert longer == pytest.approx(kappa * base, rel=1e-14, abs=0.0), \
+                        (kind, n, k, kappa)
 
 
 @pytest.mark.parametrize("omega", [0.3, 0.8, 1.5])
