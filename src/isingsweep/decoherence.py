@@ -26,6 +26,8 @@ the log-log scaling fit used for exponent checks.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -59,77 +61,104 @@ __all__ = [
 ]
 
 _COLD_BATH_EDGE = 2.0  # initial single-particle energy; support beyond it is suspect
+_OMEGA_NODES = 33  # Gauss-Legendre nodes over a continuous bath's support
+# The bath kinds, each with its parameters and their lower bounds.  Every
+# parameter is a finite number above its bound; an ohmic bath's support_max
+# may be left out (or None), and then is 8 omega_c.
+_BATH_PARAMS = {"monochromatic": {"omega0": -math.inf},
+                "ohmic": {"omega_c": 0.0, "support_max": 0.0},
+                "flat": {"omega_min": -math.inf, "omega_max": -math.inf}}
+
+
+def _check_bath(kind, params: dict) -> None:
+    """Raise ValueError unless ``params`` are the parameters of a ``kind`` bath, each in range.
+
+    The message starts with the name at fault, so that a caller can
+    prefix where the name came from.
+    """
+    if not isinstance(kind, str) or kind not in _BATH_PARAMS:
+        raise ValueError(f"kind: must be one of {tuple(_BATH_PARAMS)}, got {kind!r}")
+    bounds = _BATH_PARAMS[kind]
+    for key, least in bounds.items():
+        val = params.get(key)
+        if key == "support_max" and val is None:
+            continue
+        if key not in params:
+            raise ValueError(f"{key}: required for a {kind} bath")
+        if not (isinstance(val, numbers.Real) and not isinstance(val, bool)
+                and math.isfinite(val) and val > least):
+            raise ValueError(f"{key}: must be a finite number > {least}, got {val!r}")
+    for key in params:
+        if key not in bounds:
+            raise ValueError(f"{key}: unknown parameter for a {kind} bath")
+    if kind == "flat" and not params["omega_max"] > params["omega_min"]:
+        raise ValueError(f"omega_max: must exceed omega_min = {params['omega_min']!r}, "
+                         f"got {params['omega_max']!r}")
 
 
 @dataclass(frozen=True)
 class BathSpectrum:
     """Spectral function f(omega) of the environment plus coupling.
 
-    Three parametric families; f is normalized to unit weight over its
-    support and assumed independent of the excited channel and of the
-    system size.
+    ``kind`` and ``params`` are one of the families of ``_BATH_PARAMS``:
+    a line at ``omega0``, the ohmic omega e^(-omega/omega_c) on
+    (0, support_max], or a flat density on [omega_min, omega_max].  f is
+    normalized to unit weight over its support and assumed independent
+    of the excited channel and of the system size.  A support that
+    reaches the initial single-particle energy 2 warns.
     """
 
     kind: str
     params: dict
     coupling: CouplingConstant
-    normalization: float = 1.0
+    normalization: float = field(init=False)
 
-    @classmethod
-    def monochromatic(cls, omega0: float, coupling: CouplingConstant) -> "BathSpectrum":
-        cls._warn_if_hot(omega0)
-        return cls(kind="monochromatic", params={"omega0": float(omega0)}, coupling=coupling)
-
-    @classmethod
-    def ohmic(cls, omega_c: float, coupling: CouplingConstant,
-              support_max: float | None = None) -> "BathSpectrum":
-        if not omega_c > 0:
-            raise ValueError(f"omega_c must be positive, got {omega_c}")
-        hi = float(support_max) if support_max is not None else 8.0 * omega_c
-        cls._warn_if_hot(hi)
-        x = hi / omega_c
-        z = float(omega_c**2 * (-np.expm1(-x) - x * np.exp(-x)))  # int_0^hi w e^(-w/omega_c) dw
-        return cls(kind="ohmic", params={"omega_c": float(omega_c), "support_max": hi},
-                   coupling=coupling, normalization=1.0 / z)
-
-    @classmethod
-    def flat(cls, omega_min: float, omega_max: float, coupling: CouplingConstant) -> "BathSpectrum":
-        if not omega_max > omega_min:
-            raise ValueError("need omega_max > omega_min")
-        cls._warn_if_hot(omega_max)
-        return cls(kind="flat", params={"omega_min": float(omega_min),
-                                        "omega_max": float(omega_max)},
-                   coupling=coupling, normalization=1.0 / (omega_max - omega_min))
-
-    @staticmethod
-    def _warn_if_hot(omega_edge: float) -> None:
-        if omega_edge >= _COLD_BATH_EDGE:
+    def __post_init__(self):
+        _check_bath(self.kind, self.params)
+        p = {key: float(val) for key, val in self.params.items() if val is not None}
+        norm = 1.0
+        if self.kind == "ohmic":
+            wc = p["omega_c"]
+            x = p.setdefault("support_max", 8.0 * wc) / wc
+            norm = 1.0 / float(wc**2 * (-np.expm1(-x) - x * np.exp(-x)))  # int_0^hi w e^(-w/wc) dw
+        elif self.kind == "flat":
+            norm = 1.0 / (p["omega_max"] - p["omega_min"])
+        object.__setattr__(self, "params", p)
+        object.__setattr__(self, "normalization", norm)
+        edge = self.support[1]
+        if edge >= _COLD_BATH_EDGE:
             warnings.warn(
-                f"bath support reaches omega={omega_edge} >= {_COLD_BATH_EDGE}; "
+                f"bath support reaches omega={edge} >= {_COLD_BATH_EDGE}; "
                 "the environment should be cold enough to prepare the initial "
                 "ground state",
-                stacklevel=3,
+                stacklevel=3,  # past the __init__ that dataclass generates
             )
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """The edges of f's support; a line's are both its frequency."""
+        p = self.params
+        if self.kind == "monochromatic":
+            return p["omega0"], p["omega0"]
+        if self.kind == "ohmic":
+            return 0.0, p["support_max"]
+        return p["omega_min"], p["omega_max"]
 
     def density(self, omega):
         omega = np.asarray(omega, dtype=float)
         if self.kind == "monochromatic":
             raise ValueError("monochromatic bath has no density; use quadrature()")
+        lo, hi = self.support
         if self.kind == "ohmic":
-            wc = self.params["omega_c"]
-            out = self.normalization * omega * np.exp(-omega / wc)
-            return np.where((omega > 0) & (omega <= self.params["support_max"]), out, 0.0)
-        lo, hi = self.params["omega_min"], self.params["omega_max"]
+            out = self.normalization * omega * np.exp(-omega / self.params["omega_c"])
+            return np.where((omega > lo) & (omega <= hi), out, 0.0)
         return np.where((omega >= lo) & (omega <= hi), self.normalization, 0.0)
 
-    def quadrature(self, n_nodes: int = 33):
+    def quadrature(self, n_nodes: int = _OMEGA_NODES):
         """Nodes and weights with f folded in: int f(w) A(w) dw ~ sum W_i A(w_i)."""
         if self.kind == "monochromatic":
             return np.array([self.params["omega0"]]), np.array([1.0])
-        if self.kind == "ohmic":
-            lo, hi = 0.0, self.params["support_max"]
-        else:
-            lo, hi = self.params["omega_min"], self.params["omega_max"]
+        lo, hi = self.support
         x, w = np.polynomial.legendre.leggauss(n_nodes)
         nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
         weights = 0.5 * (hi - lo) * w * self.density(nodes)
@@ -321,8 +350,19 @@ class TotalExcitationResult:
     levels: int = 0        # bisection levels of the deepest numeric term
 
 
+def _totals(outcomes) -> dict:
+    """Panels, evaluations and Levin solves summed over the converged ``outcomes``, and the
+    bisection levels of the deepest one."""
+    done = [res for res in outcomes if not isinstance(res, QuadratureError)]
+    return {"panels": sum(res.panels for res in done),
+            "evaluations": sum(res.evaluations for res in done),
+            "levin_solves": sum(res.levin_solves for res in done),
+            "levels": max((res.levels for res in done), default=0)}
+
+
 def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: BathSpectrum,
-                                 n_omega: int = 33, rtol: float = 1e-5) -> TotalExcitationResult:
+                                 n_omega: int = _OMEGA_NODES,
+                                 rtol: float = 1e-5) -> TotalExcitationResult:
     """P = sum_{k>0} |int f(omega) A_k^omega domega|^2 over all channels.
 
     Every (channel, frequency) amplitude with nonzero weight is one
@@ -338,22 +378,13 @@ def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: Bath
     live = weights != 0.0
     terms = [(schedule, k, w, AMPLITUDE, 1.0) for k in ks for w in nodes[live].tolist()]
     norms = _channel_norms(schedule, ks)
-    result = TotalExcitationResult(p_total=0.0)
-    values = np.empty(len(terms), dtype=complex)
-    methods = []
-    for i, (term, res) in enumerate(zip(terms, _batch(terms, rtol, norms))):
-        if isinstance(res, QuadratureError):
-            values[i] = lam * norms[schedule, term[1], 1.0]
-            methods.append("bound")
-            continue
-        values[i] = -1j * lam * res.value
-        methods.append("numeric")
-        result.panels += res.panels
-        result.evaluations += res.evaluations
-        result.levin_solves += res.levin_solves
-        result.levels = max(result.levels, res.levels)
+    outcomes = _batch(terms, rtol, norms)
+    result = TotalExcitationResult(p_total=0.0, **_totals(outcomes))
+    failed = [isinstance(res, QuadratureError) for res in outcomes]
+    values = np.array([lam * norms[schedule, term[1], 1.0] if bad else -1j * lam * res.value
+                       for term, res, bad in zip(terms, outcomes, failed)], dtype=complex)
+    methods = iter("bound" if bad else "numeric" for bad in failed)
     amplitudes = values.reshape(len(ks), int(live.sum())) @ weights[live]
-    methods = iter(methods)
     for k, acc in zip(ks, amplitudes):
         result.channel_amplitudes[k] = complex(acc)
         result.methods[k] = tuple(next(methods) if w else "skipped" for w in live)

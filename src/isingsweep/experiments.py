@@ -29,8 +29,11 @@ from .decoherence import (
     AMPLITUDE,
     NORM,
     PHASE,
+    _BATH_PARAMS,
     BathSpectrum,
     _batch,
+    _check_bath,
+    _totals,
     _values,
     amplitude_bound,
     amplitude_numeric,
@@ -59,7 +62,8 @@ __all__ = [
 ]
 
 EXPERIMENT_KINDS = ("spectrum", "dynamics", "decoherence", "scaling", "stepwise", "oracle-check")
-_BATH_KINDS = ("monochromatic", "ohmic", "flat")
+_G_POINTS = 201  # sweep values g of each spectrum curve
+_K_MODES = 4     # lowest channels of the amplitude table
 
 
 class ConfigError(ValueError):
@@ -85,26 +89,6 @@ def _check_real(d: dict, key: str, least: float, strict: bool = True, path: str 
         raise ConfigError(f"{path}.{key}: must be a finite number {bound}, got {val!r}")
 
 
-def _check_bath_params(kind: str, params: dict) -> None:
-    """The parameters ``BathSpectrum`` takes for ``kind``, each a valid number, and no others."""
-    path = "config.bath_params"
-    needed = {"monochromatic": ("omega0",), "ohmic": ("omega_c",),
-              "flat": ("omega_min", "omega_max")}[kind]
-    for key in needed:
-        if key not in params:
-            raise ConfigError(f"{path}.{key}: required for a {kind} bath")
-        _check_real(params, key, 0.0 if key == "omega_c" else -math.inf, path=path)
-    for key in params:
-        if key not in needed + (("support_max",) if kind == "ohmic" else ()):
-            raise ConfigError(f"{path}.{key}: unknown parameter for a {kind} bath")
-    if kind == "ohmic" and params.get("support_max") is not None:
-        _check_real(params, "support_max", 0.0, path=path)
-    if kind == "flat" and not params["omega_max"] > params["omega_min"]:
-        raise ConfigError(
-            f"{path}.omega_max: must exceed omega_min = {params['omega_min']!r}, "
-            f"got {params['omega_max']!r}")
-
-
 def _subgap_pair(spec: ChainSpec, omega_grid):
     """The first (k, omega), k ascending, with omega below the channel's minimum gap, or None."""
     for k in channel_momenta(spec).tolist():
@@ -125,13 +109,10 @@ class ExperimentConfig:
     bath_kind: str = "ohmic"
     bath_params: tuple = (("omega_c", 0.5), ("support_max", 1.9))
     omega_grid: tuple | None = None
-    k_modes: int = 4
     t_scan: tuple | None = None
-    g_grid_points: int = 201
     time_points: int = 401
     amplitude_rtol: float = 1e-6
     ode_rtol: float = 1e-10
-    n_omega_nodes: int = 33
     output_dir: str = "out"
 
     @classmethod
@@ -168,19 +149,22 @@ class ExperimentConfig:
         if "coupling" in d and not (_is_real(d["coupling"]) and d["coupling"] > 0):
             raise ConfigError(f"config.coupling: lambda must be a positive number, got {d['coupling']!r}")
         _check_real(d, "ode_rtol", MIN_RTOL, strict=False)
-        for key, least in (("g_grid_points", 2), ("time_points", 2), ("k_modes", 1),
-                           ("n_omega_nodes", 1)):
-            if key in d and not (_is_int(d[key]) and d[key] >= least):
-                raise ConfigError(f"config.{key}: must be an integer >= {least}, got {d[key]!r}")
+        if "time_points" in d and not (_is_int(d["time_points"]) and d["time_points"] >= 2):
+            raise ConfigError(
+                f"config.time_points: must be an integer >= 2, got {d['time_points']!r}")
         bath_kind = d.get("bath_kind", "ohmic")
-        if bath_kind not in _BATH_KINDS:
-            raise ConfigError(f"config.bath_kind: must be one of {_BATH_KINDS}, got {bath_kind!r}")
+        if not isinstance(bath_kind, str) or bath_kind not in _BATH_PARAMS:
+            raise ConfigError(
+                f"config.bath_kind: must be one of {tuple(_BATH_PARAMS)}, got {bath_kind!r}")
         bp = d.get("bath_params", cls.bath_params)
         try:
             params = dict(bp)
         except (TypeError, ValueError):
             raise ConfigError(f"config.bath_params: must map names to numbers, got {bp!r}") from None
-        _check_bath_params(bath_kind, params)
+        try:
+            _check_bath(bath_kind, params)
+        except ValueError as exc:
+            raise ConfigError(f"config.bath_params.{exc}") from None
         d["bath_params"] = tuple(sorted(params.items()))
         for key, positive in (("omega_grid", False), ("t_scan", True)):
             vals = d.get(key)
@@ -212,13 +196,7 @@ class ExperimentConfig:
         return Schedule(self.schedule_kind, T, ChainSpec(n))
 
     def bath(self) -> BathSpectrum:
-        coupling = CouplingConstant(self.coupling)
-        p = dict(self.bath_params)
-        if self.bath_kind == "monochromatic":
-            return BathSpectrum.monochromatic(p["omega0"], coupling)
-        if self.bath_kind == "ohmic":
-            return BathSpectrum.ohmic(p["omega_c"], coupling, p.get("support_max"))
-        return BathSpectrum.flat(p["omega_min"], p["omega_max"], coupling)
+        return BathSpectrum(self.bath_kind, dict(self.bath_params), CouplingConstant(self.coupling))
 
 
 def _fmt(x) -> str:
@@ -340,10 +318,8 @@ def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float):
         outcomes = _batch(terms, rtol, norms)
         values = _values(outcomes)  # the first failure raises, naming its interval
         counts[f"pass_{len(counts) + 1}"] = {
-            "integrals": len(outcomes), "quadrature_panels": sum(r.panels for r in outcomes),
-            "quadrature_evaluations": sum(r.evaluations for r in outcomes),
-            "quadrature_levin_solves": sum(r.levin_solves for r in outcomes),
-            "quadrature_levels": max(r.levels for r in outcomes)}
+            "integrals": len(outcomes),
+            **{f"quadrature_{key}": val for key, val in _totals(outcomes).items()}}
         return values
 
     values = integrate([(sched, k, 0.0, NORM, 1.0) for sched, k in channels] + [
@@ -399,7 +375,7 @@ def _channel_gaps(spec: ChainSpec, g_values: np.ndarray, n_channels: int) -> np.
 
 def _run_spectrum(config: ExperimentConfig, out: Path):
     files, checks = [], {}
-    g_values = np.linspace(0.0, 1.0, config.g_grid_points)
+    g_values = np.linspace(0.0, 1.0, _G_POINTS)
     for n in config.chain_sizes:
         spec = ChainSpec(n)
         m = min(6, n // 2)
@@ -407,7 +383,7 @@ def _run_spectrum(config: ExperimentConfig, out: Path):
         header = ["g"] + [f"dE_{i + 1}" for i in range(m)]
         rows = [(float(g),) + tuple(float(x) for x in gaps[:, i]) for i, g in enumerate(g_values)]
         files.append(write_csv(out / f"spectrum_n{n}.csv", header, rows))
-        half_step = 0.5 / (config.g_grid_points - 1)
+        half_step = 0.5 / (_G_POINTS - 1)
         dips = [abs(g_values[np.argmin(gaps[j])] - 0.5) <= half_step + 1e-9 for j in range(m)]
         checks[f"n{n}_gap_min_at_critical_point"] = bool(all(dips))
         if n == max(config.chain_sizes):
@@ -455,7 +431,7 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
         spec = ChainSpec(n)
         sched = config.schedule_for(n)
         T = sched.total_time
-        ks = channel_momenta(spec)[: config.k_modes]
+        ks = channel_momenta(spec)[:_K_MODES]
         a_grid = amplitude_numeric(spec, sched, ks[:, None], omegas, lam,
                                    rtol=config.amplitude_rtol)
         for k, a_row in zip(ks.tolist(), a_grid.tolist()):
@@ -506,9 +482,7 @@ def _run_total_probability(config: ExperimentConfig, out: Path):
     for n in config.chain_sizes:
         spec = ChainSpec(n)
         sched = config.schedule_for(n)
-        res = total_excitation_probability(spec, sched, bath,
-                                           n_omega=config.n_omega_nodes,
-                                           rtol=config.amplitude_rtol)
+        res = total_excitation_probability(spec, sched, bath, rtol=config.amplitude_rtol)
         methods = [m for ms in res.methods.values() for m in ms]
         rows.append((n, sched.kind, sched.total_time, res.p_total,
                      methods.count("numeric"), methods.count("bound")))

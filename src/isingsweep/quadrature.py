@@ -76,7 +76,6 @@ _CHUNK = 32
 # the budget.
 _TAIL = 4
 _TAIL_FACTOR = 1e3
-_ONE_RUN = np.zeros(1, dtype=int)
 
 
 class QuadratureError(RuntimeError):
@@ -252,60 +251,50 @@ def oscillatory_batch(integrand, a: float, b, rtol, atol, points=None) -> list:
         value[fresh], error[fresh], levin = _estimates(f, dphi, phi, hw)
         solves += np.bincount(owner[fresh][levin], minlength=solves.size)
         increment[fresh] = phi[:, -1]
-        if ids.size == 1:  # one open integral, as in every solo call: no runs to find
-            first, run = _ONE_RUN, slice(None)
-            phase = np.zeros(owner.size)
-            np.add.accumulate(increment[:-1], out=phase[1:])
-        else:
-            first, run, phase = _run_phases(owner, increment)
+        first, run, phase = _run_phases(owner, increment)
         total = np.add.reduceat(value * np.exp(1j * phase), first)
         tol = np.maximum(floor, rel * np.abs(total))
         miss = ~(error <= tol[run] * (right - left) / span[run])
         missing = np.add.reduceat(miss, first)
-        reps = np.where(miss, 2, 1)
-        if np.count_nonzero(missing) < ids.size:
-            done = missing == 0
+        # An integral leaves the batch when all its leaves pass, or fails when
+        # the level cap is reached or its halves would be too many.
+        done = missing == 0
+        failed = ~done & ((level == _LEVELS) | (2 * missing > _MAX_OPEN))
+        leaving = done | failed
+        if leaving.any():
             bounds = [*first.tolist(), owner.size]
             errors = np.add.reduceat(error, first)
-            for r in np.flatnonzero(done):
-                j = ids[r]
-                panels = bounds[r + 1] - bounds[r]
+            for r in np.flatnonzero(leaving):
+                j, start, stop = ids[r], bounds[r], bounds[r + 1]
+                if failed[r]:
+                    results[j] = _failure(a, upper[j], left[start:stop], right[start:stop],
+                                          miss[start:stop])
+                    continue
                 # every evaluated panel is an initial one or half of a split one
                 results[j] = OscillatoryResult(
-                    value=complex(total[r]), error=float(errors[r]), panels=panels,
-                    evaluations=(2 * panels - initial[j]) * x.size, levels=level,
+                    value=complex(total[r]), error=float(errors[r]), panels=stop - start,
+                    evaluations=(2 * (stop - start) - initial[j]) * x.size, levels=level,
                     levin_solves=int(solves[j]))
-            if done.all():
+            if leaving.all():
                 return results
-            reps[done[run]] = 0  # retire the finished integrals
-            ids, rel, floor, span, missing = (v[~done] for v in (ids, rel, floor, span, missing))
-        # Replace every missing leaf by its two halves, keeping the order.
-        leaf = np.repeat(np.arange(owner.size), reps)
+            ids, rel, floor, span = (v[~leaving] for v in (ids, rel, floor, span))
+        # Replace every missing leaf of a staying integral by its two halves,
+        # keeping the order; the leaves of the leaving ones go.
+        leaf = np.repeat(np.arange(owner.size), np.where(leaving[run], 0, np.where(miss, 2, 1)))
         left, right = left[leaf], right[leaf]
         second = np.flatnonzero(leaf[1:] == leaf[:-1]) + 1
         mid = 0.5 * (left[second] + right[second])
         left[second] = right[second - 1] = mid
         value, error, increment, fresh = value[leaf], error[leaf], increment[leaf], miss[leaf]
         owner = owner[leaf]
-        if level == _LEVELS or 2 * np.count_nonzero(miss) > _MAX_OPEN:
-            failed = (level == _LEVELS) | (2 * missing > _MAX_OPEN)
-            for j in ids[failed]:
-                results[j] = _failure(a, upper[j], left, right, fresh & (owner == j))
-            if np.all(failed):
-                break
-            keep = ~np.isin(owner, ids[failed])
-            left, right, owner = left[keep], right[keep], owner[keep]
-            value, error, increment, fresh = value[keep], error[keep], increment[keep], fresh[keep]
-            ids, rel, floor, span = ids[~failed], rel[~failed], floor[~failed], span[~failed]
-    return results
 
 
-def _failure(a, b, left, right, open_) -> QuadratureError:
-    """The error of one integral over [a, b] that still has the ``open_`` panels."""
-    i = np.argmin(np.where(open_, right - left, np.inf))
+def _failure(a, b, left, right, missed) -> QuadratureError:
+    """The error of one integral over [a, b] whose ``missed`` leaves would be bisected."""
+    i = np.argmin(np.where(missed, right - left, np.inf))
     return QuadratureError(
-        f"quadrature did not converge on [{a}, {b}]: {open_.sum()} panels open, "
-        f"narrowest at {left[i]:.9g}, width {right[i] - left[i]:.3e}"
+        f"quadrature did not converge on [{a}, {b}]: {2 * missed.sum()} panels open, "
+        f"narrowest at {left[i]:.9g}, width {0.5 * (right[i] - left[i]):.3e}"
     )
 
 

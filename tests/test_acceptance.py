@@ -203,7 +203,7 @@ def test_criterion_5b_negative_frequency_suppression():
 
 def test_criterion_6_growth_with_system_size():
     t0 = time.time()
-    bath = BathSpectrum.ohmic(0.5, CouplingConstant(0.01), support_max=1.9)
+    bath = BathSpectrum("ohmic", {"omega_c": 0.5, "support_max": 1.9}, CouplingConstant(0.01))
     ok = True
     details = []
     for kind in ("linear", "gap-adapted-1", "gap-adapted-2"):

@@ -214,21 +214,21 @@ def test_accumulated_phase_consistency(chain8):
 
 def test_bath_spectrum_families():
     lam = CouplingConstant(0.01)
-    mono = BathSpectrum.monochromatic(0.7, lam)
+    mono = BathSpectrum("monochromatic", {"omega0": 0.7}, lam)
     nodes, weights = mono.quadrature()
     assert nodes.tolist() == [0.7] and weights.tolist() == [1.0]
     # a hot bath warns at the caller of each constructor
-    for make in (lambda: BathSpectrum.monochromatic(2.5, lam),
-                 lambda: BathSpectrum.ohmic(0.5, lam, support_max=2.5),
-                 lambda: BathSpectrum.flat(0.2, 2.5, lam)):
+    for make in (lambda: BathSpectrum("monochromatic", {"omega0": 2.5}, lam),
+                 lambda: BathSpectrum("ohmic", {"omega_c": 0.5, "support_max": 2.5}, lam),
+                 lambda: BathSpectrum("flat", {"omega_min": 0.2, "omega_max": 2.5}, lam)):
         with pytest.warns(UserWarning, match="cold") as seen:
             make()
         assert [w.filename for w in seen] == [__file__]
-    ohmic = BathSpectrum.ohmic(0.3, lam, support_max=1.9)
+    ohmic = BathSpectrum("ohmic", {"omega_c": 0.3, "support_max": 1.9}, lam)
     nodes, weights = ohmic.quadrature(41)
     assert abs(np.sum(weights) - 1.0) < 1e-8  # unit normalization
     assert np.all(ohmic.density(nodes) >= 0)
-    flat = BathSpectrum.flat(0.2, 0.8, lam)
+    flat = BathSpectrum("flat", {"omega_min": 0.2, "omega_max": 0.8}, lam)
     assert flat.density(0.5) == pytest.approx(1.0 / 0.6)
     assert flat.density(1.0) == 0.0
     # an m-node Gauss-Legendre rule is exact through degree 2m - 1
@@ -237,16 +237,18 @@ def test_bath_spectrum_families():
         exact = (0.8 ** (2 * m) - 0.2 ** (2 * m)) / (2 * m) / 0.6
         assert np.sum(weights * nodes ** (2 * m - 1)) == pytest.approx(exact, rel=1e-12)
     with pytest.raises(ValueError, match="omega_max"):
-        BathSpectrum.flat(0.8, 0.2, lam)
+        BathSpectrum("flat", {"omega_min": 0.8, "omega_max": 0.2}, lam)
+    with pytest.raises(ValueError, match="^kind: must be one of "):
+        BathSpectrum("lorentzian", {"omega0": 0.5}, lam)
 
 
 def test_total_probability_quadratic_in_coupling():
     spec = ChainSpec(8)
     sched = Schedule("linear", 30.0)
     r1 = total_excitation_probability(
-        spec, sched, BathSpectrum.monochromatic(0.8, CouplingConstant(1e-3)))
+        spec, sched, BathSpectrum("monochromatic", {"omega0": 0.8}, CouplingConstant(1e-3)))
     r2 = total_excitation_probability(
-        spec, sched, BathSpectrum.monochromatic(0.8, CouplingConstant(2e-3)))
+        spec, sched, BathSpectrum("monochromatic", {"omega0": 0.8}, CouplingConstant(2e-3)))
     assert r2.p_total == pytest.approx(4 * r1.p_total, rel=1e-12)
     assert set(r1.methods[next(iter(r1.methods))]) == {"numeric"}
 
@@ -258,9 +260,9 @@ def test_total_probability_subgap_bath_negligible():
     spec = ChainSpec(8)
     sched = Schedule("linear", 250.0)  # adiabatic
     sub = total_excitation_probability(
-        spec, sched, BathSpectrum.monochromatic(0.05, CouplingConstant(1e-3)))
+        spec, sched, BathSpectrum("monochromatic", {"omega0": 0.05}, CouplingConstant(1e-3)))
     res = total_excitation_probability(
-        spec, sched, BathSpectrum.monochromatic(0.9, CouplingConstant(1e-3)))
+        spec, sched, BathSpectrum("monochromatic", {"omega0": 0.9}, CouplingConstant(1e-3)))
     assert sub.p_total < 1e-6
     assert sub.p_total * 100 < res.p_total
 
@@ -271,7 +273,7 @@ def test_total_probability_breakdown_reported():
     sched = Schedule("linear", T)
     with pytest.warns(UserWarning, match="large"):
         coupling = CouplingConstant(0.9)
-    bath = BathSpectrum.monochromatic(0.9, coupling)
+    bath = BathSpectrum("monochromatic", {"omega0": 0.9}, coupling)
     res = total_excitation_probability(spec, sched, bath)
     assert res.p_total > 1.0
     assert any("broken down" in w for w in res.warnings)
@@ -282,7 +284,7 @@ def test_total_probability_bound_fallback_per_term(monkeypatch):
     # phase-free bound, and every other term stays numeric
     spec = ChainSpec(8)
     sched = Schedule("linear", 30.0)
-    bath = BathSpectrum.ohmic(0.5, CouplingConstant(0.01), support_max=1.9)
+    bath = BathSpectrum("ohmic", {"omega_c": 0.5, "support_max": 1.9}, CouplingConstant(0.01))
     nodes, weights = bath.quadrature()
     clean = total_excitation_probability(spec, sched, bath)
     k0, *others = channel_momenta(spec)
@@ -310,7 +312,7 @@ def test_total_probability_bound_fallback_per_term(monkeypatch):
 def test_total_probability_skips_zero_weight_nodes():
     # an ohmic density that underflows on every node leaves no term to integrate
     spec = ChainSpec(8)
-    bath = BathSpectrum.ohmic(1e-6, CouplingConstant(0.01), support_max=1.9)
+    bath = BathSpectrum("ohmic", {"omega_c": 1e-6, "support_max": 1.9}, CouplingConstant(0.01))
     assert not bath.quadrature()[1].any()
     res = total_excitation_probability(spec, Schedule("linear", 30.0), bath)
     assert res.p_total == 0.0 and res.panels == 0
@@ -429,7 +431,7 @@ def test_channel_norm_computed_once_per_channel(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
-    bath = BathSpectrum.ohmic(0.5, CouplingConstant(0.01), support_max=1.9)
+    bath = BathSpectrum("ohmic", {"omega_c": 0.5, "support_max": 1.9}, CouplingConstant(0.01))
     res = total_excitation_probability(spec, sched, bath)
     assert sum(len(m) for m in res.methods.values()) == 33 * spec.n // 2
     # one batch of the n/2 channel norms (break at g = 1/2), one of the amplitudes
@@ -439,7 +441,8 @@ def test_channel_norm_computed_once_per_channel(monkeypatch):
 @pytest.mark.parametrize("x", [0.5, 3.8, 8.0, 40.0])
 def test_ohmic_normalization_closed_form(x):
     omega_c = 0.04
-    bath = BathSpectrum.ohmic(omega_c, CouplingConstant(0.01), support_max=x * omega_c)
+    bath = BathSpectrum("ohmic", {"omega_c": omega_c, "support_max": x * omega_c},
+                        CouplingConstant(0.01))
     z = quad(lambda w: w * np.exp(-w / omega_c), 0.0, x * omega_c, epsabs=0.0, epsrel=1e-13,
              limit=200)[0]
     assert 1.0 / bath.normalization == pytest.approx(z, rel=1e-14, abs=0.0)

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from isingsweep import decoherence, oracle
-from isingsweep.chain import ChainSpec, channel_momenta, even_sector_gap
+from isingsweep.chain import ChainSpec, CouplingConstant, channel_momenta, even_sector_gap
 from isingsweep.cli import main
 from isingsweep.decoherence import (
+    _BATH_PARAMS,
+    BathSpectrum,
     accumulated_phase,
     amplitude_bound,
     amplitude_numeric,
@@ -84,8 +86,7 @@ def test_config_round_trip_lossless():
 
 def test_spectrum_experiment_and_fig1(tmp_path):
     cfg = ExperimentConfig.from_dict({
-        "kind": "spectrum", "chain_sizes": [8, 16], "g_grid_points": 51,
-        "output_dir": str(tmp_path),
+        "kind": "spectrum", "chain_sizes": [8, 16], "output_dir": str(tmp_path),
     })
     summary = run_experiment(cfg)
     assert summary["all_checks_pass"]
@@ -102,8 +103,7 @@ def test_byte_identical_reruns(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         run_experiment(ExperimentConfig.from_dict({
-            "kind": "spectrum", "chain_sizes": [8], "g_grid_points": 21,
-            "output_dir": str(out),
+            "kind": "spectrum", "chain_sizes": [8], "output_dir": str(out),
         }))
     assert (out1 / "spectrum_n8.csv").read_bytes() == (out2 / "spectrum_n8.csv").read_bytes()
     assert (out1 / "fig1_excitation_spectrum.csv").read_bytes() == \
@@ -206,8 +206,8 @@ def test_fig1_comes_from_this_run(tmp_path):
     # must not end up in this run's figure
     for n in (64, 8):
         summary = run_experiment(ExperimentConfig.from_dict({
-            "kind": "spectrum", "chain_sizes": [n], "g_grid_points": 21,
-            "omega_grid": [0.7], "output_dir": str(tmp_path),
+            "kind": "spectrum", "chain_sizes": [n], "omega_grid": [0.7],
+            "output_dir": str(tmp_path),
         }))
     fig1 = (tmp_path / "fig1_excitation_spectrum.csv").read_text().splitlines()
     spectrum = (tmp_path / "spectrum_n8.csv").read_text().splitlines()
@@ -300,7 +300,7 @@ def test_decoherence_experiment_with_suppression_scan(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "kind": "decoherence", "chain_sizes": [8], "omega_grid": [0.3, 0.9],
         "coupling": 1e-3, "total_time": 50.0, "t_scan": [30.0, 60.0],
-        "output_dir": str(tmp_path), "k_modes": 2,
+        "output_dir": str(tmp_path),
     })
     summary = run_experiment(cfg)
     assert summary["checks"]["bound_dominates_numeric"]
@@ -317,7 +317,7 @@ def test_decoherence_subgap_rows_use_the_exact_minimum_gap(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "kind": "decoherence", "chain_sizes": [8], "omega_grid": [2.3],
         "coupling": 1e-3, "total_time": 100.0, "t_scan": [40.0, 80.0],
-        "output_dir": str(tmp_path), "k_modes": 3,
+        "output_dir": str(tmp_path),
     })
     run_experiment(cfg)
     rows = [r.split(",") for r in (tmp_path / "amplitudes.csv").read_text().splitlines()[1:]]
@@ -325,7 +325,7 @@ def test_decoherence_subgap_rows_use_the_exact_minimum_gap(tmp_path):
     for r in rows:
         methods.setdefault(round(float(r[3]) * 8 / np.pi), []).append(r[5])
     assert methods == {1: ["numeric", "bound", "saddle-point"], 3: ["numeric", "bound"],
-                       5: ["numeric", "bound"]}
+                       5: ["numeric", "bound"], 7: ["numeric", "bound"]}
     spec = ChainSpec(8)
     k = channel_momenta(spec)[2]
     scan = [float(r.split(",")[1])
@@ -430,6 +430,42 @@ def test_bath_params_validated():
                                     {"omega_min": 0.5, "omega_max": 1.0, "omega_c": 0.5}})
 
 
+@pytest.mark.parametrize("kind, params, name", [
+    ("ohmic", {"omega_c": 0.5, "support_max": -1.0}, "support_max"),
+    ("ohmic", {"omega_c": 0.5, "support_max": float("inf")}, "support_max"),
+    ("ohmic", {"omega_c": 0.0}, "omega_c"),
+    ("monochromatic", {"omega0": float("nan")}, "omega0"),
+    ("flat", {"omega_min": 1.0, "omega_max": 0.5}, "omega_max"),
+    ("flat", {"omega_min": 0.5, "omega_max": 1.0, "omega_c": 0.5}, "omega_c"),
+])
+def test_bath_check_shared_by_config_and_constructor(kind, params, name):
+    # no all-zero or NaN weights and no unchecked line: the constructor names the
+    # parameter, and the config says the same behind the field's path
+    with pytest.raises(ValueError, match=f"^{name}: ") as direct:
+        BathSpectrum(kind, params, CouplingConstant(0.01))
+    with pytest.raises(ConfigError) as config:
+        ExperimentConfig.from_dict({"kind": "decoherence", "bath_kind": kind,
+                                    "bath_params": params})
+    assert str(config.value) == f"config.bath_params.{direct.value}"
+
+
+BATH_RUNS = {"monochromatic": {"omega0": 0.9}, "ohmic": {"omega_c": 0.4, "support_max": 1.9},
+             "flat": {"omega_min": 0.3, "omega_max": 1.5}}
+
+
+@pytest.mark.parametrize("kind", sorted(_BATH_PARAMS))
+def test_every_bath_kind_runs_from_a_config_file(tmp_path, capsys, kind):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"chain_sizes": [8], "bath_kind": kind,
+                                    "bath_params": BATH_RUNS[kind]}))
+    assert main(["decoherence", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 0
+    assert "[PASS] no_bound_fallback" in capsys.readouterr().out
+    (row,) = (tmp_path / "o" / "total_probability.csv").read_text().splitlines()[1:]
+    *_, p_total, numeric, bound = row.split(",")
+    nodes = 1 if kind == "monochromatic" else 33
+    assert 0.0 < float(p_total) < 1.0 and (int(numeric), int(bound)) == (4 * nodes, 0)
+
+
 def test_table1_preset_shape():
     cells = table1_cells()
     assert len(cells) == 6
@@ -476,7 +512,8 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "config.chain_sizes[1]: n=8 repeats" in capsys.readouterr().err
 
 
-# lattice_spacing and seed are no longer fields, so they are rejected as unknown
+# lattice_spacing, seed, g_grid_points, n_omega_nodes and k_modes are no longer
+# fields, so they are rejected as unknown
 @pytest.mark.parametrize("field, value", [
     ("time_points", 1), ("g_grid_points", 1), ("ode_rtol", 1e-13), ("amplitude_rtol", 0.0),
     ("lattice_spacing", 0.0), ("n_omega_nodes", 0), ("k_modes", 0), ("k_modes", 2.5),
@@ -575,13 +612,13 @@ def test_bath_mode_bound_fallback_fails_a_check(tmp_path, monkeypatch, capsys):
 
 def test_cli_config_file_with_overrides(tmp_path):
     cfg_file = tmp_path / "c.json"
-    cfg_file.write_text(json.dumps({"chain_sizes": [4], "g_grid_points": 21}))
+    cfg_file.write_text(json.dumps({"chain_sizes": [4], "time_points": 21}))
     rc = main(["spectrum", "--config", str(cfg_file), "--n", "6",
                "--out", str(tmp_path / "o")])
     assert rc == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["config"]["chain_sizes"] == [6]       # flag wins
-    assert summary["config"]["g_grid_points"] == 21      # file field kept
+    assert summary["config"]["time_points"] == 21        # file field kept
 
 
 def _src_env():
