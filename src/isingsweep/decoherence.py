@@ -30,6 +30,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +63,7 @@ __all__ = [
 
 _COLD_BATH_EDGE = 2.0  # initial single-particle energy; support beyond it is suspect
 _OMEGA_NODES = 33  # Gauss-Legendre nodes over a continuous bath's support
+_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)  # one per node count
 # The bath kinds, each with its parameters and their lower bounds.  Every
 # parameter is a finite number above its bound; an ohmic bath's support_max
 # may be left out (or None), and then is 8 omega_c.
@@ -159,7 +161,7 @@ class BathSpectrum:
         if self.kind == "monochromatic":
             return np.array([self.params["omega0"]]), np.array([1.0])
         lo, hi = self.support
-        x, w = np.polynomial.legendre.leggauss(n_nodes)
+        x, w = _leggauss(n_nodes)
         nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
         weights = 0.5 * (hi - lo) * w * self.density(nodes)
         return nodes, weights
@@ -194,10 +196,11 @@ def _integrand(terms):
         m = pair_element(ka[row], g, eps * vel)  # M_k / v = i m
         f = 1j * m
         dphi = (-omega[row] + 2.0 * eps) / vel
-        norm, phase = kind[owner] == NORM, kind[owner] == PHASE  # rows overwritten in place
-        f[norm] = np.abs(m[norm])
-        f[phase] = dphi[phase]
-        dphi[norm | phase] = 0.0
+        if (kind != AMPLITUDE).any():  # norm and phase rows are overwritten in place
+            norm, phase = kind[owner] == NORM, kind[owner] == PHASE
+            f[norm] = np.abs(m[norm])
+            f[phase] = dphi[phase]
+            dphi[norm | phase] = 0.0
         return f, dphi
 
     return pair
@@ -404,13 +407,15 @@ class ScalingFit:
 
 
 def scaling_fit(x, y) -> ScalingFit:
-    """Least-squares slope of log y against log x with its standard error."""
+    """Least-squares slope Sxy/Sxx of log y against log x, on the centred logs, with its
+    standard error sqrt(SSR / (n - 2) / Sxx)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 4:
         raise ValueError(f"need at least 4 data points, got {x.size}")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("scaling fit requires strictly positive data")
-    coeffs, cov = np.polyfit(np.log(x), np.log(y), 1, cov=True)
-    return ScalingFit(exponent=float(coeffs[0]), stderr=float(np.sqrt(cov[0, 0])),
-                      n_points=int(x.size))
+    dx, dy = (v - v.mean() for v in (np.log(x), np.log(y)))
+    sxx, slope = dx @ dx, dx @ dy / (dx @ dx)
+    resid = dy - slope * dx
+    return ScalingFit(float(slope), float(np.sqrt(resid @ resid / (x.size - 2) / sxx)), x.size)

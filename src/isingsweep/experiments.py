@@ -32,10 +32,10 @@ from .decoherence import (
     _BATH_PARAMS,
     BathSpectrum,
     _batch,
+    _channel_norms,
     _check_bath,
     _totals,
     _values,
-    amplitude_bound,
     amplitude_numeric,
     amplitude_saddle_point,
     saddle_points,
@@ -426,17 +426,18 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
     lam = CouplingConstant(config.coupling).lam  # warns when first order breaks down
     bound_ok = True
     saddle_ok = True
-    omegas = np.array(config.omega_grid, dtype=float)
+    omegas = [float(w) for w in config.omega_grid]
     for n in config.chain_sizes:
         spec = ChainSpec(n)
         sched = config.schedule_for(n)
         T = sched.total_time
-        ks = channel_momenta(spec)[:_K_MODES]
-        a_grid = amplitude_numeric(spec, sched, ks[:, None], omegas, lam,
-                                   rtol=config.amplitude_rtol)
-        for k, a_row in zip(ks.tolist(), a_grid.tolist()):
-            b = amplitude_bound(spec, sched, k, lam)
-            for omega, a_num in zip(omegas.tolist(), a_row):
+        ks = channel_momenta(spec)[:_K_MODES].tolist()
+        norms = _channel_norms(sched, ks)  # for the amplitudes' floors and the bound rows
+        terms = [(sched, k, w, AMPLITUDE, 1.0) for k in ks for w in omegas]
+        a_grid = -1j * lam * _values(_batch(terms, config.amplitude_rtol, norms))
+        for k, a_row in zip(ks, a_grid.reshape(len(ks), -1).tolist()):
+            b = lam * norms[sched, k, 1.0]
+            for omega, a_num in zip(omegas, a_row):
                 bound_ok &= abs(a_num) <= b * (1.0 + 1e-9)
                 rows.append((n, sched.kind, T, k, omega, "numeric",
                              a_num.real, a_num.imag, abs(a_num), ""))

@@ -26,16 +26,17 @@ Panels are bisected level by level, for a whole batch of integrals at
 once (:func:`oscillatory_batch`): the integrand is called once per
 level on a 2-D node array holding every open panel of every open
 integral, with the index of the integral that owns each row, and the
-Levin systems of a level are solved in stacks of at most ``_CHUNK``.
-Each integral keeps its own leaf tree.  Each leaf keeps its value
-relative to the phase at its own left edge and its phase increment; an
-integral's total is ``sum_j v_j exp(i Phi_j)`` with ``Phi_j`` the
-cumulative increment of its leaves left of leaf j, so no value depends
-on the order in which panels were evaluated.  On every level all
-leaves are tested against their width share of ``max(atol, rtol * |I|)``
-with the budget (``rtol``, ``atol``) and current estimate ``I`` of their
-own integral, the ones that miss are bisected, and an integral whose leaves all pass leaves the
-batch; its tree and counts are those it has on its own.
+Levin systems of a level are built and solved in stacks of at most
+``_CHUNK`` in one reused workspace.  Each integral keeps its own leaf
+tree.  Each leaf keeps its value relative to the phase at its own left
+edge and its phase increment; an integral's total is
+``sum_j v_j exp(i Phi_j)`` with ``Phi_j`` the cumulative increment of
+its leaves left of leaf j, so no value depends on the order in which
+panels were evaluated.  On every level all leaves are tested against
+their width share of ``max(atol, rtol * |I|)`` with the budget
+(``rtol``, ``atol``) and current estimate ``I`` of their own integral,
+the ones that miss are bisected, and an integral whose leaves all pass
+leaves the batch; its tree and counts are those it has on its own.
 :func:`oscillatory_integral` is a batch of one.
 
 Naive composite quadrature would cost O(total phase) evaluations and
@@ -64,9 +65,9 @@ _CC_PHASE_LIMIT = 6.0 * np.pi
 _LEVELS = 48
 _MAX_OPEN = 4096
 # Rows per stacked Levin solve, whatever the number of panels open in a
-# level: 32 complex systems of order 32 take about 0.5 MB.  Stacking a
-# whole level of the bath-averaged sum at once, about 530 rows, raised
-# its peak resident memory by a fifth; 64 rows still cost 2 MB more.
+# level: a workspace of 32 complex systems of order 32 takes about 0.5 MB.
+# A whole level of the bath-averaged sum, about 530 rows, raised its peak
+# resident memory by a fifth; 64 rows were no faster and cost 0.5 MB more.
 _CHUNK = 32
 # A Levin panel's error is _TAIL_FACTOR times the summed magnitude of the
 # last _TAIL Chebyshev coefficients of its order-32 solution p.  Against
@@ -120,17 +121,18 @@ def _levin(f, dphi, phi, hw, rows):
 
     Solves ``(d/dx + i Phi') p = f`` on each panel, scaled to the node
     variable as ``(D + i hw Phi') p = hw f``, in stacks of at most
-    ``_CHUNK`` systems; the rows of a stack with a singular system get
-    the value NaN.
+    ``_CHUNK`` systems, each built in the same workspace; the rows of a
+    stack with a singular system get the value NaN.
     """
     _, _, diff, tail = _panel_setup(32)
     value = np.empty(rows.size, dtype=complex)
     err = np.empty(rows.size)
-    i = np.arange(diff.shape[0])
+    work = np.empty((min(_CHUNK, rows.size), *diff.shape), dtype=complex)
     for start in range(0, rows.size, _CHUNK):
         r, out = rows[start:start + _CHUNK], slice(start, start + _CHUNK)
-        mats = np.repeat(diff[None], r.size, axis=0)
-        mats[:, i, i] += 1j * hw[r, None] * dphi[r]
+        mats = work[:r.size]
+        mats[...] = diff
+        mats.reshape(r.size, -1)[:, ::len(diff) + 1] += 1j * hw[r, None] * dphi[r]  # diagonals
         try:
             p = np.linalg.solve(mats, (hw[r, None] * f[r])[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -210,9 +212,11 @@ def oscillatory_batch(integrand, a: float, b, rtol, atol, points=None) -> list:
     cap, or more than ``_MAX_OPEN`` of its own open at once).
     """
     upper, floor = [float(v) for v in b], [float(v) for v in atol]
-    if len(upper) != len(floor):
-        raise ValueError(f"{len(upper)} upper limits but {len(floor)} absolute budgets")
-    rel = np.broadcast_to(np.asarray(rtol, dtype=float), len(upper))
+    rel = np.asarray(rtol, dtype=float) if np.ndim(rtol) else np.full(len(upper), float(rtol))
+    points = [()] * len(upper) if points is None else points
+    for name, values in ("atol", floor), ("rtol", rel), ("points", points):
+        if len(values) != len(upper):
+            raise ValueError(f"{name}: {len(values)} values for {len(upper)} upper limits")
     for hi, eps, least in zip(upper, rel.tolist(), floor):
         if not hi > a:
             raise ValueError(f"empty or reversed interval [{a}, {hi}]")
@@ -222,7 +226,7 @@ def oscillatory_batch(integrand, a: float, b, rtol, atol, points=None) -> list:
         return []
     x, q, *_ = _panel_setup(32)
     left, right, owner, initial = [], [], [], []
-    for j, (hi, breaks) in enumerate(zip(upper, points or [()] * len(upper))):
+    for j, (hi, breaks) in enumerate(zip(upper, points)):
         edges = [a, *sorted(p for p in breaks if a < p < hi), hi]
         left += edges[:-1]
         right += edges[1:]

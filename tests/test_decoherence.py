@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -328,6 +331,24 @@ def test_scaling_fit_exact_power_law():
         scaling_fit([1, 2, 3], [1, 2, 3])
     with pytest.raises(ValueError, match="positive"):
         scaling_fit([1, 2, 3, 4], [1, -2, 3, 4])
+
+
+def test_scaling_fit_matches_polyfit_and_exact_fit():
+    x = np.array([8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
+    y = 0.3 * x**1.7 * np.exp(np.random.default_rng(3).normal(scale=0.05, size=x.size))
+    fit = scaling_fit(x, y)
+    coeffs, cov = np.polyfit(np.log(x), np.log(y), 1, cov=True)
+    assert fit.exponent == pytest.approx(coeffs[0], rel=1e-12)
+    assert fit.stderr == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-12)
+    # the same fit of the same logs in exact rational arithmetic
+    lx, ly = ([Fraction(v) for v in np.log(d).tolist()] for d in (x, y))
+    dx = [v - sum(lx) / x.size for v in lx]
+    dy = [v - sum(ly) / x.size for v in ly]
+    sxx = sum(a * a for a in dx)
+    slope = sum(a * b for a, b in zip(dx, dy)) / sxx
+    ssr = sum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    assert fit.exponent == pytest.approx(float(slope), rel=1e-14)
+    assert fit.stderr == pytest.approx(math.sqrt(ssr / (x.size - 2) / sxx), rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [8, 64])

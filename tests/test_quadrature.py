@@ -127,6 +127,41 @@ def test_invalid_inputs():
         oscillatory_integral(flat, 1.0, 0.0, rtol=0.0, atol=1e-8)
     with pytest.raises(ValueError, match="one of them positive"):
         oscillatory_integral(flat, 0.0, 1.0, rtol=0.0, atol=0.0)
+    pair = lambda nodes, owner: (np.ones_like(nodes), np.zeros_like(nodes))
+    # one break-point sequence or relative budget short of the two integrals
+    with pytest.raises(ValueError, match=r"points: 1 values for 2 upper limits"):
+        oscillatory_batch(pair, 0.0, [1.0, 2.0], 1e-8, [0.0, 0.0], points=[(0.5,)])
+    with pytest.raises(ValueError, match=r"rtol: 3 values for 2 upper limits"):
+        oscillatory_batch(pair, 0.0, [1.0, 2.0], [1e-8] * 3, [0.0, 0.0])
+    with pytest.raises(ValueError, match=r"atol: 1 values for 2 upper limits"):
+        oscillatory_batch(pair, 0.0, [1.0, 2.0], 1e-8, [0.0])
+
+
+def test_levin_stacks_match_one_at_a_time_solves():
+    # 70 rows make stacks of 32, 32 and 6 in one workspace.  Row 40's step
+    # hw = 2^600 i makes i hw Phi' = -2^600 Phi': its diagonal overflows to
+    # +inf except the last entry, which cancels D's exactly, so elimination
+    # meets an exact zero pivot and the whole middle stack reads NaN.
+    rng = np.random.default_rng(7)
+    x, _, diff, tail = _panel_setup(32)
+    f = rng.normal(size=(70, x.size)) + 1j * rng.normal(size=(70, x.size))
+    dphi = rng.uniform(20.0, 80.0, size=(70, x.size))
+    phi = np.cumsum(dphi, axis=1) / x.size
+    hw = rng.uniform(0.1, 1.0, size=70).astype(complex)
+    hw[40] = 2.0**600 * 1j
+    dphi[40] = -(2.0**600)
+    dphi[40, -1] = diff[-1, -1].real / 2.0**600
+    rows = np.arange(70)
+    with np.errstate(over="ignore"):
+        value, err = quadrature._levin(f, dphi, phi, hw, rows)
+    assert quadrature._CHUNK == 32
+    assert np.isnan(value[32:64]).all() and np.isnan(err[32:64]).all()
+    for stack in slice(0, 32), slice(64, 70):
+        # each system solved on its own, the panel ends taken as the kernel takes them
+        p = np.array([np.linalg.solve(diff + 1j * np.diag(hw[j] * dphi[j]), hw[j] * f[j])
+                      for j in rows[stack]])
+        assert np.array_equal(value[stack], p[:, -1] * np.exp(1j * phi[stack, -1]) - p[:, 0])
+        assert np.array_equal(err[stack], quadrature._TAIL_FACTOR * np.abs(p @ tail.T).sum(axis=1))
 
 
 def test_nonconvergence_reports_diagnostics():
