@@ -217,8 +217,10 @@ def even_sector_gap(h, J, periodic: bool = False):
     lowest even excitation adds the two lowest quasiparticles, when it
     is odd the even ground state holds sigma_1 and the next even level
     holds sigma_2 instead.  Both cases are 2 (sigma_2 + sign(det Z)
-    sigma_1), continuous through a zero mode (sigma_1 = 0).  Stacked
-    chains, ``h`` (m, n) and ``J`` (m, bonds), give an array of m gaps.
+    sigma_1), continuous through a zero mode (sigma_1 = 0).  For this
+    bidiagonal Z, det Z = prod(h) + prod(J), the second term on a ring
+    only; its sign is taken in logs, which neither underflow nor overflow.
+    Stacked chains, ``h`` (m, n) and ``J`` (m, bonds), give m gaps.
     """
     h = np.asarray(h, dtype=float)
     J = np.asarray(J, dtype=float)
@@ -235,6 +237,11 @@ def even_sector_gap(h, J, periodic: bool = False):
     if periodic:
         Z[..., n - 1, 0] = (-1) ** (n + 1) * J[..., -1]
     sigma = np.linalg.svd(Z, compute_uv=False)  # descending
-    parity, _ = np.linalg.slogdet(Z)
+    parity = np.prod(np.sign(h), axis=-1)  # sign(det Z) of an open chain
+    if periodic:  # the corner's sign cancels the cyclic permutation's: + prod(J)
+        with np.errstate(divide="ignore"):  # a zero weight has log magnitude -inf
+            log_h, log_J = (np.log(np.abs(w)).sum(axis=-1) for w in (h, J))
+        sign_J = np.prod(np.sign(J), axis=-1)  # the larger product's sign, or the sum's at a tie
+        parity = np.sign(parity * (log_h >= log_J) + sign_J * (log_J >= log_h))
     gap = 2.0 * (sigma[..., -2] + parity * sigma[..., -1])
     return gap if h.ndim == 2 else float(gap)

@@ -306,18 +306,19 @@ def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega:
     g_lo, g_hi = saddle_points(spec, k, omega)
     disc = omega * np.sqrt(omega**2 - 4.0 * ka * ka)
 
+    g_stars = (g_lo, g_hi)
+    vels = [float(schedule.velocity_of_g(g)) for g in g_stars]
+    ddphi = [2.0 * float(mode_epsilon_dg(ka, g)) * v for g, v in zip(g_stars, vels)]  # d^2 Phi/dt^2
+    worst_ratio = max(0.0, *(v / disc for v in vels))
+    valid = 0.0 not in ddphi
+    # both accumulated phases in one quadrature batch; at g = 0 the phase is 0
+    terms = [(schedule, ka, omega, PHASE, g) for g, d in zip(g_stars, ddphi) if g and d]
+    phases = iter(_values(_batch(terms)).real.tolist())
     total = 0.0j
-    valid = True
-    worst_ratio = 0.0
-    for g_star in (g_lo, g_hi):
-        vel = float(schedule.velocity_of_g(g_star))
-        ratio = vel / disc
-        worst_ratio = max(worst_ratio, ratio)
-        ddphi_t = 2.0 * float(mode_epsilon_dg(ka, g_star)) * vel  # d^2 Phi / dt^2
+    for g_star, vel, ddphi_t in zip(g_stars, vels, ddphi):
         if ddphi_t == 0.0:
-            valid = False
             continue
-        phi_star = accumulated_phase(spec, schedule, k, omega, g_star)
+        phi_star = next(phases) if g_star else 0.0
         m_star = pair_matrix_element(ka, g_star)
         total += m_star * np.sqrt(2.0 * np.pi / abs(ddphi_t)) * np.exp(
             1j * (phi_star + np.sign(ddphi_t) * np.pi / 4.0)

@@ -16,8 +16,10 @@ Oteo and Ros, Phys. Rep. 470, 151 (2009)): g is sampled at three
 Gauss-Legendre nodes per step, the Magnus exponent with its two nested
 commutators is a vector in su(2) (a commutator is twice a cross
 product), and its exponential is the exact SU(2) rotation
-exp(-i c.sigma) = cos|c| - i sin|c| c.sigma/|c|.  Every step is
-unitary, so the norm is conserved to rounding whatever the step size.
+exp(-i c.sigma) = cos|c| - i sin|c| c.sigma/|c|.  H_k has no sigma_y
+part, so only the commutators reach y, and components that are
+identically zero are never computed.  Every step is unitary, so the
+norm is conserved to rounding whatever the step size.
 The steps of one output interval are multiplied together by pairwise
 reduction, and the interval products are applied in order over the
 time grid.  The number of steps per interval starts at one and doubles
@@ -88,10 +90,6 @@ class ModeTrajectory:
     doubling_delta: float  # max |du|, |dv| between it and the solve with half the steps
 
 
-def _cross(x, y):
-    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
-
-
 def _compose(p1, q1, p0, q0):
     """The SU(2) pair of U1 U0, with U = [[p, -q*], [q, p*]]."""
     return p1 * p0 - np.conj(q1) * q0, q1 * p0 + np.conj(p1) * q0
@@ -109,22 +107,29 @@ def _step_propagators(schedule, ka, t0, h):
         x1 = h a2,  x2 = (sqrt(15)/3) h (a3 - a1),  x3 = (10/3) h (a3 - 2 a2 + a1)
         c1 = [x1, x2],  c2 = -[x1, 2 x3 + c1] / 60
         w = x1 + x3/12 + [-20 x1 - x3 + c1, x2 + c2] / 240.
+
+    No a has a y component, so x1, x2 and x3 lie in the x-z plane and c1
+    along y.  The products are written out on the other components, in
+    the order of the vector formulas: no array of zeros is multiplied,
+    and every result is the same to the last bit.
     """
     g = np.asarray(schedule.g_of_t(t0[..., None] + h[..., None] * _NODES), dtype=float)
     k = np.reshape(ka, (-1,) + (1,) * g.ndim)
     alpha, beta = mode_alpha(k, g), mode_beta(k, g)
-    a1, a2, a3 = ((beta[..., i], 0.0, -alpha[..., i]) for i in range(3))
+    b1, b2, b3 = (beta[..., i] for i in range(3))     # x components of a1, a2, a3
+    z1, z2, z3 = (-alpha[..., i] for i in range(3))   # z components
     r = np.sqrt(15.0) / 3.0 * h
     s = 10.0 / 3.0 * h
-    x1 = tuple(h * b for b in a2)
-    x2 = tuple(r * (c - a) for a, c in zip(a1, a3))
-    x3 = tuple(s * (c - 2.0 * b + a) for a, b, c in zip(a1, a2, a3))
-    c1 = tuple(2.0 * z for z in _cross(x1, x2))
-    c2 = tuple(-z / 30.0 for z in _cross(x1, tuple(2.0 * a + b for a, b in zip(x3, c1))))
-    left = tuple(-20.0 * a - b + c for a, b, c in zip(x1, x3, c1))
-    right = tuple(a + b for a, b in zip(x2, c2))
-    wx, wy, wz = (a + b / 12.0 + z / 120.0
-                  for a, b, z in zip(x1, x3, _cross(left, right)))
+    x1x, x1z = h * b2, h * z2
+    x2x, x2z = r * (b3 - b1), r * (z3 - z1)
+    x3x, x3z = s * (b3 - 2.0 * b2 + b1), s * (z3 - 2.0 * z2 + z1)
+    c1y = 2.0 * (x1z * x2x - x1x * x2z)
+    c2y = (x1x * (2.0 * x3z) - x1z * (2.0 * x3x)) / 30.0
+    lx, lz = -20.0 * x1x - x3x, -20.0 * x1z - x3z  # left = -20 x1 - x3 + c1 = (lx, c1y, lz)
+    rx, rz = x2x + x1z * c1y / 30.0, x2z - x1x * c1y / 30.0  # right = x2 + c2 = (rx, c2y, rz)
+    wx = x1x + x3x / 12.0 + (c1y * rz - lz * c2y) / 120.0
+    wy = (lz * rx - lx * rz) / 120.0
+    wz = x1z + x3z / 12.0 + (lx * c2y - c1y * rx) / 120.0
     # exp(-i w.sigma) = cos|w| - i sin|w| w.sigma/|w|; sinc keeps |w| = 0 finite
     theta = np.sqrt(wx * wx + wy * wy + wz * wz)
     sinc = np.sinc(theta / np.pi)

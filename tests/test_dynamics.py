@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from isingsweep import dynamics
-from isingsweep.chain import ChainSpec, channel_momenta, mode_alpha, momentum_grid
+from isingsweep.chain import ChainSpec, channel_momenta, mode_alpha, mode_beta, momentum_grid
 from isingsweep.dynamics import (
     _integrate_pairs,
     _solve,
@@ -193,6 +193,50 @@ def test_magnus_step_is_sixth_order():
     err = [max(np.abs(u - u_ref).max(), np.abs(v - v_ref).max())
            for u, v in (_solve(sched, ka, t_grid, m) for m in (16, 32))]
     assert 50.0 < err[0] / err[1] < 80.0, err
+
+
+
+def _cross(x, y):
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+
+def _general_step_propagators(schedule, ka, t0, h):
+    """The Magnus-6 step on general 3-vectors: the docstring formulas, zero components included."""
+    g = np.asarray(schedule.g_of_t(t0[..., None] + h[..., None] * dynamics._NODES), dtype=float)
+    k = np.reshape(ka, (-1,) + (1,) * g.ndim)
+    alpha, beta = mode_alpha(k, g), mode_beta(k, g)
+    a1, a2, a3 = ((beta[..., i], 0.0, -alpha[..., i]) for i in range(3))
+    r = np.sqrt(15.0) / 3.0 * h
+    s = 10.0 / 3.0 * h
+    x1 = tuple(h * b for b in a2)
+    x2 = tuple(r * (c - a) for a, c in zip(a1, a3))
+    x3 = tuple(s * (c - 2.0 * b + a) for a, b, c in zip(a1, a2, a3))
+    c1 = tuple(2.0 * z for z in _cross(x1, x2))
+    c2 = tuple(-z / 30.0 for z in _cross(x1, tuple(2.0 * a + b for a, b in zip(x3, c1))))
+    left = tuple(-20.0 * a - b + c for a, b, c in zip(x1, x3, c1))
+    right = tuple(a + b for a, b in zip(x2, c2))
+    wx, wy, wz = (a + b / 12.0 + z / 120.0
+                  for a, b, z in zip(x1, x3, _cross(left, right)))
+    theta = np.sqrt(wx * wx + wy * wy + wz * wz)
+    sinc = np.sinc(theta / np.pi)
+    return np.cos(theta) - 1j * (sinc * wz), sinc * (wy - 1j * wx)
+
+
+@pytest.mark.parametrize("kind", ["linear", "gap-adapted-1", "gap-adapted-2"])
+def test_xz_magnus_step_matches_general_vector_step(kind):
+    # the kernel keeps only the components that are not identically zero;
+    # every product it keeps must round as in the general 3-vector form
+    rng = np.random.default_rng(11)
+    spec = ChainSpec(12)
+    sched = Schedule(kind, 40.0, spec)
+    ka = channel_momenta(spec)
+    for scale in (1e-3, 0.3, 5.0):
+        t0 = rng.uniform(0.0, 30.0, (4, 9))
+        h = scale * rng.uniform(0.1, 1.0, t0.shape)
+        p, q = dynamics._step_propagators(sched, ka, t0, h)
+        p_ref, q_ref = _general_step_propagators(sched, ka, t0, h)
+        assert p.shape == q.shape == (len(ka),) + t0.shape
+        assert np.array_equal(p, p_ref) and np.array_equal(q, q_ref), (kind, scale)
 
 
 def _dop853_reference(g_of_t, ka, t_grid):

@@ -264,6 +264,50 @@ def test_even_sector_gap_matches_dense():
         even_sector_gap(np.ones(4), np.ones(4), periodic=False)
 
 
+def _slogdet_parity_gap(h, J, periodic):
+    """The even-sector gap with the vacuum parity taken from an LU determinant of Z."""
+    n = len(h)
+    Z = np.diag(h) + np.diag(J[: n - 1], 1)
+    if periodic:
+        Z[n - 1, 0] = (-1) ** (n + 1) * J[-1]
+    sigma = np.linalg.svd(Z, compute_uv=False)
+    return 2.0 * (sigma[-2] + np.linalg.slogdet(Z)[0] * sigma[-1]), sigma[-1]
+
+
+def test_even_sector_gap_parity_is_det_of_bidiagonal():
+    # det Z = prod(h) (+ prod(J) on a ring) gives LU's sign wherever the
+    # sign matters, that is wherever sigma_1 is not ~ 0
+    rng = np.random.default_rng(19)
+    checked = 0
+    for n in (2, 3, 4, 7, 10, 33):
+        for periodic in (False, True):
+            nb = n if periodic else n - 1
+            for draw in range(40):
+                h = rng.uniform(-1.5, 1.5, n)
+                J = rng.uniform(-1.5, 1.5, nb)
+                if draw % 4 == 1:
+                    h[rng.integers(n)] = 0.0
+                elif draw % 4 == 2:
+                    J[rng.integers(nb)] *= 1e-9
+                elif draw % 4 == 3:
+                    h *= 1e-7
+                ref, sigma_1 = _slogdet_parity_gap(h, J, periodic)
+                if sigma_1 > 1e-8:
+                    assert even_sector_gap(h, J, periodic) == ref, (n, periodic, draw)
+                    checked += 1
+    assert checked > 300
+    # prod(h) = 1e-384 and prod(J) = 2^128 1e-384 underflow as floats; their
+    # logs still order them, and all-zero weights give parity 0 without a warning
+    h, J = np.full(128, 1e-3), np.full(128, -2e-3)
+    for sign in (1.0, -1.0):  # prod(J) > 0, then < 0: det Z takes its sign
+        J[0] = sign * -2e-3
+        ref, sigma_1 = _slogdet_parity_gap(h, J, True)
+        assert np.prod(h) == np.prod(J) == 0.0 and sigma_1 > 1e-8
+        assert even_sector_gap(h, J, periodic=True) == ref, sign
+    assert even_sector_gap(np.zeros(4), np.zeros(4), periodic=True) == 0.0
+    assert even_sector_gap(np.zeros(4), np.ones(3)) == 2.0
+
+
 def test_even_sector_gap_stacked_matches_one_at_a_time():
     # m chains in one call: an array of m gaps, each bitwise that of its
     # own call, which returns a float
