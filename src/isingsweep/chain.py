@@ -29,12 +29,15 @@ only the magnitude is cross-checked against dense diagonalization.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "check_number",
     "ChainSpec",
     "CouplingConstant",
     "momentum_grid",
@@ -52,6 +55,20 @@ __all__ = [
 ]
 
 
+def check_number(name: str, value, least: float, inclusive: bool = False):
+    """``value``, if it is a finite real number above ``least`` (or, ``inclusive``, at it).
+
+    Otherwise raises ValueError starting with ``name``, so that every
+    number-valued input is judged by one rule and named by its caller.
+    NaN, infinities, bools and strings all fail.
+    """
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and (value >= least if inclusive else value > least)):
+        bound = f">= {least}" if inclusive else f"> {least}"
+        raise ValueError(f"{name}: must be a finite number {bound}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Chain of ``n`` spins.
@@ -64,10 +81,8 @@ class ChainSpec:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        if self.n % 2 != 0:
-            raise ValueError(f"n must be even, got n={self.n}")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2 and self.n % 2 == 0):
+            raise ValueError(f"n must be an even integer >= 2, got {self.n!r}")
 
     @property
     def smallest_momentum(self) -> float:
@@ -80,14 +95,14 @@ class CouplingConstant:
     """Dimensionless system-bath coupling strength.
 
     First-order response theory assumes a weak coupling; values above
-    0.1 are accepted with a warning, non-positive values are rejected.
+    0.1 are accepted with a warning, anything but a positive finite
+    number is rejected.
     """
 
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"coupling lambda must be positive, got {self.lam}")
+        check_number("lam", self.lam, 0.0)
         if self.lam > 0.1:
             warnings.warn(
                 f"coupling lambda={self.lam} is large; first-order response "

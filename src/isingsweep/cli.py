@@ -49,10 +49,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"--config {args.config}: {exc}") from None
     base["kind"] = args.kind
-    for key in ("chain_sizes", "total_time", "schedule_kind", "epsilon_adiab",
-                "omega_grid", "bath_kind", "coupling", "output_dir"):
-        val = getattr(args, key, None)
-        if val is not None:
+    for key, val in vars(args).items():  # every flag but the kind and --config is a field
+        if key not in ("kind", "config") and val is not None:
             base[key] = tuple(val) if isinstance(val, list) else val
     return ExperimentConfig.from_dict(base)
 

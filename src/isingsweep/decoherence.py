@@ -27,7 +27,6 @@ the log-log scaling fit used for exponent checks.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -39,6 +38,7 @@ from .chain import (
     CouplingConstant,
     _check_channel,
     channel_momenta,
+    check_number,
     mode_epsilon,
     mode_epsilon_dg,
     pair_element,
@@ -87,9 +87,7 @@ def _check_bath(kind, params: dict) -> None:
             continue
         if key not in params:
             raise ValueError(f"{key}: required for a {kind} bath")
-        if not (isinstance(val, numbers.Real) and not isinstance(val, bool)
-                and math.isfinite(val) and val > least):
-            raise ValueError(f"{key}: must be a finite number > {least}, got {val!r}")
+        check_number(key, val, least)
     for key in params:
         if key not in bounds:
             raise ValueError(f"{key}: unknown parameter for a {kind} bath")
@@ -348,10 +346,7 @@ class TotalExcitationResult:
     channel_amplitudes: dict = field(default_factory=dict)  # k -> complex
     methods: dict = field(default_factory=dict)             # k -> tuple of method names
     warnings: list = field(default_factory=list)
-    panels: int = 0        # summed over the numeric terms
-    evaluations: int = 0   # summed over the numeric terms
-    levin_solves: int = 0  # summed over the numeric terms
-    levels: int = 0        # bisection levels of the deepest numeric term
+    counts: dict = field(default_factory=dict)  # _totals of the numeric terms
 
 
 def _totals(outcomes) -> dict:
@@ -383,7 +378,7 @@ def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: Bath
     terms = [(schedule, k, w, AMPLITUDE, 1.0) for k in ks for w in nodes[live].tolist()]
     norms = _channel_norms(schedule, ks)
     outcomes = _batch(terms, rtol, norms)
-    result = TotalExcitationResult(p_total=0.0, **_totals(outcomes))
+    result = TotalExcitationResult(p_total=0.0, counts=_totals(outcomes))
     failed = [isinstance(res, QuadratureError) for res in outcomes]
     values = np.array([lam * norms[schedule, term[1], 1.0] if bad else -1j * lam * res.value
                        for term, res, bad in zip(terms, outcomes, failed)], dtype=complex)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, channel_momenta, mode_alpha, mode_beta, mode_epsilon
+from .chain import ChainSpec, channel_momenta, check_number, mode_alpha, mode_beta, mode_epsilon
 from .schedules import Schedule
 
 __all__ = [
@@ -225,8 +225,7 @@ def integrate_modes(spec: ChainSpec, schedule: Schedule, t_grid, rtol: float = 1
     value, or would need more than MAX_STEPS steps per mode, raises
     RuntimeError naming the output interval and the last delta.
     """
-    if not rtol >= MIN_RTOL:
-        raise ValueError(f"rtol must be >= {MIN_RTOL}, got {rtol}")
+    check_number("rtol", rtol, MIN_RTOL, inclusive=True)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
         raise ValueError(f"t_grid must hold at least 2 times, got shape {t_grid.shape}")

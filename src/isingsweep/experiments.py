@@ -21,7 +21,9 @@ from .chain import (
     ChainSpec,
     CouplingConstant,
     channel_momenta,
+    check_number,
     excitation_matrix_element,
+    fundamental_gap,
     ground_energy,
     mode_epsilon,
 )
@@ -42,15 +44,8 @@ from .decoherence import (
     scaling_fit,
 )
 from .dynamics import MIN_RTOL, integrate_modes
-from .oracle import (
-    _DENSE_CAP,
-    _UNIFORM_G_POINTS,
-    sigma_x_elements,
-    stepwise_gap_profile,
-    uniform_hamiltonian,
-    uniform_min_even_gap,
-)
-from .schedules import _POWERS, Schedule, runtime_for_adiabaticity
+from .oracle import _DENSE_CAP, sigma_x_elements, stepwise_gap_profile, uniform_hamiltonian
+from .schedules import Schedule, _check_kind, runtime_for_adiabaticity
 
 __all__ = [
     "ConfigError",
@@ -70,23 +65,13 @@ class ConfigError(ValueError):
     pass
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A finite int or float; JSON booleans and strings are not numbers."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _check_real(d: dict, key: str, least: float, strict: bool = True, path: str = "config") -> None:
-    """Reject ``d[key]`` unless it is a finite number above (or, not strict, at least) ``least``."""
-    if key not in d:
-        return
-    val = d[key]
-    if not (_is_real(val) and (val > least if strict else val >= least)):
-        bound = f"> {least}" if strict else f">= {least}"
-        raise ConfigError(f"{path}.{key}: must be a finite number {bound}, got {val!r}")
+def _config_check(prefix: str, check, *args):
+    """Run a package ``check``; its ValueError, which starts with the input's name, becomes a
+    ConfigError that starts with ``prefix``, the path of the config field."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _subgap_pair(spec: ChainSpec, omega_grid):
@@ -117,6 +102,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config of the fields in ``d``, each judged by the check of the package function
+        that takes it, named by its field; values are stored as given."""
         d = dict(d)
         known = set(cls.__dataclass_fields__)
         for key in d:
@@ -129,8 +116,7 @@ class ExperimentConfig:
         if not isinstance(sizes, (list, tuple)) or not sizes:
             raise ConfigError("config.chain_sizes: must be a non-empty list")
         for i, n in enumerate(sizes):
-            if not _is_int(n) or n < 2 or n % 2:
-                raise ConfigError(f"config.chain_sizes[{i}]: n must be an even integer >= 2, got {n!r}")
+            _config_check(f"config.chain_sizes[{i}]: ", ChainSpec, n)
             if n > _DENSE_CAP and kind == "oracle-check":
                 raise ConfigError(f"config.chain_sizes[{i}]: n={n} exceeds the dense cap {_DENSE_CAP}")
             if n in sizes[:i]:
@@ -138,20 +124,19 @@ class ExperimentConfig:
         d["chain_sizes"] = tuple(sizes)
         if "output_dir" in d and not (isinstance(d["output_dir"], str) and d["output_dir"]):
             raise ConfigError(f"config.output_dir: must be a non-empty string, got {d['output_dir']!r}")
-        schedule_kind = d.get("schedule_kind", "linear")
-        if not isinstance(schedule_kind, str) or schedule_kind not in _POWERS:
-            raise ConfigError(
-                f"config.schedule_kind: must be one of {tuple(_POWERS)}, got {schedule_kind!r}")
-        if d.get("total_time") is not None:
-            _check_real(d, "total_time", 0.0)
-        for key in ("epsilon_adiab", "amplitude_rtol"):
-            _check_real(d, key, 0.0)
-        if "coupling" in d and not (_is_real(d["coupling"]) and d["coupling"] > 0):
-            raise ConfigError(f"config.coupling: lambda must be a positive number, got {d['coupling']!r}")
-        _check_real(d, "ode_rtol", MIN_RTOL, strict=False)
-        if "time_points" in d and not (_is_int(d["time_points"]) and d["time_points"] >= 2):
-            raise ConfigError(
-                f"config.time_points: must be an integer >= 2, got {d['time_points']!r}")
+        _config_check("config.", _check_kind, d.get("schedule_kind", "linear"), "schedule_kind")
+        if d.get("total_time") is None:  # null or absent: T follows from epsilon_adiab
+            d.pop("total_time", None)
+        # the least value of each number-valued field, as the package function taking it has
+        # it; amplitude_rtol must be positive, though the quadrature's budget also admits 0
+        for key, least, inclusive in (("total_time", 0.0, False), ("epsilon_adiab", 0.0, False),
+                                      ("coupling", 0.0, False), ("amplitude_rtol", 0.0, False),
+                                      ("ode_rtol", MIN_RTOL, True)):
+            if key in d:
+                _config_check("config.", check_number, key, d[key], least, inclusive)
+        points = d.get("time_points", cls.time_points)
+        if not (isinstance(points, int) and not isinstance(points, bool) and points >= 2):
+            raise ConfigError(f"config.time_points: must be an integer >= 2, got {points!r}")
         bath_kind = d.get("bath_kind", "ohmic")
         if not isinstance(bath_kind, str) or bath_kind not in _BATH_PARAMS:
             raise ConfigError(
@@ -161,21 +146,17 @@ class ExperimentConfig:
             params = dict(bp)
         except (TypeError, ValueError):
             raise ConfigError(f"config.bath_params: must map names to numbers, got {bp!r}") from None
-        try:
-            _check_bath(bath_kind, params)
-        except ValueError as exc:
-            raise ConfigError(f"config.bath_params.{exc}") from None
+        _config_check("config.bath_params.", _check_bath, bath_kind, params)
         d["bath_params"] = tuple(sorted(params.items()))
-        for key, positive in (("omega_grid", False), ("t_scan", True)):
+        # a frequency may be any finite number, a run time of the scan is a total_time
+        for key, least in (("omega_grid", -math.inf), ("t_scan", 0.0)):
             vals = d.get(key)
             if vals is None:
                 continue
-            if isinstance(vals, (list, tuple)) and not vals:
-                raise ConfigError(f"config.{key}: must be a non-empty list")
-            if not isinstance(vals, (list, tuple)) or not all(
-                    _is_real(v) and (v > 0 or not positive) for v in vals):
-                what = "positive" if positive else "finite"
-                raise ConfigError(f"config.{key}: must be a list of {what} numbers, got {vals!r}")
+            if not isinstance(vals, (list, tuple)) or not vals:
+                raise ConfigError(f"config.{key}: must be a non-empty list, got {vals!r}")
+            for v in vals:
+                _config_check("config.", check_number, key, v, least)
             d[key] = tuple(float(v) for v in vals)
         scan = kind == "decoherence" and d.get("omega_grid") and d.get("t_scan")
         if scan and _subgap_pair(ChainSpec(d["chain_sizes"][0]), d["omega_grid"]) is None:
@@ -297,6 +278,11 @@ def _t1_points(eps_adiab: float) -> list:
     return points
 
 
+def _quadrature_counts(counts: dict) -> dict:
+    """The quadrature ``counts`` of :func:`decoherence._totals` under their diagnostics keys."""
+    return {f"quadrature_{key}": val for key, val in counts.items()}
+
+
 def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float):
     """The six scaling cells in two quadrature passes.
 
@@ -317,9 +303,8 @@ def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float):
     def integrate(terms, norms=None):
         outcomes = _batch(terms, rtol, norms)
         values = _values(outcomes)  # the first failure raises, naming its interval
-        counts[f"pass_{len(counts) + 1}"] = {
-            "integrals": len(outcomes),
-            **{f"quadrature_{key}": val for key, val in _totals(outcomes).items()}}
+        counts[f"pass_{len(counts) + 1}"] = {"integrals": len(outcomes),
+                                             **_quadrature_counts(_totals(outcomes))}
         return values
 
     values = integrate([(sched, k, 0.0, NORM, 1.0) for sched, k in channels] + [
@@ -488,10 +473,7 @@ def _run_total_probability(config: ExperimentConfig, out: Path):
         rows.append((n, sched.kind, sched.total_time, res.p_total,
                      methods.count("numeric"), methods.count("bound")))
         warnings_seen += res.warnings
-        diagnostics[str(n)] = {"quadrature_panels": res.panels,
-                               "quadrature_evaluations": res.evaluations,
-                               "quadrature_levin_solves": res.levin_solves,
-                               "quadrature_levels": res.levels,
+        diagnostics[str(n)] = {**_quadrature_counts(res.counts),
                                "numeric_terms": methods.count("numeric"),
                                "bound_terms": methods.count("bound")}
     files = [write_csv(out / "total_probability.csv",
@@ -518,9 +500,9 @@ def _run_stepwise(config: ExperimentConfig, out: Path):
         for n in config.chain_sizes:
             prof = stepwise_gap_profile(n)
             mins.append((n, prof.min_gap))
-            uniform_rows.append((n, uniform_min_even_gap(n)))
-            diagnostics[str(n)] = {"profile": {"chains": prof.gaps.size},
-                                   "uniform_min": {"chains": _UNIFORM_G_POINTS}}
+            # the uniform ring's smallest even gap, 4 sin(pi/2n) at g = 1/2
+            uniform_rows.append((n, float(fundamental_gap(ChainSpec(n), 0.5))))
+            diagnostics[str(n)] = {"profile": {"chains": prof.gaps.size}}
             s_text = ["%.17g," % s for s in prof.s_values.tolist()]
             yield ([f"{n},{step}," + s for step in prof.steps.tolist() for s in s_text],
                    prof.gaps.reshape(-1, 1))

@@ -2,8 +2,8 @@
 
 Ground truth for every fermionic formula: dense spectra with bit-flip
 parity resolution, transverse-field matrix elements, time-dependent
-Schroedinger evolution, and the even-sector gap profiles of the two
-sweep styles.
+Schroedinger evolution, and the even-sector gap profile of the
+step-wise sweep.
 
 Every spin Hamiltonian here (the dense matrix or parity block of
 :func:`build_hamiltonian` and the matrix-free time-dependent
@@ -16,7 +16,7 @@ sweep (:func:`uniform_path`) or the step-wise one (:func:`stepwise_path`);
 :class:`CompositeBosonPath` couples either to one boson mode, the dense
 check of the response amplitudes.
 
-The gap profiles take their gaps from the free-fermion spectrum
+The gap profile takes its gaps from the free-fermion spectrum
 (:func:`isingsweep.chain.even_sector_gap`, n x n singular-value problems,
 one stacked call per profile); :func:`even_gap` diagonalizes the dense
 2^(n-1) even sector and is the reference that fermionic gap is tested
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import even_sector_gap
+from .chain import check_number, even_sector_gap
 from .schedules import Schedule, _check_total_time, stepwise_weights
 
 __all__ = [
@@ -55,11 +55,11 @@ __all__ = [
     "even_sector_matrix",
     "even_gap",
     "stepwise_gap_profile",
-    "uniform_min_even_gap",
 ]
 
 _DENSE_CAP = 14
 _EVOLVE_CAP = 12
+_N_QUANTA = 2  # most boson quanta a CompositeBosonPath holds
 # sign of the complement |~r> in a block's basis state (|r> +- |~r>)/sqrt(2)
 _SECTOR_SIGN = {"full": 1.0, "even": 1.0, "odd": -1.0}
 
@@ -243,15 +243,15 @@ class CompositeBosonPath:
     """A system path coupled to one boson mode through the transverse field.
 
     H(t) = H_sys(t) x 1 + omega0 * b^dag b + lam * (sum sigma^x) x (b + b^dag),
-    boson truncated at ``n_quanta`` quanta.  Realizes a monochromatic
+    boson truncated at _N_QUANTA quanta.  Realizes a monochromatic
     bath line at omega0; starting from one boson probes absorption
     (positive frequency), starting from zero probes emission.
     """
 
-    def __init__(self, system: SweepPath, omega0: float, lam: float, n_quanta: int = 2):
+    def __init__(self, system: SweepPath, omega0: float, lam: float):
         self.sys = system
         self.n = system.n
-        self.levels = n_quanta + 1
+        self.levels = _N_QUANTA + 1
         self.dim = system.dim * self.levels
         self.omega0 = float(omega0)
         self.lam = float(lam)
@@ -286,8 +286,7 @@ def schrodinger_evolve(path, psi0: np.ndarray, T: float, rtol: float = 1e-10, t_
     """
     if path.n > _EVOLVE_CAP:
         raise ValueError(f"n={path.n} exceeds the evolution cap n<={_EVOLVE_CAP}")
-    if rtol < 1e-12:
-        raise ValueError(f"rtol must be >= 1e-12, got {rtol}")
+    check_number("rtol", rtol, 1e-12, inclusive=True)  # NaN or inf would never finish
     if psi0.shape != (path.dim,):
         raise ValueError(f"psi0 must have shape ({path.dim},), got {psi0.shape}")
     from scipy.integrate import solve_ivp  # only this dense reference needs scipy
@@ -343,16 +342,3 @@ def stepwise_gap_profile(n: int) -> StepwiseGapProfile:
     gaps = even_sector_gap(h.reshape(-1, n), J.reshape(-1, n - 1)).reshape(n - 1, _S_POINTS)
     return StepwiseGapProfile(n=n, steps=steps, s_values=svals, gaps=gaps)
 
-
-_UNIFORM_G_POINTS = 41
-
-
-def uniform_min_even_gap(n: int) -> float:
-    """Minimum over g of the uniform ring's even-sector gap, from one stacked call.
-
-    Read off a 41-point g grid, which is exact: the gap is the
-    (pi/n, -pi/n) pair gap 2 epsilon(pi/n, g), smallest at g = 1/2,
-    and g = 1/2 is a grid node.
-    """
-    g = np.linspace(0.0, 1.0, _UNIFORM_G_POINTS)[:, None] * np.ones(n)  # a ring per row
-    return float(even_sector_gap(1.0 - g, g, periodic=True).min())

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, mode_epsilon
+from .chain import ChainSpec, check_number, mode_epsilon
 
 __all__ = [
     "Schedule",
@@ -51,11 +51,16 @@ def _gap_sin_cos(spec: ChainSpec) -> tuple[float, float]:
     return float(np.sin(half)), float(np.cos(half))
 
 
+def _check_kind(kind, name: str = "kind") -> int:
+    """The power p of schedule ``kind``; a ValueError naming ``name`` for anything else."""
+    if not isinstance(kind, str) or kind not in _POWERS:  # a dict or list is no kind
+        raise ValueError(f"{name}: must be one of {tuple(_POWERS)}, got {kind!r}")
+    return _POWERS[kind]
+
+
 def _check_total_time(total_time) -> float:
-    """``total_time`` as a float, if it is positive and finite."""
-    if not 0.0 < total_time < np.inf:
-        raise ValueError(f"total_time must be positive and finite, got {total_time}")
-    return float(total_time)
+    """``total_time`` as a float, if it is a positive finite number."""
+    return float(check_number("total_time", total_time, 0.0))
 
 
 def _norm_integral(spec: ChainSpec, power: int) -> float:
@@ -89,9 +94,7 @@ class Schedule:
     """
 
     def __init__(self, kind: str, total_time: float, spec: ChainSpec | None = None):
-        if kind not in _POWERS:
-            raise ValueError(f"unknown schedule kind {kind!r}")
-        power = _POWERS[kind]
+        power = _check_kind(kind)
         if power and spec is None:
             raise ValueError(f"{kind} needs a ChainSpec for the fundamental gap")
         self.kind = kind
@@ -180,12 +183,9 @@ def runtime_for_adiabaticity(kind: str, n: int, epsilon_adiab: float) -> float:
     J_p = int_0^1 DeltaE^-p dg and epsilon_min = 2 sin(pi/(2n)).
     Asymptotically T = O(n^2), O(n log n), O(n) over 1/epsilon_adiab.
     """
-    if kind not in _POWERS:
-        raise ValueError(f"unknown schedule kind {kind!r}")
-    if not epsilon_adiab > 0:
-        raise ValueError(f"epsilon_adiab must be positive, got {epsilon_adiab}")
+    p = _check_kind(kind)
+    check_number("epsilon_adiab", epsilon_adiab, 0.0)
     spec = ChainSpec(n)
-    p = _POWERS[kind]
     norm = _norm_integral(spec, p) if p else 1.0
     eps_min = mode_epsilon(np.pi / n, 0.5)
     return float(2.0**p * norm * np.sin(np.pi / n) * eps_min ** (p - 3) / epsilon_adiab)

@@ -12,7 +12,14 @@ import time
 
 import numpy as np
 
-from isingsweep.chain import ChainSpec, CouplingConstant, mode_alpha, mode_beta, mode_epsilon
+from isingsweep.chain import (
+    ChainSpec,
+    CouplingConstant,
+    even_sector_gap,
+    mode_alpha,
+    mode_beta,
+    mode_epsilon,
+)
 from isingsweep.decoherence import (
     BathSpectrum,
     accumulated_phase,
@@ -29,7 +36,6 @@ from isingsweep.oracle import (
     schrodinger_evolve,
     stepwise_gap_profile,
     uniform_hamiltonian,
-    uniform_min_even_gap,
     uniform_path,
 )
 from isingsweep.schedules import Schedule, runtime_for_adiabaticity
@@ -101,7 +107,7 @@ def test_criterion_3_decoherence_oracle():
         sched = Schedule("linear", T)
         w0, V0 = np.linalg.eigh(uniform_hamiltonian(n, 0.0, sector="even").matrix)
         gs0 = embed_sector_vector(V0[:, 0], n, "even")
-        path = CompositeBosonPath(uniform_path(n, sched), omega0, lam, n_quanta=2)
+        path = CompositeBosonPath(uniform_path(n, sched), omega0, lam)
         psi0 = path.boson_state(gs0.astype(complex), occupancy=1)
         psi = schrodinger_evolve(path, psi0, g_f * T, rtol=1e-11)
         wf, Vf = np.linalg.eigh(uniform_hamiltonian(n, g_f, sector="even").matrix)
@@ -226,7 +232,9 @@ def test_criterion_7_stepwise_gap(tmp_path):
     sizes = (4, 6, 8, 10, 12)
     mins = np.array([stepwise_gap_profile(n).min_gap for n in sizes])
     spread = (mins.max() - mins.min()) / mins.max()
-    uniform = np.array([uniform_min_even_gap(n) for n in sizes])
+    g = np.linspace(0.0, 1.0, 41)[:, None]  # 41 uniform rings per size, g = 1/2 among them
+    uniform = np.array([even_sector_gap(1.0 - g * np.ones(n), g * np.ones(n), periodic=True).min()
+                        for n in sizes])
     fit = scaling_fit(np.array(sizes, dtype=float), uniform)
     elapsed = time.time() - t0
     ok = spread <= 0.10 and abs(fit.exponent + 1.0) <= 0.15 and elapsed < 300.0

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from isingsweep import decoherence, oracle
-from isingsweep.chain import ChainSpec, CouplingConstant, channel_momenta, even_sector_gap
+from isingsweep.chain import (
+    ChainSpec,
+    CouplingConstant,
+    channel_momenta,
+    even_sector_gap,
+    fundamental_gap,
+)
 from isingsweep.cli import main
 from isingsweep.decoherence import (
     _BATH_PARAMS,
@@ -42,7 +48,8 @@ def test_config_validation_messages():
         ExperimentConfig.from_dict({"kind": "spectrum", "chain_sizes": [7]})
     with pytest.raises(ConfigError, match="config.total_time"):
         ExperimentConfig.from_dict({"kind": "spectrum", "total_time": -5.0})
-    with pytest.raises(ConfigError, match="lambda"):
+    with pytest.raises(ConfigError, match=r"^config.coupling: must be a finite number > 0.0, "
+                                          r"got 0.0$"):
         ExperimentConfig.from_dict({"kind": "spectrum", "coupling": 0.0})
     with pytest.raises(ConfigError, match="unknown field"):
         ExperimentConfig.from_dict({"kind": "spectrum", "bogus": 1})
@@ -147,9 +154,11 @@ def test_byte_identical_reruns(tmp_path):
             "kind": "stepwise", "chain_sizes": [4, 6], "output_dir": str(out / "sw")}))
         diagnostics.append(json.dumps(summary["diagnostics"]))
     assert diagnostics[0] == diagnostics[1]
-    assert json.loads(diagnostics[0]) == {
-        str(n): {"profile": {"chains": 50 * (n - 1)}, "uniform_min": {"chains": 41}}
-        for n in (4, 6)}
+    assert json.loads(diagnostics[0]) == {str(n): {"profile": {"chains": 50 * (n - 1)}}
+                                          for n in (4, 6)}
+    # the uniform minimum is the closed form 4 sin(pi/2n), written unrounded
+    assert (out1 / "sw" / "uniform_min_gaps.csv").read_text().splitlines()[1:] == [
+        "%d,%.17g" % (n, fundamental_gap(ChainSpec(n), 0.5)) for n in (4, 6)]
     for name in ("stepwise_gaps.csv", "stepwise_min_gaps.csv", "uniform_min_gaps.csv"):
         assert (out1 / "sw" / name).read_bytes() == (out2 / "sw" / name).read_bytes(), name
     # the dense oracle's spectra and report
@@ -447,6 +456,32 @@ def test_bath_check_shared_by_config_and_constructor(kind, params, name):
         ExperimentConfig.from_dict({"kind": "decoherence", "bath_kind": kind,
                                     "bath_params": params})
     assert str(config.value) == f"config.bath_params.{direct.value}"
+
+
+# each number-valued config field: the package entry point taking it, the name that
+# entry point gives it, and a finite value out of its range
+_NUMBER_INPUTS = {
+    "total_time": (lambda v: Schedule("linear", v), "total_time", 0.0),
+    "epsilon_adiab": (lambda v: runtime_for_adiabaticity("linear", 8, v), "epsilon_adiab", -0.25),
+    "coupling": (CouplingConstant, "lam", -0.01),
+    "ode_rtol": (lambda v: integrate_modes(ChainSpec(4), Schedule("linear", 1.0), [0.0, 1.0],
+                                           rtol=v), "rtol", 1e-13),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "1", None],
+                         ids=["nan", "inf", "-inf", "bool", "string", "out-of-range"])
+@pytest.mark.parametrize("field", sorted(_NUMBER_INPUTS))
+def test_number_check_shared_by_config_and_entry_point(field, value):
+    # one rule for every number: the entry point names its parameter, and the config
+    # says the same behind the field's path
+    call, name, out_of_range = _NUMBER_INPUTS[field]
+    value = out_of_range if value is None else value
+    with pytest.raises(ValueError, match=f"^{name}: must be a finite number ") as direct:
+        call(value)
+    with pytest.raises(ConfigError) as config:
+        ExperimentConfig.from_dict({"kind": "dynamics", field: value})
+    assert str(config.value) == f"config.{field}" + str(direct.value)[len(name):]
 
 
 BATH_RUNS = {"monochromatic": {"omega0": 0.9}, "ohmic": {"omega_c": 0.4, "support_max": 1.9},

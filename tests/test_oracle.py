@@ -6,6 +6,7 @@ from isingsweep.chain import (
     ChainSpec,
     channel_momenta,
     even_sector_gap,
+    fundamental_gap,
     ground_energy,
     mode_epsilon,
     momentum_grid,
@@ -25,7 +26,6 @@ from isingsweep.oracle import (
     stepwise_gap_profile,
     stepwise_path,
     uniform_hamiltonian,
-    uniform_min_even_gap,
     uniform_path,
 )
 from isingsweep.schedules import Schedule, stepwise_weights
@@ -157,6 +157,10 @@ def test_constant_hamiltonian_evolution_is_a_phase():
     psi = schrodinger_evolve(Static(), V[:, 0].astype(complex), T, rtol=1e-12)
     np.testing.assert_allclose(psi, np.exp(-1j * w[0] * T) * V[:, 0], atol=1e-9)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
+    # a tolerance that is not a finite number >= 1e-12 is rejected, not integrated forever
+    for rtol in (float("nan"), float("inf"), 1e-13):
+        with pytest.raises(ValueError, match=r"^rtol: must be a finite number >= 1e-12, got "):
+            schrodinger_evolve(Static(), V[:, 0].astype(complex), T, rtol=rtol)
 
 
 def test_uniform_sweep_adiabatic_limit():
@@ -360,15 +364,18 @@ def test_stepwise_gap_profile_matches_each_point(monkeypatch):
 
 
 def test_uniform_min_even_gap_matches_fundamental_gap():
-    # the free-fermion even-sector gap read off the g grid is the
-    # (pi/n, -pi/n) pair gap at g = 1/2, 4 sin(pi/2n)
+    # the uniform ring's free-fermion even-sector gap, smallest over 41 points in g,
+    # is the (pi/n, -pi/n) pair gap at g = 1/2: the 4 sin(pi/2n) the stepwise run writes
+    g = np.linspace(0.0, 1.0, 41)[:, None]
     for n in (4, 6, 8, 10, 12, 16, 32, 64):
-        assert uniform_min_even_gap(n) == pytest.approx(4 * np.sin(np.pi / (2 * n)), rel=1e-12), n
+        ring_min = even_sector_gap(1.0 - g * np.ones(n), g * np.ones(n), periodic=True).min()
+        closed = fundamental_gap(ChainSpec(n), 0.5)
+        assert closed == pytest.approx(4 * np.sin(np.pi / (2 * n)), rel=1e-15), n
+        assert ring_min == pytest.approx(closed, rel=1e-12), n
 
 
 def test_composite_boson_path_dimensions_and_projection():
-    path = CompositeBosonPath(uniform_path(4, Schedule("linear", 10.0)), omega0=1.0, lam=1e-3,
-                              n_quanta=2)
+    path = CompositeBosonPath(uniform_path(4, Schedule("linear", 10.0)), omega0=1.0, lam=1e-3)
     assert path.dim == 16 * 3
     sys_state = np.zeros(16, dtype=complex)
     sys_state[3] = 1.0

@@ -38,8 +38,9 @@ def test_total_time_must_be_positive_and_finite(total_time):
             build()
     # the kind is checked first: an unknown one, or a gap-adapted one without
     # the chain whose gap it follows, fails whatever the time
-    for kind, args, match in (("cubic", (), "unknown schedule kind 'cubic'"),
-                              ("gap-adapted", (spec,), "unknown schedule kind"),
+    for kind, args, match in (("cubic", (), r"^kind: must be one of \(.*\), got 'cubic'$"),
+                              ("gap-adapted", (spec,), "^kind: must be one of "),
+                              ({}, (spec,), r"^kind: must be one of .*, got \{\}$"),
                               ("gap-adapted-1", (), "gap-adapted-1 needs a ChainSpec"),
                               ("gap-adapted-2", (None,), "gap-adapted-2 needs a ChainSpec")):
         with pytest.raises(ValueError, match=match):
@@ -182,6 +183,8 @@ def test_runtime_scaling_laws():
         2 * runtime_for_adiabaticity("linear", 16, 0.1), rel=1e-12)
     with pytest.raises(ValueError, match="kind"):
         runtime_for_adiabaticity("cubic", 8, 0.1)
+    with pytest.raises(ValueError, match="^kind: "):  # not a TypeError from the lookup
+        runtime_for_adiabaticity(["linear"], 8, 0.1)
 
 
 def test_stepwise_weights_sequence():
