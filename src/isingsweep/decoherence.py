@@ -72,15 +72,20 @@ _BATH_PARAMS = {"monochromatic": {"omega0": -math.inf},
                 "flat": {"omega_min": -math.inf, "omega_max": -math.inf}}
 
 
+def _bath_bounds(kind, name: str = "kind") -> dict:
+    """The parameter bounds of bath ``kind``; a ValueError naming ``name`` for anything else."""
+    if not isinstance(kind, str) or kind not in _BATH_PARAMS:  # a dict or list is no kind
+        raise ValueError(f"{name}: must be one of {tuple(_BATH_PARAMS)}, got {kind!r}")
+    return _BATH_PARAMS[kind]
+
+
 def _check_bath(kind, params: dict) -> None:
     """Raise ValueError unless ``params`` are the parameters of a ``kind`` bath, each in range.
 
     The message starts with the name at fault, so that a caller can
     prefix where the name came from.
     """
-    if not isinstance(kind, str) or kind not in _BATH_PARAMS:
-        raise ValueError(f"kind: must be one of {tuple(_BATH_PARAMS)}, got {kind!r}")
-    bounds = _BATH_PARAMS[kind]
+    bounds = _bath_bounds(kind)
     for key, least in bounds.items():
         val = params.get(key)
         if key == "support_max" and val is None:
@@ -243,6 +248,7 @@ def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k, omega,
     floored at 1e-13 of the channel norm; the first one that fails
     raises its :class:`QuadratureError`.
     """
+    check_number("lam", lam, 0.0, inclusive=True)
     if not 0.0 < g_upper <= 1.0:
         raise ValueError(f"g_upper must be in (0, 1], got {g_upper}")
     k, omega = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(omega, dtype=float))
@@ -295,6 +301,7 @@ def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega:
     (dg/dt)(t_*) / (omega sqrt(omega^2 - 4 k^2)) exceeds 0.1 or when a
     saddle sits within a few Fresnel widths of the sweep boundaries.
     """
+    check_number("lam", lam, 0.0, inclusive=True)
     ka = _check_channel(spec, k)
     if not omega > 2.0 * abs(ka):
         raise ValueError(
@@ -336,6 +343,7 @@ def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega:
 
 def amplitude_bound(spec: ChainSpec, schedule: Schedule, k: float, lam: float) -> float:
     """Rigorous bound lam * int_0^T |M_k(t)| dt, for every frequency (all phases dropped)."""
+    check_number("lam", lam, 0.0, inclusive=True)
     (norm,) = _channel_norms(schedule, [_check_channel(spec, k)]).values()
     return float(lam * norm)
 

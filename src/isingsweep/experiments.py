@@ -31,9 +31,9 @@ from .decoherence import (
     AMPLITUDE,
     NORM,
     PHASE,
-    _BATH_PARAMS,
     BathSpectrum,
     _batch,
+    _bath_bounds,
     _channel_norms,
     _check_bath,
     _totals,
@@ -138,9 +138,7 @@ class ExperimentConfig:
         if not (isinstance(points, int) and not isinstance(points, bool) and points >= 2):
             raise ConfigError(f"config.time_points: must be an integer >= 2, got {points!r}")
         bath_kind = d.get("bath_kind", "ohmic")
-        if not isinstance(bath_kind, str) or bath_kind not in _BATH_PARAMS:
-            raise ConfigError(
-                f"config.bath_kind: must be one of {tuple(_BATH_PARAMS)}, got {bath_kind!r}")
+        _config_check("config.", _bath_bounds, bath_kind, "bath_kind")
         bp = d.get("bath_params", cls.bath_params)
         try:
             params = dict(bp)
@@ -494,7 +492,7 @@ def _run_scaling(config: ExperimentConfig, out: Path):
 
 
 def _run_stepwise(config: ExperimentConfig, out: Path):
-    checks, mins, uniform_rows, diagnostics = {}, [], [], {}
+    checks, mins, uniform_rows = {}, [], []
 
     def blocks():  # each size's profile is written as it is made, one block
         for n in config.chain_sizes:
@@ -502,7 +500,6 @@ def _run_stepwise(config: ExperimentConfig, out: Path):
             mins.append((n, prof.min_gap))
             # the uniform ring's smallest even gap, 4 sin(pi/2n) at g = 1/2
             uniform_rows.append((n, float(fundamental_gap(ChainSpec(n), 0.5))))
-            diagnostics[str(n)] = {"profile": {"chains": prof.gaps.size}}
             s_text = ["%.17g," % s for s in prof.s_values.tolist()]
             yield ([f"{n},{step}," + s for step in prof.steps.tolist() for s in s_text],
                    prof.gaps.reshape(-1, 1))
@@ -513,7 +510,7 @@ def _run_stepwise(config: ExperimentConfig, out: Path):
     gap_vals = np.array([m[1] for m in mins])
     checks["stepwise_gap_n_independent_10pct"] = bool(
         (gap_vals.max() - gap_vals.min()) / gap_vals.max() <= 0.10)
-    extra = {"stepwise_min_gaps": {str(n): g for n, g in mins}, "diagnostics": diagnostics}
+    extra = {"stepwise_min_gaps": {str(n): g for n, g in mins}}
     if len(uniform_rows) >= 4:
         fit = scaling_fit([r[0] for r in uniform_rows], [r[1] for r in uniform_rows])
         checks["uniform_gap_inverse_n"] = bool(abs(fit.exponent + 1.0) <= 0.15)

@@ -16,11 +16,12 @@ sweep (:func:`uniform_path`) or the step-wise one (:func:`stepwise_path`);
 :class:`CompositeBosonPath` couples either to one boson mode, the dense
 check of the response amplitudes.
 
-The gap profile takes its gaps from the free-fermion spectrum
-(:func:`isingsweep.chain.even_sector_gap`, n x n singular-value problems,
-one stacked call per profile); :func:`even_gap` diagonalizes the dense
-2^(n-1) even sector and is the reference that fermionic gap is tested
-against.
+The step-wise gap profile is a closed form: along that path the
+free-fermion matrix Z of :func:`isingsweep.chain.even_sector_gap` is a
+2 x 2 block and unit columns on the first step and has orthogonal
+columns on every later one, so its singular values are known.
+:func:`even_gap` diagonalizes the dense 2^(n-1) even sector; the tests
+hold the closed form against both.
 
 Basis conventions: computational sigma^z basis, site j <-> bit j,
 bit value 0 means sigma^z = +1.  The global bit-flip parity operator
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import check_number, even_sector_gap
+from .chain import check_number
 from .schedules import Schedule, _check_total_time, stepwise_weights
 
 __all__ = [
@@ -219,14 +220,19 @@ def uniform_path(n: int, schedule: Schedule) -> SweepPath:
                      periodic=True)
 
 
+def _check_open_size(n) -> None:
+    """Raise ValueError naming ``n`` unless it is an integer >= 2 (odd is fine on the open chain)."""
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 2):
+        raise ValueError(f"n: must be an integer >= 2, got {n!r}")
+
+
 def stepwise_path(n: int, total_time: float) -> SweepPath:
     """H(t) along the step-wise spatial sweep (open chain) in time ``total_time``.
 
     Each of the n-1 steps takes an equal share of the time, linear in s;
     a time past the end clamps to it.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _check_open_size(n)
     T = _check_total_time(total_time)
 
     def weights(t):
@@ -334,11 +340,34 @@ class StepwiseGapProfile:
 
 
 def stepwise_gap_profile(n: int) -> StepwiseGapProfile:
-    """Even-sector gap over every step of the step-wise path (open chain):
-    per size, one broadcast weight call and one stacked gap call."""
-    svals = np.linspace(0.0, 1.0, _S_POINTS)
-    steps = np.arange(1, n)
-    h, J = stepwise_weights(n, steps[:, None], svals)
-    gaps = even_sector_gap(h.reshape(-1, n), J.reshape(-1, n - 1)).reshape(n - 1, _S_POINTS)
-    return StepwiseGapProfile(n=n, steps=steps, s_values=svals, gaps=gaps)
+    """Even-sector gap over every step of the step-wise path (open chain), in closed form.
 
+    The gap is 2 (sigma_2 + sign(det Z) sigma_1), sigma_1 <= sigma_2 the
+    two smallest singular values of Z (h on the diagonal, J on the
+    superdiagonal; see :func:`isingsweep.chain.even_sector_gap`), and
+    det Z = prod(h).  With the weights of
+    :func:`isingsweep.schedules.stepwise_weights` at local parameter s:
+
+    - Step 1: J = (s, 0, ...) and h = (1-s, 1-s, 1, ...), so
+      Z = [[1-s, s], [0, 1-s]] (+) I.  The block's singular values have
+      product (1-s)^2 and squares summing to 2(1-s)^2 + s^2, so they
+      are (r -+ s)/2 with r = sqrt(s^2 + 4(1-s)^2); both are at most 1,
+      since r + s <= 2 on [0, 1].  det Z = (1-s)^2 >= 0, and at s = 1,
+      where it vanishes, sigma_1 = 0: the gap is 2r.
+    - Step j >= 2: bonds 1..j-1 are 1, bond j is s, the rest 0, so h_1
+      = ... = h_j = 0, h_(j+1) = 1-s and the later fields are 1.  Z's
+      columns are then orthogonal: a zero column (the edge zero mode,
+      sigma_1 = 0 and det Z = 0), unit vectors, and (s, 1-s) on rows
+      j, j+1.  Since s^2 + (1-s)^2 <= 1, the gap is 2 sqrt(s^2 + (1-s)^2).
+
+    Every later step repeats one curve, whose minimum sqrt(2) at s = 1/2
+    holds at every n >= 3 (1.4145080368296699 at the grid points
+    nearest 1/2); at n = 2 only step 1 exists, with minimum 4/sqrt(5)
+    at s = 4/5 (1.788947510270296 on the grid).  ``n`` is any integer >= 2.
+    """
+    _check_open_size(n)
+    svals = np.linspace(0.0, 1.0, _S_POINTS)
+    first = 2.0 * np.sqrt(svals * svals + 4.0 * (1.0 - svals) ** 2)
+    later = 2.0 * np.sqrt(svals * svals + (1.0 - svals) ** 2)
+    gaps = np.vstack((first, np.broadcast_to(later, (n - 2, _S_POINTS))))
+    return StepwiseGapProfile(n=n, steps=np.arange(1, n), s_values=svals, gaps=gaps)

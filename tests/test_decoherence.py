@@ -34,6 +34,20 @@ def test_linearity_in_coupling(chain8):
     assert amplitude_numeric(chain8, sched, np.pi / 8, 0.8, 0.0) == 0
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf"), True, False,
+                                 "1e-3", -1e-3])
+def test_amplitudes_reject_bad_coupling(chain8, lam):
+    # lam = 0 is a legal coupling (the amplitude is 0); anything but a finite
+    # number >= 0 is named by every amplitude entry point
+    sched = Schedule("linear", 60.0)
+    calls = (lambda: amplitude_numeric(chain8, sched, np.pi / 8, 0.8, lam),
+             lambda: amplitude_saddle_point(chain8, sched, np.pi / 8, 4.0, lam),
+             lambda: amplitude_bound(chain8, sched, np.pi / 8, lam))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^lam: must be a finite number >= 0.0, got "):
+            call()
+
+
 class FrozenSchedule(Schedule):
     """g pinned at a constant: a sweep that never moves."""
 

@@ -15,7 +15,6 @@ from isingsweep.chain import (
     ChainSpec,
     CouplingConstant,
     channel_momenta,
-    even_sector_gap,
     fundamental_gap,
 )
 from isingsweep.cli import main
@@ -38,7 +37,7 @@ from isingsweep.experiments import (
     write_csv,
 )
 from isingsweep.quadrature import QuadratureError
-from isingsweep.schedules import Schedule, runtime_for_adiabaticity, stepwise_weights
+from isingsweep.schedules import Schedule, runtime_for_adiabaticity
 
 
 def test_config_validation_messages():
@@ -147,15 +146,12 @@ def test_byte_identical_reruns(tmp_path):
     assert len(tables) == 7
     for path in tables:
         assert path.read_bytes() == (out2 / "t1" / path.name).read_bytes(), path.name
-    # the step-wise profiles, written a block at a time: same bytes, same counts
-    diagnostics = []
+    # the step-wise profiles, written a block at a time: same bytes; being closed-form,
+    # they have no solver counts to record
     for out in (out1, out2):
         summary = run_experiment(ExperimentConfig.from_dict({
             "kind": "stepwise", "chain_sizes": [4, 6], "output_dir": str(out / "sw")}))
-        diagnostics.append(json.dumps(summary["diagnostics"]))
-    assert diagnostics[0] == diagnostics[1]
-    assert json.loads(diagnostics[0]) == {str(n): {"profile": {"chains": 50 * (n - 1)}}
-                                          for n in (4, 6)}
+        assert "diagnostics" not in summary
     # the uniform minimum is the closed form 4 sin(pi/2n), written unrounded
     assert (out1 / "sw" / "uniform_min_gaps.csv").read_text().splitlines()[1:] == [
         "%d,%.17g" % (n, fundamental_gap(ChainSpec(n), 0.5)) for n in (4, 6)]
@@ -263,12 +259,12 @@ def test_dynamics_experiment_csv(tmp_path):
 def test_stepwise_csv_text(tmp_path):
     # integer n and step, then s and the gap of each path point as %.17g
     assert main(["stepwise", "--n", "4", "--out", str(tmp_path)]) == 0
-
-    def gap(step, s):
-        return even_sector_gap(*stepwise_weights(4, step, s))
-
-    lines = ["n,step,s,gap"] + [f"4,{step},{s:.17g},{gap(step, s):.17g}"
-                                for step in (1, 2, 3) for s in np.linspace(0.0, 1.0, 50).tolist()]
+    prof = oracle.stepwise_gap_profile(4)
+    assert prof.steps.tolist() == [1, 2, 3]
+    assert prof.s_values.tolist() == np.linspace(0.0, 1.0, 50).tolist()
+    lines = ["n,step,s,gap"] + [f"4,{step},{s:.17g},{gap:.17g}"
+                                for step, row in zip(prof.steps.tolist(), prof.gaps.tolist())
+                                for s, gap in zip(prof.s_values.tolist(), row)]
     text = (tmp_path / "stepwise_gaps.csv").read_bytes().decode()
     assert text == "".join(line + "\r\n" for line in lines)
     assert text.splitlines()[1].startswith("4,1,0,")
@@ -558,7 +554,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("omega_grid", "0.5"), ("t_scan", ["x"]),
     ("bath_params.omega_c", -1), ("bath_params.omega_c", "0.5"),
     ("output_dir", 5), ("output_dir", ["a"]), ("output_dir", ""),
-    ("omega_grid", []), ("t_scan", []), ("schedule_kind", ["linear"]),
+    ("omega_grid", []), ("t_scan", []), ("schedule_kind", ["linear"]), ("bath_kind", "cold"),
 ])
 def test_cli_rejects_bad_numeric_field(tmp_path, capsys, field, value):
     # a dotted field names one bath parameter

@@ -344,23 +344,50 @@ def test_stepwise_gap_profile_small_n():
         assert stepwise_gap_profile(n).min_gap == pytest.approx(1.4145080368296699, abs=1e-12)
 
 
-def test_stepwise_gap_profile_matches_each_point(monkeypatch):
-    # the broadcast weights of a size and one stacked gap call give, bit
-    # for bit, the gap of every path point on its own
-    calls = []
-
-    def spy(h, J, periodic=False):
-        calls.append(np.shape(h))
-        return even_sector_gap(h, J, periodic)
-
-    monkeypatch.setattr(oracle, "even_sector_gap", spy)
+def test_stepwise_gap_profile_matches_each_point():
+    # the closed form gives the gap of every path point on its own to 1e-15
     for n in range(4, 13):
-        calls.clear()
         prof = stepwise_gap_profile(n)
-        assert calls == [((n - 1) * 50, n)], n
         single = [[even_sector_gap(*stepwise_weights(n, step, s))
                    for s in prof.s_values.tolist()] for step in prof.steps.tolist()]
-        assert prof.gaps.tolist() == single, n
+        assert np.abs(prof.gaps - single).max() <= 1e-15, n
+
+
+def test_stepwise_gap_profile_closed_form_matches_solvers(monkeypatch):
+    # the profile is closed-form: no weights, no SVD and no solver call; its gaps
+    # match the free-fermion solver at every point of n = 2..64 (odd n included)
+    # to 1e-15, and the dense even sector for n <= 8 to 1e-12
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed-form profile called a solver")
+
+    reference = {}
+    for n in range(2, 65):
+        steps = np.arange(1, n)
+        h, J = stepwise_weights(n, steps[:, None], np.linspace(0.0, 1.0, 50))
+        reference[n] = even_sector_gap(h.reshape(-1, n), J.reshape(-1, n - 1)).reshape(n - 1, 50)
+    for name in ("even_sector_gap", "stepwise_weights", "even_gap"):
+        monkeypatch.setattr(oracle, name, forbidden, raising=False)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    profiles = {n: stepwise_gap_profile(n) for n in reference}
+    monkeypatch.undo()
+    for n, prof in profiles.items():
+        assert prof.gaps.shape == (n - 1, 50) and prof.steps.tolist() == list(range(1, n))
+        assert np.abs(prof.gaps - reference[n]).max() <= 1e-15, n
+        if n <= 8:
+            dense = [[even_gap(n, *stepwise_weights(n, step, s)) for s in prof.s_values.tolist()]
+                     for step in prof.steps.tolist()]
+            assert np.abs(prof.gaps - dense).max() <= 1e-12, n
+    # n = 2 has step 1 alone, minimum near 4/sqrt(5); every larger n reaches sqrt(2) near s = 1/2
+    assert profiles[2].min_gap == 1.788947510270296
+    assert {profiles[n].min_gap for n in range(3, 65)} == {1.4145080368296699}
+
+
+@pytest.mark.parametrize("n", [0, 1, -4, True, 2.5, 4.0, "4", None])
+def test_stepwise_gap_profile_rejects_bad_size(n):
+    with pytest.raises(ValueError, match=r"^n: must be an integer >= 2, got "):
+        stepwise_gap_profile(n)
+    with pytest.raises(ValueError, match=r"^n: must be an integer >= 2, got "):
+        stepwise_path(n, 10.0)
 
 
 def test_uniform_min_even_gap_matches_fundamental_gap():
