@@ -46,7 +46,6 @@ __all__ = [
     "mode_beta",
     "mode_epsilon",
     "mode_epsilon_dg",
-    "pair_element",
     "pair_matrix_element",
     "fundamental_gap",
     "ground_energy",
@@ -157,22 +156,13 @@ def mode_epsilon_dg(ka, g):
     return 8.0 * np.cos(ka / 2.0) ** 2 * x / mode_epsilon(ka, g)
 
 
-def pair_element(ka, g, eps):
-    """Real 4 g sin(ka) / eps, which i times is the pair matrix element when eps = epsilon(ka, g).
-
-    Real, so that a caller dividing by a further real factor (such as
-    dg/dt) folds it into ``eps`` and multiplies by i once.
-    """
-    return 4.0 * g * np.sin(ka) / eps
-
-
 def pair_matrix_element(ka, g):
     """Pair matrix element 4i g sin(ka) / epsilon(ka, g), without a grid check.
 
     Takes scalars or NumPy arrays, for callers that have validated the
     momentum (:func:`excitation_matrix_element` is the checked form).
     """
-    return 1j * pair_element(ka, g, mode_epsilon(ka, g))
+    return 1j * (4.0 * g * np.sin(ka) / mode_epsilon(ka, g))
 
 
 def _check_on_grid(spec: ChainSpec, k: float) -> float:

@@ -9,7 +9,13 @@ s = (k, -k) at bath frequency omega is the oscillatory time integral
 with M_k the pair matrix element.  Everything here is evaluated in the
 sweep variable g, where the phase derivative has the closed form
 (-omega + 2 epsilon_k(g)) / (dg/dt)(g); this makes the cost independent
-of the run time T and uniform across schedules.
+of the run time T and uniform across schedules.  Each integral then runs
+over its channel's own variable w in [0, 1], with
+g = (1 - (s/c) sinh(E (1 - 2w))) / 2, s = sin(ka/2), c = cos(ka/2) and
+E = asinh(c/s).  Its Jacobian dg/dw = E epsilon_k / (2c) cancels the
+1/epsilon_k of M_k = 4i g sin(ka) / epsilon_k, which peaks at the avoided
+crossing g = 1/2 with width s ~ pi/2n: in g the quadrature would bisect
+deeper as n grows, in w the peak is gone.
 
 Provided evaluations: the numeric integral, the two-saddle
 stationary-phase approximation with a validity flag, and the rigorous
@@ -41,7 +47,6 @@ from .chain import (
     check_number,
     mode_epsilon,
     mode_epsilon_dg,
-    pair_element,
     pair_matrix_element,
 )
 from .quadrature import QuadratureError, oscillatory_batch
@@ -180,28 +185,73 @@ class SaddlePointAmplitude:
 
 
 # Batched integrals, v = dg/dt: the amplitude int M_k/v e^{i Phi} dg, the channel
-# norm int |M_k/v| dg and the phase int Phi' dg, Phi' = (-omega + 2 eps_k)/v; the
-# (rtol, atol, breaks) of norms and phases (amplitudes: rtol, 1e-13 of the norm).
+# norm int |M_k/v| dg and the phase int Phi' dg, Phi' = (-omega + 2 eps_k)/v, each
+# in its channel variable w; the (rtol, atol, breaks in w) of norms and phases
+# (amplitudes: rtol, 1e-13 of the norm).
 AMPLITUDE, NORM, PHASE = "amplitude", "norm", "phase"
 _BUDGETS = {NORM: (1e-11, 0.0, (0.5,)), PHASE: (1e-13, 1e-9, (0.5,))}
 
 
+def _channel_constants(ka):
+    """s = sin(ka/2), c = cos(ka/2) and E = asinh(c/s) of each channel ``ka``."""
+    s, c = np.sin(0.5 * ka), np.cos(0.5 * ka)
+    return s, c, np.arcsinh(c / s)
+
+
+def _channel_variable(ka, g):
+    """w(g) = (1 - asinh(c (1 - 2g) / s) / E) / 2 of channel ``ka``.
+
+    Written as asinh(4c g (1 - g) / (eps_k/2 + |1 - 2g|)) / 2E, mirrored
+    about w = 1/2 for g > 1/2, which is the same by asinh(a) - asinh(b)
+    = asinh(a sqrt(1 + b^2) - b sqrt(1 + a^2)) but keeps the relative
+    accuracy of a small g; 0, 1/2 and 1 at g = 0, 1/2 and 1 exactly.
+    """
+    s, c, e = _channel_constants(np.asarray(ka, dtype=float))
+    g = np.asarray(g, dtype=float)
+    x = 1.0 - 2.0 * g
+    half_eps = np.sqrt(s * s + (c * x) ** 2)
+    near = np.arcsinh(4.0 * c * g * (1.0 - g) / (half_eps + np.abs(x))) / (2.0 * e)
+    return np.where(x >= 0.0, near, 1.0 - near)
+
+
+def _sweep_value(e, w):
+    """The inverse of :func:`_channel_variable`, g = (1 - sinh(u) / sinh(E)) / 2 with
+    u = E (1 - 2w) and sinh E = c/s, and cosh u.
+
+    g is evaluated as sinh(E w) cosh(E (1 - w)) / sinh E, which keeps the
+    relative accuracy of a small g and is 0 and 1 at w = 0 and 1 exactly.
+    """
+    return np.sinh(e * w) * np.cosh(e * (1.0 - w)) / np.sinh(e), np.cosh(e * (1.0 - 2.0 * w))
+
+
 def _integrand(terms):
-    """The map (g, owner) -> (f, Phi') of ``terms``, each (schedule, ka, omega, kind, g_upper)."""
-    rate, s, c, power = np.array([t[0].velocity_terms for t in terms], dtype=float).T
+    """The map (w, owner) -> (f, Phi') of ``terms``, each (schedule, ka, omega, kind, g_upper),
+    in each channel's variable w.
+
+    With u = E (1 - 2w) the sweep value is g = (1 - (s/c) sinh u) / 2,
+    so eps_k = 2 s cosh u and dg/dw = E eps_k / (2c).  This Jacobian
+    cancels the 1/eps_k of the pair element 4 g sin(ka) / eps_k, whose
+    peak of width s at the avoided crossing g = 1/2 would otherwise set
+    the panel count: M_k/v dg = 4i E s g / v dw.  A norm integrates the
+    modulus 4 E s g / v, a phase Phi' dg/dw.
+    """
+    rate, s0, c0, power = np.array([t[0].velocity_terms for t in terms], dtype=float).T
     ka, omega = np.array([t[1:3] for t in terms], dtype=float).T
     kind = np.array([t[3] for t in terms])
+    mixed = (kind != AMPLITUDE).any()
+    s, c, e = _channel_constants(ka)
+    lead, jac = 4.0 * e * s, e * s / c  # M_k dg/dw = 4i E s g, dg/dw = (E s / c) cosh u
 
-    def pair(g, owner):
+    def pair(w, owner):
         row = owner[:, None]
-        vel = _velocity(rate[row], s[row], c[row], power[row], g)
-        eps = mode_epsilon(ka[row], g)
-        m = pair_element(ka[row], g, eps * vel)  # M_k / v = i m
+        g, cosh = _sweep_value(e[row], w)
+        vel = _velocity(rate[row], s0[row], c0[row], power[row], g)
+        m = lead[row] * g / vel  # M_k / v dg/dw = i m
         f = 1j * m
-        dphi = (-omega[row] + 2.0 * eps) / vel
-        if (kind != AMPLITUDE).any():  # norm and phase rows are overwritten in place
+        dphi = (4.0 * s[row] * cosh - omega[row]) * (jac[row] * cosh) / vel  # 2 eps_k = 4 s cosh u
+        if mixed:  # norm and phase rows are overwritten in place
             norm, phase = kind[owner] == NORM, kind[owner] == PHASE
-            f[norm] = np.abs(m[norm])
+            f[norm] = m[norm]
             f[phase] = dphi[phase]
             dphi[norm | phase] = 0.0
         return f, dphi
@@ -216,7 +266,8 @@ def _batch(terms, rtol=0.0, norms=None):
         return []
     rel, floor, points = zip(*[_BUDGETS.get(t[3]) or (rtol, 1e-13 * norms[t[0], t[1], t[4]], ())
                                for t in terms])
-    return oscillatory_batch(_integrand(terms), 0.0, [t[4] for t in terms], rtol=rel, atol=floor,
+    upper = _channel_variable([t[1] for t in terms], [t[4] for t in terms])
+    return oscillatory_batch(_integrand(terms), 0.0, upper.tolist(), rtol=rel, atol=floor,
                              points=points)
 
 

@@ -435,9 +435,69 @@ def test_amplitude_numeric_is_one_integral(chain8, monkeypatch, omega):
     monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
     amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3)
     amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3, g_upper=0.9)
-    # per call its channel norm (break at g = 1/2), then its one amplitude
+    # per call its channel norm (break at g = 1/2, which is w = 1/2), then its one
+    # amplitude, each up to the channel variable w of g_upper
+    w = float(decoherence._channel_variable(np.pi / 8, 0.9))
+    assert 0.9 < w < 1.0
     assert calls == [(0.0, [1.0], ((0.5,),)), (0.0, [1.0], ((),)),
-                     (0.0, [0.9], ((0.5,),)), (0.0, [0.9], ((),))]
+                     (0.0, [w], ((0.5,),)), (0.0, [w], ((),))]
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_linear_channel_norm_closed_form(n):
+    # T int_0^g_u 4 g sin(ka) / eps_k dg with x = 1 - 2g and c^2 (1 - x^2) = 4 c^2 g (1 - g)
+    # cancellation free: T s (asinh(c/s) - asinh(c x_u/s) - 4 c g_u (1 - g_u) / (1 + eps_k/2)),
+    # which is 2 T sin(ka/2) asinh(cot(ka/2)) over the whole sweep; the partial sweeps
+    # also check the channel variable of the upper limit
+    spec, T = ChainSpec(n), 7.3 * n
+    sched = Schedule("linear", T)
+    ks = channel_momenta(spec)
+    s, c = np.sin(ks / 2.0), np.cos(ks / 2.0)
+    full = 2.0 * T * s * np.arcsinh(1.0 / np.tan(ks / 2.0))
+    bounds = np.array([amplitude_bound(spec, sched, k, 1.0) for k in ks.tolist()])
+    assert np.abs(bounds / full - 1.0).max() <= 1e-13
+    for g_u in (1.0, 0.9, 0.3):
+        norms = decoherence._channel_norms(sched, ks.tolist(), g_u)
+        x = 1.0 - 2.0 * g_u
+        closed = T * s * (np.arcsinh(c / s) - np.arcsinh(c * x / s)
+                          - 4.0 * c * g_u * (1.0 - g_u) / (1.0 + np.sqrt(s * s + (c * x) ** 2)))
+        got = np.array([norms[sched, k, g_u] for k in ks.tolist()])
+        assert np.abs(got / closed - 1.0).max() <= 1e-13, g_u
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
+def test_channel_variable_round_trip(n):
+    # at the lowest and highest channels: g(w(g)) = g to 1e-15, and relatively for a
+    # small g; w(g) exact at g = 0, 1/2 and 1, g(w) at w = 0 and 1; w(g(w)) = w to 1e-15
+    # up to the conditioning of g as a double: 4 ulps of g at the crossing move w by
+    # 4.4e-16 dw/dg = 4.4e-16 c / (s E) (1.2e-14 at the lowest channel of n = 256)
+    w = g = np.linspace(0.0, 1.0, 10001)
+    tiny = np.array([1e-300, 1e-17, 1e-12, 1e-9])
+    ends = [0.0, 0.5, 1.0]
+    for ka in (np.pi / n, (n - 1) * np.pi / n):
+        s, c, e = decoherence._channel_constants(ka)
+        assert decoherence._channel_variable(ka, ends).tolist() == ends
+        back, _ = decoherence._sweep_value(e, decoherence._channel_variable(ka, g))
+        assert np.abs(back - g).max() <= 1e-15
+        back, _ = decoherence._sweep_value(e, decoherence._channel_variable(ka, tiny))
+        assert np.abs(back / tiny - 1.0).max() <= 1e-15
+        g_w, _ = decoherence._sweep_value(e, w)
+        assert (g_w[0], g_w[-1]) == (0.0, 1.0)
+        assert np.abs(decoherence._channel_variable(ka, g_w) - w).max() <= max(
+            1e-15, 4.4e-16 * c / (s * e))
+
+
+@pytest.mark.parametrize("g_upper", [1e-9, 1e-12, 1e-17])
+def test_amplitude_over_a_short_partial_sweep(chain8, g_upper):
+    # over g <= g_upper, M_k = 2 g sin(ka) (1 + O(g)) and the phase is O(T g), so
+    # A = -i lam T sin(ka) g_upper^2 to about 1e-7: the channel variable of a small
+    # upper limit, and the sweep value near w = 0, keep their relative accuracy
+    sched, k, lam = Schedule("linear", 10.0), 3 * np.pi / 8, 1e-3
+    value = amplitude_numeric(chain8, sched, k, 0.8, lam, g_upper=g_upper)
+    assert value == pytest.approx(-1j * lam * 10.0 * np.sin(k) * g_upper**2, rel=1e-6)
+    # omega one ulp below 4 puts g_- within 1e-15 of the sweep start
+    sp = amplitude_saddle_point(chain8, sched, k, np.nextafter(4.0, 0.0), lam)
+    assert 0.0 < sp.g_minus < 1e-14 and np.isfinite(sp.value)
 
 
 def test_subgap_amplitude_meets_relative_budget(chain8):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,26 @@ def test_stepwise_csv_text(tmp_path):
     assert text.splitlines()[1].startswith("4,1,0,")
 
 
+def test_stepwise_check_compares_sizes_with_later_steps(tmp_path, monkeypatch):
+    # n = 2 has only step 1, whose minimum is 4/sqrt(5); every n >= 3 reaches sqrt(2)
+    assert main(["stepwise", "--n", "2", "4", "6", "8", "--out", str(tmp_path / "ok")]) == 0
+    summary = json.loads((tmp_path / "ok" / "summary.json").read_text())
+    assert summary["checks"]["stepwise_gap_n_independent_10pct"]
+    mins = summary["stepwise_min_gaps"]
+    assert mins["2"] == oracle.stepwise_gap_profile(2).min_gap
+    assert abs(mins["2"] - 4.0 / np.sqrt(5.0)) < 1e-3
+    assert all(abs(mins[n] - np.sqrt(2.0)) < 1e-3 for n in ("4", "6", "8"))
+    # the 10% bound still holds among n >= 3: n = 6 scaled by 0.89 fails it, by 0.91 not
+    exact = oracle.stepwise_gap_profile
+    for scale, rc in ((0.89, 1), (0.91, 0)):
+        monkeypatch.setattr("isingsweep.experiments.stepwise_gap_profile", lambda n: replace(
+            exact(n), gaps=exact(n).gaps * (scale if n == 6 else 1.0)))
+        out = tmp_path / str(scale)
+        assert main(["stepwise", "--n", "2", "4", "6", "8", "--out", str(out)]) == rc
+        checks = json.loads((out / "summary.json").read_text())["checks"]
+        assert checks["stepwise_gap_n_independent_10pct"] is (rc == 0)
+
+
 def test_oracle_check_experiment(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "kind": "oracle-check", "chain_sizes": [2, 4], "output_dir": str(tmp_path),
@@ -313,6 +334,26 @@ def test_decoherence_experiment_with_suppression_scan(tmp_path):
     assert lines[0] == "n,schedule,T,k,omega,method,re,im,abs,valid"
     assert (tmp_path / "suppression.csv").exists()
     assert (tmp_path / "suppression.csv").read_text().splitlines()[0] == "T,ln_abs_amplitude"
+
+
+def test_amplitude_table_records_quadrature_counts(tmp_path):
+    # per size the counts of its amplitude batch (4 channels x 3 frequencies), identical
+    # across reruns and saved in summary.json
+    summaries = [run_experiment(ExperimentConfig.from_dict({
+        "kind": "decoherence", "chain_sizes": [8, 16], "omega_grid": [0.3, 0.8, 2.2],
+        "coupling": 1e-3, "output_dir": str(out)})) for out in (tmp_path / "a", tmp_path / "b")]
+    diagnostics = summaries[0]["diagnostics"]
+    assert diagnostics == summaries[1]["diagnostics"]
+    assert sorted(diagnostics) == ["16", "8"]
+    for d in diagnostics.values():
+        assert sorted(d) == ["integrals", "quadrature_evaluations", "quadrature_levels",
+                             "quadrature_levin_solves", "quadrature_panels"]
+        assert d["integrals"] == 12
+        # each amplitude starts as one panel; every split evaluates two new ones of 33 nodes
+        assert d["quadrature_evaluations"] == 33 * (2 * d["quadrature_panels"] - d["integrals"])
+        assert 0 < d["quadrature_levin_solves"] <= d["quadrature_evaluations"] // 33
+    saved = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert saved["diagnostics"] == diagnostics
 
 
 def test_decoherence_subgap_rows_use_the_exact_minimum_gap(tmp_path):
