@@ -181,7 +181,6 @@ class SaddlePointAmplitude:
     valid: bool
     g_minus: float
     g_plus: float
-    next_order_ratio: float
 
 
 # Batched integrals, v = dg/dt: the amplitude int M_k/v e^{i Phi} dg, the channel
@@ -245,7 +244,8 @@ def _integrand(terms):
     def pair(w, owner):
         row = owner[:, None]
         g, cosh = _sweep_value(e[row], w)
-        vel = _velocity(rate[row], s0[row], c0[row], power[row], g)
+        x = (s / c)[row] * np.sinh(e[row] * (1.0 - 2.0 * w))  # 1 - 2g, free of cancellation
+        vel = _velocity(rate[row], s0[row], c0[row], power[row], x)
         m = lead[row] * g / vel  # M_k / v dg/dw = i m
         f = 1j * m
         dphi = (4.0 * s[row] * cosh - omega[row]) * (jac[row] * cosh) / vel  # 2 eps_k = 4 s cosh u
@@ -344,52 +344,58 @@ def accumulated_phase(spec: ChainSpec, schedule: Schedule, k: float, omega: floa
     return float(_values(_batch([term]))[0].real) if g else 0.0
 
 
-def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
-                           lam: float) -> SaddlePointAmplitude:
-    """Two-saddle stationary-phase amplitude with a validity flag.
+def _saddle(spec: ChainSpec, schedule: Schedule, k: float, omega: float):
+    """The PHASE terms of :func:`amplitude_saddle_point`, and the map from their values and
+    lam to its result.
 
-    The flag is false when the next-order expansion parameter
-    (dg/dt)(t_*) / (omega sqrt(omega^2 - 4 k^2)) exceeds 0.1 or when a
-    saddle sits within a few Fresnel widths of the sweep boundaries.
+    A term is the accumulated phase at a saddle of nonzero curvature (at
+    g = 0 the phase is 0 and needs none).  Split at the phases, the one
+    saddle formula serves a caller that integrates the terms of many
+    amplitudes in one batch of its own, as the amplitude table does.
     """
-    check_number("lam", lam, 0.0, inclusive=True)
     ka = _check_channel(spec, k)
     if not omega > 2.0 * abs(ka):
         raise ValueError(
             f"saddle-point approximation needs omega > 2|ka| = {2 * abs(ka):.6g}, "
             f"got omega={omega}; use amplitude_numeric or amplitude_bound"
         )
-    g_lo, g_hi = saddle_points(spec, k, omega)
-    disc = omega * np.sqrt(omega**2 - 4.0 * ka * ka)
-
-    g_stars = (g_lo, g_hi)
+    g_stars = saddle_points(spec, k, omega)
     vels = [float(schedule.velocity_of_g(g)) for g in g_stars]
     ddphi = [2.0 * float(mode_epsilon_dg(ka, g)) * v for g, v in zip(g_stars, vels)]  # d^2 Phi/dt^2
-    worst_ratio = max(0.0, *(v / disc for v in vels))
-    valid = 0.0 not in ddphi
-    # both accumulated phases in one quadrature batch; at g = 0 the phase is 0
+    worst_ratio = max(0.0, *(v / (omega * np.sqrt(omega**2 - 4.0 * ka * ka)) for v in vels))
     terms = [(schedule, ka, omega, PHASE, g) for g, d in zip(g_stars, ddphi) if g and d]
-    phases = iter(_values(_batch(terms)).real.tolist())
-    total = 0.0j
-    for g_star, vel, ddphi_t in zip(g_stars, vels, ddphi):
-        if ddphi_t == 0.0:
-            continue
-        phi_star = next(phases) if g_star else 0.0
-        m_star = pair_matrix_element(ka, g_star)
-        total += m_star * np.sqrt(2.0 * np.pi / abs(ddphi_t)) * np.exp(
-            1j * (phi_star + np.sign(ddphi_t) * np.pi / 4.0)
-        )
-        # Fresnel width of the saddle in g; the interior formula needs
-        # the stationary region well inside the sweep.
-        width_g = vel * np.sqrt(2.0 * np.pi / abs(ddphi_t))
-        if g_star - 3.0 * width_g < 0.0 or g_star + 3.0 * width_g > 1.0:
-            valid = False
-    if worst_ratio > 0.1:
-        valid = False
-    return SaddlePointAmplitude(
-        value=-1j * lam * total, valid=valid,
-        g_minus=g_lo, g_plus=g_hi, next_order_ratio=worst_ratio,
-    )
+
+    def amplitude(phases, lam) -> SaddlePointAmplitude:
+        phases, total, valid = iter(phases), 0.0j, 0.0 not in ddphi and not worst_ratio > 0.1
+        for g_star, vel, ddphi_t in zip(g_stars, vels, ddphi):
+            if ddphi_t == 0.0:
+                continue
+            phi_star = next(phases) if g_star else 0.0
+            width = np.sqrt(2.0 * np.pi / abs(ddphi_t))
+            total += pair_matrix_element(ka, g_star) * width * np.exp(
+                1j * (phi_star + np.sign(ddphi_t) * np.pi / 4.0))
+            # Fresnel width of the saddle in g; the interior formula needs
+            # the stationary region well inside the sweep.
+            width_g = vel * width
+            if g_star - 3.0 * width_g < 0.0 or g_star + 3.0 * width_g > 1.0:
+                valid = False
+        return SaddlePointAmplitude(-1j * lam * total, valid, *g_stars)
+
+    return terms, amplitude
+
+
+def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
+                           lam: float) -> SaddlePointAmplitude:
+    """Two-saddle stationary-phase amplitude with a validity flag, both accumulated phases
+    in one quadrature batch.
+
+    The flag is false when the next-order expansion parameter
+    (dg/dt)(t_*) / (omega sqrt(omega^2 - 4 k^2)) exceeds 0.1 or when a
+    saddle sits within a few Fresnel widths of the sweep boundaries.
+    """
+    check_number("lam", lam, 0.0, inclusive=True)
+    terms, amplitude = _saddle(spec, schedule, k, omega)
+    return amplitude(_values(_batch(terms)).real.tolist(), lam)
 
 
 def amplitude_bound(spec: ChainSpec, schedule: Schedule, k: float, lam: float) -> float:
@@ -410,12 +416,12 @@ class TotalExcitationResult:
 
 def _totals(outcomes) -> dict:
     """Panels, evaluations and Levin solves summed over the converged ``outcomes``, and the
-    bisection levels of the deepest one."""
+    bisection levels of the deepest one, under their diagnostics keys."""
     done = [res for res in outcomes if not isinstance(res, QuadratureError)]
-    return {"panels": sum(res.panels for res in done),
-            "evaluations": sum(res.evaluations for res in done),
-            "levin_solves": sum(res.levin_solves for res in done),
-            "levels": max((res.levels for res in done), default=0)}
+    return {"quadrature_panels": sum(res.panels for res in done),
+            "quadrature_evaluations": sum(res.evaluations for res in done),
+            "quadrature_levin_solves": sum(res.levin_solves for res in done),
+            "quadrature_levels": max((res.levels for res in done), default=0)}
 
 
 def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: BathSpectrum,

@@ -34,12 +34,10 @@ from .decoherence import (
     BathSpectrum,
     _batch,
     _bath_bounds,
-    _channel_norms,
     _check_bath,
+    _saddle,
     _totals,
     _values,
-    amplitude_numeric,
-    amplitude_saddle_point,
     saddle_points,
     scaling_fit,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "write_json",
 ]
 
-EXPERIMENT_KINDS = ("spectrum", "dynamics", "decoherence", "scaling", "stepwise", "oracle-check")
 _G_POINTS = 201  # sweep values g of each spectrum curve
 _K_MODES = 4     # lowest channels of the amplitude table
 
@@ -276,9 +273,12 @@ def _t1_points(eps_adiab: float) -> list:
     return points
 
 
-def _quadrature_counts(counts: dict) -> dict:
-    """The quadrature ``counts`` of :func:`decoherence._totals` under their diagnostics keys."""
-    return {f"quadrature_{key}": val for key, val in counts.items()}
+def _pass(passes: dict, terms, rtol, norms=None):
+    """The values of ``terms`` from one quadrature batch, whose integrals and counts are
+    recorded in ``passes`` as its next pass; the first failure raises, naming its interval."""
+    outcomes = _batch(terms, rtol, norms)
+    passes[f"pass_{len(passes) + 1}"] = {"integrals": len(outcomes), **_totals(outcomes)}
+    return _values(outcomes)
 
 
 def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float):
@@ -297,17 +297,9 @@ def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float):
     saddle = [p for p in points if p[0]["column"] == "saddle"]
     channels = list(dict.fromkeys((sched, k) for *_, k, omega, sched in points))
     counts = {}
-
-    def integrate(terms, norms=None):
-        outcomes = _batch(terms, rtol, norms)
-        values = _values(outcomes)  # the first failure raises, naming its interval
-        counts[f"pass_{len(counts) + 1}"] = {"integrals": len(outcomes),
-                                             **_quadrature_counts(_totals(outcomes))}
-        return values
-
-    values = integrate([(sched, k, 0.0, NORM, 1.0) for sched, k in channels] + [
+    values = _pass(counts, [(sched, k, 0.0, NORM, 1.0) for sched, k in channels] + [
         (sched, k, omega, PHASE, g) for *_, spec, k, omega, sched in saddle
-        for g in saddle_points(spec, k, omega)])
+        for g in saddle_points(spec, k, omega)], rtol)
     norm = {(sched, k, 1.0): v for (sched, k), v in zip(channels, values.real.tolist())}
     lo, hi = values[len(channels):].real.reshape(-1, 2).T
     terms = []
@@ -315,7 +307,7 @@ def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float):
         longer = Schedule(cell["schedule"], sched.total_time * (1.0 + np.pi / abs(dphi)), spec)
         norm[longer, k, 1.0] = norm[sched, k, 1.0] * longer.total_time / sched.total_time
         terms += [(sched, k, omega, AMPLITUDE, 1.0), (longer, k, omega, AMPLITUDE, 1.0)]
-    amplitudes = integrate(terms, norm).tolist()
+    amplitudes = _pass(counts, terms, rtol, norm).tolist()
     envelopes = iter([math.sqrt(0.5 * (abs(-1j * lam * a1) ** 2 + abs(-1j * lam * a2) ** 2))
                       for a1, a2 in zip(amplitudes[::2], amplitudes[1::2])])
     rows = {}
@@ -401,58 +393,59 @@ def _run_dynamics(config: ExperimentConfig, out: Path):
 
 
 def _run_decoherence(config: ExperimentConfig, out: Path):
+    """The amplitude table of the 4 lowest channels of every size, and the suppression scan
+    of one sub-gap (k, omega) of the first size, in two quadrature passes (no frequency
+    grid: the bath-averaged total).  Pass 1 integrates the norm of each distinct
+    (schedule, k), for the bound rows and the amplitudes' floors, with the phases of every
+    saddle-point row; pass 2 every amplitude of the table and the scan.
+    """
     if not config.omega_grid:
-        # bath-averaged mode: total excitation probability per size
         return _run_total_probability(config, out)
-    files, checks, diagnostics = [], {}, {}
-    rows = []
     lam = CouplingConstant(config.coupling).lam  # warns when first order breaks down
-    bound_ok = True
-    saddle_ok = True
     omegas = [float(w) for w in config.omega_grid]
+    cells, scan = [], []  # (n, schedule, k, omega)
     for n in config.chain_sizes:
-        spec = ChainSpec(n)
         sched = config.schedule_for(n)
-        T = sched.total_time
-        ks = channel_momenta(spec)[:_K_MODES].tolist()
-        norms = _channel_norms(sched, ks)  # for the amplitudes' floors and the bound rows
-        terms = [(sched, k, w, AMPLITUDE, 1.0) for k in ks for w in omegas]
-        outcomes = _batch(terms, config.amplitude_rtol, norms)
-        a_grid = -1j * lam * _values(outcomes)
-        diagnostics[str(n)] = {"integrals": len(outcomes), **_quadrature_counts(_totals(outcomes))}
-        for k, a_row in zip(ks, a_grid.reshape(len(ks), -1).tolist()):
-            b = lam * norms[sched, k, 1.0]
-            for omega, a_num in zip(omegas, a_row):
-                bound_ok &= abs(a_num) <= b * (1.0 + 1e-9)
-                rows.append((n, sched.kind, T, k, omega, "numeric",
-                             a_num.real, a_num.imag, abs(a_num), ""))
-                rows.append((n, sched.kind, T, k, omega, "bound", b, 0.0, b, ""))
-                # saddle points exist only up to the largest channel gap 4
-                if 2.0 * k < omega <= 4.0:
-                    sp = amplitude_saddle_point(spec, sched, k, omega, lam)
-                    rows.append((n, sched.kind, T, k, omega, "saddle-point",
-                                 sp.value.real, sp.value.imag, abs(sp.value), str(sp.valid)))
-                    if sp.valid and abs(a_num) > 0:
-                        saddle_ok &= 0.8 <= abs(sp.value) / abs(a_num) <= 1.25
-    files.append(write_csv(
-        out / "amplitudes.csv",
-        ["n", "schedule", "T", "k", "omega", "method", "re", "im", "abs", "valid"],
-        rows,
-    ))
-    checks["bound_dominates_numeric"] = bool(bound_ok)
-    checks["saddle_within_envelope_band"] = bool(saddle_ok)
-
+        cells += [(n, sched, k, w) for k in channel_momenta(ChainSpec(n))[:_K_MODES].tolist()
+                  for w in omegas]
     if config.t_scan:
         n = config.chain_sizes[0]
-        spec = ChainSpec(n)
-        k, w = _subgap_pair(spec, config.omega_grid)
-        scan_rows = []
-        for T in config.t_scan:
-            sched = config.schedule_for(n, total_time=T)
-            a_num = amplitude_numeric(spec, sched, k, w, lam, rtol=config.amplitude_rtol)
-            scan_rows.append((float(T), math.log(abs(a_num))))
-        files.append(write_csv(out / "suppression.csv", ["T", "ln_abs_amplitude"], scan_rows))
-    return files, checks, {"diagnostics": diagnostics}
+        k, w = _subgap_pair(ChainSpec(n), config.omega_grid)
+        scan = [(n, config.schedule_for(n, total_time=T), k, w) for T in config.t_scan]
+    # saddle points exist only up to the largest channel gap 4
+    saddles = [_saddle(ChainSpec(n), sched, k, w) if 2.0 * k < w <= 4.0 else ((), None)
+               for n, sched, k, w in cells]
+    channels = list(dict.fromkeys((sched, k) for _, sched, k, _ in cells + scan))
+    passes = {}
+    values = _pass(passes, [(sched, k, 0.0, NORM, 1.0) for sched, k in channels]
+                   + [term for terms, _ in saddles for term in terms], config.amplitude_rtol)
+    norms = {(sched, k, 1.0): v for (sched, k), v in zip(channels, values.real.tolist())}
+    phases = iter(values[len(channels):].real.tolist())
+    amplitudes = (-1j * lam * _pass(passes, [(sched, k, w, AMPLITUDE, 1.0) for _, sched, k, w
+                                             in cells + scan], config.amplitude_rtol, norms)).tolist()
+    rows, bound_ok, saddle_ok = [], True, True
+    for (n, sched, k, omega), a_num, (terms, saddle) in zip(cells, amplitudes, saddles):
+        b = lam * norms[sched, k, 1.0]
+        bound_ok &= abs(a_num) <= b * (1.0 + 1e-9)
+        cell = (n, sched.kind, sched.total_time, k, omega)
+        rows += [cell + ("numeric", a_num.real, a_num.imag, abs(a_num), ""),
+                 cell + ("bound", b, 0.0, b, "")]
+        if saddle:
+            sp = saddle([next(phases) for _ in terms], lam)
+            rows.append(cell + ("saddle-point", sp.value.real, sp.value.imag, abs(sp.value),
+                                str(sp.valid)))
+            if sp.valid and abs(a_num) > 0:
+                saddle_ok &= 0.8 <= abs(sp.value) / abs(a_num) <= 1.25
+    files = [write_csv(out / "amplitudes.csv",
+                       ["n", "schedule", "T", "k", "omega", "method", "re", "im", "abs", "valid"],
+                       rows)]
+    checks = {"bound_dominates_numeric": bool(bound_ok),
+              "saddle_within_envelope_band": bool(saddle_ok)}
+    if scan:
+        files.append(write_csv(out / "suppression.csv", ["T", "ln_abs_amplitude"],
+                               [(sched.total_time, math.log(abs(a))) for (_, sched, _, _), a
+                                in zip(scan, amplitudes[len(cells):])]))
+    return files, checks, {"diagnostics": passes}
 
 
 def _run_total_probability(config: ExperimentConfig, out: Path):
@@ -473,7 +466,7 @@ def _run_total_probability(config: ExperimentConfig, out: Path):
         rows.append((n, sched.kind, sched.total_time, res.p_total,
                      methods.count("numeric"), methods.count("bound")))
         warnings_seen += res.warnings
-        diagnostics[str(n)] = {**_quadrature_counts(res.counts),
+        diagnostics[str(n)] = {**res.counts,
                                "numeric_terms": methods.count("numeric"),
                                "bound_terms": methods.count("bound")}
     files = [write_csv(out / "total_probability.csv",
@@ -600,6 +593,7 @@ _RUNNERS = {
     "stepwise": _run_stepwise,
     "oracle-check": _run_oracle_check,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:

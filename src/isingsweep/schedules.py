@@ -71,13 +71,15 @@ def _norm_integral(spec: ChainSpec, power: int) -> float:
     return float(np.arctan(c / s) / (16.0 * s * c))
 
 
-def _velocity(rate, s, c, power, g):
-    """dg/dt = rate * (4 sqrt(s^2 + c^2 (1 - 2g)^2))^power, power 0, 1 or 2, as exact
-    products: arrays of the four numbers, one row per schedule, give each its own."""
-    one = np.ones_like(g)  # an array: np.where is twice as slow with a scalar
+def _velocity(rate, s, c, power, x):
+    """dg/dt = rate * (4 sqrt(s^2 + c^2 x^2))^power at x = 1 - 2g, power 0, 1 or 2, as exact
+    products: arrays of the four numbers, one row per schedule, give each its own.  It takes
+    x, not g: formed from g at the crossing g = 1/2, where 1/v peaks as s^-p, 1 - 2g would
+    keep only about 1e-16 absolute, and a caller may know it to full relative accuracy."""
+    one = np.ones_like(x)  # an array: np.where is twice as slow with a scalar
     if not np.any(power):  # constant speed only: no gap to evaluate
         return rate * one
-    gap = 4.0 * np.sqrt(s * s + ((1.0 - 2.0 * g) * c) ** 2)
+    gap = 4.0 * np.sqrt(s * s + (x * c) ** 2)
     return rate * (np.where(power > 0, gap, one) * np.where(power > 1, gap, one))
 
 
@@ -118,7 +120,7 @@ class Schedule:
 
     def velocity_of_g(self, g):
         """dg/dt as a function of g (closed form, exact)."""
-        return _velocity(*self.velocity_terms, np.asarray(g))
+        return _velocity(*self.velocity_terms, 1.0 - 2.0 * np.asarray(g))
 
     def _check_time(self, t):
         T, slop = self.total_time, 1e-12 * self.total_time

@@ -323,8 +323,8 @@ def test_total_probability_bound_fallback_per_term(monkeypatch):
     shift = res.channel_amplitudes[k0] - clean.channel_amplitudes[k0]
     assert shift == pytest.approx(weights[5] * (bound - numeric), rel=1e-9)
     assert np.isfinite(res.p_total) and res.p_total > clean.p_total
-    assert res.counts["panels"] < clean.counts["panels"]
-    assert res.counts["evaluations"] < clean.counts["evaluations"]
+    assert res.counts["quadrature_panels"] < clean.counts["quadrature_panels"]
+    assert res.counts["quadrature_evaluations"] < clean.counts["quadrature_evaluations"]
 
 
 def test_total_probability_skips_zero_weight_nodes():
@@ -333,7 +333,7 @@ def test_total_probability_skips_zero_weight_nodes():
     bath = BathSpectrum("ohmic", {"omega_c": 1e-6, "support_max": 1.9}, CouplingConstant(0.01))
     assert not bath.quadrature()[1].any()
     res = total_excitation_probability(spec, Schedule("linear", 30.0), bath)
-    assert res.p_total == 0.0 and res.counts["panels"] == 0
+    assert res.p_total == 0.0 and res.counts["quadrature_panels"] == 0
     assert all(m == ("skipped",) * 33 for m in res.methods.values())
 
 
@@ -542,3 +542,19 @@ def test_ohmic_normalization_closed_form(x):
     z = quad(lambda w: w * np.exp(-w / omega_c), 0.0, x * omega_c, epsabs=0.0, epsrel=1e-13,
              limit=200)[0]
     assert 1.0 / bath.normalization == pytest.approx(z, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("kind, n, j, omega", [("gap-adapted-2", 2048, 5, 3.5),
+                                               ("gap-adapted-1", 2048, 23, 1.3),
+                                               ("gap-adapted-2", 1024, 103, 2.5)])
+def test_gap_adapted_phase_converges_at_large_n(kind, n, j, omega):
+    # the velocity takes x = 1 - 2g, which the channel variable gives without
+    # cancellation: formed from g, it carried noise at the crossing's s^-p peak
+    # of 1/v that the phase budget (rtol 1e-13) could not meet at n >= 1024
+    spec = ChainSpec(n)
+    sched = Schedule(kind, runtime_for_adiabaticity(kind, n, 0.25), spec)
+    k = j * np.pi / n
+    g_plus = saddle_points(spec, k, omega)[1]
+    ref = sum(quad(lambda g: (2 * mode_epsilon(k, g) - omega) / sched.velocity_of_g(g), a, b,
+                   epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in ((0.0, 0.5), (0.5, g_plus)))
+    assert accumulated_phase(spec, sched, k, omega, g_plus) == pytest.approx(ref, rel=1e-12, abs=0)

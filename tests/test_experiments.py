@@ -25,6 +25,7 @@ from isingsweep.decoherence import (
     accumulated_phase,
     amplitude_bound,
     amplitude_numeric,
+    amplitude_saddle_point,
     saddle_points,
 )
 from isingsweep.dynamics import integrate_modes
@@ -337,23 +338,95 @@ def test_decoherence_experiment_with_suppression_scan(tmp_path):
 
 
 def test_amplitude_table_records_quadrature_counts(tmp_path):
-    # per size the counts of its amplitude batch (4 channels x 3 frequencies), identical
-    # across reruns and saved in summary.json
+    # per pass, as in the scaling table: the 8 channel norms with the 12 saddle
+    # phases, then the 24 amplitudes (2 sizes x 4 channels x 3 frequencies);
+    # identical across reruns and saved in summary.json
     summaries = [run_experiment(ExperimentConfig.from_dict({
         "kind": "decoherence", "chain_sizes": [8, 16], "omega_grid": [0.3, 0.8, 2.2],
         "coupling": 1e-3, "output_dir": str(out)})) for out in (tmp_path / "a", tmp_path / "b")]
     diagnostics = summaries[0]["diagnostics"]
     assert diagnostics == summaries[1]["diagnostics"]
-    assert sorted(diagnostics) == ["16", "8"]
+    assert sorted(diagnostics) == ["pass_1", "pass_2"]
     for d in diagnostics.values():
         assert sorted(d) == ["integrals", "quadrature_evaluations", "quadrature_levels",
                              "quadrature_levin_solves", "quadrature_panels"]
-        assert d["integrals"] == 12
-        # each amplitude starts as one panel; every split evaluates two new ones of 33 nodes
-        assert d["quadrature_evaluations"] == 33 * (2 * d["quadrature_panels"] - d["integrals"])
-        assert 0 < d["quadrature_levin_solves"] <= d["quadrature_evaluations"] // 33
+        assert d["quadrature_panels"] >= d["integrals"]
+        assert d["quadrature_levin_solves"] <= d["quadrature_evaluations"] // 33
+    assert [d["integrals"] for d in diagnostics.values()] == [20, 24]
+    # the zero-phase norms and phases need no Levin solve
+    assert diagnostics["pass_1"]["quadrature_levin_solves"] == 0
+    # each amplitude starts as one panel; every split evaluates two new ones of 33
+    # nodes (the norms and phases of pass 1 start split at w = 1/2)
+    d = diagnostics["pass_2"]
+    assert d["quadrature_evaluations"] == 33 * (2 * d["quadrature_panels"] - d["integrals"])
+    assert d["quadrature_levin_solves"] > 0
     saved = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert saved["diagnostics"] == diagnostics
+
+
+# the runs that took 10, 19 and 16 quadrature batches with a norm and an amplitude batch
+# per size, a batch per saddle-point row and two per scan time
+_PLAN_RUNS = {
+    "two-sizes": {"chain_sizes": [8, 16], "omega_grid": [0.3, 0.8, 2.2]},
+    "three-sizes": {"chain_sizes": [8, 16, 32], "omega_grid": [0.3, 0.8, 2.2]},
+    "scan": {"chain_sizes": [8], "omega_grid": [0.3], "total_time": 50.0,
+             "t_scan": [20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0]},
+}
+
+
+@pytest.mark.parametrize("run", sorted(_PLAN_RUNS))
+def test_amplitude_table_in_two_batches_matches_public_calls(tmp_path, monkeypatch, run):
+    # one oscillatory_batch call per pass, whatever the sizes, rows and scan
+    # times; every row is the value of its public call
+    lam = 1e-3
+    config = ExperimentConfig.from_dict({"kind": "decoherence", "coupling": lam,
+                                         "output_dir": str(tmp_path), **_PLAN_RUNS[run]})
+    calls = []
+    inner = decoherence.oscillatory_batch
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
+    summary = run_experiment(config)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert [d["integrals"] for d in summary["diagnostics"].values()] == calls
+    with open(tmp_path / "amplitudes.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["method"] for r in rows} == {"numeric", "bound", "saddle-point"} - (
+        {"saddle-point"} if run == "scan" else set())
+    for r in rows:
+        n, k, omega = int(r["n"]), float(r["k"]), float(r["omega"])
+        spec, sched = ChainSpec(n), config.schedule_for(n)
+        value = complex(float(r["re"]), float(r["im"]))
+        if r["method"] == "numeric":
+            expected = amplitude_numeric(spec, sched, k, omega, lam, rtol=config.amplitude_rtol)
+            assert abs(value - expected) <= 1e-12 * abs(expected)
+        elif r["method"] == "bound":
+            assert value == pytest.approx(amplitude_bound(spec, sched, k, lam), rel=1e-15, abs=0)
+        else:
+            sp = amplitude_saddle_point(spec, sched, k, omega, lam)
+            assert abs(value - sp.value) <= 1e-12 * abs(sp.value)
+            assert r["valid"] == str(sp.valid)
+    if config.t_scan:
+        # omega = 0.3 is below the minimum gap of the lowest n = 8 channel
+        spec = ChainSpec(8)
+        k = channel_momenta(spec)[0]
+        with open(tmp_path / "suppression.csv", newline="") as fh:
+            scan = [(float(r["T"]), float(r["ln_abs_amplitude"])) for r in csv.DictReader(fh)]
+        assert [T for T, _ in scan] == list(config.t_scan)
+        for T, ln_abs in scan:
+            a = amplitude_numeric(spec, Schedule("linear", T, spec), k, 0.3, lam)
+            assert abs(ln_abs - np.log(abs(a))) <= 1e-12  # |A| to 1e-12 relative
+
+
+def test_gap_adapted_amplitude_table_at_n_2048(tmp_path):
+    # the saddle phases of n = 2048 converge once 1 - 2g is formed without
+    # cancellation at the crossing
+    assert main(["decoherence", "--n", "2048", "--schedule", "gap-adapted-2", "--omega", "3.5",
+                 "--coupling", "1e-3", "--out", str(tmp_path)]) == 0
 
 
 def test_decoherence_subgap_rows_use_the_exact_minimum_gap(tmp_path):

@@ -114,7 +114,7 @@ def test_velocity_terms_give_each_schedule_in_one_batch():
               Schedule("gap-adapted-2", 80.0, spec)]
     g = np.linspace(0.0, 1.0, 11)
     rate, s, c, power = np.array([x.velocity_terms for x in scheds], dtype=float).T[..., None]
-    batch = _velocity(rate, s, c, power, g)
+    batch = _velocity(rate, s, c, power, 1.0 - 2.0 * g)  # it takes x = 1 - 2g
     for row, sched in zip(batch, scheds):
         assert np.array_equal(row, sched.velocity_of_g(g))
         assert row[3] == sched.velocity_of_g(g[3])
