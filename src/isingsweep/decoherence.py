@@ -21,8 +21,10 @@ Provided evaluations: the numeric integral, the two-saddle
 stationary-phase approximation with a validity flag, and the rigorous
 phase-free upper bound lam * int |M| dt.  Every integral, numeric
 amplitude, channel norm int |M_k / (dg/dt)| dg or accumulated phase,
-goes through one routine that integrates a list of them, on any mix of
-schedules, in one batched quadrature call.  The omega-independent norm
+goes through one pass routine, here and in the experiment tables: it
+integrates each distinct term of a list once, on any mix of schedules,
+in one batched quadrature call (only the bath-averaged sum, which falls
+back per term, reads the raw outcomes).  The omega-independent norm
 is integrated once per channel, before the amplitudes: each amplitude's
 relative budget is floored at 1e-13 of it, which keeps amplitudes that
 cancel to nearly nothing from chasing an unreachable relative budget.
@@ -271,18 +273,35 @@ def _batch(terms, rtol=0.0, norms=None):
                              points=points)
 
 
-def _values(outcomes):
-    """The values of ``outcomes``; the first failure raises its :class:`QuadratureError`."""
+def _totals(outcomes) -> dict:
+    """Panels, evaluations and Levin solves summed over the converged ``outcomes``, and the
+    bisection levels of the deepest one, under their diagnostics keys."""
+    done = [res for res in outcomes if not isinstance(res, QuadratureError)]
+    return {"quadrature_panels": sum(res.panels for res in done),
+            "quadrature_evaluations": sum(res.evaluations for res in done),
+            "quadrature_levin_solves": sum(res.levin_solves for res in done),
+            "quadrature_levels": max((res.levels for res in done), default=0)}
+
+
+def _pass(terms, rtol=0.0, norms=None, passes=None):
+    """The value of each of ``terms``, in order, and the NORM values keyed
+    (schedule, ka, g_upper), from one quadrature batch of the distinct terms.
+
+    Each distinct term is integrated once, in first-occurrence order.  The
+    batch's integrals and counts are recorded in ``passes``, when given, as
+    its next pass; then the first failure raises its :class:`QuadratureError`.
+    """
+    distinct = list(dict.fromkeys(terms))
+    outcomes = _batch(distinct, rtol, norms)
+    if passes is not None:
+        passes[f"pass_{len(passes) + 1}"] = {"integrals": len(outcomes), **_totals(outcomes)}
     for res in outcomes:
         if isinstance(res, QuadratureError):
             raise res
-    return np.array([res.value for res in outcomes], dtype=complex)
-
-
-def _channel_norms(schedule, channels, g_upper=1.0):
-    """{(schedule, ka, g_upper): int_0^g_upper |M_k / (dg/dt)| dg} of the distinct ``channels``."""
-    keys = [(schedule, ka, g_upper) for ka in dict.fromkeys(channels)]
-    return dict(zip(keys, _values(_batch([(sc, ka, 0.0, NORM, g) for sc, ka, g in keys])).real))
+    value = {term: res.value for term, res in zip(distinct, outcomes)}
+    return (np.array([value[term] for term in terms], dtype=complex),
+            {(sc, ka, g): float(v.real) for (sc, ka, _, kind, g), v in value.items()
+             if kind == NORM})
 
 
 def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k, omega,
@@ -305,7 +324,8 @@ def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k, omega,
     k, omega = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(omega, dtype=float))
     ka = [_check_channel(spec, x) for x in k.ravel().tolist()]
     terms = [(schedule, x, w, AMPLITUDE, g_upper) for x, w in zip(ka, omega.ravel().tolist())]
-    values = -1j * lam * _values(_batch(terms, rtol, _channel_norms(schedule, ka, g_upper)))
+    _, norms = _pass([(schedule, x, 0.0, NORM, g_upper) for x in ka])
+    values = -1j * lam * _pass(terms, rtol, norms)[0]
     return values.reshape(k.shape) if k.ndim else complex(values[0])
 
 
@@ -341,7 +361,7 @@ def accumulated_phase(spec: ChainSpec, schedule: Schedule, k: float, omega: floa
     if not 0.0 <= g <= 1.0:
         raise ValueError(f"g must be in [0, 1], got {g}")
     term = (schedule, _check_channel(spec, k), omega, PHASE, g)
-    return float(_values(_batch([term]))[0].real) if g else 0.0
+    return float(_pass([term])[0][0].real) if g else 0.0
 
 
 def _saddle(spec: ChainSpec, schedule: Schedule, k: float, omega: float):
@@ -395,14 +415,14 @@ def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega:
     """
     check_number("lam", lam, 0.0, inclusive=True)
     terms, amplitude = _saddle(spec, schedule, k, omega)
-    return amplitude(_values(_batch(terms)).real.tolist(), lam)
+    return amplitude(_pass(terms)[0].real.tolist(), lam)
 
 
 def amplitude_bound(spec: ChainSpec, schedule: Schedule, k: float, lam: float) -> float:
     """Rigorous bound lam * int_0^T |M_k(t)| dt, for every frequency (all phases dropped)."""
     check_number("lam", lam, 0.0, inclusive=True)
-    (norm,) = _channel_norms(schedule, [_check_channel(spec, k)]).values()
-    return float(lam * norm)
+    term = (schedule, _check_channel(spec, k), 0.0, NORM, 1.0)
+    return float(lam * _pass([term])[0][0].real)
 
 
 @dataclass
@@ -412,16 +432,6 @@ class TotalExcitationResult:
     methods: dict = field(default_factory=dict)             # k -> tuple of method names
     warnings: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)  # _totals of the numeric terms
-
-
-def _totals(outcomes) -> dict:
-    """Panels, evaluations and Levin solves summed over the converged ``outcomes``, and the
-    bisection levels of the deepest one, under their diagnostics keys."""
-    done = [res for res in outcomes if not isinstance(res, QuadratureError)]
-    return {"quadrature_panels": sum(res.panels for res in done),
-            "quadrature_evaluations": sum(res.evaluations for res in done),
-            "quadrature_levin_solves": sum(res.levin_solves for res in done),
-            "quadrature_levels": max((res.levels for res in done), default=0)}
 
 
 def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: BathSpectrum,
@@ -441,7 +451,7 @@ def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: Bath
     ks = channel_momenta(spec).tolist()
     live = weights != 0.0
     terms = [(schedule, k, w, AMPLITUDE, 1.0) for k in ks for w in nodes[live].tolist()]
-    norms = _channel_norms(schedule, ks)
+    _, norms = _pass([(schedule, k, 0.0, NORM, 1.0) for k in ks])
     outcomes = _batch(terms, rtol, norms)
     result = TotalExcitationResult(p_total=0.0, counts=_totals(outcomes))
     failed = [isinstance(res, QuadratureError) for res in outcomes]

@@ -32,12 +32,10 @@ from .decoherence import (
     NORM,
     PHASE,
     BathSpectrum,
-    _batch,
     _bath_bounds,
     _check_bath,
+    _pass,
     _saddle,
-    _totals,
-    _values,
     saddle_points,
     scaling_fit,
 )
@@ -153,6 +151,9 @@ class ExperimentConfig:
             for v in vals:
                 _config_check("config.", check_number, key, v, least)
             d[key] = tuple(float(v) for v in vals)
+            for i, v in enumerate(d[key]):
+                if v in d[key][:i]:
+                    raise ConfigError(f"config.{key}[{i}]: {v!r} repeats")
         scan = kind == "decoherence" and d.get("omega_grid") and d.get("t_scan")
         if scan and _subgap_pair(ChainSpec(d["chain_sizes"][0]), d["omega_grid"]) is None:
             raise ConfigError("config.t_scan: no sub-gap (k, omega) pair in the grid")
@@ -273,14 +274,6 @@ def _t1_points(eps_adiab: float) -> list:
     return points
 
 
-def _pass(passes: dict, terms, rtol, norms=None):
-    """The values of ``terms`` from one quadrature batch, whose integrals and counts are
-    recorded in ``passes`` as its next pass; the first failure raises, naming its interval."""
-    outcomes = _batch(terms, rtol, norms)
-    passes[f"pass_{len(passes) + 1}"] = {"integrals": len(outcomes), **_totals(outcomes)}
-    return _values(outcomes)
-
-
 def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float):
     """The six scaling cells in two quadrature passes.
 
@@ -295,19 +288,17 @@ def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float):
     """
     points = _t1_points(eps_adiab)
     saddle = [p for p in points if p[0]["column"] == "saddle"]
-    channels = list(dict.fromkeys((sched, k) for *_, k, omega, sched in points))
     counts = {}
-    values = _pass(counts, [(sched, k, 0.0, NORM, 1.0) for sched, k in channels] + [
+    values, norm = _pass([(sched, k, 0.0, NORM, 1.0) for *_, k, omega, sched in points] + [
         (sched, k, omega, PHASE, g) for *_, spec, k, omega, sched in saddle
-        for g in saddle_points(spec, k, omega)], rtol)
-    norm = {(sched, k, 1.0): v for (sched, k), v in zip(channels, values.real.tolist())}
-    lo, hi = values[len(channels):].real.reshape(-1, 2).T
+        for g in saddle_points(spec, k, omega)], rtol, passes=counts)
+    lo, hi = values[len(points):].real.reshape(-1, 2).T
     terms = []
     for (cell, *_, spec, k, omega, sched), dphi in zip(saddle, (hi - lo).tolist()):
         longer = Schedule(cell["schedule"], sched.total_time * (1.0 + np.pi / abs(dphi)), spec)
         norm[longer, k, 1.0] = norm[sched, k, 1.0] * longer.total_time / sched.total_time
         terms += [(sched, k, omega, AMPLITUDE, 1.0), (longer, k, omega, AMPLITUDE, 1.0)]
-    amplitudes = _pass(counts, terms, rtol, norm).tolist()
+    amplitudes = _pass(terms, rtol, norm, counts)[0].tolist()
     envelopes = iter([math.sqrt(0.5 * (abs(-1j * lam * a1) ** 2 + abs(-1j * lam * a2) ** 2))
                       for a1, a2 in zip(amplitudes[::2], amplitudes[1::2])])
     rows = {}
@@ -415,14 +406,13 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
     # saddle points exist only up to the largest channel gap 4
     saddles = [_saddle(ChainSpec(n), sched, k, w) if 2.0 * k < w <= 4.0 else ((), None)
                for n, sched, k, w in cells]
-    channels = list(dict.fromkeys((sched, k) for _, sched, k, _ in cells + scan))
     passes = {}
-    values = _pass(passes, [(sched, k, 0.0, NORM, 1.0) for sched, k in channels]
-                   + [term for terms, _ in saddles for term in terms], config.amplitude_rtol)
-    norms = {(sched, k, 1.0): v for (sched, k), v in zip(channels, values.real.tolist())}
-    phases = iter(values[len(channels):].real.tolist())
-    amplitudes = (-1j * lam * _pass(passes, [(sched, k, w, AMPLITUDE, 1.0) for _, sched, k, w
-                                             in cells + scan], config.amplitude_rtol, norms)).tolist()
+    rtol = config.amplitude_rtol
+    values, norms = _pass([(sched, k, 0.0, NORM, 1.0) for _, sched, k, _ in cells + scan]
+                          + [term for terms, _ in saddles for term in terms], rtol, passes=passes)
+    phases = iter(values[len(cells + scan):].real.tolist())
+    amplitudes = (-1j * lam * _pass([(sched, k, w, AMPLITUDE, 1.0) for _, sched, k, w
+                                     in cells + scan], rtol, norms, passes)[0]).tolist()
     rows, bound_ok, saddle_ok = [], True, True
     for (n, sched, k, omega), a_num, (terms, saddle) in zip(cells, amplitudes, saddles):
         b = lam * norms[sched, k, 1.0]

@@ -259,8 +259,8 @@ class CompositeBosonPath:
         self.n = system.n
         self.levels = _N_QUANTA + 1
         self.dim = system.dim * self.levels
-        self.omega0 = float(omega0)
-        self.lam = float(lam)
+        self.omega0 = float(check_number("omega0", omega0, -np.inf))
+        self.lam = float(check_number("lam", lam, 0.0, inclusive=True))
         m = np.arange(self.levels)
         B = np.zeros((self.levels, self.levels))
         B[m[:-1], m[:-1] + 1] = np.sqrt(m[1:])  # b
@@ -292,7 +292,9 @@ def schrodinger_evolve(path, psi0: np.ndarray, T: float, rtol: float = 1e-10, t_
     """
     if path.n > _EVOLVE_CAP:
         raise ValueError(f"n={path.n} exceeds the evolution cap n<={_EVOLVE_CAP}")
-    check_number("rtol", rtol, 1e-12, inclusive=True)  # NaN or inf would never finish
+    # a NaN or infinite T or rtol would never finish, and T=True would stop at t = 1
+    check_number("T", T, 0.0, inclusive=True)
+    check_number("rtol", rtol, 1e-12, inclusive=True)
     if psi0.shape != (path.dim,):
         raise ValueError(f"psi0 must have shape ({path.dim},), got {psi0.shape}")
     from scipy.integrate import solve_ivp  # only this dense reference needs scipy

@@ -92,6 +92,64 @@ def test_array_amplitudes_match_scalar_calls(chain8, monkeypatch):
     assert np.all(np.abs(grid - scalar) <= 1e-12 * np.abs(scalar))
 
 
+def test_pass_integrates_each_distinct_term_once(chain8, monkeypatch):
+    # [t1, t2, t1] is one batch of 2 rows in first-occurrence order, and a value per term;
+    # passes records the batch as its next pass, with its distinct integrals
+    sched = Schedule("gap-adapted-2", 80.0, chain8)
+    k1, k2 = channel_momenta(chain8)[:2].tolist()
+    t1 = (sched, k1, 0.8, decoherence.PHASE, 0.7)
+    t2 = (sched, k2, 0.0, decoherence.NORM, 1.0)
+    (v1,), (v2,) = (decoherence._pass([t])[0] for t in (t1, t2))
+    calls = []
+    inner = decoherence.oscillatory_batch
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["points"])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
+    passes = {"pass_1": {}}
+    values, norms = decoherence._pass([t1, t2, t1], passes=passes)
+    assert calls == [((0.5,), (0.5,))]
+    assert values.tolist() == [v1, v2, v1]
+    assert norms == {(sched, k2, 1.0): v2.real}
+    assert list(passes) == ["pass_1", "pass_2"] and passes["pass_2"]["integrals"] == 2
+    assert passes["pass_2"]["quadrature_panels"] > 0
+
+
+def test_pass_keys_norms_by_schedule_channel_and_upper_limit(chain8):
+    # each distinct NORM term once, keyed (schedule, ka, g_upper) in first-occurrence
+    # order; a partial sweep's norm is below the whole one's
+    sched, longer = Schedule("linear", 30.0), Schedule("linear", 60.0)
+    k1, k2 = channel_momenta(chain8)[:2].tolist()
+    keys = [(sched, k1, 1.0), (sched, k1, 0.9), (longer, k1, 1.0), (sched, k2, 0.9)]
+    terms = [(sc, k, 0.0, decoherence.NORM, g) for sc, k, g in keys]
+    phase = (sched, k2, 0.8, decoherence.PHASE, 0.7)
+    values, norms = decoherence._pass(terms + [phase] + terms[::-1])
+    assert list(norms) == keys
+    assert [norms[key] for key in keys] == values[:4].real.tolist() == values[:4:-1].real.tolist()
+    assert norms[sched, k1, 1.0] == amplitude_bound(chain8, sched, k1, 1.0)
+    assert norms[sched, k1, 0.9] < norms[sched, k1, 1.0]
+    assert norms[longer, k1, 1.0] == pytest.approx(2.0 * norms[sched, k1, 1.0], rel=1e-12)
+
+
+def test_pass_raises_its_first_failure_after_recording(chain8, monkeypatch):
+    sched = Schedule("linear", 30.0)
+    ks = channel_momenta(chain8).tolist()
+    inner = decoherence.oscillatory_batch
+
+    def two_fail(*args, **kwargs):
+        outcomes = inner(*args, **kwargs)
+        outcomes[1], outcomes[3] = QuadratureError("first"), QuadratureError("second")
+        return outcomes
+
+    monkeypatch.setattr(decoherence, "oscillatory_batch", two_fail)
+    passes = {}
+    with pytest.raises(QuadratureError, match="first"):
+        decoherence._pass([(sched, k, 0.0, decoherence.NORM, 1.0) for k in ks], passes=passes)
+    assert passes["pass_1"]["integrals"] == len(ks)
+
+
 def test_amplitude_requires_positive_grid_momentum(chain8):
     sched = Schedule("linear", 10.0)
     with pytest.raises(ValueError, match="positive"):
@@ -457,7 +515,7 @@ def test_linear_channel_norm_closed_form(n):
     bounds = np.array([amplitude_bound(spec, sched, k, 1.0) for k in ks.tolist()])
     assert np.abs(bounds / full - 1.0).max() <= 1e-13
     for g_u in (1.0, 0.9, 0.3):
-        norms = decoherence._channel_norms(sched, ks.tolist(), g_u)
+        _, norms = decoherence._pass([(sched, k, 0.0, decoherence.NORM, g_u) for k in ks.tolist()])
         x = 1.0 - 2.0 * g_u
         closed = T * s * (np.arcsinh(c / s) - np.arcsinh(c * x / s)
                           - 4.0 * c * g_u * (1.0 - g_u) / (1.0 + np.sqrt(s * s + (c * x) ** 2)))

@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -655,6 +656,20 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     rc = main(["spectrum", "--n", "8", "8", "--out", str(tmp_path)])
     assert rc == 2
     assert "config.chain_sizes[1]: n=8 repeats" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, values, message", [
+    ("omega_grid", [0.3, 0.3], "config.omega_grid[1]: 0.3 repeats"),
+    ("t_scan", [30, 30.0], "config.t_scan[1]: 30.0 repeats")], ids=["omega_grid", "t_scan"])
+def test_cli_rejects_repeated_frequency_or_scan_time(tmp_path, capsys, field, values, message):
+    # a repeated entry, judged after the float conversion, would write its rows twice
+    entry = {"kind": "decoherence", "omega_grid": [0.3, 0.8], field: values}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig.from_dict(entry)
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({**entry, "output_dir": str(tmp_path / "o")}))
+    assert main(["decoherence", "--config", str(cfg_file)]) == 2
+    assert message in capsys.readouterr().err
 
 
 # lattice_spacing, seed, g_grid_points, n_omega_nodes and k_modes are no longer

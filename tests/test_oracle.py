@@ -162,6 +162,16 @@ def test_constant_hamiltonian_evolution_is_a_phase():
         with pytest.raises(ValueError, match=r"^rtol: must be a finite number >= 1e-12, got "):
             schrodinger_evolve(Static(), V[:, 0].astype(complex), T, rtol=rtol)
 
+    class Frozen(Static):
+        def apply(self, t, psi):
+            raise AssertionError("evolved")
+
+    # so is a run time that is not a finite number >= 0, before any evolution: NaN and
+    # inf never finish, and True would run to t = 1
+    for bad in (float("nan"), float("inf"), -1.0, True):
+        with pytest.raises(ValueError, match=r"^T: must be a finite number >= 0.0, got "):
+            schrodinger_evolve(Frozen(), V[:, 0].astype(complex), bad)
+
 
 def test_uniform_sweep_adiabatic_limit():
     n, T = 4, 400.0
@@ -410,6 +420,15 @@ def test_composite_boson_path_dimensions_and_projection():
     assert psi[3 * 3 + 1] == 1.0  # row-major (system, boson) layout
     assert path.project(psi, sys_state, 1) == pytest.approx(1.0)
     assert path.project(psi, sys_state, 0) == 0.0
+
+
+@pytest.mark.parametrize("omega0, lam, name", [
+    (float("nan"), 0.01, "omega0"), (float("inf"), 0.01, "omega0"), (True, 0.01, "omega0"),
+    (0.5, float("nan"), "lam"), (0.5, float("inf"), "lam"), (0.5, -1e-3, "lam")])
+def test_composite_boson_path_rejects_bad_numbers(omega0, lam, name):
+    # by the one number rule, at construction: such a path would evolve forever
+    with pytest.raises(ValueError, match=rf"^{name}: must be a finite number "):
+        CompositeBosonPath(uniform_path(4, Schedule("linear", 5.0)), omega0, lam)
 
 
 def test_pair_occupations_match_dense_ground_state():

@@ -181,8 +181,8 @@ def test_batch_matches_solo_calls():
     ka = np.repeat(channel_momenta(spec), 3)
     omega = np.tile([0.3, 0.8, 1.5], 4)
     upper = np.where(np.arange(ka.size) % 2, 0.9, 1.0)
-    norm = np.array([decoherence._channel_norms(sched, [k], u)[sched, k, u]
-                     for k, u in zip(ka, upper)])
+    _, norms = decoherence._pass([(sched, k, 0.0, decoherence.NORM, u) for k, u in zip(ka, upper)])
+    norm = np.array([norms[sched, k, u] for k, u in zip(ka, upper)])
     integrand = decoherence._integrand([(sched, k, w, decoherence.AMPLITUDE, u)
                                         for k, w, u in zip(ka, omega, upper)])
     calls = []
@@ -391,7 +391,7 @@ def _bath_amplitudes(n, rtol):
     sched = cfg.schedule_for(n)
     nodes, _ = cfg.bath().quadrature(33)
     ks = channel_momenta(ChainSpec(n)).tolist()
-    norms = decoherence._channel_norms(sched, ks)
+    _, norms = decoherence._pass([(sched, k, 0.0, decoherence.NORM, 1.0) for k in ks])
     terms = [(sched, k, w, decoherence.AMPLITUDE, 1.0) for k in ks for w in nodes.tolist()]
     floor = np.repeat([1e-13 * norms[sched, k, 1.0] for k in ks], nodes.size)
     return decoherence._batch(terms, rtol, norms), floor
@@ -402,9 +402,9 @@ def test_tail_estimate_against_nested_reference(n, monkeypatch):
     # every rtol 1e-6 amplitude is within 1e-3 of its budget of an rtol
     # 1e-11 solve judged by the independent nested order-16 estimate
     results, floor = _bath_amplitudes(n, 1e-6)
-    got = decoherence._values(results)
+    got = np.array([res.value for res in results])
     monkeypatch.setattr(quadrature, "_estimates", _nested_estimates)
-    ref = decoherence._values(_bath_amplitudes(n, 1e-11)[0])
+    ref = np.array([res.value for res in _bath_amplitudes(n, 1e-11)[0]])
     assert np.all(np.abs(got - ref) <= 1e-3 * np.maximum(1e-6 * np.abs(ref), floor))
 
 
