@@ -17,6 +17,18 @@ E = asinh(c/s).  Its Jacobian dg/dw = E epsilon_k / (2c) cancels the
 crossing g = 1/2 with width s ~ pi/2n: in g the quadrature would bisect
 deeper as n grows, in w the peak is gone.
 
+epsilon_k and the dg/dt of every schedule kind depend on 1 - 2g only
+through its square, so Phi' is even about the crossing w = 1/2, and
+g(1 - w) = 1 - g(w).  Every integral over the whole sweep is therefore
+folded: it runs over w in [1/2, 1] only, each panel carrying its mirror
+image as a second term (one Levin solve for both), and an amplitude is
+that times exp(i Phi(1/2)).  The crossing phase
+Phi(1/2) = Phi_eps(1/2) - omega T/2, since t(1/2) = T/2 for every kind,
+with Phi_eps(1/2) = int_0^{1/2} 2 epsilon_k / (dg/dt) dg one smooth
+phase integral per channel; and a phase past the crossing follows from
+Phi(1 - g) = 2 Phi(1/2) - Phi(g).  Partial sweeps, and phases up to a
+point, run from w = 0 unfolded.
+
 Provided evaluations: the numeric integral, the two-saddle
 stationary-phase approximation with a validity flag, and the rigorous
 phase-free upper bound lam * int |M| dt.  Every integral, numeric
@@ -25,15 +37,17 @@ goes through one pass routine, here and in the experiment tables: it
 integrates each distinct term of a list once, on any mix of schedules,
 in one batched quadrature call (only the bath-averaged sum, which falls
 back per term, reads the raw outcomes).  The omega-independent norm
-is integrated once per channel, before the amplitudes: each amplitude's
-relative budget is floored at 1e-13 of it, which keeps amplitudes that
-cancel to nearly nothing from chasing an unreachable relative budget.
+and crossing phase are integrated once per channel, before the
+amplitudes: each amplitude's relative budget is floored at 1e-13 of
+the norm, which keeps amplitudes that cancel to nearly nothing from
+chasing an unreachable relative budget.
 On top of these sit the bath-averaged total excitation probability and
 the log-log scaling fit used for exponent checks.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -225,9 +239,9 @@ def _sweep_value(e, w):
     return np.sinh(e * w) * np.cosh(e * (1.0 - w)) / np.sinh(e), np.cosh(e * (1.0 - 2.0 * w))
 
 
-def _integrand(terms):
+def _integrand(terms, fold=False):
     """The map (w, owner) -> (f, Phi') of ``terms``, each (schedule, ka, omega, kind, g_upper),
-    in each channel's variable w.
+    in each channel's variable w; with ``fold``, a full sweep's term is folded.
 
     With u = E (1 - 2w) the sweep value is g = (1 - (s/c) sinh u) / 2,
     so eps_k = 2 s cosh u and dg/dw = E eps_k / (2c).  This Jacobian
@@ -235,11 +249,22 @@ def _integrand(terms):
     peak of width s at the avoided crossing g = 1/2 would otherwise set
     the panel count: M_k/v dg = 4i E s g / v dw.  A norm integrates the
     modulus 4 E s g / v, a phase Phi' dg/dw.
+
+    eps_k and the v of every schedule kind depend on 1 - 2g only through
+    its square, and g(1 - w) = 1 - g(w), so Phi' is even about the
+    crossing w = 1/2 and the mirror image of each integrand is its own
+    with g replaced by 1 - g.  A folded term is integrated over
+    [1/2, 1] only, with that mirror image as the map's third array h:
+    the quadrature's int f e^{i Psi} + h e^{-i Psi}, Psi = Phi - Phi(1/2),
+    is the integral over [0, 1] times e^{-i Phi(1/2)} (for norms and
+    phases, whose Phi is 0, the integral itself).  1 - g is exact for
+    g >= 1/2.  The rows of other terms get h = 0.
     """
     rate, s0, c0, power = np.array([t[0].velocity_terms for t in terms], dtype=float).T
     ka, omega = np.array([t[1:3] for t in terms], dtype=float).T
     kind = np.array([t[3] for t in terms])
-    mixed = (kind != AMPLITUDE).any()
+    folded = fold & (np.array([t[4] for t in terms]) == 1.0)
+    mixed, mirrored = (kind != AMPLITUDE).any(), folded.any()
     s, c, e = _channel_constants(ka)
     lead, jac = 4.0 * e * s, e * s / c  # M_k dg/dw = 4i E s g, dg/dw = (E s / c) cosh u
 
@@ -248,29 +273,69 @@ def _integrand(terms):
         g, cosh = _sweep_value(e[row], w)
         x = (s / c)[row] * np.sinh(e[row] * (1.0 - 2.0 * w))  # 1 - 2g, free of cancellation
         vel = _velocity(rate[row], s0[row], c0[row], power[row], x)
-        m = lead[row] * g / vel  # M_k / v dg/dw = i m
+        scale = lead[row] / vel
+        m = scale * g  # M_k / v dg/dw = i m
         f = 1j * m
         dphi = (4.0 * s[row] * cosh - omega[row]) * (jac[row] * cosh) / vel  # 2 eps_k = 4 s cosh u
+        if mirrored:
+            back = scale * (1.0 - g)  # m at 1 - w
+            h = 1j * back
         if mixed:  # norm and phase rows are overwritten in place
             norm, phase = kind[owner] == NORM, kind[owner] == PHASE
             f[norm] = m[norm]
             f[phase] = dphi[phase]
+            if mirrored:
+                h[norm] = back[norm]
+                h[phase] = dphi[phase]
             dphi[norm | phase] = 0.0
-        return f, dphi
+        if not mirrored:
+            return f, dphi
+        h[~folded[owner]] = 0.0
+        return f, dphi, h
 
     return pair
 
 
-def _batch(terms, rtol=0.0, norms=None):
+def _crossing(schedule, ka):
+    """The PHASE term of the crossing phase Phi_eps(1/2) = int_0^{1/2} 2 eps_k / v dg."""
+    return (schedule, ka, 0.0, PHASE, 0.5)
+
+
+def _channel_terms(schedule, ka, g_upper=1.0) -> list:
+    """The terms an amplitude of channel ``ka`` needs before its own: its channel norm and,
+    over the whole sweep, its crossing phase."""
+    norm = (schedule, ka, 0.0, NORM, g_upper)
+    return [norm, _crossing(schedule, ka)] if g_upper == 1.0 else [norm]
+
+
+def _crossing_phase(phi_eps, schedule, omega) -> float:
+    """Phi(1/2) = Phi_eps(1/2) - omega T/2 at frequency ``omega``, from the crossing phase
+    ``phi_eps``: t(1/2) = T/2 for every schedule kind, whose dg/dt is even about the
+    crossing."""
+    return phi_eps - 0.5 * omega * schedule.total_time
+
+
+def _batch(terms, rtol=0.0, channels=None):
     """Per term a result or its :class:`QuadratureError`, from one quadrature batch;
-    an amplitude's channel norm is ``norms[schedule, ka, g_upper]``."""
+    an amplitude's channel norm is ``channels[schedule, ka, g_upper]``.
+
+    A term whose upper limit is g = 1 is folded about the crossing (see
+    :func:`_integrand`); a folded amplitude's value is multiplied by
+    e^{i Phi(1/2)}, with the crossing phase ``channels[schedule, ka]``.
+    """
     if not terms:
         return []
-    rel, floor, points = zip(*[_BUDGETS.get(t[3]) or (rtol, 1e-13 * norms[t[0], t[1], t[4]], ())
+    rel, floor, points = zip(*[_BUDGETS.get(t[3]) or (rtol, 1e-13 * channels[t[0], t[1], t[4]], ())
                                for t in terms])
+    folded = [t[4] == 1.0 for t in terms]
+    lower = [0.5 if fo else 0.0 for fo in folded]  # the crossing is w = 1/2
     upper = _channel_variable([t[1] for t in terms], [t[4] for t in terms])
-    return oscillatory_batch(_integrand(terms), 0.0, upper.tolist(), rtol=rel, atol=floor,
-                             points=points)
+    outcomes = oscillatory_batch(_integrand(terms, fold=True), lower, upper.tolist(), rtol=rel,
+                                 atol=floor, points=points)
+    for (sched, ka, omega, kind, _), fo, res in zip(terms, folded, outcomes):
+        if fo and kind == AMPLITUDE and not isinstance(res, QuadratureError):
+            res.value *= cmath.exp(1j * _crossing_phase(channels[sched, ka], sched, omega))
+    return outcomes
 
 
 def _totals(outcomes) -> dict:
@@ -283,25 +348,32 @@ def _totals(outcomes) -> dict:
             "quadrature_levels": max((res.levels for res in done), default=0)}
 
 
-def _pass(terms, rtol=0.0, norms=None, passes=None):
-    """The value of each of ``terms``, in order, and the NORM values keyed
-    (schedule, ka, g_upper), from one quadrature batch of the distinct terms.
+def _pass(terms, rtol=0.0, channels=None, passes=None):
+    """The value of each of ``terms``, in order, and the channel values, from one quadrature
+    batch of the distinct terms.
 
-    Each distinct term is integrated once, in first-occurrence order.  The
-    batch's integrals and counts are recorded in ``passes``, when given, as
-    its next pass; then the first failure raises its :class:`QuadratureError`.
+    The channel values are each NORM keyed (schedule, ka, g_upper) and
+    each crossing phase (:func:`_crossing`) keyed (schedule, ka); an
+    amplitude reads both from ``channels``.  Each distinct term is
+    integrated once, in first-occurrence order.  The batch's integrals
+    and counts are recorded in ``passes``, when given, as its next pass;
+    then the first failure raises its :class:`QuadratureError`.
     """
     distinct = list(dict.fromkeys(terms))
-    outcomes = _batch(distinct, rtol, norms)
+    outcomes = _batch(distinct, rtol, channels)
     if passes is not None:
         passes[f"pass_{len(passes) + 1}"] = {"integrals": len(outcomes), **_totals(outcomes)}
     for res in outcomes:
         if isinstance(res, QuadratureError):
             raise res
     value = {term: res.value for term, res in zip(distinct, outcomes)}
-    return (np.array([value[term] for term in terms], dtype=complex),
-            {(sc, ka, g): float(v.real) for (sc, ka, _, kind, g), v in value.items()
-             if kind == NORM})
+    found = {}
+    for term, v in value.items():
+        if term[3] == NORM:
+            found[term[0], term[1], term[4]] = float(v.real)
+        elif term == _crossing(*term[:2]):
+            found[term[0], term[1]] = float(v.real)
+    return np.array([value[term] for term in terms], dtype=complex), found
 
 
 def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k, omega,
@@ -319,13 +391,15 @@ def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k, omega,
     raises its :class:`QuadratureError`.
     """
     check_number("lam", lam, 0.0, inclusive=True)
+    for w in np.asarray(omega, dtype=object).ravel().tolist():  # as given: no bool cast to 1.0
+        check_number("omega", w, -math.inf)
     if not 0.0 < g_upper <= 1.0:
         raise ValueError(f"g_upper must be in (0, 1], got {g_upper}")
     k, omega = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(omega, dtype=float))
     ka = [_check_channel(spec, x) for x in k.ravel().tolist()]
     terms = [(schedule, x, w, AMPLITUDE, g_upper) for x, w in zip(ka, omega.ravel().tolist())]
-    _, norms = _pass([(schedule, x, 0.0, NORM, g_upper) for x in ka])
-    values = -1j * lam * _pass(terms, rtol, norms)[0]
+    _, channels = _pass([t for x in ka for t in _channel_terms(schedule, x, g_upper)])
+    values = -1j * lam * _pass(terms, rtol, channels)[0]
     return values.reshape(k.shape) if k.ndim else complex(values[0])
 
 
@@ -358,6 +432,7 @@ def saddle_points(spec: ChainSpec, k: float, omega: float) -> tuple[float, float
 def accumulated_phase(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
                       g: float) -> float:
     """Phase -omega t(g) + int_0^t 2 epsilon dt' evaluated at sweep value g in [0, 1]."""
+    check_number("omega", omega, -math.inf)
     if not 0.0 <= g <= 1.0:
         raise ValueError(f"g must be in [0, 1], got {g}")
     term = (schedule, _check_channel(spec, k), omega, PHASE, g)
@@ -368,11 +443,14 @@ def _saddle(spec: ChainSpec, schedule: Schedule, k: float, omega: float):
     """The PHASE terms of :func:`amplitude_saddle_point`, and the map from their values and
     lam to its result.
 
-    A term is the accumulated phase at a saddle of nonzero curvature (at
-    g = 0 the phase is 0 and needs none).  Split at the phases, the one
-    saddle formula serves a caller that integrates the terms of many
-    amplitudes in one batch of its own, as the amplitude table does.
+    The terms are the accumulated phase at g_- (at g = 0 the phase is 0
+    and needs none) and the crossing phase: Phi' is even about the
+    crossing, so Phi(g_+) = Phi(1 - g_-) = 2 Phi(1/2) - Phi(g_-).  Split
+    at the phases, the one saddle formula serves a caller that
+    integrates the terms of many amplitudes in one batch of its own, as
+    the amplitude table does.
     """
+    check_number("omega", omega, -math.inf)
     ka = _check_channel(spec, k)
     if not omega > 2.0 * abs(ka):
         raise ValueError(
@@ -383,14 +461,18 @@ def _saddle(spec: ChainSpec, schedule: Schedule, k: float, omega: float):
     vels = [float(schedule.velocity_of_g(g)) for g in g_stars]
     ddphi = [2.0 * float(mode_epsilon_dg(ka, g)) * v for g, v in zip(g_stars, vels)]  # d^2 Phi/dt^2
     worst_ratio = max(0.0, *(v / (omega * np.sqrt(omega**2 - 4.0 * ka * ka)) for v in vels))
-    terms = [(schedule, ka, omega, PHASE, g) for g, d in zip(g_stars, ddphi) if g and d]
+    terms = [(schedule, ka, omega, PHASE, g_stars[0])] if g_stars[0] else []
+    terms.append(_crossing(schedule, ka))
 
     def amplitude(phases, lam) -> SaddlePointAmplitude:
-        phases, total, valid = iter(phases), 0.0j, 0.0 not in ddphi and not worst_ratio > 0.1
-        for g_star, vel, ddphi_t in zip(g_stars, vels, ddphi):
+        *low, crossing = phases
+        phi_minus = low[0] if low else 0.0
+        phi_half = _crossing_phase(crossing, schedule, omega)
+        total, valid = 0.0j, 0.0 not in ddphi and not worst_ratio > 0.1
+        for g_star, vel, ddphi_t, phi_star in zip(g_stars, vels, ddphi,
+                                                  (phi_minus, 2.0 * phi_half - phi_minus)):
             if ddphi_t == 0.0:
                 continue
-            phi_star = next(phases) if g_star else 0.0
             width = np.sqrt(2.0 * np.pi / abs(ddphi_t))
             total += pair_matrix_element(ka, g_star) * width * np.exp(
                 1j * (phi_star + np.sign(ddphi_t) * np.pi / 4.0))
@@ -406,8 +488,8 @@ def _saddle(spec: ChainSpec, schedule: Schedule, k: float, omega: float):
 
 def amplitude_saddle_point(spec: ChainSpec, schedule: Schedule, k: float, omega: float,
                            lam: float) -> SaddlePointAmplitude:
-    """Two-saddle stationary-phase amplitude with a validity flag, both accumulated phases
-    in one quadrature batch.
+    """Two-saddle stationary-phase amplitude with a validity flag, its phases in one
+    quadrature batch.
 
     The flag is false when the next-order expansion parameter
     (dg/dt)(t_*) / (omega sqrt(omega^2 - 4 k^2)) exceeds 0.1 or when a
@@ -451,11 +533,11 @@ def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: Bath
     ks = channel_momenta(spec).tolist()
     live = weights != 0.0
     terms = [(schedule, k, w, AMPLITUDE, 1.0) for k in ks for w in nodes[live].tolist()]
-    _, norms = _pass([(schedule, k, 0.0, NORM, 1.0) for k in ks])
-    outcomes = _batch(terms, rtol, norms)
+    _, channels = _pass([t for k in ks for t in _channel_terms(schedule, k)])
+    outcomes = _batch(terms, rtol, channels)
     result = TotalExcitationResult(p_total=0.0, counts=_totals(outcomes))
     failed = [isinstance(res, QuadratureError) for res in outcomes]
-    values = np.array([lam * norms[schedule, term[1], 1.0] if bad else -1j * lam * res.value
+    values = np.array([lam * channels[schedule, term[1], 1.0] if bad else -1j * lam * res.value
                        for term, res, bad in zip(terms, outcomes, failed)], dtype=complex)
     methods = iter("bound" if bad else "numeric" for bad in failed)
     amplitudes = values.reshape(len(ks), int(live.sum())) @ weights[live]

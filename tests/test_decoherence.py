@@ -71,8 +71,8 @@ def test_zero_velocity_schedule_fails_quadrature(chain8):
 
 def test_array_amplitudes_match_scalar_calls(chain8, monkeypatch):
     # 4 channels x 3 frequencies, including the sub-gap omega = 0.3 of
-    # k = pi/8: one batch of the 4 channel norms, one of the 12
-    # amplitudes, every value that of its scalar call
+    # k = pi/8: one batch of the 4 channel norms with their 4 crossing
+    # phases, one of the 12 amplitudes, every value that of its scalar call
     sched = Schedule("gap-adapted-2", 80.0, chain8)
     ks = channel_momenta(chain8)
     omegas = np.array([0.3, 0.8, 1.5])
@@ -86,7 +86,7 @@ def test_array_amplitudes_match_scalar_calls(chain8, monkeypatch):
 
     monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
     grid = amplitude_numeric(chain8, sched, ks[:, None], omegas, 1e-3)
-    assert calls == [4, 12]
+    assert calls == [8, 12]
     assert grid.shape == (4, 3) and grid.dtype == complex
     assert all(isinstance(a, complex) for row in scalar for a in row)
     assert np.all(np.abs(grid - scalar) <= 1e-12 * np.abs(scalar))
@@ -369,7 +369,7 @@ def test_total_probability_bound_fallback_per_term(monkeypatch):
 
     def one_fails(*args, **kwargs):
         outcomes = inner(*args, **kwargs)
-        if len(outcomes) > spec.n // 2:  # the amplitudes, not the channel norms
+        if len(outcomes) > spec.n:  # the amplitudes, not the channel norms and crossing phases
             outcomes[5] = QuadratureError("forced")
         return outcomes
 
@@ -456,8 +456,8 @@ def test_bound_norm_is_the_numeric_reference(chain8, monkeypatch):
     monkeypatch.setattr(decoherence, "oscillatory_batch", spy)
     amplitude_numeric(chain8, sched, k, 0.7, lam, rtol=rtol)
     norm = amplitude_bound(chain8, sched, k, lam) / lam
-    # the channel norm, the amplitude, then the norm of amplitude_bound
-    assert [b[0] for b in budgets] == [(1e-11,), (rtol,), (1e-11,)]
+    # the channel norm with the crossing phase, the amplitude, then the norm of amplitude_bound
+    assert [b[0] for b in budgets] == [(1e-11, 1e-13), (rtol,), (1e-11,)]
     (atol,) = budgets[1][1]
     assert atol == pytest.approx(1e-13 * norm, rel=1e-15)
     assert norm == pytest.approx(quad(
@@ -487,18 +487,20 @@ def test_amplitude_numeric_is_one_integral(chain8, monkeypatch, omega):
     inner = decoherence.oscillatory_batch
 
     def counting(*args, **kwargs):
-        calls.append((args[1], list(args[2]), kwargs["points"]))
+        calls.append((list(args[1]), list(args[2]), kwargs["points"]))
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
     amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3)
     amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3, g_upper=0.9)
     # per call its channel norm (break at g = 1/2, which is w = 1/2), then its one
-    # amplitude, each up to the channel variable w of g_upper
+    # amplitude.  Over the whole sweep both are folded onto w in [1/2, 1], and the norm
+    # comes with the crossing phase over w in [0, 1/2]; a partial sweep runs from w = 0
+    # up to the channel variable w of g_upper
     w = float(decoherence._channel_variable(np.pi / 8, 0.9))
     assert 0.9 < w < 1.0
-    assert calls == [(0.0, [1.0], ((0.5,),)), (0.0, [1.0], ((),)),
-                     (0.0, [w], ((0.5,),)), (0.0, [w], ((),))]
+    assert calls == [([0.5, 0.0], [1.0, 0.5], ((0.5,), (0.5,))), ([0.5], [1.0], ((),)),
+                     ([0.0], [w], ((0.5,),)), ([0.0], [w], ((),))]
 
 
 @pytest.mark.parametrize("n", [8, 64, 256])
@@ -588,8 +590,9 @@ def test_channel_norm_computed_once_per_channel(monkeypatch):
     bath = BathSpectrum("ohmic", {"omega_c": 0.5, "support_max": 1.9}, CouplingConstant(0.01))
     res = total_excitation_probability(spec, sched, bath)
     assert sum(len(m) for m in res.methods.values()) == 33 * spec.n // 2
-    # one batch of the n/2 channel norms (break at g = 1/2), one of the amplitudes
-    assert calls == [((0.5,),) * (spec.n // 2), ((),) * (33 * spec.n // 2)]
+    # one batch of the n/2 channel norms and crossing phases (break at g = 1/2), one of the
+    # amplitudes
+    assert calls == [((0.5,),) * spec.n, ((),) * (33 * spec.n // 2)]
 
 
 @pytest.mark.parametrize("x", [0.5, 3.8, 8.0, 40.0])
@@ -616,3 +619,57 @@ def test_gap_adapted_phase_converges_at_large_n(kind, n, j, omega):
     ref = sum(quad(lambda g: (2 * mode_epsilon(k, g) - omega) / sched.velocity_of_g(g), a, b,
                    epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in ((0.0, 0.5), (0.5, g_plus)))
     assert accumulated_phase(spec, sched, k, omega, g_plus) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("omega", [float("nan"), float("inf"), -float("inf"), True, "0.8"])
+def test_amplitudes_reject_bad_frequency(chain8, omega):
+    # every frequency is judged by name before any quadrature: NaN or inf would
+    # bisect to the panel cap, and True would be integrated as omega = 1
+    sched = Schedule("linear", 60.0)
+    calls = (lambda: amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3),
+             lambda: amplitude_numeric(chain8, sched, np.pi / 8, [0.8, omega], 1e-3),
+             lambda: amplitude_saddle_point(chain8, sched, np.pi / 8, omega, 1e-3),
+             lambda: accumulated_phase(chain8, sched, np.pi / 8, omega, 0.7))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^omega: must be a finite number > -inf, got "):
+            call()
+
+
+@pytest.mark.parametrize("kind", list(_POWERS))
+@pytest.mark.parametrize("n", [8, 64, 2048])
+def test_folded_sweep_matches_unfolded_integral(kind, n):
+    # A full sweep is integrated over w in [1/2, 1] only, with the mirrored term and the
+    # crossing phase; against the unfolded integrand over [0, 1] at rtol 1e-11 (with the
+    # amplitudes' floor), for omega below, inside and above the channel band
+    spec = ChainSpec(n)
+    sched, k = Schedule(kind, 20.0, spec), np.pi / n
+    norm_term = (sched, k, 0.0, decoherence.NORM, 1.0)
+    solo = lambda term: lambda w: decoherence._integrand([term])(w, np.zeros(len(w), dtype=int))
+    norm = oscillatory_integral(solo(norm_term), 0.0, 1.0, rtol=1e-11, points=(0.5,)).value.real
+    assert abs(amplitude_bound(spec, sched, k, 1.0) - norm) <= 1e-12 * norm
+    for omega in (-0.5, 1.3, 4.5):
+        assert (omega < 4.0 * np.sin(k / 2.0), omega > 4.0) == (omega == -0.5, omega == 4.5)
+        term = (sched, k, omega, decoherence.AMPLITUDE, 1.0)
+        ref = -1j * oscillatory_integral(solo(term), 0.0, 1.0, rtol=1e-11, atol=1e-13 * norm).value
+        got = amplitude_numeric(spec, sched, k, omega, 1.0, rtol=1e-11)
+        assert abs(got - ref) <= 1e-10 * abs(ref), omega
+
+
+@pytest.mark.parametrize("kind", list(_POWERS))
+@pytest.mark.parametrize("n", [8, 64, 2048])
+def test_phase_past_the_crossing_from_its_mirror(kind, n):
+    # the saddle formula integrates the phase to g_- and the crossing phase only:
+    # Phi(g_+) = 2 Phi(1/2) - Phi(g_-), against the direct integral to g_+
+    spec = ChainSpec(n)
+    sched, k, omega = Schedule(kind, runtime_for_adiabaticity(kind, n, 0.25), spec), np.pi / n, 1.3
+    g_minus, g_plus = saddle_points(spec, k, omega)
+    terms, _ = decoherence._saddle(spec, sched, k, omega)
+    assert terms == [(sched, k, omega, decoherence.PHASE, g_minus), decoherence._crossing(sched, k)]
+    phi_minus, phi_eps = decoherence._pass(terms)[0].real.tolist()
+    assert phi_minus == accumulated_phase(spec, sched, k, omega, g_minus)
+    mirror = 2.0 * decoherence._crossing_phase(phi_eps, sched, omega) - phi_minus
+    direct = accumulated_phase(spec, sched, k, omega, g_plus)
+    assert mirror == pytest.approx(direct, rel=1e-12, abs=0.0)
+    # and the whole sweep's phase, folded, is twice the crossing phase
+    assert accumulated_phase(spec, sched, k, omega, 1.0) == pytest.approx(
+        2.0 * decoherence._crossing_phase(phi_eps, sched, omega), rel=1e-12, abs=0.0)

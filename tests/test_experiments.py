@@ -339,8 +339,9 @@ def test_decoherence_experiment_with_suppression_scan(tmp_path):
 
 
 def test_amplitude_table_records_quadrature_counts(tmp_path):
-    # per pass, as in the scaling table: the 8 channel norms with the 12 saddle
-    # phases, then the 24 amplitudes (2 sizes x 4 channels x 3 frequencies);
+    # per pass, as in the scaling table: the 8 channel norms and 8 crossing phases
+    # with the 6 phases at a lower saddle, then the 24 amplitudes (2 sizes x 4
+    # channels x 3 frequencies);
     # identical across reruns and saved in summary.json
     summaries = [run_experiment(ExperimentConfig.from_dict({
         "kind": "decoherence", "chain_sizes": [8, 16], "omega_grid": [0.3, 0.8, 2.2],
@@ -353,11 +354,11 @@ def test_amplitude_table_records_quadrature_counts(tmp_path):
                              "quadrature_levin_solves", "quadrature_panels"]
         assert d["quadrature_panels"] >= d["integrals"]
         assert d["quadrature_levin_solves"] <= d["quadrature_evaluations"] // 33
-    assert [d["integrals"] for d in diagnostics.values()] == [20, 24]
+    assert [d["integrals"] for d in diagnostics.values()] == [22, 24]
     # the zero-phase norms and phases need no Levin solve
     assert diagnostics["pass_1"]["quadrature_levin_solves"] == 0
-    # each amplitude starts as one panel; every split evaluates two new ones of 33
-    # nodes (the norms and phases of pass 1 start split at w = 1/2)
+    # each amplitude starts as one panel, the half [1/2, 1] of its folded sweep; every
+    # split evaluates two new ones of 33 nodes
     d = diagnostics["pass_2"]
     assert d["quadrature_evaluations"] == 33 * (2 * d["quadrature_panels"] - d["integrals"])
     assert d["quadrature_levin_solves"] > 0
@@ -740,7 +741,7 @@ def test_bath_mode_bound_fallback_fails_a_check(tmp_path, monkeypatch, capsys):
 
     def one_fails(*args, **kwargs):
         outcomes = inner(*args, **kwargs)
-        if len(outcomes) > 4:  # the amplitudes, not the four channel norms
+        if len(outcomes) > 8:  # the amplitudes, not the four channel norms and crossing phases
             outcomes[5] = QuadratureError("forced")
         return outcomes
 

@@ -69,6 +69,62 @@ def test_amplitude_modulated_chirp_vs_quad():
     assert abs(res.value - _chirp_closed_form(lam)) <= res.error <= 1e-10
 
 
+@pytest.mark.parametrize("lam", [30.0, 500.0, 20000.0])
+def test_mirrored_term_cosine_closed_forms(lam):
+    # int_0^1 cos(lam x^2) dx = int (e^{i lam x^2} + e^{-i lam x^2}) / 2, the real part of
+    # the Fresnel form; and the chirp C with the mirrored amplitude 0.3i (1 + x) e^{-x}:
+    # its mirror integral is conj(C), so the sum is C + 0.3i conj(C)
+    res = oscillatory_integral(lambda x: (np.full_like(x, 0.5), 2 * lam * x, np.full_like(x, 0.5)),
+                               0.0, 1.0, rtol=0.0, atol=1e-11)
+    _, c = fresnel(np.sqrt(2 * lam / np.pi))
+    exact = np.sqrt(np.pi / (2 * lam)) * c
+    assert abs(res.value - exact) <= res.error <= 1e-11
+    if lam > 1e4:
+        return
+    amp = lambda x: (1 + x) * np.exp(-x) + 0j
+    res = oscillatory_integral(lambda x: (amp(x), lam * (2 * x - 0.7), 0.3j * amp(x)),
+                               0.0, 1.0, rtol=0.0, atol=1e-10)
+    chirp = _chirp_closed_form(lam)
+    assert abs(res.value - (chirp + 0.3j * np.conj(chirp))) <= res.error <= 1e-10
+
+
+def test_batch_mixing_mirrored_and_plain_integrals_matches_solo_calls():
+    # full sweeps folded onto w in [1/2, 1] (amplitudes and a norm, each with its
+    # mirrored term) next to a partial-sweep amplitude and a phase to g_- from w = 0,
+    # as the decoherence layer batches them: every integral keeps its solo tree and value,
+    # and a plain one's solo call, without a mirrored term at all, agrees too
+    spec = ChainSpec(16)
+    sched = Schedule("gap-adapted-1", 600.0, spec)
+    k = float(channel_momenta(spec)[1])
+    g_minus = decoherence.saddle_points(spec, k, 1.3)[0]
+    amplitude, norm, phase = decoherence.AMPLITUDE, decoherence.NORM, decoherence.PHASE
+    terms = [(sched, k, 1.3, amplitude, 1.0), (sched, k, 0.3, amplitude, 1.0),
+             (sched, k, 1.3, amplitude, 0.8), (sched, k, 0.0, norm, 1.0),
+             (sched, k, 1.3, phase, g_minus)]
+    folded = [t[4] == 1.0 for t in terms]
+    lower = [0.5 if fo else 0.0 for fo in folded]
+    upper = decoherence._channel_variable(k, [t[4] for t in terms]).tolist()
+    rtol, atol = [1e-8, 1e-8, 1e-8, 1e-11, 1e-13], [1e-12, 1e-12, 1e-12, 0.0, 1e-9]
+    integrand = decoherence._integrand(terms, fold=True)
+    batch = oscillatory_batch(integrand, lower, upper, rtol, atol)
+    for j, got in enumerate(batch):
+        mine = lambda g: integrand(g, np.full(len(g), j))
+        ref = oscillatory_integral(mine, lower[j], upper[j], rtol[j], atol[j])
+        assert (got.panels, got.evaluations, got.levels, got.levin_solves) == (
+            ref.panels, ref.evaluations, ref.levels, ref.levin_solves), j
+        assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value), j
+        if not folded[j]:
+            plain = decoherence._integrand([terms[j]], fold=True)
+            assert len(plain(np.array([[0.1]]), np.zeros(1, dtype=int))) == 2
+            alone = oscillatory_integral(lambda g: plain(g, np.zeros(len(g), dtype=int)),
+                                         0.0, upper[j], rtol[j], atol[j])
+            assert alone.panels == got.panels
+            assert abs(alone.value - got.value) <= 1e-12 * abs(alone.value), j
+    assert batch[0].levin_solves > 0 and batch[2].levin_solves > 0
+    with pytest.raises(ValueError, match=r"a: 2 values for 5 upper limits"):
+        oscillatory_batch(integrand, lower[:2], upper, rtol, atol)
+
+
 def test_interior_stationary_point():
     # stationary point at x = 0.35 inside the domain; the reference
     # phase must vanish at x = 0 to match the integrator's convention
@@ -363,7 +419,8 @@ def test_smooth_integral_rejects_non_integrable():
 def _nested_estimates(f, dphi, phi, hw):
     """Reference estimator, independent of the Chebyshev tail: every panel
     against its nested order-16 rule, a Levin panel through a second,
-    order-16 collocation solve on the nested nodes."""
+    order-16 collocation solve on the nested nodes, each column of f
+    (panels, nodes, columns) on its own."""
     fast = np.ptp(phi, axis=1) > quadrature._CC_PHASE_LIMIT
     stationary = fast & (dphi.min(axis=1) < 0.0) & (dphi.max(axis=1) > 0.0)
     fast &= ~stationary
@@ -372,12 +429,12 @@ def _nested_estimates(f, dphi, phi, hw):
         _, q, diff, _ = _panel_setup(order)
         f_o, dphi_o = f[:, ::32 // order], dphi[:, ::32 // order]
         phi_o = hw[:, None] * (dphi_o @ q.T)
-        value = hw * ((f_o * np.exp(1j * phi_o)) @ q[-1])
+        value = hw[:, None] * np.einsum("nkc,nk,k->nc", f_o, np.exp(1j * phi_o), q[-1])
         mats = diff / hw[fast, None, None] + 1j * np.eye(order + 1) * dphi_o[fast, None, :]
-        p = np.linalg.solve(mats, f_o[fast, :, None])[..., 0]
-        value[fast] = p[:, -1] * np.exp(1j * phi_o[fast, -1]) - p[:, 0]
+        p = np.linalg.solve(mats, f_o[fast])
+        value[fast] = p[:, -1] * np.exp(1j * phi_o[fast, -1, None]) - p[:, 0]
         values.append(value)
-    err = np.abs(values[0] - values[1])
+    err = np.abs(values[0] - values[1]).sum(axis=1)
     values[0][stationary], err[stationary] = 0.0, np.inf
     return values[0], err, fast
 
@@ -391,10 +448,10 @@ def _bath_amplitudes(n, rtol):
     sched = cfg.schedule_for(n)
     nodes, _ = cfg.bath().quadrature(33)
     ks = channel_momenta(ChainSpec(n)).tolist()
-    _, norms = decoherence._pass([(sched, k, 0.0, decoherence.NORM, 1.0) for k in ks])
+    _, channels = decoherence._pass([t for k in ks for t in decoherence._channel_terms(sched, k)])
     terms = [(sched, k, w, decoherence.AMPLITUDE, 1.0) for k in ks for w in nodes.tolist()]
-    floor = np.repeat([1e-13 * norms[sched, k, 1.0] for k in ks], nodes.size)
-    return decoherence._batch(terms, rtol, norms), floor
+    floor = np.repeat([1e-13 * channels[sched, k, 1.0] for k in ks], nodes.size)
+    return decoherence._batch(terms, rtol, channels), floor
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -410,17 +467,20 @@ def test_tail_estimate_against_nested_reference(n, monkeypatch):
 
 def test_one_levin_solve_per_fast_panel(monkeypatch):
     # the Levin rows are the only linear systems: 33 square, one per
-    # fast-oscillating panel evaluated, and counted in the results
+    # fast-oscillating panel evaluated, and counted in the results.  Every
+    # bath amplitude is folded about the crossing, so each system is solved
+    # for its two right-hand sides, the amplitude and its mirror, at once
     sizes = []
     solve = np.linalg.solve
 
     def spy(a, b):
-        sizes.append(a.shape)
+        sizes.append((a.shape, b.shape))
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", spy)
     results, _ = _bath_amplitudes(16, 1e-6)
-    assert sizes and all(s[1:] == (33, 33) and s[0] <= quadrature._CHUNK for s in sizes)
+    assert sizes and all(a[1:] == (33, 33) and a[0] <= quadrature._CHUNK and b == (a[0], 33, 2)
+                         for a, b in sizes)
     solves = sum(res.levin_solves for res in results)
-    assert sum(s[0] for s in sizes) == solves
+    assert sum(a[0] for a, _ in sizes) == solves
     assert 0 < solves <= sum(res.evaluations for res in results) // 33
