@@ -201,10 +201,10 @@ class SaddlePointAmplitude:
 
 # Batched integrals, v = dg/dt: the amplitude int M_k/v e^{i Phi} dg, the channel
 # norm int |M_k/v| dg and the phase int Phi' dg, Phi' = (-omega + 2 eps_k)/v, each
-# in its channel variable w; the (rtol, atol, breaks in w) of norms and phases
-# (amplitudes: rtol, 1e-13 of the norm).
+# in its channel variable w, where every integrand is analytic; the (rtol, atol) of
+# norms and phases (amplitudes: rtol, 1e-13 of the norm).
 AMPLITUDE, NORM, PHASE = "amplitude", "norm", "phase"
-_BUDGETS = {NORM: (1e-11, 0.0, (0.5,)), PHASE: (1e-13, 1e-9, (0.5,))}
+_BUDGETS = {NORM: (1e-11, 0.0), PHASE: (1e-13, 1e-9)}
 
 
 def _channel_constants(ka):
@@ -240,8 +240,8 @@ def _sweep_value(e, w):
 
 
 def _integrand(terms, fold=False):
-    """The map (w, owner) -> (f, Phi') of ``terms``, each (schedule, ka, omega, kind, g_upper),
-    in each channel's variable w; with ``fold``, a full sweep's term is folded.
+    """The map (w, owner) -> (f, Phi', h) of ``terms``, each (schedule, ka, omega, kind,
+    g_upper), in each channel's variable w; with ``fold``, a full sweep's term is folded.
 
     With u = E (1 - 2w) the sweep value is g = (1 - (s/c) sinh u) / 2,
     so eps_k = 2 s cosh u and dg/dw = E eps_k / (2c).  This Jacobian
@@ -258,13 +258,14 @@ def _integrand(terms, fold=False):
     the quadrature's int f e^{i Psi} + h e^{-i Psi}, Psi = Phi - Phi(1/2),
     is the integral over [0, 1] times e^{-i Phi(1/2)} (for norms and
     phases, whose Phi is 0, the integral itself).  1 - g is exact for
-    g >= 1/2.  The rows of other terms get h = 0.
+    g >= 1/2.  The rows of other terms get h = 0, so every batch has the
+    same three arrays.
     """
     rate, s0, c0, power = np.array([t[0].velocity_terms for t in terms], dtype=float).T
     ka, omega = np.array([t[1:3] for t in terms], dtype=float).T
     kind = np.array([t[3] for t in terms])
     folded = fold & (np.array([t[4] for t in terms]) == 1.0)
-    mixed, mirrored = (kind != AMPLITUDE).any(), folded.any()
+    mixed = (kind != AMPLITUDE).any()
     s, c, e = _channel_constants(ka)
     lead, jac = 4.0 * e * s, e * s / c  # M_k dg/dw = 4i E s g, dg/dw = (E s / c) cosh u
 
@@ -274,22 +275,14 @@ def _integrand(terms, fold=False):
         x = (s / c)[row] * np.sinh(e[row] * (1.0 - 2.0 * w))  # 1 - 2g, free of cancellation
         vel = _velocity(rate[row], s0[row], c0[row], power[row], x)
         scale = lead[row] / vel
-        m = scale * g  # M_k / v dg/dw = i m
-        f = 1j * m
+        m, back = scale * g, scale * (1.0 - g)  # M_k / v dg/dw = i m, and m at 1 - w
+        f, h = 1j * m, 1j * back
         dphi = (4.0 * s[row] * cosh - omega[row]) * (jac[row] * cosh) / vel  # 2 eps_k = 4 s cosh u
-        if mirrored:
-            back = scale * (1.0 - g)  # m at 1 - w
-            h = 1j * back
         if mixed:  # norm and phase rows are overwritten in place
             norm, phase = kind[owner] == NORM, kind[owner] == PHASE
-            f[norm] = m[norm]
-            f[phase] = dphi[phase]
-            if mirrored:
-                h[norm] = back[norm]
-                h[phase] = dphi[phase]
+            f[norm], h[norm] = m[norm], back[norm]
+            f[phase] = h[phase] = dphi[phase]
             dphi[norm | phase] = 0.0
-        if not mirrored:
-            return f, dphi
         h[~folded[owner]] = 0.0
         return f, dphi, h
 
@@ -325,13 +318,13 @@ def _batch(terms, rtol=0.0, channels=None):
     """
     if not terms:
         return []
-    rel, floor, points = zip(*[_BUDGETS.get(t[3]) or (rtol, 1e-13 * channels[t[0], t[1], t[4]], ())
-                               for t in terms])
+    rel, floor = zip(*[_BUDGETS.get(t[3]) or (rtol, 1e-13 * channels[t[0], t[1], t[4]])
+                       for t in terms])
     folded = [t[4] == 1.0 for t in terms]
     lower = [0.5 if fo else 0.0 for fo in folded]  # the crossing is w = 1/2
     upper = _channel_variable([t[1] for t in terms], [t[4] for t in terms])
     outcomes = oscillatory_batch(_integrand(terms, fold=True), lower, upper.tolist(), rtol=rel,
-                                 atol=floor, points=points)
+                                 atol=floor)
     for (sched, ka, omega, kind, _), fo, res in zip(terms, folded, outcomes):
         if fo and kind == AMPLITUDE and not isinstance(res, QuadratureError):
             res.value *= cmath.exp(1j * _crossing_phase(channels[sched, ka], sched, omega))
@@ -393,7 +386,7 @@ def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k, omega,
     check_number("lam", lam, 0.0, inclusive=True)
     for w in np.asarray(omega, dtype=object).ravel().tolist():  # as given: no bool cast to 1.0
         check_number("omega", w, -math.inf)
-    if not 0.0 < g_upper <= 1.0:
+    if not 0.0 < check_number("g_upper", g_upper, -math.inf) <= 1.0:
         raise ValueError(f"g_upper must be in (0, 1], got {g_upper}")
     k, omega = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(omega, dtype=float))
     ka = [_check_channel(spec, x) for x in k.ravel().tolist()]
@@ -415,6 +408,7 @@ def saddle_points(spec: ChainSpec, k: float, omega: float) -> tuple[float, float
     Requires 2 epsilon_min < omega <= 4.
     """
     ka = _check_channel(spec, k)
+    check_number("omega", omega, -math.inf)
     s, c, q = abs(np.sin(ka / 2.0)), np.cos(ka / 2.0), omega / 4.0
     if omega > 4.0:
         raise ValueError(f"omega={omega} exceeds the maximum channel gap 4")
@@ -433,7 +427,7 @@ def accumulated_phase(spec: ChainSpec, schedule: Schedule, k: float, omega: floa
                       g: float) -> float:
     """Phase -omega t(g) + int_0^t 2 epsilon dt' evaluated at sweep value g in [0, 1]."""
     check_number("omega", omega, -math.inf)
-    if not 0.0 <= g <= 1.0:
+    if not 0.0 <= check_number("g", g, -math.inf) <= 1.0:
         raise ValueError(f"g must be in [0, 1], got {g}")
     term = (schedule, _check_channel(spec, k), omega, PHASE, g)
     return float(_pass([term])[0][0].real) if g else 0.0
@@ -566,8 +560,15 @@ def scaling_fit(x, y) -> ScalingFit:
     y = np.asarray(y, dtype=float)
     if x.size < 4:
         raise ValueError(f"need at least 4 data points, got {x.size}")
+    if y.shape != x.shape:
+        raise ValueError(f"y: {y.size} values for {x.size} values of x")
+    for name, v in ("x", x), ("y", y):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name}: must be finite, got {v.tolist()}")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("scaling fit requires strictly positive data")
+    if np.ptp(x) == 0.0:
+        raise ValueError(f"x: needs two distinct values, got {x.tolist()}")
     dx, dy = (v - v.mean() for v in (np.log(x), np.log(y)))
     sxx, slope = dx @ dx, dx @ dy / (dx @ dx)
     resid = dy - slope * dx

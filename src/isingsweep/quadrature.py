@@ -30,6 +30,9 @@ column next to ``f``, integrated against the same ``exp(i Phi)`` by
 Clenshaw-Curtis or solved with the same Levin matrix in the same solve,
 and its error estimate is the sum over both columns.
 
+Each integral starts as the one panel [a, b]; there are no break
+points, so an integrand with a kink inside (a, b) is split into two
+integrals at it, or written in a variable in which it is smooth.
 Panels are bisected level by level, for a whole batch of integrals at
 once (:func:`oscillatory_batch`): the integrand is called once per
 level on a 2-D node array holding every open panel of every open
@@ -211,19 +214,19 @@ def _run_phases(owner, increment):
     return first, run, np.cumsum(padded, axis=1)[run, pos]
 
 
-def oscillatory_batch(integrand, a, b, rtol, atol, points=None) -> list:
+def oscillatory_batch(integrand, a, b, rtol, atol) -> list:
     """Integrate a batch of f_j(x) * exp(i * Phi_j(x)) over [a_j, b_j], with Phi_j(a_j) = 0.
 
     ``a`` (or one for all), ``b``, ``rtol`` (or one for all) and
-    ``atol`` hold one value per integral, ``points`` one sequence of
-    break points per integral: those inside (a_j, b_j) start as panel
-    edges.  ``integrand(nodes, owner)`` maps a 2-D array of nodes, one
-    row per open panel of the whole batch, and the index of the integral
-    that owns each row to the pair ``(f, Phi')`` of arrays shaped like
-    ``nodes``; it is called once per bisection level.  It may return a
-    third such array ``h``, a mirrored amplitude: each integral is then
-    ``int f exp(i Phi) + h exp(-i Phi)``, on the panels and in the budget
-    of the first term, and a row without one holds zeros.  Each integral
+    ``atol`` hold one value per integral; each integral starts as the
+    one panel [a_j, b_j].  ``integrand(nodes, owner)`` maps a 2-D array
+    of nodes, one row per open panel of the whole batch, and the index of
+    the integral that owns each row to the pair ``(f, Phi')`` of arrays
+    shaped like ``nodes``; it is called once per bisection level.  It
+    may return a third such array ``h``, a mirrored amplitude: each
+    integral is then ``int f exp(i Phi) + h exp(-i Phi)``, on the panels
+    and in the budget of the first term, and a row without one holds
+    zeros.  Each integral
     keeps its own ordered leaf tree, its own cumulative phase and its own
     budget ``max(atol_j, rtol_j * |I_j|)``, and leaves the loop as soon
     as all its leaves meet their share of it, so its tree and counts are
@@ -235,8 +238,7 @@ def oscillatory_batch(integrand, a, b, rtol, atol, points=None) -> list:
     upper, floor = [float(v) for v in b], [float(v) for v in atol]
     lower = [float(v) for v in a] if np.ndim(a) else [float(a)] * len(upper)
     rel = np.asarray(rtol, dtype=float) if np.ndim(rtol) else np.full(len(upper), float(rtol))
-    points = [()] * len(upper) if points is None else points
-    for name, values in ("a", lower), ("atol", floor), ("rtol", rel), ("points", points):
+    for name, values in ("a", lower), ("atol", floor), ("rtol", rel):
         if len(values) != len(upper):
             raise ValueError(f"{name}: {len(values)} values for {len(upper)} upper limits")
     for lo, hi, eps, least in zip(lower, upper, rel.tolist(), floor):
@@ -247,14 +249,7 @@ def oscillatory_batch(integrand, a, b, rtol, atol, points=None) -> list:
     if not upper:
         return []
     x, q, *_ = _panel_setup(32)
-    left, right, owner, initial = [], [], [], []
-    for j, (lo, hi, breaks) in enumerate(zip(lower, upper, points)):
-        edges = [lo, *sorted(p for p in breaks if lo < p < hi), hi]
-        left += edges[:-1]
-        right += edges[1:]
-        owner += [j] * (len(edges) - 1)
-        initial.append(len(edges) - 1)
-    left, right, owner = np.array(left), np.array(right), np.array(owner)
+    left, right, owner = np.array(lower), np.array(upper), np.arange(len(upper))
     # Per open integral, in the order of their runs: index, relative and
     # absolute budget (``rel`` above), and length.
     ids, floor, span = np.arange(len(upper)), np.array(floor), np.array(upper) - lower
@@ -300,10 +295,10 @@ def oscillatory_batch(integrand, a, b, rtol, atol, points=None) -> list:
                     results[j] = _failure(lower[j], upper[j], left[start:stop], right[start:stop],
                                           miss[start:stop])
                     continue
-                # every evaluated panel is an initial one or half of a split one
+                # every evaluated panel is the first one or half of a split one
                 results[j] = OscillatoryResult(
                     value=complex(total[r]), error=float(errors[r]), panels=stop - start,
-                    evaluations=(2 * (stop - start) - initial[j]) * x.size, levels=level,
+                    evaluations=(2 * (stop - start) - 1) * x.size, levels=level,
                     levin_solves=int(solves[j]))
             if leaving.all():
                 return results
@@ -328,21 +323,20 @@ def _failure(a, b, left, right, missed) -> QuadratureError:
     )
 
 
-def oscillatory_integral(integrand, a: float, b: float, rtol: float, atol: float = 0.0,
-                         points=()) -> OscillatoryResult:
+def oscillatory_integral(integrand, a: float, b: float, rtol: float,
+                         atol: float = 0.0) -> OscillatoryResult:
     """Integrate f(x) * exp(i * Phi(x)) over [a, b], with Phi(a) = 0.
 
     ``integrand`` maps a 2-D array of nodes, one row per open panel, to
     the pair ``(f, Phi')`` of arrays of the same shape, or to the triple
     ``(f, Phi', h)`` for ``int f exp(i Phi) + h exp(-i Phi)``; it is
     called once per bisection level.  The returned error, the sum of the
-    leaf errors, is at most ``max(atol, rtol * |value|)``.  ``points``
-    inside (a, b) start as panel edges (use them where the integrand has
-    a kink).  Raises :class:`QuadratureError` when panels remain open
-    after the level cap or too many are open at once.  This is
-    :func:`oscillatory_batch` with a batch of one.
+    leaf errors, is at most ``max(atol, rtol * |value|)``.  Raises
+    :class:`QuadratureError` when panels remain open after the level cap
+    or too many are open at once.  This is :func:`oscillatory_batch`
+    with a batch of one.
     """
-    (res,) = oscillatory_batch(lambda nodes, _: integrand(nodes), a, [b], rtol, [atol], [points])
+    (res,) = oscillatory_batch(lambda nodes, _: integrand(nodes), a, [b], rtol, [atol])
     if isinstance(res, QuadratureError):
         raise res
     return res

@@ -104,13 +104,13 @@ def test_pass_integrates_each_distinct_term_once(chain8, monkeypatch):
     inner = decoherence.oscillatory_batch
 
     def counting(*args, **kwargs):
-        calls.append(kwargs["points"])
+        calls.append((list(args[1]), kwargs["rtol"]))
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
     passes = {"pass_1": {}}
     values, norms = decoherence._pass([t1, t2, t1], passes=passes)
-    assert calls == [((0.5,), (0.5,))]
+    assert calls == [([0.0, 0.5], (1e-13, 1e-11))]  # the whole-sweep norm is folded
     assert values.tolist() == [v1, v2, v1]
     assert norms == {(sched, k2, 1.0): v2.real}
     assert list(passes) == ["pass_1", "pass_2"] and passes["pass_2"]["integrals"] == 2
@@ -404,6 +404,17 @@ def test_scaling_fit_exact_power_law():
         scaling_fit([1, 2, 3], [1, 2, 3])
     with pytest.raises(ValueError, match="positive"):
         scaling_fit([1, 2, 3, 4], [1, -2, 3, 4])
+    # data that would give a NaN exponent (with a RuntimeWarning for inf or
+    # equal x) or numpy's matmul message is named instead
+    nan, inf = float("nan"), float("inf")
+    bad = [([1, 2, 3, 4], [1, nan, 3, 4], r"^y: must be finite"),
+           ([1, 2, 3, 4], [1, inf, 3, 4], r"^y: must be finite"),
+           ([1, 2, inf, 4], [1, 2, 3, 4], r"^x: must be finite"),
+           ([1, 2, 3, 4], [1, 2, 3], r"^y: 3 values for 4 values of x"),
+           ([2, 2, 2, 2], [1, 2, 3, 4], r"^x: needs two distinct values")]
+    for bx, by, message in bad:
+        with pytest.raises(ValueError, match=message):
+            scaling_fit(bx, by)
 
 
 def test_scaling_fit_matches_polyfit_and_exact_fit():
@@ -487,20 +498,20 @@ def test_amplitude_numeric_is_one_integral(chain8, monkeypatch, omega):
     inner = decoherence.oscillatory_batch
 
     def counting(*args, **kwargs):
-        calls.append((list(args[1]), list(args[2]), kwargs["points"]))
+        calls.append((list(args[1]), list(args[2]), kwargs["rtol"]))
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
     amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3)
     amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3, g_upper=0.9)
-    # per call its channel norm (break at g = 1/2, which is w = 1/2), then its one
-    # amplitude.  Over the whole sweep both are folded onto w in [1/2, 1], and the norm
-    # comes with the crossing phase over w in [0, 1/2]; a partial sweep runs from w = 0
+    # per call its channel norm (rtol 1e-11), then its one amplitude (rtol 1e-6).  Over
+    # the whole sweep both are folded onto w in [1/2, 1], and the norm comes with the
+    # crossing phase (rtol 1e-13) over w in [0, 1/2]; a partial sweep runs from w = 0
     # up to the channel variable w of g_upper
     w = float(decoherence._channel_variable(np.pi / 8, 0.9))
     assert 0.9 < w < 1.0
-    assert calls == [([0.5, 0.0], [1.0, 0.5], ((0.5,), (0.5,))), ([0.5], [1.0], ((),)),
-                     ([0.0], [w], ((0.5,),)), ([0.0], [w], ((),))]
+    assert calls == [([0.5, 0.0], [1.0, 0.5], (1e-11, 1e-13)), ([0.5], [1.0], (1e-6,)),
+                     ([0.0], [w], (1e-11,)), ([0.0], [w], (1e-6,))]
 
 
 @pytest.mark.parametrize("n", [8, 64, 256])
@@ -583,16 +594,16 @@ def test_channel_norm_computed_once_per_channel(monkeypatch):
     inner = decoherence.oscillatory_batch
 
     def counting(*args, **kwargs):
-        calls.append(kwargs["points"])
+        calls.append(kwargs["rtol"])
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
     bath = BathSpectrum("ohmic", {"omega_c": 0.5, "support_max": 1.9}, CouplingConstant(0.01))
     res = total_excitation_probability(spec, sched, bath)
     assert sum(len(m) for m in res.methods.values()) == 33 * spec.n // 2
-    # one batch of the n/2 channel norms and crossing phases (break at g = 1/2), one of the
-    # amplitudes
-    assert calls == [((0.5,),) * spec.n, ((),) * (33 * spec.n // 2)]
+    # one batch of the n/2 channel norms (rtol 1e-11) and crossing phases (rtol 1e-13),
+    # one of the amplitudes (rtol 1e-5)
+    assert calls == [(1e-11, 1e-13) * (spec.n // 2), (1e-5,) * (33 * spec.n // 2)]
 
 
 @pytest.mark.parametrize("x", [0.5, 3.8, 8.0, 40.0])
@@ -629,10 +640,22 @@ def test_amplitudes_reject_bad_frequency(chain8, omega):
     calls = (lambda: amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3),
              lambda: amplitude_numeric(chain8, sched, np.pi / 8, [0.8, omega], 1e-3),
              lambda: amplitude_saddle_point(chain8, sched, np.pi / 8, omega, 1e-3),
-             lambda: accumulated_phase(chain8, sched, np.pi / 8, omega, 0.7))
+             lambda: accumulated_phase(chain8, sched, np.pi / 8, omega, 0.7),
+             lambda: saddle_points(chain8, np.pi / 8, omega))
     for call in calls:
         with pytest.raises(ValueError, match=r"^omega: must be a finite number > -inf, got "):
             call()
+
+
+@pytest.mark.parametrize("g", [float("nan"), float("inf"), -float("inf"), True, "0.9"])
+def test_sweep_ends_reject_non_numbers(chain8, g):
+    # True would integrate the whole sweep (or give the phase at g = 1) and a
+    # string would raise a TypeError; both are named like NaN and inf
+    sched = Schedule("linear", 60.0)
+    with pytest.raises(ValueError, match=r"^g_upper: must be a finite number > -inf, got "):
+        amplitude_numeric(chain8, sched, np.pi / 8, 0.8, 1e-3, g_upper=g)
+    with pytest.raises(ValueError, match=r"^g: must be a finite number > -inf, got "):
+        accumulated_phase(chain8, sched, np.pi / 8, 0.8, g)
 
 
 @pytest.mark.parametrize("kind", list(_POWERS))
@@ -645,7 +668,7 @@ def test_folded_sweep_matches_unfolded_integral(kind, n):
     sched, k = Schedule(kind, 20.0, spec), np.pi / n
     norm_term = (sched, k, 0.0, decoherence.NORM, 1.0)
     solo = lambda term: lambda w: decoherence._integrand([term])(w, np.zeros(len(w), dtype=int))
-    norm = oscillatory_integral(solo(norm_term), 0.0, 1.0, rtol=1e-11, points=(0.5,)).value.real
+    norm = oscillatory_integral(solo(norm_term), 0.0, 1.0, rtol=1e-11).value.real
     assert abs(amplitude_bound(spec, sched, k, 1.0) - norm) <= 1e-12 * norm
     for omega in (-0.5, 1.3, 4.5):
         assert (omega < 4.0 * np.sin(k / 2.0), omega > 4.0) == (omega == -0.5, omega == 4.5)
@@ -673,3 +696,9 @@ def test_phase_past_the_crossing_from_its_mirror(kind, n):
     # and the whole sweep's phase, folded, is twice the crossing phase
     assert accumulated_phase(spec, sched, k, omega, 1.0) == pytest.approx(
         2.0 * decoherence._crossing_phase(phi_eps, sched, omega), rel=1e-12, abs=0.0)
+    # a partial-sweep norm and a phase past the crossing, over w in [0, w(0.9)] with the
+    # crossing w = 1/2 inside, each start as one panel: every evaluated panel but that
+    # one is half of a split one
+    partial = [(sched, k, 0.0, decoherence.NORM, 0.9), (sched, k, omega, decoherence.PHASE, 0.9)]
+    for res in decoherence._batch(partial):
+        assert res.evaluations == 33 * (2 * res.panels - 1)

@@ -92,7 +92,7 @@ def test_batch_mixing_mirrored_and_plain_integrals_matches_solo_calls():
     # full sweeps folded onto w in [1/2, 1] (amplitudes and a norm, each with its
     # mirrored term) next to a partial-sweep amplitude and a phase to g_- from w = 0,
     # as the decoherence layer batches them: every integral keeps its solo tree and value,
-    # and a plain one's solo call, without a mirrored term at all, agrees too
+    # and a plain one's solo call, whose mirrored term is zero, agrees too
     spec = ChainSpec(16)
     sched = Schedule("gap-adapted-1", 600.0, spec)
     k = float(channel_momenta(spec)[1])
@@ -115,7 +115,8 @@ def test_batch_mixing_mirrored_and_plain_integrals_matches_solo_calls():
         assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value), j
         if not folded[j]:
             plain = decoherence._integrand([terms[j]], fold=True)
-            assert len(plain(np.array([[0.1]]), np.zeros(1, dtype=int))) == 2
+            _, _, h = plain(np.array([[0.1, 0.6]]), np.zeros(1, dtype=int))
+            assert np.all(h == 0.0)
             alone = oscillatory_integral(lambda g: plain(g, np.zeros(len(g), dtype=int)),
                                          0.0, upper[j], rtol[j], atol[j])
             assert alone.panels == got.panels
@@ -144,8 +145,8 @@ def test_one_integrand_call_per_level():
         shapes.append(x.shape)
         return np.cos(x) + 0j, lam * (x - 0.35)
 
-    res = oscillatory_integral(pair, 0.0, 1.0, rtol=1e-10, points=(0.35,))
-    assert shapes[0] == (2, 33)  # the break point splits the first level
+    res = oscillatory_integral(pair, 0.0, 1.0, rtol=1e-10)
+    assert shapes[0] == (1, 33)  # the integral starts as one panel
     assert 1 < len(shapes) <= quadrature._LEVELS
     assert all(len(shape) == 2 and shape[1] == 33 for shape in shapes)
     assert res.evaluations == sum(rows * cols for rows, cols in shapes)
@@ -184,9 +185,7 @@ def test_invalid_inputs():
     with pytest.raises(ValueError, match="one of them positive"):
         oscillatory_integral(flat, 0.0, 1.0, rtol=0.0, atol=0.0)
     pair = lambda nodes, owner: (np.ones_like(nodes), np.zeros_like(nodes))
-    # one break-point sequence or relative budget short of the two integrals
-    with pytest.raises(ValueError, match=r"points: 1 values for 2 upper limits"):
-        oscillatory_batch(pair, 0.0, [1.0, 2.0], 1e-8, [0.0, 0.0], points=[(0.5,)])
+    # one relative budget too many, or one absolute budget short, for the two integrals
     with pytest.raises(ValueError, match=r"rtol: 3 values for 2 upper limits"):
         oscillatory_batch(pair, 0.0, [1.0, 2.0], [1e-8] * 3, [0.0, 0.0])
     with pytest.raises(ValueError, match=r"atol: 1 values for 2 upper limits"):
@@ -263,12 +262,12 @@ def test_batch_matches_solo_calls():
     assert sum(g.size for g, _ in calls) == sum(res.evaluations for res in batch)
 
 
-def test_batch_mixed_budgets_and_points_match_solo_calls():
+def test_batch_mixed_budgets_match_solo_calls():
     # channel norms, phases and amplitudes on two schedules in one batch,
-    # each with its own rtol, atol and break points, as the decoherence
-    # layer gives them: every integral keeps the tree of its solo call
+    # each with its own rtol and atol, as the decoherence layer gives
+    # them: every integral keeps the tree of its solo call
     spec = ChainSpec(8)
-    terms, rtol, atol, points = [], [], [], []
+    terms, rtol, atol = [], [], []
     for sched in (Schedule("gap-adapted-2", 80.0, spec), Schedule("linear", 30.0)):
         for k in channel_momenta(spec)[:2]:
             terms += [(sched, k, 0.0, decoherence.NORM, 1.0),
@@ -276,7 +275,6 @@ def test_batch_mixed_budgets_and_points_match_solo_calls():
                       (sched, k, 0.8, decoherence.AMPLITUDE, 0.9)]
             rtol += [1e-11, 1e-13, 1e-6]
             atol += [0.0, 1e-9, 1e-12]
-            points += [(0.5,), (0.5,), ()]
     integrand = decoherence._integrand(terms)
     upper = [t[4] for t in terms]
     rows = []
@@ -285,11 +283,11 @@ def test_batch_mixed_budgets_and_points_match_solo_calls():
         rows.append(np.bincount(owner, minlength=len(terms)))
         return integrand(g, owner)
 
-    batch = oscillatory_batch(pair, 0.0, upper, rtol, atol, points)
-    assert rows[0].tolist() == [2, 2, 1] * 4  # g = 1/2 splits the norms and phases only
+    batch = oscillatory_batch(pair, 0.0, upper, rtol, atol)
+    assert rows[0].tolist() == [1] * 12  # each integral starts as one panel
     for j, got in enumerate(batch):
         ref = oscillatory_integral(lambda g: integrand(g, np.full(len(g), j)), 0.0, upper[j],
-                                   rtol[j], atol[j], points[j])
+                                   rtol[j], atol[j])
         assert (got.panels, got.evaluations, got.levels) == (ref.panels, ref.evaluations,
                                                              ref.levels), j
         assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value), j
@@ -378,7 +376,7 @@ def test_smooth_integral_gap_norm_closed_form(power, n):
     # int_0^1 DeltaE^-p dg peaks sharply at g = 1/2 for large n
     spec = ChainSpec(n)
     res = oscillatory_integral(_pair(lambda g: fundamental_gap(spec, g) ** -power, np.zeros_like),
-                               0.0, 1.0, rtol=1e-12, points=(0.5,))
+                               0.0, 1.0, rtol=1e-12)
     assert res.value.real == pytest.approx(_norm_integral(spec, power), rel=1e-11, abs=0.0)
 
 
@@ -390,10 +388,10 @@ def test_smooth_integral_one_call_per_level():
         shapes.append(g.shape)
         return fundamental_gap(spec, g) ** -2
 
-    oscillatory_integral(_pair(f, np.zeros_like), 0.0, 1.0, rtol=1e-11, points=(0.5,))
+    oscillatory_integral(_pair(f, np.zeros_like), 0.0, 1.0, rtol=1e-11)
     assert 1 < len(shapes) <= quadrature._LEVELS
     assert all(len(shape) == 2 and shape[1] == 33 for shape in shapes)
-    assert shapes[0] == (2, 33)  # the break point splits the first level
+    assert shapes[0] == (1, 33)  # the integral starts as one panel
     res = oscillatory_integral(_pair(np.cos, np.zeros_like), 0.0, 1.0, rtol=1e-13)
     assert res.value.real == pytest.approx(np.sin(1.0), abs=1e-15)
 
