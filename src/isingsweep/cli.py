@@ -2,8 +2,9 @@
 
 The experiment kind is the one positional argument; every kind takes
 the same options, ``--config FILE`` (JSON) with flag overrides.  Exit
-status is 1 when any built-in check fails and 2 when the configuration
-is invalid, the output directory included.
+status is 1 when any built-in check fails or an integral does not
+converge, and 2 when the configuration is invalid, the output directory
+included.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 
 from .decoherence import _BATH_PARAMS
 from .experiments import EXPERIMENT_KINDS, ConfigError, ExperimentConfig, run_experiment
+from .quadrature import QuadratureError
 from .schedules import _POWERS
 
 
@@ -63,6 +65,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except QuadratureError as exc:  # the message names the interval
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for name, ok in summary["checks"].items():
         print(f"[{'PASS' if ok else 'FAIL'}] {name}")
     print(f"outputs: {len(summary['outputs'])} files in {config.output_dir}")

@@ -35,12 +35,12 @@ phase-free upper bound lam * int |M| dt.  Every integral, numeric
 amplitude, channel norm int |M_k / (dg/dt)| dg or accumulated phase,
 goes through one pass routine, here and in the experiment tables: it
 integrates each distinct term of a list once, on any mix of schedules,
-in one batched quadrature call (only the bath-averaged sum, which falls
-back per term, reads the raw outcomes).  The omega-independent norm
-and crossing phase are integrated once per channel, before the
-amplitudes: each amplitude's relative budget is floored at 1e-13 of
-the norm, which keeps amplitudes that cancel to nearly nothing from
-chasing an unreachable relative budget.
+in one batched quadrature call, and raises the first failure, the
+bath-averaged sum's included.  The omega-independent norm and crossing
+phase are integrated once per channel, before the amplitudes: each
+amplitude's relative budget is floored at 1e-13 of the norm, which
+keeps amplitudes that cancel to nearly nothing from chasing an
+unreachable relative budget.
 On top of these sit the bath-averaged total excitation probability and
 the log-log scaling fit used for exponent checks.
 """
@@ -308,29 +308,6 @@ def _crossing_phase(phi_eps, schedule, omega) -> float:
     return phi_eps - 0.5 * omega * schedule.total_time
 
 
-def _batch(terms, rtol=0.0, channels=None):
-    """Per term a result or its :class:`QuadratureError`, from one quadrature batch;
-    an amplitude's channel norm is ``channels[schedule, ka, g_upper]``.
-
-    A term whose upper limit is g = 1 is folded about the crossing (see
-    :func:`_integrand`); a folded amplitude's value is multiplied by
-    e^{i Phi(1/2)}, with the crossing phase ``channels[schedule, ka]``.
-    """
-    if not terms:
-        return []
-    rel, floor = zip(*[_BUDGETS.get(t[3]) or (rtol, 1e-13 * channels[t[0], t[1], t[4]])
-                       for t in terms])
-    folded = [t[4] == 1.0 for t in terms]
-    lower = [0.5 if fo else 0.0 for fo in folded]  # the crossing is w = 1/2
-    upper = _channel_variable([t[1] for t in terms], [t[4] for t in terms])
-    outcomes = oscillatory_batch(_integrand(terms, fold=True), lower, upper.tolist(), rtol=rel,
-                                 atol=floor)
-    for (sched, ka, omega, kind, _), fo, res in zip(terms, folded, outcomes):
-        if fo and kind == AMPLITUDE and not isinstance(res, QuadratureError):
-            res.value *= cmath.exp(1j * _crossing_phase(channels[sched, ka], sched, omega))
-    return outcomes
-
-
 def _totals(outcomes) -> dict:
     """Panels, evaluations and Levin solves summed over the converged ``outcomes``, and the
     bisection levels of the deepest one, under their diagnostics keys."""
@@ -347,25 +324,39 @@ def _pass(terms, rtol=0.0, channels=None, passes=None):
 
     The channel values are each NORM keyed (schedule, ka, g_upper) and
     each crossing phase (:func:`_crossing`) keyed (schedule, ka); an
-    amplitude reads both from ``channels``.  Each distinct term is
-    integrated once, in first-occurrence order.  The batch's integrals
-    and counts are recorded in ``passes``, when given, as its next pass;
-    then the first failure raises its :class:`QuadratureError`.
+    amplitude reads both from ``channels``: its absolute floor is 1e-13
+    of its channel norm.  Each distinct term is integrated once, in
+    first-occurrence order.  A term whose upper limit is g = 1 is folded
+    about the crossing (see :func:`_integrand`), and a folded amplitude
+    is multiplied by e^{i Phi(1/2)}, with its crossing phase.  The
+    batch's integrals and counts are recorded in ``passes``, when given,
+    as its next pass; then the first failure raises its
+    :class:`QuadratureError`.
     """
     distinct = list(dict.fromkeys(terms))
-    outcomes = _batch(distinct, rtol, channels)
+    outcomes = []
+    if distinct:
+        rel, floor = zip(*[_BUDGETS.get(t[3]) or (rtol, 1e-13 * channels[t[0], t[1], t[4]])
+                           for t in distinct])
+        lower = [0.5 if t[4] == 1.0 else 0.0 for t in distinct]  # the crossing is w = 1/2
+        upper = _channel_variable([t[1] for t in distinct], [t[4] for t in distinct])
+        outcomes = oscillatory_batch(_integrand(distinct, fold=True), lower, upper.tolist(),
+                                     rtol=rel, atol=floor)
     if passes is not None:
         passes[f"pass_{len(passes) + 1}"] = {"integrals": len(outcomes), **_totals(outcomes)}
     for res in outcomes:
         if isinstance(res, QuadratureError):
             raise res
-    value = {term: res.value for term, res in zip(distinct, outcomes)}
-    found = {}
-    for term, v in value.items():
-        if term[3] == NORM:
-            found[term[0], term[1], term[4]] = float(v.real)
-        elif term == _crossing(*term[:2]):
-            found[term[0], term[1]] = float(v.real)
+    value, found = {}, {}
+    for term, res in zip(distinct, outcomes):
+        sched, ka, omega, kind, g_upper = term
+        value[term] = res.value
+        if kind == NORM:
+            found[sched, ka, g_upper] = float(res.value.real)
+        elif term == _crossing(sched, ka):
+            found[sched, ka] = float(res.value.real)
+        elif kind == AMPLITUDE and g_upper == 1.0:
+            value[term] *= cmath.exp(1j * _crossing_phase(channels[sched, ka], sched, omega))
     return np.array([value[term] for term in terms], dtype=complex), found
 
 
@@ -505,9 +496,8 @@ def amplitude_bound(spec: ChainSpec, schedule: Schedule, k: float, lam: float) -
 class TotalExcitationResult:
     p_total: float
     channel_amplitudes: dict = field(default_factory=dict)  # k -> complex
-    methods: dict = field(default_factory=dict)             # k -> tuple of method names
     warnings: list = field(default_factory=list)
-    counts: dict = field(default_factory=dict)  # _totals of the numeric terms
+    counts: dict = field(default_factory=dict)  # the pass record of the amplitudes
 
 
 def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: BathSpectrum,
@@ -516,11 +506,10 @@ def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: Bath
     """P = sum_{k>0} |int f(omega) A_k^omega domega|^2 over all channels.
 
     Every (channel, frequency) amplitude with nonzero weight is one
-    integral of a single batched quadrature call, each with the budget
-    of :func:`amplitude_numeric`.  A term whose integral fails falls
-    back to the phase-free bound, recorded per term as ``"bound"``.
-    P > 1 signals breakdown of first-order response and is reported,
-    not clipped.
+    integral of a single pass, each with the budget of
+    :func:`amplitude_numeric`; the first that fails raises its
+    :class:`QuadratureError`.  P > 1 signals breakdown of first-order
+    response and is reported, not clipped.
     """
     lam = bath.coupling.lam
     nodes, weights = bath.quadrature(n_omega)
@@ -528,17 +517,11 @@ def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: Bath
     live = weights != 0.0
     terms = [(schedule, k, w, AMPLITUDE, 1.0) for k in ks for w in nodes[live].tolist()]
     _, channels = _pass([t for k in ks for t in _channel_terms(schedule, k)])
-    outcomes = _batch(terms, rtol, channels)
-    result = TotalExcitationResult(p_total=0.0, counts=_totals(outcomes))
-    failed = [isinstance(res, QuadratureError) for res in outcomes]
-    values = np.array([lam * channels[schedule, term[1], 1.0] if bad else -1j * lam * res.value
-                       for term, res, bad in zip(terms, outcomes, failed)], dtype=complex)
-    methods = iter("bound" if bad else "numeric" for bad in failed)
+    passes = {}
+    values = -1j * lam * _pass(terms, rtol, channels, passes)[0]
     amplitudes = values.reshape(len(ks), int(live.sum())) @ weights[live]
-    for k, acc in zip(ks, amplitudes):
-        result.channel_amplitudes[k] = complex(acc)
-        result.methods[k] = tuple(next(methods) if w else "skipped" for w in live)
-    result.p_total = float(np.sum(np.abs(amplitudes) ** 2))
+    result = TotalExcitationResult(float(np.sum(np.abs(amplitudes) ** 2)),
+                                   dict(zip(ks, amplitudes.tolist())), counts=passes["pass_1"])
     if result.p_total > 1.0:
         result.warnings.append(
             f"P_total={result.p_total:.3g} exceeds 1: first-order response theory has broken down"

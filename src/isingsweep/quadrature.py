@@ -23,8 +23,12 @@ ends.  A Clenshaw-Curtis panel's error is its distance from the
 half-order rule on the nested node subset, which costs no solve; a
 Levin panel's is read off the trailing Chebyshev coefficients of its
 own solution ``p`` (Trefethen, Approximation Theory and Approximation
-Practice, SIAM 2013), so each Levin panel costs one solve.  The
-mirrored term shares all of it: ``int h exp(-i Phi)`` is the conjugate
+Practice, SIAM 2013), so each Levin panel costs one solve.  Every
+panel's phase increment, the Clenshaw-Curtis sum of ``Phi'`` on its
+nodes, is judged the same way, by its distance from the nested order-16
+sum: a Levin solution ``p ~ f / (i Phi')`` can be smooth where ``Phi'``
+has a peak too narrow for the nodes, and then only the phase shows it.
+The mirrored term shares all of it: ``int h exp(-i Phi)`` is the conjugate
 of ``int conj(h) exp(i Phi)``, so a panel carries ``conj(h)`` as a second
 column next to ``f``, integrated against the same ``exp(i Phi)`` by
 Clenshaw-Curtis or solved with the same Levin matrix in the same solve,
@@ -47,8 +51,10 @@ mirrored column), so no value depends on the order in which panels
 were evaluated.  On every level all leaves are tested against
 their width share of ``max(atol, rtol * |I|)`` with the budget
 (``rtol``, ``atol``) and current estimate ``I`` of their own integral,
-the ones that miss are bisected, and an integral whose leaves all pass
-leaves the batch; its tree and counts are those it has on its own.
+and their phase error, which shifts every leaf right of them, times
+``|I|`` against the whole of it; the ones that miss are bisected, and
+an integral whose leaves all pass leaves the batch; its tree and
+counts are those it has on its own.
 :func:`oscillatory_integral` is a batch of one.
 
 Naive composite quadrature would cost O(total phase) evaluations and
@@ -168,7 +174,8 @@ def _estimates(f, dphi, phi, hw):
     and the values keep that axis; a panel's error is the sum over its
     columns.  Clenshaw-Curtis rows are judged by their distance from the
     nested order-16 rule, Levin rows by the Chebyshev tail of their own
-    solution.  A panel without an estimate gets value 0 and error inf,
+    solution; :func:`oscillatory_batch` judges every row's phase
+    increment.  A panel without an estimate gets value 0 and error inf,
     so it misses every budget and adds nothing to the running total.
     """
     fast = phi.max(axis=1) - phi.min(axis=1) > _CC_PHASE_LIMIT
@@ -249,6 +256,7 @@ def oscillatory_batch(integrand, a, b, rtol, atol) -> list:
     if not upper:
         return []
     x, q, *_ = _panel_setup(32)
+    _, q_lo, *_ = _panel_setup(16)
     left, right, owner = np.array(lower), np.array(upper), np.arange(len(upper))
     # Per open integral, in the order of their runs: index, relative and
     # absolute budget (``rel`` above), and length.
@@ -256,10 +264,12 @@ def oscillatory_batch(integrand, a, b, rtol, atol) -> list:
     # The leaves of the open integrals, grouped by owner and in order of
     # position: value relative to the phase at the left edge, one column
     # per amplitude (f, and conj(h) when mirrored), error estimate, phase
-    # increment; ``fresh`` ones are unevaluated.
+    # increment and its distance from the nested order-16 rule's; ``fresh``
+    # ones are unevaluated.
     value = None
     error = np.zeros(left.size)
     increment = np.zeros(left.size)
+    slip = np.zeros(left.size)
     fresh = np.ones(left.size, dtype=bool)
     solves = np.zeros(len(upper), dtype=int)
     results = [None] * len(upper)
@@ -275,11 +285,15 @@ def oscillatory_batch(integrand, a, b, rtol, atol) -> list:
         value[fresh], error[fresh], levin = _estimates(f, dphi, phi, hw)
         solves += np.bincount(owner[fresh][levin], minlength=solves.size)
         increment[fresh] = phi[:, -1]
+        slip[fresh] = np.abs(phi[:, -1] - hw * (dphi[:, ::2] @ q_lo[-1]))
         first, run, phase = _run_phases(owner, increment)
         sums = np.add.reduceat(value * np.exp(1j * phase)[:, None], first)
         total = sums[:, 0] + sums[:, 1].conj() if value.shape[1] > 1 else sums[:, 0]
-        tol = np.maximum(floor, rel * np.abs(total))
-        miss = ~(error <= tol[run] * (right - left) / span[run])
+        size = np.abs(total)
+        tol = np.maximum(floor, rel * size)[run]
+        # A leaf misses its width share of the budget, or shifts the phase of
+        # every leaf right of it by more than the whole budget allows.
+        miss = ~(error <= tol * (right - left) / span[run]) | (slip * size[run] > tol)
         missing = np.add.reduceat(miss, first)
         # An integral leaves the batch when all its leaves pass, or fails when
         # the level cap is reached or its halves would be too many.
@@ -310,7 +324,8 @@ def oscillatory_batch(integrand, a, b, rtol, atol) -> list:
         second = np.flatnonzero(leaf[1:] == leaf[:-1]) + 1
         mid = 0.5 * (left[second] + right[second])
         left[second] = right[second - 1] = mid
-        value, error, increment, fresh = value[leaf], error[leaf], increment[leaf], miss[leaf]
+        value, error, increment, slip = value[leaf], error[leaf], increment[leaf], slip[leaf]
+        fresh = miss[leaf]
         owner = owner[leaf]
 
 

@@ -325,7 +325,6 @@ def test_total_probability_quadratic_in_coupling():
     r2 = total_excitation_probability(
         spec, sched, BathSpectrum("monochromatic", {"omega0": 0.8}, CouplingConstant(2e-3)))
     assert r2.p_total == pytest.approx(4 * r1.p_total, rel=1e-12)
-    assert set(r1.methods[next(iter(r1.methods))]) == {"numeric"}
 
 
 def test_total_probability_subgap_bath_negligible():
@@ -354,17 +353,12 @@ def test_total_probability_breakdown_reported():
     assert any("broken down" in w for w in res.warnings)
 
 
-def test_total_probability_bound_fallback_per_term(monkeypatch):
-    # exactly one (k, omega) term fails its integral: it alone takes the
-    # phase-free bound, and every other term stays numeric
+def test_total_probability_raises_a_failed_amplitude(monkeypatch):
+    # one (k, omega) term fails its integral: the bath sum raises that failure,
+    # as every other entry point does, and substitutes nothing for it
     spec = ChainSpec(8)
     sched = Schedule("linear", 30.0)
     bath = BathSpectrum("ohmic", {"omega_c": 0.5, "support_max": 1.9}, CouplingConstant(0.01))
-    nodes, weights = bath.quadrature()
-    clean = total_excitation_probability(spec, sched, bath)
-    k0, *others = channel_momenta(spec)
-    numeric = amplitude_numeric(spec, sched, k0, nodes[5], 0.01, rtol=1e-5)
-    bound = amplitude_bound(spec, sched, k0, 0.01)
     inner = decoherence.oscillatory_batch
 
     def one_fails(*args, **kwargs):
@@ -374,15 +368,8 @@ def test_total_probability_bound_fallback_per_term(monkeypatch):
         return outcomes
 
     monkeypatch.setattr(decoherence, "oscillatory_batch", one_fails)
-    res = total_excitation_probability(spec, sched, bath)
-    assert res.methods[k0] == ("numeric",) * 5 + ("bound",) + ("numeric",) * 27
-    assert all(res.methods[k] == ("numeric",) * 33 for k in others)
-    assert all(res.channel_amplitudes[k] == clean.channel_amplitudes[k] for k in others)
-    shift = res.channel_amplitudes[k0] - clean.channel_amplitudes[k0]
-    assert shift == pytest.approx(weights[5] * (bound - numeric), rel=1e-9)
-    assert np.isfinite(res.p_total) and res.p_total > clean.p_total
-    assert res.counts["quadrature_panels"] < clean.counts["quadrature_panels"]
-    assert res.counts["quadrature_evaluations"] < clean.counts["quadrature_evaluations"]
+    with pytest.raises(QuadratureError, match="^forced$"):
+        total_excitation_probability(spec, sched, bath)
 
 
 def test_total_probability_skips_zero_weight_nodes():
@@ -392,7 +379,6 @@ def test_total_probability_skips_zero_weight_nodes():
     assert not bath.quadrature()[1].any()
     res = total_excitation_probability(spec, Schedule("linear", 30.0), bath)
     assert res.p_total == 0.0 and res.counts["quadrature_panels"] == 0
-    assert all(m == ("skipped",) * 33 for m in res.methods.values())
 
 
 def test_scaling_fit_exact_power_law():
@@ -600,7 +586,7 @@ def test_channel_norm_computed_once_per_channel(monkeypatch):
     monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
     bath = BathSpectrum("ohmic", {"omega_c": 0.5, "support_max": 1.9}, CouplingConstant(0.01))
     res = total_excitation_probability(spec, sched, bath)
-    assert sum(len(m) for m in res.methods.values()) == 33 * spec.n // 2
+    assert res.counts["integrals"] == 33 * spec.n // 2
     # one batch of the n/2 channel norms (rtol 1e-11) and crossing phases (rtol 1e-13),
     # one of the amplitudes (rtol 1e-5)
     assert calls == [(1e-11, 1e-13) * (spec.n // 2), (1e-5,) * (33 * spec.n // 2)]
@@ -630,6 +616,47 @@ def test_gap_adapted_phase_converges_at_large_n(kind, n, j, omega):
     ref = sum(quad(lambda g: (2 * mode_epsilon(k, g) - omega) / sched.velocity_of_g(g), a, b,
                    epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in ((0.0, 0.5), (0.5, g_plus)))
     assert accumulated_phase(spec, sched, k, omega, g_plus) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def _t_grid_amplitude(sched, ka, omega, lam, points=2**20):
+    """-i lam int_0^T M_k e^{i phi} dt, phi(t) = int_0^t (2 eps_k - omega) dt', on one
+    uniform grid in t through ``g_of_t``, independent of the quadrature.
+
+    The phase is a cumulative trapezoid, and the trapezoid sums on every
+    first, second and fourth point are combined by Romberg, error O(h^6).
+    With 2^19 or 2^21 points in place of 2^20 the results below move by
+    at most 1e-10 (n = 1024) and 3.1e-8 (n = 2048) relative.
+    """
+    t = np.linspace(0.0, sched.total_time, points + 1)
+    s, c = np.sin(0.5 * ka), np.cos(0.5 * ka)
+    g = sched.g_of_t(t)
+    eps = 2.0 * np.sqrt(s * s + (c * (1.0 - 2.0 * g)) ** 2)
+    rate, amp = 2.0 * eps - omega, 4.0 * g * np.sin(ka) / eps  # M_k = i amp
+    sums = []
+    for stride in (4, 2, 1):
+        h = t[stride]
+        r, a = rate[::stride], amp[::stride]
+        y = a * np.exp(1j * np.concatenate(([0.0], np.cumsum(0.5 * h * (r[1:] + r[:-1])))))
+        sums.append(h * (y.sum() - 0.5 * (y[0] + y[-1])))
+    once = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(sums, sums[1:])]
+    return lam * (16.0 * once[1] - once[0]) / 15.0
+
+
+@pytest.mark.parametrize("n, j, omega, lam, rtol, budget", [
+    (1024, 40, 2.5, 1.0, 1e-10, 1e-7),   # k = 81 pi/1024: |A| = 0.952894
+    (2048, 2, 3.5, 1e-3, 1e-6, 1e-6),    # rows k#2 and k#3 of the n = 2048 amplitude table
+    (2048, 3, 3.5, 1e-3, 1e-6, 1e-6)])
+def test_gap_adapted_amplitude_above_the_lowest_channel(n, j, omega, lam, rtol, budget):
+    # above k#0 the gap-adapted 1/v peak of width s_0 at the crossing is narrow in the
+    # channel variable; a Levin panel that misses it in its phase increment shifts every
+    # panel right of it, and only the phase check sees it: without the check these read
+    # |A| = 0.4897 and 8e-5 off
+    spec = ChainSpec(n)
+    sched = Schedule("gap-adapted-2", runtime_for_adiabaticity("gap-adapted-2", n, 0.25), spec)
+    k = (2 * j + 1) * np.pi / n
+    ref = _t_grid_amplitude(sched, k, omega, lam)
+    got = amplitude_numeric(spec, sched, k, omega, lam, rtol=rtol)
+    assert abs(got - ref) <= budget * abs(ref)
 
 
 @pytest.mark.parametrize("omega", [float("nan"), float("inf"), -float("inf"), True, "0.8"])
@@ -700,5 +727,7 @@ def test_phase_past_the_crossing_from_its_mirror(kind, n):
     # crossing w = 1/2 inside, each start as one panel: every evaluated panel but that
     # one is half of a split one
     partial = [(sched, k, 0.0, decoherence.NORM, 0.9), (sched, k, omega, decoherence.PHASE, 0.9)]
-    for res in decoherence._batch(partial):
-        assert res.evaluations == 33 * (2 * res.panels - 1)
+    passes = {}
+    decoherence._pass(partial, passes=passes)
+    counts = passes["pass_1"]
+    assert counts["quadrature_evaluations"] == 33 * (2 * counts["quadrature_panels"] - 2)

@@ -490,14 +490,15 @@ def test_decoherence_bath_averaged_mode(tmp_path):
     })
     summary = run_experiment(cfg)
     rows = (tmp_path / "total_probability.csv").read_text().splitlines()
-    assert rows[0] == "n,schedule,T,p_total,numeric_terms,bound_terms"
+    assert rows[0] == "n,schedule,T,p_total"
     assert len(rows) == 3
     assert "p_total_increases_with_n" in summary["checks"]
 
 
 def test_bath_mode_diagnostics_are_deterministic(tmp_path):
-    # per size: quadrature panels, evaluations, Levin solves and levels and
-    # the term counts, identical across reruns and free of wall times
+    # per size: the amplitude pass's integrals and its quadrature panels,
+    # evaluations, Levin solves and levels, identical across reruns and free
+    # of wall times
     summaries = []
     for out in (tmp_path / "a", tmp_path / "b"):
         summaries.append(run_experiment(ExperimentConfig.from_dict({
@@ -509,7 +510,7 @@ def test_bath_mode_diagnostics_are_deterministic(tmp_path):
     assert sorted(diagnostics) == ["4", "8"]
     for n, d in diagnostics.items():
         terms = 33 * int(n) // 2
-        assert (d["numeric_terms"], d["bound_terms"]) == (terms, 0)
+        assert d["integrals"] == terms
         # each amplitude starts as one panel; every split adds one panel
         # and evaluates two new ones of 33 nodes
         assert d["quadrature_evaluations"] == 33 * (2 * d["quadrature_panels"] - terms)
@@ -606,11 +607,12 @@ def test_every_bath_kind_runs_from_a_config_file(tmp_path, capsys, kind):
     cfg_file.write_text(json.dumps({"chain_sizes": [8], "bath_kind": kind,
                                     "bath_params": BATH_RUNS[kind]}))
     assert main(["decoherence", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 0
-    assert "[PASS] no_bound_fallback" in capsys.readouterr().out
+    assert "[FAIL]" not in capsys.readouterr().out
     (row,) = (tmp_path / "o" / "total_probability.csv").read_text().splitlines()[1:]
-    *_, p_total, numeric, bound = row.split(",")
+    p_total = row.split(",")[-1]
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     nodes = 1 if kind == "monochromatic" else 33
-    assert 0.0 < float(p_total) < 1.0 and (int(numeric), int(bound)) == (4 * nodes, 0)
+    assert 0.0 < float(p_total) < 1.0 and summary["diagnostics"]["8"]["integrals"] == 4 * nodes
 
 
 def test_table1_preset_shape():
@@ -625,7 +627,7 @@ def test_table1_preset_shape():
 
 def test_csv_writer_17_digits(tmp_path):
     path = write_csv(tmp_path / "x.csv", ["a"], [(1 / 3,)])
-    assert "0.33333333333333331" in open(path).read()
+    assert "0.33333333333333331" in Path(path).read_text()
 
 
 def test_cli_runs_and_reports(tmp_path, capsys):
@@ -731,28 +733,31 @@ def test_cli_rejects_output_dir_it_cannot_create(tmp_path, capsys, under):
     assert err.startswith("error: config.output_dir:") and "Traceback" not in err
 
 
-def test_bath_mode_bound_fallback_fails_a_check(tmp_path, monkeypatch, capsys):
-    # the phase-free bound inflates P_total, so a run that fell back to it fails
-    argv = ["decoherence", "--n", "8", "--T", "30", "--coupling", "1e-2", "--out"]
-    assert main(argv + [str(tmp_path / "clean")]) == 0
-    clean = json.loads((tmp_path / "clean" / "summary.json").read_text())
-    assert clean["checks"]["no_bound_fallback"]
+@pytest.mark.parametrize("args", [["decoherence", "--n", "8", "--T", "30", "--coupling", "1e-2"],
+                                  ["decoherence", "--n", "8", "--omega", "0.8", "--coupling",
+                                   "1e-3"],
+                                  ["scaling"]], ids=["bath", "omega", "scaling"])
+def test_cli_reports_a_failed_integral(tmp_path, monkeypatch, capsys, args):
+    # an integral that does not converge exits 1 with its message, like a failed
+    # check, but with no traceback and no table or summary from a partial run
     inner = decoherence.oscillatory_batch
+    message = "quadrature did not converge on [0.5, 1.0]: forced"
 
-    def one_fails(*args, **kwargs):
-        outcomes = inner(*args, **kwargs)
-        if len(outcomes) > 8:  # the amplitudes, not the four channel norms and crossing phases
-            outcomes[5] = QuadratureError("forced")
+    def one_fails(*a, **kw):
+        outcomes = inner(*a, **kw)
+        outcomes[-1] = QuadratureError(message)
         return outcomes
 
     monkeypatch.setattr(decoherence, "oscillatory_batch", one_fails)
-    assert main(argv + [str(tmp_path / "fell")]) == 1
-    fell = json.loads((tmp_path / "fell" / "summary.json").read_text())
-    assert fell["checks"] == {"no_bound_fallback": False}
-    assert fell["diagnostics"]["8"]["bound_terms"] == 1
-    assert "[FAIL] no_bound_fallback" in capsys.readouterr().out
-    # the growth check compares sizes in ascending n, whatever order they are given in
-    monkeypatch.undo()
+    out = tmp_path / "o"
+    assert main(args + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and "[PASS]" not in captured.out
+    assert not (out / "total_probability.csv").exists() and not (out / "summary.json").exists()
+
+
+def test_bath_mode_growth_check_in_ascending_n(tmp_path, monkeypatch, capsys):
+    # the growth check compares sizes in ascending n, whatever order they are given in;
     # each size's total passes through decoherence.total_excitation_probability as
     # looked up at run time, where the bath benchmark replaces it to record the totals
     inner_total, recorded = decoherence.total_excitation_probability, []

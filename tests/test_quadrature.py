@@ -88,6 +88,19 @@ def test_mirrored_term_cosine_closed_forms(lam):
     assert abs(res.value - (chirp + 0.3j * np.conj(chirp))) <= res.error <= 1e-10
 
 
+@pytest.mark.parametrize("length, width", [(2000.0, 1e-3), (2e4, 1e-4)])
+def test_levin_panel_checks_its_phase(length, width):
+    # int_0^1 Phi' e^{i Phi} dx = -i (e^{i Phi(1)} - 1) with a narrow Lorentzian Phi'.
+    # A Levin solution p ~ f / (i Phi') = -i carries no trace of the peak, so its
+    # Chebyshev tail is small; only the panel's phase increment, the Clenshaw-Curtis
+    # sum of Phi' on its nodes, misses the peak, and only its distance from the nested
+    # order-16 sum shows that
+    dphi = lambda x: length / (1.0 + ((x - 0.45) / width) ** 2)
+    total = length * width * (np.arctan(0.55 / width) + np.arctan(0.45 / width))
+    res = oscillatory_integral(lambda x: (dphi(x) + 0j, dphi(x)), 0.0, 1.0, rtol=1e-6)
+    assert abs(res.value + 1j * (np.exp(1j * total) - 1.0)) <= 1e-12
+
+
 def test_batch_mixing_mirrored_and_plain_integrals_matches_solo_calls():
     # full sweeps folded onto w in [1/2, 1] (amplitudes and a norm, each with its
     # mirrored term) next to a partial-sweep amplitude and a phase to g_- from w = 0,
@@ -438,8 +451,8 @@ def _nested_estimates(f, dphi, phi, hw):
 
 
 def _bath_amplitudes(n, rtol):
-    """Results of the bath-averaged sum's amplitude integrals (linear sweep, ohmic bath) and
-    their absolute floors."""
+    """Values of the bath-averaged sum's amplitude integrals (linear sweep, ohmic bath), the
+    counts of their pass and their absolute floors."""
     cfg = ExperimentConfig.from_dict({
         "kind": "decoherence", "chain_sizes": [n], "coupling": 1e-2, "bath_kind": "ohmic",
         "bath_params": {"omega_c": 0.5, "support_max": 1.9}})
@@ -449,17 +462,18 @@ def _bath_amplitudes(n, rtol):
     _, channels = decoherence._pass([t for k in ks for t in decoherence._channel_terms(sched, k)])
     terms = [(sched, k, w, decoherence.AMPLITUDE, 1.0) for k in ks for w in nodes.tolist()]
     floor = np.repeat([1e-13 * channels[sched, k, 1.0] for k in ks], nodes.size)
-    return decoherence._batch(terms, rtol, channels), floor
+    passes = {}
+    values = decoherence._pass(terms, rtol, channels, passes)[0]
+    return values, passes["pass_1"], floor
 
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_tail_estimate_against_nested_reference(n, monkeypatch):
     # every rtol 1e-6 amplitude is within 1e-3 of its budget of an rtol
     # 1e-11 solve judged by the independent nested order-16 estimate
-    results, floor = _bath_amplitudes(n, 1e-6)
-    got = np.array([res.value for res in results])
+    got, _, floor = _bath_amplitudes(n, 1e-6)
     monkeypatch.setattr(quadrature, "_estimates", _nested_estimates)
-    ref = np.array([res.value for res in _bath_amplitudes(n, 1e-11)[0]])
+    ref = _bath_amplitudes(n, 1e-11)[0]
     assert np.all(np.abs(got - ref) <= 1e-3 * np.maximum(1e-6 * np.abs(ref), floor))
 
 
@@ -476,9 +490,9 @@ def test_one_levin_solve_per_fast_panel(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", spy)
-    results, _ = _bath_amplitudes(16, 1e-6)
+    _, counts, _ = _bath_amplitudes(16, 1e-6)
     assert sizes and all(a[1:] == (33, 33) and a[0] <= quadrature._CHUNK and b == (a[0], 33, 2)
                          for a, b in sizes)
-    solves = sum(res.levin_solves for res in results)
+    solves = counts["quadrature_levin_solves"]
     assert sum(a[0] for a, _ in sizes) == solves
-    assert 0 < solves <= sum(res.evaluations for res in results) // 33
+    assert 0 < solves <= counts["quadrature_evaluations"] // 33
