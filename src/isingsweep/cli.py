@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 
-from .decoherence import _BATH_PARAMS
 from .experiments import EXPERIMENT_KINDS, ConfigError, ExperimentConfig, run_experiment
 from .quadrature import QuadratureError
 from .schedules import _POWERS
@@ -34,7 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon-adiab", type=float, dest="epsilon_adiab",
                    help="adiabaticity target fixing T when --T is absent")
     p.add_argument("--omega", type=float, nargs="+", dest="omega_grid", help="frequency grid")
-    p.add_argument("--bath", dest="bath_kind", choices=tuple(_BATH_PARAMS))
     p.add_argument("--coupling", type=float, help="bath coupling lambda")
     p.add_argument("--out", dest="output_dir", help="output directory")
     return p

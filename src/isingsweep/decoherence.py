@@ -22,12 +22,14 @@ through its square, so Phi' is even about the crossing w = 1/2, and
 g(1 - w) = 1 - g(w).  Every integral over the whole sweep is therefore
 folded: it runs over w in [1/2, 1] only, each panel carrying its mirror
 image as a second term (one Levin solve for both), and an amplitude is
-that times exp(i Phi(1/2)).  The crossing phase
-Phi(1/2) = Phi_eps(1/2) - omega T/2, since t(1/2) = T/2 for every kind,
-with Phi_eps(1/2) = int_0^{1/2} 2 epsilon_k / (dg/dt) dg one smooth
-phase integral per channel; and a phase past the crossing follows from
-Phi(1 - g) = 2 Phi(1/2) - Phi(g).  Partial sweeps, and phases up to a
-point, run from w = 0 unfolded.
+that times exp(i Phi(1/2)).  As Phi(1) = 2 Phi(1/2), the crossing phase
+is the folded integral's own phase Phi(1) - Phi(1/2), the sum of its
+panels' increments, so an amplitude needs no other integral for it.  A
+phase past the crossing follows from Phi(1 - g) = 2 Phi(1/2) - Phi(g),
+with Phi(1/2) = Phi_eps(1/2) - omega T/2, since t(1/2) = T/2 for every
+kind, and Phi_eps(1/2) = int_0^{1/2} 2 epsilon_k / (dg/dt) dg one smooth
+phase integral per channel.  Partial sweeps, and phases up to a point,
+run from w = 0 unfolded.
 
 Provided evaluations: the numeric integral, the two-saddle
 stationary-phase approximation with a validity flag, and the rigorous
@@ -36,9 +38,9 @@ amplitude, channel norm int |M_k / (dg/dt)| dg or accumulated phase,
 goes through one pass routine, here and in the experiment tables: it
 integrates each distinct term of a list once, on any mix of schedules,
 in one batched quadrature call, and raises the first failure, the
-bath-averaged sum's included.  The omega-independent norm and crossing
-phase are integrated once per channel, before the amplitudes: each
-amplitude's relative budget is floored at 1e-13 of the norm, which
+bath-averaged sum's included.  The omega-independent norm is
+integrated once per channel, before the amplitudes: each amplitude's
+relative budget is floored at 1e-13 of the norm, which
 keeps amplitudes that cancel to nearly nothing from chasing an
 unreachable relative budget.
 On top of these sit the bath-averaged total excitation probability and
@@ -84,7 +86,7 @@ __all__ = [
 
 _COLD_BATH_EDGE = 2.0  # initial single-particle energy; support beyond it is suspect
 _OMEGA_NODES = 33  # Gauss-Legendre nodes over a continuous bath's support
-_leggauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)  # one per node count
+_leggauss = lru_cache(maxsize=1)(np.polynomial.legendre.leggauss)  # of _OMEGA_NODES, made once
 # The bath kinds, each with its parameters and their lower bounds.  Every
 # parameter is a finite number above its bound; an ohmic bath's support_max
 # may be left out (or None), and then is 8 omega_c.
@@ -180,12 +182,13 @@ class BathSpectrum:
             return np.where((omega > lo) & (omega <= hi), out, 0.0)
         return np.where((omega >= lo) & (omega <= hi), self.normalization, 0.0)
 
-    def quadrature(self, n_nodes: int = _OMEGA_NODES):
-        """Nodes and weights with f folded in: int f(w) A(w) dw ~ sum W_i A(w_i)."""
+    def quadrature(self):
+        """Nodes and weights with f folded in: int f(w) A(w) dw ~ sum W_i A(w_i), from the
+        ``_OMEGA_NODES``-point Gauss-Legendre rule over a continuous bath's support."""
         if self.kind == "monochromatic":
             return np.array([self.params["omega0"]]), np.array([1.0])
         lo, hi = self.support
-        x, w = _leggauss(n_nodes)
+        x, w = _leggauss(_OMEGA_NODES)
         nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
         weights = 0.5 * (hi - lo) * w * self.density(nodes)
         return nodes, weights
@@ -294,13 +297,6 @@ def _crossing(schedule, ka):
     return (schedule, ka, 0.0, PHASE, 0.5)
 
 
-def _channel_terms(schedule, ka, g_upper=1.0) -> list:
-    """The terms an amplitude of channel ``ka`` needs before its own: its channel norm and,
-    over the whole sweep, its crossing phase."""
-    norm = (schedule, ka, 0.0, NORM, g_upper)
-    return [norm, _crossing(schedule, ka)] if g_upper == 1.0 else [norm]
-
-
 def _crossing_phase(phi_eps, schedule, omega) -> float:
     """Phi(1/2) = Phi_eps(1/2) - omega T/2 at frequency ``omega``, from the crossing phase
     ``phi_eps``: t(1/2) = T/2 for every schedule kind, whose dg/dt is even about the
@@ -319,19 +315,18 @@ def _totals(outcomes) -> dict:
 
 
 def _pass(terms, rtol=0.0, channels=None, passes=None):
-    """The value of each of ``terms``, in order, and the channel values, from one quadrature
+    """The value of each of ``terms``, in order, and the channel norms, from one quadrature
     batch of the distinct terms.
 
-    The channel values are each NORM keyed (schedule, ka, g_upper) and
-    each crossing phase (:func:`_crossing`) keyed (schedule, ka); an
-    amplitude reads both from ``channels``: its absolute floor is 1e-13
-    of its channel norm.  Each distinct term is integrated once, in
+    The channel norms are the NORM values keyed (schedule, ka, g_upper);
+    an amplitude reads its own from ``channels``: its absolute floor is
+    1e-13 of it.  Each distinct term is integrated once, in
     first-occurrence order.  A term whose upper limit is g = 1 is folded
     about the crossing (see :func:`_integrand`), and a folded amplitude
-    is multiplied by e^{i Phi(1/2)}, with its crossing phase.  The
-    batch's integrals and counts are recorded in ``passes``, when given,
-    as its next pass; then the first failure raises its
-    :class:`QuadratureError`.
+    is multiplied by e^{i Phi(1/2)}, its own integral's phase over
+    [1/2, 1].  The batch's integrals and counts are recorded in
+    ``passes``, when given, as its next pass; then the first failure
+    raises its :class:`QuadratureError`.
     """
     distinct = list(dict.fromkeys(terms))
     outcomes = []
@@ -347,17 +342,15 @@ def _pass(terms, rtol=0.0, channels=None, passes=None):
     for res in outcomes:
         if isinstance(res, QuadratureError):
             raise res
-    value, found = {}, {}
+    value, norms = {}, {}
     for term, res in zip(distinct, outcomes):
-        sched, ka, omega, kind, g_upper = term
+        sched, ka, _, kind, g_upper = term
         value[term] = res.value
         if kind == NORM:
-            found[sched, ka, g_upper] = float(res.value.real)
-        elif term == _crossing(sched, ka):
-            found[sched, ka] = float(res.value.real)
+            norms[sched, ka, g_upper] = float(res.value.real)
         elif kind == AMPLITUDE and g_upper == 1.0:
-            value[term] *= cmath.exp(1j * _crossing_phase(channels[sched, ka], sched, omega))
-    return np.array([value[term] for term in terms], dtype=complex), found
+            value[term] *= cmath.exp(1j * res.phase)
+    return np.array([value[term] for term in terms], dtype=complex), norms
 
 
 def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k, omega,
@@ -382,7 +375,7 @@ def amplitude_numeric(spec: ChainSpec, schedule: Schedule, k, omega,
     k, omega = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(omega, dtype=float))
     ka = [_check_channel(spec, x) for x in k.ravel().tolist()]
     terms = [(schedule, x, w, AMPLITUDE, g_upper) for x, w in zip(ka, omega.ravel().tolist())]
-    _, channels = _pass([t for x in ka for t in _channel_terms(schedule, x, g_upper)])
+    _, channels = _pass([(schedule, x, 0.0, NORM, g_upper) for x in ka])
     values = -1j * lam * _pass(terms, rtol, channels)[0]
     return values.reshape(k.shape) if k.ndim else complex(values[0])
 
@@ -501,7 +494,6 @@ class TotalExcitationResult:
 
 
 def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: BathSpectrum,
-                                 n_omega: int = _OMEGA_NODES,
                                  rtol: float = 1e-5) -> TotalExcitationResult:
     """P = sum_{k>0} |int f(omega) A_k^omega domega|^2 over all channels.
 
@@ -512,11 +504,11 @@ def total_excitation_probability(spec: ChainSpec, schedule: Schedule, bath: Bath
     response and is reported, not clipped.
     """
     lam = bath.coupling.lam
-    nodes, weights = bath.quadrature(n_omega)
+    nodes, weights = bath.quadrature()
     ks = channel_momenta(spec).tolist()
     live = weights != 0.0
     terms = [(schedule, k, w, AMPLITUDE, 1.0) for k in ks for w in nodes[live].tolist()]
-    _, channels = _pass([t for k in ks for t in _channel_terms(schedule, k)])
+    _, channels = _pass([(schedule, k, 0.0, NORM, 1.0) for k in ks])
     passes = {}
     values = -1j * lam * _pass(terms, rtol, channels, passes)[0]
     amplitudes = values.reshape(len(ks), int(live.sum())) @ weights[live]

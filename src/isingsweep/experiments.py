@@ -29,11 +29,12 @@ from .chain import (
 )
 from .decoherence import (
     AMPLITUDE,
+    NORM,
     PHASE,
     BathSpectrum,
     _bath_bounds,
-    _channel_terms,
     _check_bath,
+    _crossing,
     _crossing_phase,
     _pass,
     _saddle,
@@ -281,27 +282,28 @@ def run_table1(out_dir: Path, lam: float, eps_adiab: float, rtol: float):
     A bound point's raw value is lam times its channel norm, a saddle
     point's the envelope sqrt((|A(T)|^2 + |A(T')|^2) / 2), T' = T (1 + pi/|dPhi|)
     with dPhi the phase between the two saddles, free of their cross term.
-    Pass 1 integrates the norm and crossing phase of each distinct
-    (schedule, k) and the phase at each lower saddle g_-: the phase is
-    even about the crossing, so dPhi = 2 (Phi(1/2) - Phi(g_-)).  dg/dt is
-    proportional to 1/T for every kind, so the norm and crossing phase at
-    T' are those at T times T'/T; pass 2 integrates every amplitude, at T
-    and at T'.  Returns files, fits, checks and the counts of each pass.
+    Pass 1 integrates the norm of each distinct (schedule, k), and for
+    each saddle point the crossing phase Phi(1/2) of its channel and the
+    phase at its lower saddle g_-: the phase is even about the crossing,
+    so dPhi = 2 (Phi(1/2) - Phi(g_-)).  dg/dt is proportional to 1/T for
+    every kind, so the norm at T' is that at T times T'/T; pass 2
+    integrates every amplitude, at T and at T', each taking Phi(1/2) from
+    its own folded integral.  Returns files, fits, checks and the counts
+    of each pass.
     """
     points = _t1_points(eps_adiab)
     saddle = [p for p in points if p[0]["column"] == "saddle"]
     counts = {}
-    channel = [t for *_, k, omega, sched in points for t in _channel_terms(sched, k)]
-    values, channels = _pass(channel + [
+    norms = [(sched, k, 0.0, NORM, 1.0) for *_, k, _, sched in points]
+    values, channels = _pass(norms + [_crossing(sched, k) for *_, k, _, sched in saddle] + [
         (sched, k, omega, PHASE, saddle_points(spec, k, omega)[0])
         for *_, spec, k, omega, sched in saddle], rtol, passes=counts)
+    halves, lows = np.split(values[len(norms):].real, 2)
     terms = []
-    for (cell, *_, spec, k, omega, sched), lo in zip(saddle, values[len(channel):].real.tolist()):
-        dphi = 2.0 * (_crossing_phase(channels[sched, k], sched, omega) - lo)
+    for (cell, *_, spec, k, omega, sched), half, lo in zip(saddle, halves.tolist(), lows.tolist()):
+        dphi = 2.0 * (_crossing_phase(half, sched, omega) - lo)
         longer = Schedule(cell["schedule"], sched.total_time * (1.0 + np.pi / abs(dphi)), spec)
-        scale = longer.total_time / sched.total_time
-        channels[longer, k, 1.0] = channels[sched, k, 1.0] * scale
-        channels[longer, k] = channels[sched, k] * scale
+        channels[longer, k, 1.0] = channels[sched, k, 1.0] * (longer.total_time / sched.total_time)
         terms += [(sched, k, omega, AMPLITUDE, 1.0), (longer, k, omega, AMPLITUDE, 1.0)]
     amplitudes = _pass(terms, rtol, channels, counts)[0].tolist()
     envelopes = iter([math.sqrt(0.5 * (abs(-1j * lam * a1) ** 2 + abs(-1j * lam * a2) ** 2))
@@ -391,10 +393,10 @@ def _run_dynamics(config: ExperimentConfig, out: Path):
 def _run_decoherence(config: ExperimentConfig, out: Path):
     """The amplitude table of the 4 lowest channels of every size, and the suppression scan
     of one sub-gap (k, omega) of the first size, in two quadrature passes (no frequency
-    grid: the bath-averaged total).  Pass 1 integrates the norm and crossing phase of each
-    distinct (schedule, k), for the bound rows, the amplitudes' floors and their phases at
-    the crossing, with the phases of every saddle-point row; pass 2 every amplitude of the
-    table and the scan.
+    grid: the bath-averaged total).  Pass 1 integrates the norm of each distinct
+    (schedule, k), for the bound rows and the amplitudes' floors, with the phases of every
+    saddle-point row; pass 2 every amplitude of the table and the scan, each taking its
+    crossing phase Phi(1/2) from its own folded integral.
     """
     if not config.omega_grid:
         return _run_total_probability(config, out)
@@ -414,10 +416,10 @@ def _run_decoherence(config: ExperimentConfig, out: Path):
                for n, sched, k, w in cells]
     passes = {}
     rtol = config.amplitude_rtol
-    channel = [t for _, sched, k, _ in cells + scan for t in _channel_terms(sched, k)]
-    values, channels = _pass(channel + [term for terms, _ in saddles for term in terms], rtol,
+    norms = [(sched, k, 0.0, NORM, 1.0) for _, sched, k, _ in cells + scan]
+    values, channels = _pass(norms + [term for terms, _ in saddles for term in terms], rtol,
                              passes=passes)
-    phases = iter(values[len(channel):].real.tolist())
+    phases = iter(values[len(norms):].real.tolist())
     amplitudes = (-1j * lam * _pass([(sched, k, w, AMPLITUDE, 1.0) for _, sched, k, w
                                      in cells + scan], rtol, channels, passes)[0]).tolist()
     rows, bound_ok, saddle_ok = [], True, True

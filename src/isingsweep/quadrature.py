@@ -48,13 +48,14 @@ edge and its phase increment; an integral's total is
 ``sum_j v_j exp(i Phi_j)`` with ``Phi_j`` the cumulative increment of
 its leaves left of leaf j (plus the conjugate of the same sum over the
 mirrored column), so no value depends on the order in which panels
-were evaluated.  On every level all leaves are tested against
-their width share of ``max(atol, rtol * |I|)`` with the budget
-(``rtol``, ``atol``) and current estimate ``I`` of their own integral,
-and their phase error, which shifts every leaf right of them, times
-``|I|`` against the whole of it; the ones that miss are bisected, and
-an integral whose leaves all pass leaves the batch; its tree and
-counts are those it has on its own.
+were evaluated, and the sum of all its increments is its phase
+``Phi(b)``.  On every level all leaves are tested against their width
+share of ``max(atol, rtol * |I|)`` with the budget (``rtol``, ``atol``)
+and current estimate ``I`` of their own integral, and their phase
+error, which shifts every leaf right of them, times ``|I|`` against the
+whole of it; the ones that miss are bisected, and an integral whose
+leaves all pass leaves the batch; its tree and counts are those it has
+on its own.
 :func:`oscillatory_integral` is a batch of one.
 
 Naive composite quadrature would cost O(total phase) evaluations and
@@ -109,6 +110,7 @@ class OscillatoryResult:
     evaluations: int
     levels: int
     levin_solves: int  # Levin collocation systems, one per fast-oscillating panel evaluated
+    phase: float  # Phi(b), the sum of the leaves' phase increments, with Phi(a) = 0
 
 
 @lru_cache(maxsize=None)
@@ -238,9 +240,10 @@ def oscillatory_batch(integrand, a, b, rtol, atol) -> list:
     budget ``max(atol_j, rtol_j * |I_j|)``, and leaves the loop as soon
     as all its leaves meet their share of it, so its tree and counts are
     those of the integral on its own, and its value agrees to rounding.
-    Returns one entry per integral: its :class:`OscillatoryResult`, or
-    the :class:`QuadratureError` it failed with (panels open after the
-    level cap, or more than ``_MAX_OPEN`` of its own open at once).
+    Returns one entry per integral: its :class:`OscillatoryResult`, whose
+    ``phase`` is Phi_j(b_j), or the :class:`QuadratureError` it failed
+    with (panels open after the level cap, or more than ``_MAX_OPEN`` of
+    its own open at once).
     """
     upper, floor = [float(v) for v in b], [float(v) for v in atol]
     lower = [float(v) for v in a] if np.ndim(a) else [float(a)] * len(upper)
@@ -313,7 +316,8 @@ def oscillatory_batch(integrand, a, b, rtol, atol) -> list:
                 results[j] = OscillatoryResult(
                     value=complex(total[r]), error=float(errors[r]), panels=stop - start,
                     evaluations=(2 * (stop - start) - 1) * x.size, levels=level,
-                    levin_solves=int(solves[j]))
+                    levin_solves=int(solves[j]),
+                    phase=float(phase[stop - 1] + increment[stop - 1]))
             if leaving.all():
                 return results
             ids, rel, floor, span = (v[~leaving] for v in (ids, rel, floor, span))

@@ -218,7 +218,7 @@ def test_criterion_6_growth_with_system_size():
             spec = ChainSpec(n)
             T = runtime_for_adiabaticity(kind, n, 0.25)
             sched = Schedule(kind, T, spec)
-            res = total_excitation_probability(spec, sched, bath, n_omega=21, rtol=1e-5)
+            res = total_excitation_probability(spec, sched, bath, rtol=1e-5)
             values.append(res.p_total)
         increasing = all(b > a for a, b in zip(values, values[1:]))
         ok &= increasing

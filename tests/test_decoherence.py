@@ -71,8 +71,8 @@ def test_zero_velocity_schedule_fails_quadrature(chain8):
 
 def test_array_amplitudes_match_scalar_calls(chain8, monkeypatch):
     # 4 channels x 3 frequencies, including the sub-gap omega = 0.3 of
-    # k = pi/8: one batch of the 4 channel norms with their 4 crossing
-    # phases, one of the 12 amplitudes, every value that of its scalar call
+    # k = pi/8: one batch of the 4 channel norms, one of the 12 amplitudes,
+    # every value that of its scalar call
     sched = Schedule("gap-adapted-2", 80.0, chain8)
     ks = channel_momenta(chain8)
     omegas = np.array([0.3, 0.8, 1.5])
@@ -86,7 +86,7 @@ def test_array_amplitudes_match_scalar_calls(chain8, monkeypatch):
 
     monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
     grid = amplitude_numeric(chain8, sched, ks[:, None], omegas, 1e-3)
-    assert calls == [8, 12]
+    assert calls == [4, 12]
     assert grid.shape == (4, 3) and grid.dtype == complex
     assert all(isinstance(a, complex) for row in scalar for a in row)
     assert np.all(np.abs(grid - scalar) <= 1e-12 * np.abs(scalar))
@@ -300,17 +300,16 @@ def test_bath_spectrum_families():
             make()
         assert [w.filename for w in seen] == [__file__]
     ohmic = BathSpectrum("ohmic", {"omega_c": 0.3, "support_max": 1.9}, lam)
-    nodes, weights = ohmic.quadrature(41)
+    nodes, weights = ohmic.quadrature()
     assert abs(np.sum(weights) - 1.0) < 1e-8  # unit normalization
     assert np.all(ohmic.density(nodes) >= 0)
     flat = BathSpectrum("flat", {"omega_min": 0.2, "omega_max": 0.8}, lam)
     assert flat.density(0.5) == pytest.approx(1.0 / 0.6)
     assert flat.density(1.0) == 0.0
-    # an m-node Gauss-Legendre rule is exact through degree 2m - 1
-    for m in (5, 33):
-        nodes, weights = flat.quadrature(m)
-        exact = (0.8 ** (2 * m) - 0.2 ** (2 * m)) / (2 * m) / 0.6
-        assert np.sum(weights * nodes ** (2 * m - 1)) == pytest.approx(exact, rel=1e-12)
+    # the 33-node Gauss-Legendre rule is exact through degree 65
+    nodes, weights = flat.quadrature()
+    exact = (0.8 ** 66 - 0.2 ** 66) / 66 / 0.6
+    assert np.sum(weights * nodes ** 65) == pytest.approx(exact, rel=1e-12)
     with pytest.raises(ValueError, match="omega_max"):
         BathSpectrum("flat", {"omega_min": 0.8, "omega_max": 0.2}, lam)
     with pytest.raises(ValueError, match="^kind: must be one of "):
@@ -453,8 +452,8 @@ def test_bound_norm_is_the_numeric_reference(chain8, monkeypatch):
     monkeypatch.setattr(decoherence, "oscillatory_batch", spy)
     amplitude_numeric(chain8, sched, k, 0.7, lam, rtol=rtol)
     norm = amplitude_bound(chain8, sched, k, lam) / lam
-    # the channel norm with the crossing phase, the amplitude, then the norm of amplitude_bound
-    assert [b[0] for b in budgets] == [(1e-11, 1e-13), (rtol,), (1e-11,)]
+    # the channel norm, the amplitude, then the norm of amplitude_bound
+    assert [b[0] for b in budgets] == [(1e-11,), (rtol,), (1e-11,)]
     (atol,) = budgets[1][1]
     assert atol == pytest.approx(1e-13 * norm, rel=1e-15)
     assert norm == pytest.approx(quad(
@@ -491,12 +490,12 @@ def test_amplitude_numeric_is_one_integral(chain8, monkeypatch, omega):
     amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3)
     amplitude_numeric(chain8, sched, np.pi / 8, omega, 1e-3, g_upper=0.9)
     # per call its channel norm (rtol 1e-11), then its one amplitude (rtol 1e-6).  Over
-    # the whole sweep both are folded onto w in [1/2, 1], and the norm comes with the
-    # crossing phase (rtol 1e-13) over w in [0, 1/2]; a partial sweep runs from w = 0
-    # up to the channel variable w of g_upper
+    # the whole sweep both are folded onto w in [1/2, 1], and the amplitude takes its
+    # crossing phase from its own integral; a partial sweep runs from w = 0 up to the
+    # channel variable w of g_upper
     w = float(decoherence._channel_variable(np.pi / 8, 0.9))
     assert 0.9 < w < 1.0
-    assert calls == [([0.5, 0.0], [1.0, 0.5], (1e-11, 1e-13)), ([0.5], [1.0], (1e-6,)),
+    assert calls == [([0.5], [1.0], (1e-11,)), ([0.5], [1.0], (1e-6,)),
                      ([0.0], [w], (1e-11,)), ([0.0], [w], (1e-6,))]
 
 
@@ -587,9 +586,9 @@ def test_channel_norm_computed_once_per_channel(monkeypatch):
     bath = BathSpectrum("ohmic", {"omega_c": 0.5, "support_max": 1.9}, CouplingConstant(0.01))
     res = total_excitation_probability(spec, sched, bath)
     assert res.counts["integrals"] == 33 * spec.n // 2
-    # one batch of the n/2 channel norms (rtol 1e-11) and crossing phases (rtol 1e-13),
-    # one of the amplitudes (rtol 1e-5)
-    assert calls == [(1e-11, 1e-13) * (spec.n // 2), (1e-5,) * (33 * spec.n // 2)]
+    # one batch of the n/2 channel norms (rtol 1e-11), one of the amplitudes (rtol 1e-5),
+    # each taking its crossing phase from its own folded integral
+    assert calls == [(1e-11,) * (spec.n // 2), (1e-5,) * (33 * spec.n // 2)]
 
 
 @pytest.mark.parametrize("x", [0.5, 3.8, 8.0, 40.0])

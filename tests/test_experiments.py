@@ -170,7 +170,8 @@ def test_byte_identical_reruns(tmp_path):
 
 def test_table1_in_two_batches_matches_public_calls(tmp_path, monkeypatch):
     # one oscillatory_batch call per pass: the 36 distinct channel norms with
-    # the 72 saddle phases, then the 72 amplitudes; the raw value of one point
+    # the 15 crossing phases of the saddle cells' channels and the 36 phases at
+    # their lower saddles, then the 72 amplitudes; the raw value of one point
     # per cell, the omega sweep at its largest omega, is that of the public
     # solo calls
     lam, eps_adiab, rtol = 1e-3, 0.25, 1e-6
@@ -184,7 +185,7 @@ def test_table1_in_two_batches_matches_public_calls(tmp_path, monkeypatch):
     monkeypatch.setattr(decoherence, "oscillatory_batch", counting)
     _, fits, _, diagnostics = run_table1(tmp_path, lam, eps_adiab, rtol)
     monkeypatch.undo()
-    assert calls == [108, 72]
+    assert calls == [87, 72]
     assert [d["integrals"] for d in diagnostics.values()] == calls
     assert all(f["pass"] for f in fits.values())
     spec = ChainSpec(_T1_N_FIXED)
@@ -339,9 +340,9 @@ def test_decoherence_experiment_with_suppression_scan(tmp_path):
 
 
 def test_amplitude_table_records_quadrature_counts(tmp_path):
-    # per pass, as in the scaling table: the 8 channel norms and 8 crossing phases
-    # with the 6 phases at a lower saddle, then the 24 amplitudes (2 sizes x 4
-    # channels x 3 frequencies);
+    # per pass, as in the scaling table: the 8 channel norms, the crossing phases
+    # of the 4 channels with a saddle-point row and the 6 phases at a lower saddle,
+    # then the 24 amplitudes (2 sizes x 4 channels x 3 frequencies);
     # identical across reruns and saved in summary.json
     summaries = [run_experiment(ExperimentConfig.from_dict({
         "kind": "decoherence", "chain_sizes": [8, 16], "omega_grid": [0.3, 0.8, 2.2],
@@ -354,7 +355,7 @@ def test_amplitude_table_records_quadrature_counts(tmp_path):
                              "quadrature_levin_solves", "quadrature_panels"]
         assert d["quadrature_panels"] >= d["integrals"]
         assert d["quadrature_levin_solves"] <= d["quadrature_evaluations"] // 33
-    assert [d["integrals"] for d in diagnostics.values()] == [22, 24]
+    assert [d["integrals"] for d in diagnostics.values()] == [18, 24]
     # the zero-phase norms and phases need no Levin solve
     assert diagnostics["pass_1"]["quadrature_levin_solves"] == 0
     # each amplitude starts as one panel, the half [1/2, 1] of its folded sweep; every
@@ -768,7 +769,7 @@ def test_bath_mode_growth_check_in_ascending_n(tmp_path, monkeypatch, capsys):
         return res
 
     monkeypatch.setattr(decoherence, "total_excitation_probability", capture)
-    argv = ["decoherence", "--n", "16", "8", "--bath", "ohmic", "--coupling", "1e-2", "--out"]
+    argv = ["decoherence", "--n", "16", "8", "--coupling", "1e-2", "--out"]
     assert main(argv + [str(tmp_path / "descending")]) == 0
     rows = (tmp_path / "descending" / "total_probability.csv").read_text().splitlines()[1:]
     assert recorded == [(int(n), float(p)) for n, _, _, p in (r.split(",")[:4] for r in rows)]

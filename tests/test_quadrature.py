@@ -101,6 +101,25 @@ def test_levin_panel_checks_its_phase(length, width):
     assert abs(res.value + 1j * (np.exp(1j * total) - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("length, width", [(2000.0, 1e-3), (2e4, 1e-4)])
+def test_result_phase_is_the_closed_form_phase(length, width):
+    # each integral's phase is Phi(b) - Phi(a), here for Phi' = 500 + a narrow Lorentzian,
+    # summed over its own many panels (Clenshaw-Curtis at the peak, Levin elsewhere):
+    # one integral without a mirrored term next to one with it, on another interval
+    dphi = lambda x: 500.0 + length / (1.0 + ((x - 0.45) / width) ** 2)
+    phi = lambda x: 500.0 * x + length * width * np.arctan((x - 0.45) / width)
+
+    def integrand(x, owner):
+        h = np.where(owner[:, None] == 1, x * x, 0.0) + 0j
+        return np.cos(x) + 0j, dphi(x), h
+
+    a, b = [0.1, 0.0], [1.0, 0.7]
+    for j, res in enumerate(oscillatory_batch(integrand, a, b, 1e-8, [0.0, 0.0])):
+        assert res.panels > 10 and res.levin_solves > 0, j
+        exact = phi(b[j]) - phi(a[j])
+        assert abs(res.phase - exact) <= 1e-12 * abs(exact), j
+
+
 def test_batch_mixing_mirrored_and_plain_integrals_matches_solo_calls():
     # full sweeps folded onto w in [1/2, 1] (amplitudes and a norm, each with its
     # mirrored term) next to a partial-sweep amplitude and a phase to g_- from w = 0,
@@ -457,9 +476,9 @@ def _bath_amplitudes(n, rtol):
         "kind": "decoherence", "chain_sizes": [n], "coupling": 1e-2, "bath_kind": "ohmic",
         "bath_params": {"omega_c": 0.5, "support_max": 1.9}})
     sched = cfg.schedule_for(n)
-    nodes, _ = cfg.bath().quadrature(33)
+    nodes, _ = cfg.bath().quadrature()
     ks = channel_momenta(ChainSpec(n)).tolist()
-    _, channels = decoherence._pass([t for k in ks for t in decoherence._channel_terms(sched, k)])
+    _, channels = decoherence._pass([(sched, k, 0.0, decoherence.NORM, 1.0) for k in ks])
     terms = [(sched, k, w, decoherence.AMPLITUDE, 1.0) for k in ks for w in nodes.tolist()]
     floor = np.repeat([1e-13 * channels[sched, k, 1.0] for k in ks], nodes.size)
     passes = {}
